@@ -19,10 +19,8 @@ import numpy as np
 
 from . import __version__, config as cfgmod, evolve, sense as sensemod, sequence as sq, units
 from .config import ConfigError
-from .evolve import StepSizeError
-from .field import NVParameters, OrnsteinUhlenbeck, RngSpec, ou_chi
+from .field import OrnsteinUhlenbeck, RngSpec, ou_chi
 from .fit import FitError, fit_decay
-from .sense import ReadoutModel
 from .taylor import suppression_table
 
 EXIT_OK = 0
@@ -260,7 +258,7 @@ def run(config_path, out_dir=None, overrides=None, threads=1, expected_experimen
         artifacts, extra = _RUNNERS[cfg["experiment"]](cfg, out, threads)
         manifest = _write_manifest(out, cfg, artifacts, extra)
         artifacts.append(manifest)
-    except (FitError, StepSizeError, FloatingPointError) as exc:
+    except (FitError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL, []
     except OSError as exc:

@@ -300,15 +300,27 @@ def validate(raw: dict):
         if int(cfg.get("n_max", 0)) < 1 or int(cfg.get("k_max", -1)) < 0:
             raise ConfigError("suppression_table needs n_max >= 1 and k_max >= 0")
     if kind == "pulse_error":
+        if "n_pulses" not in cfg:
+            raise ConfigError("missing key 'n_pulses'")
+        try:
+            n_pulses = int(cfg["n_pulses"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"n_pulses must be an integer, got {cfg['n_pulses']!r}")
+        if n_pulses < 1:
+            raise ConfigError("n_pulses must be >= 1")
         if abs(float(cfg.get("flip_angle_error", 0.0))) >= 0.5:
             raise ConfigError("flip_angle_error must satisfy |e| < 0.5")
         if cfg.get("phase_convention", "cpmg") not in ("cp", "cpmg"):
             raise ConfigError("phase_convention must be 'cp' or 'cpmg'")
-    if kind == "spinlock" and "rabi_frequency" in cfg:
+    if kind == "spinlock":
+        if "rabi_frequency" not in cfg:
+            raise ConfigError("missing key 'rabi_frequency'")
         try:
-            units.hertz(cfg["rabi_frequency"])
+            rabi = units.hertz(cfg["rabi_frequency"])
         except units.UnitError as exc:
             raise ConfigError(f"rabi_frequency: {exc}")
+        if rabi < 0:
+            raise ConfigError("rabi_frequency must be non-negative")
 
     if model is not None:
         ratio = model.quasi_static_ratio()

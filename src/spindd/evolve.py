@@ -5,6 +5,11 @@ The free-evolution signal at total time T is mean_i cos(dphi_i) times the
 spin-lattice envelope exp(-T/T1).  Trajectories are independent work units;
 aggregation is chunked with a fixed chunk size and reduced in index order, so
 results are bit-identical for any worker count.
+
+Both Bloch paths (spin locking and finite-error pulse trains) propagate m with
+one exact rotation kernel: over an interval of constant Omega, dm/dt =
+m x Omega is a rotation, so no integrator error enters.  Their field phases
+come from ``segment_phases``, the same exact sampler as the decay curves.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +27,6 @@ from .field import (
     FieldModel,
     NVParameters,
     OrnsteinUhlenbeck,
-    QuasiStaticGaussian,
     RngSpec,
     ou_chi,
     segment_phases,
@@ -179,136 +183,75 @@ def ou_coherence_exponent(family, total_times, comp: OrnsteinUhlenbeck,
 # ---------------------------------------------------------------------------
 
 
-def _cross(m, w):
-    # m x w for m of shape (N, 3), w of shape (N, 3) or (3,)
-    return np.stack(
-        [
-            m[:, 1] * w[..., 2] - m[:, 2] * w[..., 1],
-            m[:, 2] * w[..., 0] - m[:, 0] * w[..., 2],
-            m[:, 0] * w[..., 1] - m[:, 1] * w[..., 0],
-        ],
-        axis=1,
-    )
+def _rotations(v):
+    """Rotation matrices R, shape (..., 3, 3), with m(dt) = R @ m(0) solving
+    dm/dt = m x Omega exactly over a step of constant Omega; v = Omega * dt
+    has shape (..., 3).  A zero v gives the identity.
+
+    m x Omega turns m clockwise about Omega by theta = |v| (Rodrigues):
+    R = cos(theta) I + (1 - cos theta)/theta^2 v v^T - sin(theta)/theta [v]_x.
+    """
+    theta = np.sqrt(np.sum(v * v, axis=-1))
+    sin_c = np.sinc(theta / np.pi)  # sin(theta)/theta
+    # (1 - cos theta)/theta^2 written without the cancellation near theta = 0
+    cos_c = 0.5 * np.sinc(theta / (2 * np.pi)) ** 2
+    # built in place, one (..., 3, 3) array: the batches hold many steps
+    r = v[..., :, None] * v[..., None, :]
+    r *= cos_c[..., None, None]
+    diag = np.arange(3)
+    r[..., diag, diag] += np.cos(theta)[..., None]
+    # minus sin(theta)/theta times the cross-product matrix [v]_x
+    w = sin_c[..., None] * v
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        r[..., j, k] += w[..., i]
+        r[..., k, j] -= w[..., i]
+    return r
 
 
-def _rk4_step(m, w, h):
-    k1 = _cross(m, w)
-    k2 = _cross(m + 0.5 * h * k1, w)
-    k3 = _cross(m + 0.5 * h * k2, w)
-    k4 = _cross(m + h * k3, w)
-    return m + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rotate(r, m):
+    """Apply rotations r (..., 3, 3) to magnetizations m (..., 3)."""
+    return (r @ m[..., None])[..., 0]
 
 
-class StepSizeError(RuntimeError):
-    """Adaptive integrator could not meet tolerance; reports time and index."""
+def _bloch_run(model, omega1, sample_times, shots, rng, gamma_e, m0):
+    """Evolve dm/dt = m x Omega(t), Omega = (omega1, 0, gamma_e B(t)), for all
+    trajectories with the exact rotation of each step.
 
-
-def _advance_constant_omega(m, w, dt, tol):
-    """Adaptive RK4 with step doubling over an interval of constant Omega."""
-    t = 0.0
-    h = dt
-    while t < dt * (1 - 1e-15):
-        h = min(h, dt - t)
-        for _ in range(60):
-            full = _rk4_step(m, w, h)
-            half = _rk4_step(_rk4_step(m, w, 0.5 * h), w, 0.5 * h)
-            err = float(np.max(np.abs(full - half)))
-            if err <= tol:
-                break
-            h *= 0.5
-        else:
-            bad = int(np.argmax(np.sum(np.abs(full - half), axis=1)))
-            raise StepSizeError(f"step collapse at local t={t!r}, trajectory {bad}")
-        m = half
-        t += h
-        if err < tol / 32.0:
-            h *= 2.0
-    return m
-
-
-def _ou_component(model: FieldModel):
-    ous = [(i, c) for i, c in enumerate(model.components) if isinstance(c, OrnsteinUhlenbeck)]
-    if len(ous) > 1:
-        raise ValueError("Bloch path supports at most one OU component")
-    return ous[0] if ous else (None, None)
-
-
-def _bloch_run(
-    model, omega_callable, sample_times, shots, rng, gamma_e, tol, m0,
-):
-    """Integrate dm/dt = m x Omega(t) for all trajectories, noise held
-    piecewise-constant on a grid no coarser than tau_c/20 and 1/(20 max|Omega_x|).
-
-    Returns m at each sample time, shape (n_samples, shots, 3).
+    Omega_z dt of a step is the exact phase gamma_e int_step B dt from
+    ``segment_phases``, so the OU bath enters through its exact joint
+    (X, int X) update.  Steps are no longer than t_max/200 and tau_c/20 of
+    every OU component.  Returns m at each sample time, shape
+    (n_samples, shots, 3).
     """
     sample_times = np.asarray(sample_times, dtype=float)
-    t_max = sample_times[-1]
-    slot, ou = _ou_component(model)
-    caps = [t_max / 200.0]
-    if ou is not None:
-        caps.append(ou.tau_c / 20.0)
-    w1 = omega_callable(0.0)
-    if w1 > 0:
-        caps.append(1.0 / (20.0 * w1))
-    h_cap = min(caps)
+    h_cap = min(
+        [sample_times[-1] / 200.0]
+        + [c.tau_c / 20.0 for c in model.components if isinstance(c, OrnsteinUhlenbeck)]
+    )
 
-    # build a global step grid hitting every sample time exactly
+    # a step grid hitting every sample time exactly, nsub[k] steps before
+    # sample k
     knots = np.concatenate([[0.0], sample_times])
-    grid = [0.0]
-    for a, b in zip(knots[:-1], knots[1:]):
-        nsub = max(1, int(math.ceil((b - a) / h_cap)))
-        grid.extend(np.linspace(a, b, nsub + 1)[1:])
-    grid = np.asarray(grid)
+    nsub = np.maximum(1, np.ceil(np.diff(knots) / h_cap).astype(int))
+    grid = np.concatenate(
+        [[0.0]] + [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(knots[:-1], knots[1:], nsub)]
+    )
     steps = np.diff(grid)
-
-    # deterministic part of B at step midpoints
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    b_det = np.zeros_like(mid)
-    from .field import Polynomial, SinusoidAC, StaticOffset  # local to avoid cycle noise
-
-    for comp in model.components:
-        if isinstance(comp, StaticOffset):
-            b_det += comp.b
-        elif isinstance(comp, Polynomial):
-            b_det += np.polynomial.polynomial.polyval(mid, comp.coefficients)
-        elif isinstance(comp, SinusoidAC):
-            b_det += comp.amplitude * np.sin(2 * np.pi * comp.frequency * mid + comp.phi0)
-
-    # stochastic part per trajectory
-    n_steps = steps.size
-    b_sto = np.zeros((shots, n_steps))
-    for comp_slot, comp in enumerate(model.components):
-        if isinstance(comp, QuasiStaticGaussian):
-            draws = np.empty(shots)
-            for i in range(shots):
-                draws[i] = rng.generator(i, comp_slot).standard_normal()
-            b_sto += comp.sigma_b * draws[:, None]
-        elif isinstance(comp, OrnsteinUhlenbeck):
-            xi = np.empty((shots, n_steps + 1))
-            for i in range(shots):
-                xi[i] = rng.generator(i, comp_slot).standard_normal(n_steps + 1)
-            decay = np.exp(-steps / comp.tau_c)
-            kick = comp.sigma_b * np.sqrt(1.0 - decay**2)
-            x = comp.sigma_b * xi[:, 0]
-            for j in range(n_steps):
-                # hold the value at the step start across the step
-                b_sto[:, j] += x
-                x = x * decay[j] + kick[j] * xi[:, j + 1]
+    tog = sq.TogglingFunction(tuple(grid), (1,) * steps.size)
+    phases = segment_phases(model, tog, rng, range(shots), gamma_e)
 
     m = np.tile(np.asarray(m0, dtype=float), (shots, 1))
     out = np.empty((sample_times.size, shots, 3))
-    sample_set = {round(t, 15) for t in sample_times}
-    si = 0
-    w = np.zeros((shots, 3))
-    for j in range(n_steps):
-        w[:, 0] = omega_callable(mid[j])
-        w[:, 2] = gamma_e * (b_det[j] + b_sto[:, j])
-        m = _advance_constant_omega(m, w, steps[j], tol)
-        if round(grid[j + 1], 15) in sample_set:
-            out[si] = m
-            si += 1
-    if si != sample_times.size:  # pragma: no cover
-        raise RuntimeError("sample grid mismatch")
+    # one sample interval at a time, so the matrices take shots x nsub[k] x 9
+    cuts = np.cumsum(nsub)[:-1]
+    for k, (dt, phase) in enumerate(zip(np.split(steps, cuts), np.split(phases, cuts, axis=1))):
+        v = np.zeros(phase.shape + (3,))
+        v[..., 0] = omega1 * dt
+        v[..., 2] = phase
+        for r in _rotations(v).swapaxes(0, 1):
+            m = _rotate(r, m)
+        out[k] = m
     return out
 
 
@@ -320,7 +263,6 @@ def spin_lock_curve(
     rng: RngSpec,
     nv: NVParameters = NVParameters(),
     apply_t1: bool = True,
-    tol: float = 1e-9,
 ) -> CoherenceCurve:
     """Locked magnetization m_x(t) under continuous drive Omega = (w1, 0, g B(t)).
 
@@ -333,9 +275,7 @@ def spin_lock_curve(
     total_times = np.asarray(total_times, dtype=float)
     if np.any(np.diff(total_times) <= 0) or total_times[0] <= 0:
         raise ValueError("total_times must be positive and strictly increasing")
-    ms = _bloch_run(
-        model, lambda t: omega1, total_times, shots, rng, nv.gamma_e, tol, (1.0, 0.0, 0.0)
-    )
+    ms = _bloch_run(model, omega1, total_times, shots, rng, nv.gamma_e, (1.0, 0.0, 0.0))
     mx = ms[:, :, 0]
     mean = mx.mean(axis=1)
     se = mx.std(axis=1, ddof=0) / math.sqrt(shots)
@@ -361,24 +301,6 @@ def spin_lock_curve(
 # ---------------------------------------------------------------------------
 
 
-def _rot_x(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-
-
-def _rot_y(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
-
-
-def _rot_z_batch(m, theta):
-    # rotate each row of m about z by per-row angle theta (sign per dm/dt = m x Omega)
-    c, s = np.cos(theta), np.sin(theta)
-    x = c * m[:, 0] + s * m[:, 1]
-    y = -s * m[:, 0] + c * m[:, 1]
-    return np.stack([x, y, m[:, 2]], axis=1)
-
-
 def pulse_error_curve(
     model: Optional[FieldModel],
     n: int,
@@ -402,26 +324,27 @@ def pulse_error_curve(
         raise ValueError("phase_convention must be 'cp' or 'cpmg'")
     total_times = np.asarray(total_times, dtype=float)
     angle = math.pi * (1.0 + flip_angle_error)
-    pulse = _rot_x(angle) if phase_convention == "cpmg" else _rot_y(angle)
+    axis = (1.0, 0.0, 0.0) if phase_convention == "cpmg" else (0.0, 1.0, 0.0)
+    # the pulse turns m counterclockwise about its axis: Omega dt = -angle axis
+    pulse = _rotations(-angle * np.asarray(axis))
     noiseless = model is None or not model.is_stochastic()
     eff_shots = 1 if noiseless else shots
+    # read out along the axis the ideal train refocuses to: pi pulses about
+    # y send x -> (-1)^n x, pi pulses about x leave it fixed
+    axis_sign = 1.0 if phase_convention == "cpmg" else (-1.0) ** n
     sig = np.empty_like(total_times)
     err = np.empty_like(total_times)
     for i, T in enumerate(total_times):
-        seq = sq.cpmg(n, T)
-        tog = sq.toggling(seq)
-        if model is None:
-            phases = np.zeros((1, len(tog.signs)))
-        else:
-            phases = segment_phases(model, tog, rng, range(eff_shots), nv.gamma_e)
+        v = np.zeros((eff_shots, n + 1, 3))
+        if model is not None:
+            tog = sq.toggling(sq.cpmg(n, T))
+            v[..., 2] = segment_phases(model, tog, rng, range(eff_shots), nv.gamma_e)
+        free = _rotations(v)
         m = np.tile([1.0, 0.0, 0.0], (eff_shots, 1))
-        for seg in range(phases.shape[1]):
-            m = _rot_z_batch(m, phases[:, seg])
-            if seg < phases.shape[1] - 1:
-                m = m @ pulse.T
-        # read out along the axis the ideal train refocuses to: pi pulses about
-        # y send x -> (-1)^n x, pi pulses about x leave it fixed
-        axis_sign = 1.0 if phase_convention == "cpmg" else (-1.0) ** n
+        for seg in range(n + 1):
+            if seg:
+                m = _rotate(pulse, m)
+            m = _rotate(free[:, seg], m)
         mx = m[:, 0] * axis_sign
         env = float(t1_envelope(T, nv)) if apply_t1 else 1.0
         sig[i] = mx.mean() * env

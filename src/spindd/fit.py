@@ -10,8 +10,8 @@ cov = (J^T W J)^-1 with W = diag(1/sigma^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 

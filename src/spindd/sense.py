@@ -12,13 +12,13 @@ Conventions used throughout the pipeline:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import sequence as sq
-from .field import GAMMA_E, FieldModel, NVParameters, RngSpec, SinusoidAC, signed_phase
+from .field import FieldModel, NVParameters, RngSpec, SinusoidAC, signed_phase
 from .fit import DecayFit, fit_power_law
 
 #: laser polarization/readout dead time added to every shot, seconds

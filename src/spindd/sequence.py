@@ -3,8 +3,7 @@ toggling function they induce on the accumulated phase."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -69,6 +69,28 @@ def test_suppression_table_artifact(tmp_path):
     assert abs(float(n1k1[4])) == 0.5
 
 
+_BLOCH_BASE = {
+    "field": [{"type": "ornstein_uhlenbeck", "sigma_b": "59.22345 nT",
+               "tau_c": "25 us"}],
+    "times": {"start": "20 us", "stop": "160 us", "count": 4},
+}
+
+
+@pytest.mark.parametrize("cfg, name", [
+    ({"experiment": "pulse_error"}, "n_pulses"),
+    ({"experiment": "pulse_error", "n_pulses": 0}, "n_pulses"),
+    ({"experiment": "spinlock"}, "rabi_frequency"),
+    ({"experiment": "spinlock", "rabi_frequency": "-5 kHz"}, "rabi_frequency"),
+], ids=["pulse_error_no_n_pulses", "pulse_error_zero_pulses", "spinlock_no_rabi",
+        "spinlock_negative_rabi"])
+def test_bloch_config_errors_name_the_field(tmp_path, capsys, cfg, name):
+    cfg_path = _write(tmp_path, "cfg.json", dict(_BLOCH_BASE, **cfg))
+    code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_VALIDATION
+    assert artifacts == []
+    assert name in capsys.readouterr().err
+
+
 def test_unknown_key_is_rejected_by_name(tmp_path, capsys):
     cfg_path = _write(tmp_path, "cfg.json", _decay_cfg(tua_us=5))
     code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))

@@ -14,7 +14,9 @@ from spindd.field import (
     QuasiStaticGaussian,
     RngSpec,
     SinusoidAC,
+    StaticOffset,
     ou_chi,
+    segment_phases,
     signed_phase,
 )
 
@@ -128,14 +130,27 @@ def test_shots_floor_enforced():
 # ---------------------------------------------------------------------------
 
 
+def test_rotation_kernel_solves_bloch_equation():
+    # dm/dt = m x Omega = -[Omega]_x m, so one step is m -> expm(-[v]_x) m.
+    # m_x read out from m = x cannot tell the sense of rotation; R can
+    from scipy.linalg import expm
+
+    v = np.concatenate([np.random.default_rng(0).normal(scale=3.0, size=(20, 3)),
+                        [[1e-9, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+    for vi, r in zip(v, evolve._rotations(v)):
+        cross = np.array([[0, -vi[2], vi[1]], [vi[2], 0, -vi[0]], [-vi[1], vi[0], 0]])
+        assert np.max(np.abs(r - expm(-cross))) <= 1e-12
+    assert np.array_equal(evolve._rotations(np.zeros(3)), np.eye(3))
+
+
 def test_bloch_norm_conservation():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=5e-7, tau_c=1e-6))
     ms = evolve._bloch_run(
-        model, lambda t: 2 * math.pi * 1e5, np.array([1e-3]), 4, RngSpec(9),
-        GAMMA_E, 1e-9, (1.0, 0.0, 0.0),
+        model, 2 * math.pi * 1e5, np.array([1e-3]), 4, RngSpec(9), GAMMA_E,
+        (1.0, 0.0, 0.0),
     )
     norms = np.linalg.norm(ms[0], axis=1)
-    assert np.all(np.abs(norms - 1.0) < 1e-7)
+    assert np.all(np.abs(norms - 1.0) < 1e-12)
 
 
 def test_spin_lock_noiseless_stays_locked():
@@ -153,8 +168,6 @@ def test_spin_lock_static_detuning_precesses():
     b0 = 1e-6
     w = GAMMA_E * b0
     T = 2 * math.pi / w * 3.25
-    from spindd.field import StaticOffset
-
     model = FieldModel.of(StaticOffset(b=b0))
     curve = evolve.spin_lock_curve(
         model, 0.0, [T], shots=100, rng=RngSpec(1), nv=NV_NO_T1, apply_t1=False,
@@ -162,21 +175,39 @@ def test_spin_lock_static_detuning_precesses():
     assert curve.signal[0] == pytest.approx(math.cos(w * T), abs=1e-6)
 
 
-def test_spin_lock_redfield_rate():
-    # fast OU noise: decay rate gamma^2 sigma^2 tau_c / (1 + w1^2 tau_c^2)
-    tau_c = 1e-6
-    sigma_b = 0.1 / (GAMMA_E * tau_c)
-    omega1 = 1.0 / tau_c
-    rate = (GAMMA_E * sigma_b) ** 2 * tau_c / (1 + (omega1 * tau_c) ** 2)
-    t1rho = 1.0 / rate
-    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=sigma_b, tau_c=tau_c))
-    ts = np.array([0.4, 0.8, 1.3]) * t1rho
+def test_spin_lock_static_detuning_nutation():
+    # drive plus static detuning: m precesses about the tilted field
+    # (w1, 0, delta), so m_x(T) = (w1^2 + delta^2 cos(W T)) / W^2
+    b0 = 1e-6
+    delta = GAMMA_E * b0
+    omega1 = 2 * math.pi * 30e3
+    big = math.hypot(omega1, delta)
+    ts = np.array([1e-5, 3.3e-5, 7e-5, 1.2e-4])
+    model = FieldModel.of(StaticOffset(b=b0))
     curve = evolve.spin_lock_curve(
-        model, omega1, ts, shots=300, rng=RngSpec(5), nv=NV_NO_T1,
-        apply_t1=False,
+        model, omega1, ts, shots=100, rng=RngSpec(1), nv=NV_NO_T1, apply_t1=False,
     )
-    got = -np.log(curve.signal) / ts
-    assert np.mean(got) == pytest.approx(rate, rel=0.2)
+    want = (omega1**2 + delta**2 * np.cos(big * ts)) / big**2
+    assert np.max(np.abs(curve.signal - want)) <= 1e-12
+
+
+def test_spin_lock_redfield_rate():
+    # fast OU noise: decay rate gamma^2 sigma^2 tau_c / (1 + w1^2 tau_c^2),
+    # summed over independent components; each bath lists
+    # (gamma sigma_b tau_c, tau_c) per OU component
+    omega1 = 1e6
+    for bath in ([(0.1, 1e-6)], [(0.1, 1e-6), (0.05, 0.5e-6)]):
+        comps = [OrnsteinUhlenbeck(sigma_b=x / (GAMMA_E * tau_c), tau_c=tau_c)
+                 for x, tau_c in bath]
+        rate = sum((GAMMA_E * c.sigma_b) ** 2 * c.tau_c / (1 + (omega1 * c.tau_c) ** 2)
+                   for c in comps)
+        ts = np.array([0.4, 0.8, 1.3]) / rate
+        curve = evolve.spin_lock_curve(
+            FieldModel.of(*comps), omega1, ts, shots=300, rng=RngSpec(5),
+            nv=NV_NO_T1, apply_t1=False,
+        )
+        got = -np.log(curve.signal) / ts
+        assert np.mean(got) == pytest.approx(rate, rel=0.2), bath
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +215,47 @@ def test_spin_lock_redfield_rate():
 # ---------------------------------------------------------------------------
 
 
+def _rx(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
+
+
+def _ry(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
+
+
+def _rz_batch(m, theta):
+    # per-row rotation about z by theta, the sense of dm/dt = m x (0, 0, w)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([c * m[:, 0] + s * m[:, 1], -s * m[:, 0] + c * m[:, 1], m[:, 2]],
+                    axis=1)
+
+
 def _oracle_single_echo(eps, convention):
     # explicit 3x3 rotation product for one noiseless echo
-    def rx(a):
-        c, s = math.cos(a), math.sin(a)
-        return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-
-    def ry(a):
-        c, s = math.cos(a), math.sin(a)
-        return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
-
-    pulse = rx(math.pi * (1 + eps)) if convention == "cpmg" else ry(math.pi * (1 + eps))
+    pulse = _rx(math.pi * (1 + eps)) if convention == "cpmg" else _ry(math.pi * (1 + eps))
     m = pulse @ np.array([1.0, 0.0, 0.0])
     sign = -1.0 if convention == "cp" else 1.0
     return sign * m[0]
+
+
+def _reference_pulse_error(model, n, eps, convention, ts, shots, rng):
+    # explicit x/y pulse matrices and per-row z rotations, composed one
+    # trajectory block at a time: the reference for the rotation kernel
+    pulse = _rx(math.pi * (1 + eps)) if convention == "cpmg" else _ry(math.pi * (1 + eps))
+    sign = 1.0 if convention == "cpmg" else (-1.0) ** n
+    sig, err = [], []
+    for T in ts:
+        phases = segment_phases(model, sq.toggling(sq.cpmg(n, T)), rng, range(shots))
+        m = np.tile([1.0, 0.0, 0.0], (shots, 1))
+        for seg in range(n + 1):
+            m = _rz_batch(m, phases[:, seg])
+            if seg < n:
+                m = m @ pulse.T
+        sig.append(np.mean(m[:, 0] * sign))
+        err.append(np.std(m[:, 0] * sign) / math.sqrt(shots))
+    return np.array(sig), np.array(err)
 
 
 @pytest.mark.parametrize("convention", ["cp", "cpmg"])
@@ -210,6 +268,17 @@ def test_pulse_error_single_echo_oracle(convention):
         assert curve.signal[0] == pytest.approx(
             _oracle_single_echo(eps, convention), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("convention", ["cp", "cpmg"])
+def test_pulse_error_matches_reference_composition(convention):
+    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=2e-5))
+    ts = [1e-4, 4e-4, 1e-3]
+    curve = evolve.pulse_error_curve(model, 6, 0.07, convention, ts, shots=300,
+                                     rng=RngSpec(21), nv=NV_NO_T1)
+    sig, err = _reference_pulse_error(model, 6, 0.07, convention, ts, 300, RngSpec(21))
+    assert np.max(np.abs(curve.signal - sig)) <= 1e-12
+    assert np.max(np.abs(curve.std_error - err)) <= 1e-12
 
 
 def test_pulse_error_cpmg_robust_cp_fragile():
