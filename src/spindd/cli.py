@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, config as cfgmod, evolve, sense as sensemod, sequence as sq, units
+from . import __version__, config as cfgmod, evolve, sense as sensemod, sequence as sq
 from .config import ConfigError
 from .field import OrnsteinUhlenbeck, RngSpec, ou_chi
 from .fit import FitError, fit_decay
@@ -54,127 +54,86 @@ def _write_manifest(out_dir, cfg, artifacts, extra=None):
     return path
 
 
-def _family_from_spec(seq_kind, seq_params):
-    if seq_kind == "fid":
-        return evolve.fid_family()
-    if seq_kind == "hahn":
-        return evolve.hahn_family()
-    if seq_kind == "cpmg":
-        return evolve.cpmg_family(seq_params["n_pulses"])
-    if seq_kind == "custom":
-        return evolve.custom_family(seq_params["pulse_time_fractions"])
-    raise ConfigError(f"cannot build family for {seq_kind!r}")
+def _curve_artifacts(curve, seed, out_dir):
+    path = os.path.join(out_dir, "curve.csv")
+    curve.to_csv(path)
+    return [path], {"seed": seed, "metadata": curve.metadata}
 
 
-def _run_decay(cfg, out_dir, threads):
-    model = cfgmod.parse_field(cfg["field"])
-    nv = cfgmod.parse_nv(cfg.get("nv"))
-    times = cfgmod.parse_times(cfg["times"])
-    family = _family_from_spec(*cfgmod.parse_sequence_spec(cfg.get("sequence", {"kind": "hahn"})))
+def _run_decay(spec, out_dir, threads):
     curve = evolve.coherence_curve(
-        model,
-        family,
-        times,
-        int(cfg.get("shots", 10_000)),
-        RngSpec(int(cfg.get("seed", 0))),
-        nv,
-        apply_t1=bool(cfg.get("t1_envelope", True)),
+        spec.field,
+        spec.sequence,
+        spec.times,
+        spec.shots,
+        RngSpec(spec.seed),
+        spec.nv,
+        apply_t1=spec.t1_envelope,
         n_workers=threads,
     )
-    path = os.path.join(out_dir, "curve.csv")
-    curve.to_csv(path)
-    return [path], {"seed": int(cfg.get("seed", 0)), "metadata": curve.metadata}
+    return _curve_artifacts(curve, spec.seed, out_dir)
 
 
-def _run_spinlock(cfg, out_dir, threads):
-    model = cfgmod.parse_field(cfg["field"])
-    nv = cfgmod.parse_nv(cfg.get("nv"))
-    times = cfgmod.parse_times(cfg["times"])
-    omega1 = 2 * math.pi * units.hertz(cfg["rabi_frequency"])
+def _run_spinlock(spec, out_dir, threads):
     curve = evolve.spin_lock_curve(
-        model,
-        omega1,
-        times,
-        int(cfg.get("shots", 200)),
-        RngSpec(int(cfg.get("seed", 0))),
-        nv,
-        apply_t1=bool(cfg.get("t1_envelope", True)),
+        spec.field,
+        2 * math.pi * spec.rabi_frequency,
+        spec.times,
+        spec.shots,
+        RngSpec(spec.seed),
+        spec.nv,
+        apply_t1=spec.t1_envelope,
     )
-    path = os.path.join(out_dir, "curve.csv")
-    curve.to_csv(path)
-    return [path], {"seed": int(cfg.get("seed", 0)), "metadata": curve.metadata}
+    return _curve_artifacts(curve, spec.seed, out_dir)
 
 
-def _run_suppression(cfg, out_dir, threads):
-    n_max, k_max = int(cfg["n_max"]), int(cfg["k_max"])
+def _run_suppression(spec, out_dir, threads):
     path = os.path.join(out_dir, "suppression.csv")
     with open(path, "w") as fh:
         fh.write("n,k,factor_exact_num,factor_exact_den,factor_float\n")
-        for entry in suppression_table(n_max, k_max):
+        for entry in suppression_table(spec.n_max, spec.k_max):
             v = entry.value
             fh.write(f"{entry.n},{entry.k},{v.numerator},{v.denominator},{float(v)!r}\n")
     return [path], {}
 
 
-def _run_pulse_error(cfg, out_dir, threads):
-    model = cfgmod.parse_field(cfg["field"]) if "field" in cfg else None
-    nv = cfgmod.parse_nv(cfg.get("nv"))
-    times = cfgmod.parse_times(cfg["times"])
+def _run_pulse_error(spec, out_dir, threads):
     curve = evolve.pulse_error_curve(
-        model,
-        int(cfg["n_pulses"]),
-        float(cfg.get("flip_angle_error", 0.0)),
-        cfg.get("phase_convention", "cpmg"),
-        times,
-        int(cfg.get("shots", 1000)),
-        RngSpec(int(cfg.get("seed", 0))) if model is not None else None,
-        nv,
-        apply_t1=bool(cfg.get("t1_envelope", False)),
+        spec.field,
+        spec.n_pulses,
+        spec.flip_angle_error,
+        spec.phase_convention,
+        spec.times,
+        spec.shots,
+        RngSpec(spec.seed),
+        spec.nv,
+        apply_t1=spec.t1_envelope,
     )
-    path = os.path.join(out_dir, "curve.csv")
-    curve.to_csv(path)
-    return [path], {"seed": int(cfg.get("seed", 0)), "metadata": curve.metadata}
+    return _curve_artifacts(curve, spec.seed, out_dir)
 
 
-def _sense_envelope(cfg, seq, nv):
+def _sense_envelope(spec):
     """Coherence factor at the sequence duration; 'auto' uses the configured
     OU bath's analytic exponent plus the T1 ceiling."""
-    spec = cfg.get("envelope", 1.0)
-    if spec == "auto":
-        if "field" not in cfg:
-            raise ConfigError("envelope 'auto' needs a field model")
-        model = cfgmod.parse_field(cfg["field"])
-        chi = 0.0
-        for comp in model.components:
-            if isinstance(comp, OrnsteinUhlenbeck):
-                chi += ou_chi(sq.toggling(seq), comp.sigma_b, comp.tau_c, nv.gamma_e)
-        return math.exp(-0.5 * chi - seq.total_time / nv.t1)
-    return float(spec)
+    if spec.envelope != "auto":
+        return spec.envelope
+    chi = 0.0
+    for comp in spec.field.components:
+        if isinstance(comp, OrnsteinUhlenbeck):
+            chi += ou_chi(sq.toggling(spec.sequence), comp.sigma_b, comp.tau_c, spec.nv.gamma_e)
+    return math.exp(-0.5 * chi - spec.sequence.total_time / spec.nv.t1)
 
 
-def _run_sense(cfg, out_dir, threads):
-    nv = cfgmod.parse_nv(cfg.get("nv"))
-    readout = cfgmod.parse_readout(cfg.get("readout"))
-    seq_kind, seq_params = cfgmod.parse_sequence_spec(cfg["sequence"])
-    if seq_kind == "hahn":
-        tau = units.seconds(cfg["sequence_tau"]) if "sequence_tau" in cfg else 115e-6
-        seq = sq.hahn(2 * tau)
-    elif seq_kind == "cpmg":
-        tau = units.seconds(cfg["sequence_tau"]) if "sequence_tau" in cfg else 27e-6
-        seq = sq.cpmg(seq_params["n_pulses"], 2 * seq_params["n_pulses"] * tau)
-    else:
-        raise ConfigError("sense supports hahn and cpmg sequences")
-    times = cfgmod.parse_times(cfg["times"])
-    envelope = _sense_envelope(cfg, seq, nv)
-    rng = RngSpec(int(cfg["seed"])) if "seed" in cfg else None
+def _run_sense(spec, out_dir, threads):
+    envelope = _sense_envelope(spec)
     result = sensemod.sensitivity_scan(
-        seq,
-        readout,
-        times,
-        rng=rng,
-        nv=nv,
+        spec.sequence,
+        spec.readout,
+        spec.times,
+        rng=None if spec.seed is None else RngSpec(spec.seed),
+        nv=spec.nv,
         envelope=envelope,
-        ac_amplitude_jitter=float(cfg.get("ac_amplitude_jitter", 0.0)),
+        ac_amplitude_jitter=spec.ac_amplitude_jitter,
     )
     csv_path = os.path.join(out_dir, "sensitivity.csv")
     result.to_csv(csv_path)
@@ -192,13 +151,18 @@ def _run_sense(cfg, out_dir, threads):
     return [csv_path, json_path], {}
 
 
-def _run_fit(cfg, out_dir, threads):
-    data = np.genfromtxt(cfg["input_csv"], delimiter=",", names=True)
-    times = data["total_time_s"]
-    signal = data["signal"]
-    sigma = data["std_error"] if "std_error" in (data.dtype.names or ()) else None
+def _run_fit(spec, out_dir, threads):
+    try:
+        data = np.atleast_1d(np.genfromtxt(spec.input_csv, delimiter=",", names=True))
+        times = data["total_time_s"]
+        signal = data["signal"]
+    except (IndexError, ValueError) as exc:  # an empty file, a missing column
+        raise ConfigError(
+            f"input_csv {spec.input_csv!r} needs total_time_s and signal columns ({exc})"
+        ) from None
+    sigma = data["std_error"] if "std_error" in data.dtype.names else None
     curve = (times, signal) if sigma is None else (times, signal, sigma)
-    fit = fit_decay(curve, cfg.get("model", "stretched_exp"), cfg.get("fixed_params"))
+    fit = fit_decay(curve, spec.model, spec.fixed_params)
     path = os.path.join(out_dir, "fit.json")
     with open(path, "w") as fh:
         json.dump(fit.to_dict(), fh, indent=2, sort_keys=True)
@@ -207,66 +171,48 @@ def _run_fit(cfg, out_dir, threads):
     return [path], {}
 
 
-_RUNNERS = {
-    "decay": _run_decay,
-    "spinlock": _run_spinlock,
-    "suppression_table": _run_suppression,
-    "pulse_error": _run_pulse_error,
-    "sense": _run_sense,
-    "fit": _run_fit,
+# subcommand -> (experiment, runner)
+_SUBCOMMANDS = {
+    "decay": ("decay", _run_decay),
+    "suppression": ("suppression_table", _run_suppression),
+    "spinlock": ("spinlock", _run_spinlock),
+    "pulse-error": ("pulse_error", _run_pulse_error),
+    "sense": ("sense", _run_sense),
+    "fit": ("fit", _run_fit),
 }
-
-_SUBCOMMAND_TO_EXPERIMENT = {
-    "decay": "decay",
-    "suppression": "suppression_table",
-    "spinlock": "spinlock",
-    "pulse-error": "pulse_error",
-    "sense": "sense",
-    "fit": "fit",
-}
+_RUNNERS = dict(_SUBCOMMANDS.values())
 
 
 def run(config_path, out_dir=None, overrides=None, threads=1, expected_experiment=None):
     """Load, validate and dispatch a config; returns (exit_code, artifacts)."""
     try:
         raw = cfgmod.load_config(config_path)
-        if overrides:
+        if overrides and isinstance(raw, dict):
             raw.update(overrides)
         report = cfgmod.validate(raw)
-        cfg = report["expanded"]
-        if expected_experiment and cfg["experiment"] != expected_experiment:
+        kind = report["experiment"]
+        if expected_experiment and kind != expected_experiment:
             raise ConfigError(
-                f"config is a {cfg['experiment']!r} experiment, expected"
-                f" {expected_experiment!r}"
+                f"config is a {kind!r} experiment, expected {expected_experiment!r}"
             )
-    except ConfigError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION, []
-    for w in report["warnings"]:
-        print(f"warning: {w}", file=sys.stderr)
-
-    out = out_dir or cfg.get("out", ".")
-    try:
+        for w in report["warnings"]:
+            print(f"warning: {w}", file=sys.stderr)
+        out = out_dir or report["spec"].out
         os.makedirs(out, exist_ok=True)
         if not os.access(out, os.W_OK):
             raise OSError(f"output directory {out!r} not writable")
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO, []
-
-    try:
-        artifacts, extra = _RUNNERS[cfg["experiment"]](cfg, out, threads)
-        manifest = _write_manifest(out, cfg, artifacts, extra)
+        artifacts, extra = _RUNNERS[kind](report["spec"], out, threads)
+        manifest = _write_manifest(out, report["expanded"], artifacts, extra)
         artifacts.append(manifest)
+    except ConfigError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION, []
     except (FitError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL, []
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO, []
-    except ConfigError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION, []
     for p in artifacts:
         print(p)
     return EXIT_OK, artifacts
@@ -275,7 +221,7 @@ def run(config_path, out_dir=None, overrides=None, threads=1, expected_experimen
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="spindd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_SUBCOMMAND_TO_EXPERIMENT) + ["validate"]:
+    for name in list(_SUBCOMMANDS) + ["validate"]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         if name != "validate":
@@ -305,7 +251,7 @@ def main(argv=None):
         out_dir=args.out,
         overrides=overrides,
         threads=args.threads,
-        expected_experiment=_SUBCOMMAND_TO_EXPERIMENT[args.command],
+        expected_experiment=_SUBCOMMANDS[args.command][0],
     )
     return code
 

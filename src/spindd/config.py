@@ -4,20 +4,27 @@ Configs are plain JSON.  Every physical quantity is a string with a unit
 suffix ("59.22 nT", "25 us"); unknown keys are rejected with the offending
 key named.  Presets expand to fully explicit configs before validation, so
 an expanded config has no hidden state.
+
+``validate`` is the only reader of a config.  Each experiment's keys are the
+fields of its frozen spec, each declared with the reader of its value, so a
+key is accepted exactly when it is read; the runner consumes the spec.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
-from typing import Optional
+import sys
+from dataclasses import MISSING, dataclass
+from functools import partial
+from typing import Optional, Union
 
 import numpy as np
 
-from . import units
+from . import evolve, sequence as sq, units
 from .field import (
-    GAMMA_E,
     FieldModel,
     NVParameters,
     OrnsteinUhlenbeck,
@@ -36,8 +43,6 @@ class ConfigError(ValueError):
 # Bath parameters are tuned against the bulk-CVD reference values
 # (Hahn T2 = 0.39 ms, CPMG-90 T2 ~ 2.4 ms under the T1 = 5.93 ms ceiling) and
 # the nanodiamond ones against Hahn T2 = 2.1 us with T1 = 100 us.
-# photons_per_shot is tuned so the Hahn sensitivity scan at tau = 115 us
-# fits k = 19.4 nT/sqrt(Hz).
 PRESETS = {
     "bulk_cvd": {
         "nv": {"t1": "5.93 ms"},
@@ -51,58 +56,323 @@ PRESETS = {
     },
 }
 
-SENSE_READOUT_DEFAULTS = {
-    "photons_per_shot": 0.08841940036389989,
-    "contrast": 0.3,
-    "overhead": "2 us",
-}
+# photons_per_shot is tuned so the Hahn sensitivity scan at tau = 115 us
+# fits k = 19.4 nT/sqrt(Hz).
+SENSE_READOUT = ReadoutModel(photons_per_shot=0.08841940036389989, contrast=0.3)
 
+
+# Readers: read(value, path) returns the parsed value or raises a ConfigError
+# naming path.
+
+
+def _expect(ok, value, path, what):
+    if not ok:
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
+    return value
+
+
+def _boolean(value, path):
+    return _expect(isinstance(value, bool), value, path, "true or false")
+
+
+def _path_string(value, path):
+    # os calls raise ValueError, not OSError, on a NUL character
+    return _expect(isinstance(value, str) and "\0" not in value, value, path, "a path string")
+
+
+def _integer(lo, hi=math.inf):
+    def read(value, path):
+        # true/false are Python ints but not JSON integers
+        ok = isinstance(value, int) and not isinstance(value, bool) and lo <= value < hi
+        return _expect(ok, value, path, f"an integer in [{lo}, {hi})")
+
+    return read
+
+
+def _number(lo=-math.inf, hi=math.inf):
+    def read(value, path):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # the float range check also keeps huge JSON integers out of float()
+        ok = ok and abs(value) <= sys.float_info.max and lo < value < hi
+        return float(_expect(ok, value, path, f"a finite number in ({lo}, {hi})"))
+
+    return read
+
+
+def _choice(*options):
+    def read(value, path):
+        return _expect(value in options, value, path, f"one of {list(options)}")
+
+    return read
+
+
+def _quantity(dimension, lo=-math.inf):
+    def read(value, path):
+        try:
+            x = units.parse_quantity(value, dimension)
+        except units.UnitError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        _expect(x >= lo, value, path, f"at least {lo}")
+        return x
+
+    return read
+
+
+_FINITE, _SHOTS, _SEED = _number(), _integer(100), _integer(0, 2**64)
+_TESLA, _SECONDS, _HERTZ, _RADIANS = map(_quantity, ("tesla", "second", "hertz", "radian"))
+
+
+def _numbers(value, path):
+    _expect(isinstance(value, list), value, path, "a list of numbers")
+    return tuple(_FINITE(x, f"{path}[{i}]") for i, x in enumerate(value))
+
+
+def _build(where, make, *args, **kwargs):
+    """make(*args, **kwargs), a domain ValueError re-raised as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _key(read, default=MISSING):
+    """Declares a key: ``read`` parses its value; without a default it is
+    required, and a default of None leaves it out when absent."""
+    return dataclasses.field(default=default, metadata={"read": read})
+
+
+def _kind(obj, tag, kinds, where):
+    """The value of the ``tag`` key that picks a JSON object's keys."""
+    if not isinstance(obj, dict) or tag not in obj:
+        raise ConfigError(f"{where or 'config'} must be a JSON object with key {tag!r}")
+    path = f"{where}.{tag}" if where else tag
+    return _expect(isinstance(obj[tag], str) and obj[tag] in kinds, obj[tag], path,
+                   f"one of {sorted(kinds)}")
+
+
+def _read(keys, obj, where, tag=None):
+    """Parsed values of a JSON object's keys, declared in ``keys``; ``tag``
+    is the key that picked them."""
+    name = where or "config"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys and key != tag:
+            raise ConfigError(f"unknown key {key!r} in {name}")
+    values = {}
+    for key, decl in keys.items():
+        if key in obj:
+            values[key] = decl.metadata["read"](obj[key], f"{where}.{key}" if where else key)
+        elif decl.default is MISSING:
+            raise ConfigError(f"missing key {key!r} in {name}")
+        elif decl.default is not None:
+            values[key] = decl.default
+    return values
+
+
+# keys in the order of the constructor's arguments
 _FIELD_SCHEMAS = {
-    "static_offset": {"b"},
-    "quasi_static_gaussian": {"sigma_b"},
-    "ornstein_uhlenbeck": {"sigma_b", "tau_c"},
-    "polynomial": {"coefficients"},
-    "sinusoid_ac": {"amplitude", "frequency", "phase"},
+    "static_offset": (StaticOffset, {"b": _key(_TESLA)}),
+    "quasi_static_gaussian": (QuasiStaticGaussian, {"sigma_b": _key(_TESLA)}),
+    "ornstein_uhlenbeck": (OrnsteinUhlenbeck, {"sigma_b": _key(_TESLA), "tau_c": _key(_SECONDS)}),
+    # coefficients are T s^-k; unit suffixes cannot express powers, so these
+    # are the one bare-number exception
+    "polynomial": (Polynomial, {"coefficients": _key(_numbers)}),
+    "sinusoid_ac": (
+        SinusoidAC,
+        {"amplitude": _key(_TESLA), "frequency": _key(_HERTZ), "phase": _key(_RADIANS, 0.0)},
+    ),
 }
 
-_EXPERIMENT_KEYS = {
-    "decay": {"experiment", "preset", "seed", "shots", "threads", "nv", "field",
-              "sequence", "times", "t1_envelope", "out"},
-    "spinlock": {"experiment", "preset", "seed", "shots", "threads", "nv", "field",
-                 "rabi_frequency", "times", "t1_envelope", "out"},
-    "suppression_table": {"experiment", "n_max", "k_max", "out"},
-    "pulse_error": {"experiment", "preset", "seed", "shots", "nv", "field",
-                    "n_pulses", "flip_angle_error", "phase_convention", "times",
-                    "t1_envelope", "out"},
-    "sense": {"experiment", "preset", "seed", "nv", "field", "readout", "sequence",
-              "sequence_tau", "times", "envelope", "ac_amplitude_jitter", "out"},
-    "fit": {"experiment", "input_csv", "model", "fixed_params", "out"},
+
+def parse_field(spec, where="field") -> FieldModel:
+    if not isinstance(spec, list) or not spec:
+        raise ConfigError(f"{where} must be a non-empty list of components")
+    comps = []
+    for i, item in enumerate(spec):
+        w = f"{where}[{i}]"
+        make, keys = _FIELD_SCHEMAS[_kind(item, "type", _FIELD_SCHEMAS, w)]
+        comps.append(_build(w, make, *_read(keys, item, w, tag="type").values()))
+    return FieldModel(tuple(comps))
+
+
+# keys in the order of NVParameters' fields
+_NV_KEYS = {
+    "gamma_e_rad_per_s_per_T": _key(_FINITE, NVParameters.gamma_e),
+    "t1": _key(_SECONDS, NVParameters.t1),
+    "zero_field_splitting": _key(_HERTZ, NVParameters.zero_field_splitting),
+    "static_field": _key(_TESLA, NVParameters.static_field_b0),
 }
 
+
+def parse_nv(spec, where="nv") -> NVParameters:
+    return _build(where, NVParameters, *_read(_NV_KEYS, spec, where).values())
+
+
+_TIMES_KEYS = {
+    "start": _key(_SECONDS),
+    "stop": _key(_SECONDS),
+    "count": _key(_integer(2)),
+    "spacing": _key(_choice("linear", "geometric"), "linear"),
+}
+
+
+def parse_times(spec, where="times") -> np.ndarray:
+    t = _read(_TIMES_KEYS, spec, where)
+    if not 0 < t["start"] < t["stop"]:
+        raise ConfigError(f"{where} must satisfy 0 < start < stop")
+    make = np.linspace if t["spacing"] == "linear" else np.geomspace
+    grid = make(t["start"], t["stop"], t["count"])
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(f"{where}: start and stop too close for {t['count']} distinct points")
+    return grid
+
+
+def _fractions(value, path):
+    fr = _numbers(value, path)
+    if not fr or any(not 0 < x < 1 for x in fr) or any(b <= a for a, b in zip(fr, fr[1:])):
+        raise ConfigError(f"{path} must be strictly increasing in (0, 1)")
+    return fr
+
+
+# kind -> (evolve family, its keys in argument order)
 _SEQ_KEYS = {
-    "fid": {"kind"},
-    "hahn": {"kind"},
-    "cpmg": {"kind", "n_pulses"},
-    "custom": {"kind", "pulse_time_fractions"},
+    "fid": (evolve.fid_family, {}),
+    "hahn": (evolve.hahn_family, {}),
+    "cpmg": (evolve.cpmg_family, {"n_pulses": _key(_integer(1))}),
+    "custom": (evolve.custom_family, {"pulse_time_fractions": _key(_fractions)}),
 }
 
 
-def _check_keys(d: dict, allowed: set, where: str):
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+def parse_sequence_spec(spec, where="sequence", kinds=tuple(_SEQ_KEYS)):
+    """The sequence family (name, total time -> PulseSequence, n_pulses)."""
+    make, keys = _SEQ_KEYS[_kind(spec, "kind", kinds, where)]
+    return make(*_read(keys, spec, where, tag="kind").values())
 
 
-def load_config(path) -> dict:
+_READOUT_KEYS = {
+    "photons_per_shot": _key(_FINITE, SENSE_READOUT.photons_per_shot),
+    "contrast": _key(_FINITE, SENSE_READOUT.contrast),
+    "overhead": _key(_SECONDS, SENSE_READOUT.overhead),
+}
+
+
+def parse_readout(spec, where="readout") -> ReadoutModel:
+    return _build(where, ReadoutModel, **_read(_READOUT_KEYS, spec, where))
+
+
+def _envelope(value, path):
+    return value if value == "auto" else _number(0.0)(value, path)
+
+
+_FIXED_PARAM_KEYS = {
+    "amplitude": _key(_FINITE, None),
+    "decay_time": _key(_number(0.0), None),
+    "offset": _key(_FINITE, None),
+    "stretch": _key(_FINITE, None),
+}
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Spec:
+    out: str = _key(_path_string, ".")
+
+
+@dataclass(frozen=True, kw_only=True)
+class _GridSpec(_Spec):
+    """An experiment on a field model over a grid of total times."""
+
+    field: FieldModel = _key(parse_field)
+    nv: NVParameters = _key(parse_nv, NVParameters())
+    times: np.ndarray = _key(parse_times)  # s
+    seed: int = _key(_SEED, 0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class DecaySpec(_GridSpec):
+    sequence: tuple = _key(parse_sequence_spec, evolve.hahn_family())  # evolve family
+    shots: int = _key(_SHOTS, 10_000)
+    t1_envelope: bool = _key(_boolean, True)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SpinlockSpec(_GridSpec):
+    rabi_frequency: float = _key(_quantity("hertz", 0.0))  # Hz
+    shots: int = _key(_SHOTS, 200)
+    t1_envelope: bool = _key(_boolean, True)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PulseErrorSpec(_GridSpec):
+    n_pulses: int = _key(_integer(1))
+    flip_angle_error: float = _key(_number(-0.5, 0.5), 0.0)
+    phase_convention: str = _key(_choice("cp", "cpmg"), "cpmg")
+    shots: int = _key(_SHOTS, 1000)
+    t1_envelope: bool = _key(_boolean, False)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SuppressionSpec(_Spec):
+    n_max: int = _key(_integer(1))
+    k_max: int = _key(_integer(0))
+
+
+@dataclass(frozen=True, kw_only=True)
+class SenseSpec(_GridSpec):
+    field: Optional[FieldModel] = _key(parse_field, None)  # needed by envelope "auto"
+    seed: Optional[int] = _key(_SEED, None)  # None: analytic readout
+    readout: ReadoutModel = _key(parse_readout, SENSE_READOUT)
+    # read as a hahn or cpmg family; __post_init__ makes it the PulseSequence
+    # of base interval sequence_tau
+    sequence: sq.PulseSequence = _key(partial(parse_sequence_spec, kinds=("hahn", "cpmg")))
+    sequence_tau: Optional[float] = _key(_SECONDS, None)  # s; 115 us (hahn), 27 us (cpmg)
+    envelope: Union[float, str] = _key(_envelope, 1.0)  # coherence factor or "auto"
+    ac_amplitude_jitter: float = _key(_FINITE, 0.0)
+
+    def __post_init__(self):
+        name, make, n = self.sequence
+        tau = self.sequence_tau
+        if tau is None:
+            tau = 115e-6 if name == "hahn" else 27e-6
+        object.__setattr__(self, "sequence", _build("sequence_tau", make, 2 * n * tau))
+        if self.times.size < 4:
+            raise ConfigError("sense needs at least 4 time points in times")
+        if self.envelope == "auto" and self.field is None:
+            raise ConfigError("envelope 'auto' needs a field model")
+
+
+@dataclass(frozen=True, kw_only=True)
+class FitSpec(_Spec):
+    input_csv: str = _key(_path_string)
+    model: str = _key(_choice("stretched_exp", "exponential"), "stretched_exp")
+    fixed_params: Optional[dict] = _key(partial(_read, _FIXED_PARAM_KEYS), None)
+
+    def __post_init__(self):
+        free = {"amplitude", "decay_time"}
+        if self.model == "stretched_exp":
+            free.add("stretch")
+        if self.fixed_params and free <= set(self.fixed_params):
+            raise ConfigError(f"fixed_params pins every free parameter of {self.model!r}")
+
+
+_EXPERIMENTS = {
+    "decay": DecaySpec,
+    "spinlock": SpinlockSpec,
+    "pulse_error": PulseErrorSpec,
+    "suppression_table": SuppressionSpec,
+    "sense": SenseSpec,
+    "fit": FitSpec,
+}
+
+
+def load_config(path):
     try:
         with open(path) as fh:
-            text = fh.read()
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
+        raise ConfigError(f"config parse failure: {exc}")
 
 
 def expand_preset(raw: dict) -> dict:
@@ -110,7 +380,7 @@ def expand_preset(raw: dict) -> dict:
     name = cfg.pop("preset", None)
     if name is None:
         return cfg
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
     preset = PRESETS[name]
     for key, value in preset.items():
@@ -120,208 +390,30 @@ def expand_preset(raw: dict) -> dict:
     return cfg
 
 
-def parse_field(spec, where="field") -> FieldModel:
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError(f"{where} must be a non-empty list of components")
-    comps = []
-    for i, item in enumerate(spec):
-        w = f"{where}[{i}]"
-        if "type" not in item:
-            raise ConfigError(f"missing key 'type' in {w}")
-        kind = item["type"]
-        if kind not in _FIELD_SCHEMAS:
-            raise ConfigError(f"unknown field component type {kind!r} in {w}")
-        _check_keys(item, _FIELD_SCHEMAS[kind] | {"type"}, w)
-        try:
-            if kind == "static_offset":
-                comps.append(StaticOffset(units.tesla(item["b"])))
-            elif kind == "quasi_static_gaussian":
-                comps.append(QuasiStaticGaussian(units.tesla(item["sigma_b"])))
-            elif kind == "ornstein_uhlenbeck":
-                comps.append(
-                    OrnsteinUhlenbeck(units.tesla(item["sigma_b"]), units.seconds(item["tau_c"]))
-                )
-            elif kind == "polynomial":
-                # coefficients are T s^-k; unit suffixes cannot express powers,
-                # so these are the one bare-number exception, documented here
-                comps.append(Polynomial(tuple(float(c) for c in item["coefficients"])))
-            elif kind == "sinusoid_ac":
-                comps.append(
-                    SinusoidAC(
-                        units.tesla(item["amplitude"]),
-                        units.hertz(item["frequency"]),
-                        units.radians(item.get("phase", "0 rad")),
-                    )
-                )
-        except KeyError as exc:
-            raise ConfigError(f"missing key {exc.args[0]!r} in {w}")
-        except units.UnitError as exc:
-            raise ConfigError(f"{w}: {exc}")
-        except ValueError as exc:
-            raise ConfigError(f"{w}: {exc}")
-    return FieldModel(tuple(comps))
-
-
-def parse_nv(spec: Optional[dict]) -> NVParameters:
-    if spec is None:
-        return NVParameters()
-    _check_keys(spec, {"gamma_e_rad_per_s_per_T", "t1", "zero_field_splitting", "static_field"},
-                "nv")
-    try:
-        return NVParameters(
-            gamma_e=float(spec.get("gamma_e_rad_per_s_per_T", GAMMA_E)),
-            t1=units.seconds(spec["t1"]) if "t1" in spec else NVParameters().t1,
-            zero_field_splitting=(
-                units.hertz(spec["zero_field_splitting"])
-                if "zero_field_splitting" in spec
-                else NVParameters().zero_field_splitting
-            ),
-            static_field_b0=(
-                units.tesla(spec["static_field"])
-                if "static_field" in spec
-                else NVParameters().static_field_b0
-            ),
-        )
-    except (units.UnitError, ValueError) as exc:
-        raise ConfigError(f"nv: {exc}")
-
-
-def parse_times(spec: dict, dimension="second") -> np.ndarray:
-    if not isinstance(spec, dict):
-        raise ConfigError("times must be an object with start/stop/count")
-    _check_keys(spec, {"start", "stop", "count", "spacing"}, "times")
-    try:
-        start = units.parse_quantity(spec["start"], dimension)
-        stop = units.parse_quantity(spec["stop"], dimension)
-        count = int(spec["count"])
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc.args[0]!r} in times")
-    except units.UnitError as exc:
-        raise ConfigError(f"times: {exc}")
-    if count < 2:
-        raise ConfigError("times.count must be >= 2")
-    if not (0 < start < stop):
-        raise ConfigError("times must satisfy 0 < start < stop")
-    spacing = spec.get("spacing", "linear")
-    if spacing == "linear":
-        return np.linspace(start, stop, count)
-    if spacing == "geometric":
-        return np.geomspace(start, stop, count)
-    raise ConfigError(f"unknown times.spacing {spacing!r}")
-
-
-def parse_sequence_spec(spec: dict):
-    """Returns (kind, params dict); materialized per total time by the runner."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("sequence must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind not in _SEQ_KEYS:
-        raise ConfigError(f"unknown sequence kind {kind!r}")
-    _check_keys(spec, _SEQ_KEYS[kind], "sequence")
-    if kind == "cpmg":
-        n = int(spec.get("n_pulses", 0))
-        if n < 1:
-            raise ConfigError("sequence.n_pulses must be >= 1 for cpmg")
-        return kind, {"n_pulses": n}
-    if kind == "custom":
-        fr = [float(x) for x in spec.get("pulse_time_fractions", [])]
-        if not fr or any(not 0 < x < 1 for x in fr) or any(b <= a for a, b in zip(fr, fr[1:])):
-            raise ConfigError(
-                "sequence.pulse_time_fractions must be strictly increasing in (0, 1)"
-            )
-        return kind, {"pulse_time_fractions": fr}
-    return kind, {}
-
-
-def parse_readout(spec: Optional[dict]) -> ReadoutModel:
-    merged = dict(SENSE_READOUT_DEFAULTS)
-    if spec is not None:
-        _check_keys(spec, {"photons_per_shot", "contrast", "overhead"}, "readout")
-        merged.update(spec)
-    try:
-        return ReadoutModel(
-            photons_per_shot=float(merged["photons_per_shot"]),
-            contrast=float(merged["contrast"]),
-            overhead=units.seconds(merged["overhead"]),
-        )
-    except (units.UnitError, ValueError) as exc:
-        raise ConfigError(f"readout: {exc}")
-
-
-def validate(raw: dict):
-    """Full schema check plus physics sanity warnings; returns a report dict.
+def validate(raw):
+    """Full schema check plus physics sanity warnings; returns a report dict
+    whose "spec" holds the parsed values for the experiment's runner.
 
     Does not run anything.  Warnings flag regimes where the request is
     self-defeating (motional narrowing vs decoupling, degenerate grids).
     """
+    kind = _kind(raw, "experiment", _EXPERIMENTS, "")
     cfg = expand_preset(raw)
-    if "experiment" not in cfg:
-        raise ConfigError("missing key 'experiment'")
-    kind = cfg["experiment"]
-    if kind not in _EXPERIMENT_KEYS:
-        raise ConfigError(f"unknown experiment {kind!r}")
-    _check_keys(cfg, _EXPERIMENT_KEYS[kind], "config")
+    cls = _EXPERIMENTS[kind]
+    keys = {f.name: f for f in dataclasses.fields(cls)}
+    spec = cls(**_read(keys, cfg, "", tag="experiment"))
 
     warnings = []
-    if "shots" in cfg:
-        if int(cfg["shots"]) < 100:
-            raise ConfigError("shots must be >= 100")
-    if "seed" in cfg:
-        seed = int(cfg["seed"])
-        if not (0 <= seed < 2**64):
-            raise ConfigError("seed must fit in 64 bits")
-
-    model = None
-    if "field" in cfg:
-        model = parse_field(cfg["field"])
-    elif kind in ("decay", "spinlock", "pulse_error"):
-        raise ConfigError("missing key 'field'")
-    nv = parse_nv(cfg.get("nv"))
-    times = parse_times(cfg["times"]) if "times" in cfg else None
-
-    if kind in ("decay",):
-        seq_kind, seq_params = parse_sequence_spec(cfg.get("sequence", {"kind": "hahn"}))
-        if model is not None and times is not None and seq_kind == "cpmg":
-            n = seq_params["n_pulses"]
-            base_tau = float(times[-1]) / (2 * n)
-            for comp in model.components:
-                if isinstance(comp, OrnsteinUhlenbeck) and comp.tau_c < base_tau / 10:
-                    warnings.append(
-                        "motional-narrowing regime: OU tau_c "
-                        f"{comp.tau_c:.3g} s << CPMG base tau {base_tau:.3g} s; "
-                        "decoupling will be ineffective"
-                    )
-    if kind == "sense":
-        parse_readout(cfg.get("readout"))
-        parse_sequence_spec(cfg.get("sequence", {"kind": "hahn"}))
-        if times is not None and times.size < 4:
-            raise ConfigError("sense needs at least 4 time points")
-    if kind == "suppression_table":
-        if int(cfg.get("n_max", 0)) < 1 or int(cfg.get("k_max", -1)) < 0:
-            raise ConfigError("suppression_table needs n_max >= 1 and k_max >= 0")
-    if kind == "pulse_error":
-        if "n_pulses" not in cfg:
-            raise ConfigError("missing key 'n_pulses'")
-        try:
-            n_pulses = int(cfg["n_pulses"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"n_pulses must be an integer, got {cfg['n_pulses']!r}")
-        if n_pulses < 1:
-            raise ConfigError("n_pulses must be >= 1")
-        if abs(float(cfg.get("flip_angle_error", 0.0))) >= 0.5:
-            raise ConfigError("flip_angle_error must satisfy |e| < 0.5")
-        if cfg.get("phase_convention", "cpmg") not in ("cp", "cpmg"):
-            raise ConfigError("phase_convention must be 'cp' or 'cpmg'")
-    if kind == "spinlock":
-        if "rabi_frequency" not in cfg:
-            raise ConfigError("missing key 'rabi_frequency'")
-        try:
-            rabi = units.hertz(cfg["rabi_frequency"])
-        except units.UnitError as exc:
-            raise ConfigError(f"rabi_frequency: {exc}")
-        if rabi < 0:
-            raise ConfigError("rabi_frequency must be non-negative")
-
+    if kind == "decay" and spec.sequence[0].startswith("cpmg"):
+        base_tau = float(spec.times[-1]) / (2 * spec.sequence[2])
+        for comp in spec.field.components:
+            if isinstance(comp, OrnsteinUhlenbeck) and comp.tau_c < base_tau / 10:
+                warnings.append(
+                    "motional-narrowing regime: OU tau_c "
+                    f"{comp.tau_c:.3g} s << CPMG base tau {base_tau:.3g} s; "
+                    "decoupling will be ineffective"
+                )
+    model = getattr(spec, "field", None)
     if model is not None:
         ratio = model.quasi_static_ratio()
         if math.isfinite(ratio) and ratio < 1e-3:
@@ -329,4 +421,4 @@ def validate(raw: dict):
                 f"slow-fluctuation diagnostic gamma*sigma*tau_c = {ratio:.3g}; "
                 "the bath is deep in the motional regime"
             )
-    return {"experiment": kind, "valid": True, "warnings": warnings, "expanded": cfg}
+    return {"experiment": kind, "valid": True, "warnings": warnings, "expanded": cfg, "spec": spec}

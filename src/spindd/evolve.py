@@ -143,8 +143,6 @@ def coherence_curve(
     if total_times.size == 0:
         raise ValueError("empty time grid")
     kind, make, n_pulses = family
-    if kind == "spinlock":
-        raise ValueError("spin locking is handled by spin_lock_curve")
     sig = np.empty_like(total_times)
     err = np.empty_like(total_times)
     for i, T in enumerate(total_times):

@@ -46,6 +46,8 @@ class ReadoutModel:
             raise ValueError("photons_per_shot must be positive")
         if self.shots_per_point <= 0:
             raise ValueError("shots_per_point must be positive")
+        if self.overhead < 0:
+            raise ValueError("overhead must be non-negative")
 
     def mean_photons(self, signal: float) -> float:
         """Expected photons per shot when the ideal signal is cos = signal."""
@@ -102,8 +104,6 @@ def phase_response(
     Closed form; for the matched field this is 4 gamma b tau / pi (Hahn) and
     4 n gamma b tau / pi (CPMG-n).
     """
-    if sequence.kind not in ("fid", "hahn", "cpmg", "custom"):
-        raise ValueError("phase_response needs a free-evolution sequence")
     tog = sq.toggling(sequence)
     return signed_phase(FieldModel.of(ac), tog, gamma_e=nv.gamma_e)
 

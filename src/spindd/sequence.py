@@ -1,4 +1,4 @@
-"""Pulse sequences (FID, Hahn, CPMG-n, spin locking) and the piecewise +/-1
+"""Pulse sequences (FID, Hahn, CPMG-n, custom) and the piecewise +/-1
 toggling function they induce on the accumulated phase."""
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class TogglingFunction:
 class PulseSequence:
     """Ideal instantaneous pi-pulse train over [0, total_time].
 
-    kind is one of {"fid", "hahn", "cpmg", "spinlock", "custom"}.  For CPMG(n)
+    kind is one of {"fid", "hahn", "cpmg", "custom"}.  For CPMG(n)
     the pulses sit at t_j = (2j-1)/(2n) * total_time with the pulse phase 90
     degrees from the initial pi/2 (pi about x), which quadratically suppresses
     pulse-length errors; the "cp" in-phase variant is handled in evolve.
@@ -65,17 +65,13 @@ class PulseSequence:
     kind: str
     total_time: float
     pi_pulse_times: tuple = ()
-    pi_pulse_phase: str = "x"
     n_pulses: int = 0
-    omega1: float = 0.0  # rad/s, spin locking only
 
     def __post_init__(self):
-        if self.kind not in ("fid", "hahn", "cpmg", "spinlock", "custom"):
+        if self.kind not in ("fid", "hahn", "cpmg", "custom"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.total_time <= 0:
             raise ValueError("total_time must be positive")
-        if self.pi_pulse_phase not in ("x", "y"):
-            raise ValueError("pi_pulse_phase must be 'x' or 'y'")
         t = np.asarray(self.pi_pulse_times, dtype=float)
         if t.size:
             if np.any(np.diff(t) <= 0):
@@ -88,9 +84,7 @@ class PulseSequence:
             "kind": self.kind,
             "total_time": self.total_time,
             "pi_pulse_times": list(self.pi_pulse_times),
-            "pi_pulse_phase": self.pi_pulse_phase,
             "n_pulses": self.n_pulses,
-            "omega1": self.omega1,
         }
 
     @staticmethod
@@ -99,9 +93,7 @@ class PulseSequence:
             kind=d["kind"],
             total_time=d["total_time"],
             pi_pulse_times=tuple(d.get("pi_pulse_times", ())),
-            pi_pulse_phase=d.get("pi_pulse_phase", "x"),
             n_pulses=d.get("n_pulses", 0),
-            omega1=d.get("omega1", 0.0),
         )
 
 
@@ -111,7 +103,7 @@ def fid(total_time: float) -> PulseSequence:
 
 def hahn(total_time: float) -> PulseSequence:
     """pi/2 - tau - pi - tau with tau = total_time / 2."""
-    return PulseSequence("hahn", total_time, (total_time / 2.0,), "x", n_pulses=1)
+    return PulseSequence("hahn", total_time, (total_time / 2.0,), n_pulses=1)
 
 
 def cpmg_times(n: int, total_time: float) -> list:
@@ -127,28 +119,16 @@ def cpmg_times(n: int, total_time: float) -> list:
 
 
 def cpmg(n: int, total_time: float) -> PulseSequence:
-    return PulseSequence("cpmg", total_time, tuple(cpmg_times(n, total_time)), "x", n_pulses=n)
+    return PulseSequence("cpmg", total_time, tuple(cpmg_times(n, total_time)), n_pulses=n)
 
 
-def spin_lock(omega1: float, total_time: float) -> PulseSequence:
-    if omega1 < 0:
-        raise ValueError("omega1 must be non-negative")
-    return PulseSequence("spinlock", total_time, (), "x", omega1=omega1)
-
-
-def custom(pi_pulse_times, total_time: float, phase: str = "x") -> PulseSequence:
-    return PulseSequence("custom", total_time, tuple(pi_pulse_times), phase,
+def custom(pi_pulse_times, total_time: float) -> PulseSequence:
+    return PulseSequence("custom", total_time, tuple(pi_pulse_times),
                          n_pulses=len(pi_pulse_times))
 
 
 def toggling(sequence: PulseSequence) -> TogglingFunction:
-    """Toggling sign function of an ideal pulse sequence.
-
-    Raises for spin locking, which has no free evolution; callers should use
-    the Bloch path instead.
-    """
-    if sequence.kind == "spinlock":
-        raise ValueError("spin locking has no toggling function; use the Bloch path")
+    """Toggling sign function of an ideal pulse sequence."""
     bp = (0.0,) + tuple(sequence.pi_pulse_times) + (sequence.total_time,)
     signs = tuple((-1) ** i for i in range(len(bp) - 1))
     return TogglingFunction(bp, signs)

@@ -7,6 +7,7 @@ Tesla / seconds / Hz / radians.
 
 from __future__ import annotations
 
+import math
 import re
 
 # suffix -> (dimension, scale to SI)
@@ -43,6 +44,8 @@ def parse_quantity(text: str, dimension: str) -> float:
             f"bare number {text!r}: physical quantities must carry a unit "
             f"suffix (expected {dimension})"
         )
+    if not isinstance(text, str):
+        raise UnitError(f"{text!r} is not a unit-suffixed string (expected {dimension})")
     m = _QTY_RE.match(text)
     if not m:
         raise UnitError(f"cannot parse quantity {text!r}")
@@ -53,10 +56,12 @@ def parse_quantity(text: str, dimension: str) -> float:
     if dim != dimension:
         raise UnitError(f"{text!r} has dimension {dim}, expected {dimension}")
     try:
-        value = float(value_s)
+        value = float(value_s) * scale
     except ValueError as exc:
         raise UnitError(f"bad numeric value in {text!r}") from exc
-    return value * scale
+    if not math.isfinite(value):
+        raise UnitError(f"non-finite value in {text!r}")
+    return value
 
 
 def tesla(text: str) -> float:

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 import spindd.sequence as sq
 from spindd import cli, evolve, fit, sense, taylor
-from spindd.config import SENSE_READOUT_DEFAULTS
+from spindd.config import SENSE_READOUT
 from spindd.field import (
     GAMMA_E,
     FieldModel,
@@ -193,8 +193,8 @@ def test_criterion_07_nanodiamond_improvement_cap(capsys):
 def test_criterion_08_magnetometry_sensitivity(capsys):
     t0 = time.perf_counter()
     readout = sense.ReadoutModel(
-        photons_per_shot=SENSE_READOUT_DEFAULTS["photons_per_shot"],
-        contrast=SENSE_READOUT_DEFAULTS["contrast"],
+        photons_per_shot=SENSE_READOUT.photons_per_shot,
+        contrast=SENSE_READOUT.contrast,
         overhead=2e-6,
     )
     nv = NVParameters(t1=BULK_T1)

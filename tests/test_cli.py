@@ -91,6 +91,89 @@ def test_bloch_config_errors_name_the_field(tmp_path, capsys, cfg, name):
     assert name in capsys.readouterr().err
 
 
+def _sense_cfg(**extra):
+    cfg = {
+        "experiment": "sense",
+        "preset": "bulk_cvd",
+        "sequence": {"kind": "hahn"},
+        "times": {"start": "0.5 s", "stop": "500 s", "count": 8, "spacing": "geometric"},
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+_SPINLOCK = dict(_BLOCH_BASE, experiment="spinlock", rabi_frequency="40 kHz", shots=100)
+_PULSE_ERROR = dict(_BLOCH_BASE, experiment="pulse_error", n_pulses=4)
+_FIT = {"experiment": "fit", "input_csv": "curve.csv"}
+
+# each of these raised a traceback, or ran with the value misread, ignored or
+# out of its range
+_MALFORMED = {
+    "shots_not_int": (_decay_cfg(shots="x"), "shots"),
+    "seed_not_int": (_decay_cfg(seed="x"), "seed"),
+    "seed_fractional": (_decay_cfg(seed=1.5), "seed"),
+    "n_max_not_int": ({"experiment": "suppression_table", "n_max": "x", "k_max": 3}, "n_max"),
+    "spinlock_shots_not_int": (dict(_SPINLOCK, shots="x"), "shots"),
+    "times_count_not_int": (
+        _decay_cfg(times={"start": "50 us", "stop": "500 us", "count": "x"}), "count"),
+    "times_stop_overflows": (
+        _decay_cfg(times={"start": "50 us", "stop": "1e999 s", "count": 4}), "stop"),
+    "times_not_distinct": (
+        _decay_cfg(times={"start": "1 s", "stop": "1.0000000000000002 s", "count": 3}), "times"),
+    "cpmg_n_pulses_not_int": (_decay_cfg(sequence={"kind": "cpmg", "n_pulses": "x"}), "n_pulses"),
+    "custom_fractions_not_list": (
+        _decay_cfg(sequence={"kind": "custom", "pulse_time_fractions": "x"}),
+        "pulse_time_fractions"),
+    "decay_no_times": (_without(_decay_cfg(), "times"), "times"),
+    "field_item_not_object": (_decay_cfg(field=[1]), "field"),
+    "t1_envelope_string": (_decay_cfg(t1_envelope="false"), "t1_envelope"),
+    "decay_threads": (_decay_cfg(threads=2), "threads"),
+    "spinlock_threads": (dict(_SPINLOCK, threads=2), "threads"),
+    "config_is_a_list": ([_decay_cfg()], "config"),
+    "out_with_nul": ({"experiment": "suppression_table", "n_max": 4, "k_max": 3, "out": "a\0b"},
+                     "out"),
+    "flip_angle_error_not_number": (dict(_PULSE_ERROR, flip_angle_error="x"), "flip_angle_error"),
+    "sense_no_times": (_without(_sense_cfg(), "times"), "times"),
+    "sense_no_sequence": (_without(_sense_cfg(), "sequence"), "sequence"),
+    "sense_envelope_bogus": (_sense_cfg(envelope="bogus"), "envelope"),
+    "sense_envelope_zero": (_sense_cfg(envelope=0), "envelope"),
+    "sense_jitter_not_number": (_sense_cfg(ac_amplitude_jitter="x"), "ac_amplitude_jitter"),
+    "sense_tau_wrong_unit": (_sense_cfg(sequence_tau="5 nT"), "sequence_tau"),
+    "sense_tau_negative": (_sense_cfg(sequence_tau="-5 us"), "sequence_tau"),
+    "sense_overhead_negative": (_sense_cfg(readout={"overhead": "-1 us"}), "overhead"),
+    "fit_no_input_csv": ({"experiment": "fit"}, "input_csv"),
+    "fit_model_bogus": (dict(_FIT, model="bogus"), "model"),
+    "fit_fixed_unknown": (dict(_FIT, fixed_params={"nope": 1}), "nope"),
+    "fit_fixed_not_object": (dict(_FIT, fixed_params=[1]), "fixed_params"),
+    "fit_fixed_negative_time": (dict(_FIT, fixed_params={"decay_time": -1}), "decay_time"),
+}
+
+
+@pytest.mark.parametrize("cfg, name", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, cfg, name):
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    code, artifacts = cli.run(cfg_path, out_dir=str(out))
+    assert code == cli.EXIT_VALIDATION
+    assert artifacts == [] and not out.exists()
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "a,b\n1,2\n"], ids=["empty", "no_columns"])
+def test_fit_input_without_columns_exits_2(tmp_path, capsys, text):
+    csv = tmp_path / "curve.csv"
+    csv.write_text(text)
+    cfg_path = _write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv)))
+    code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_VALIDATION
+    assert artifacts == []
+    assert "input_csv" in capsys.readouterr().err
+
+
 def test_unknown_key_is_rejected_by_name(tmp_path, capsys):
     cfg_path = _write(tmp_path, "cfg.json", _decay_cfg(tua_us=5))
     code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
@@ -111,6 +194,10 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     code, _ = cli.run(str(path))
     assert code == cli.EXIT_VALIDATION
     assert "line" in capsys.readouterr().err
+    # bytes that are not UTF-8 raised UnicodeDecodeError out of cli.run
+    path.write_bytes(b'\xff\xfe{"experiment": "decay"}')
+    code, _ = cli.run(str(path))
+    assert code == cli.EXIT_VALIDATION
 
 
 def test_unwritable_output_is_io_error(tmp_path):
@@ -189,6 +276,9 @@ def test_validate_command_exit_codes(tmp_path, capsys):
     assert out["valid"] is True
     bad = _write(tmp_path, "bad.json", _decay_cfg(experiment="nope"))
     assert cli.main(["validate", "--config", bad]) == cli.EXIT_VALIDATION
+    # sense runs only Hahn and CPMG; validate rejects the rest before a run
+    fid = _write(tmp_path, "fid.json", _sense_cfg(sequence={"kind": "fid"}))
+    assert cli.main(["validate", "--config", fid]) == cli.EXIT_VALIDATION
 
 
 def test_main_dispatch_with_overrides(tmp_path):

@@ -1,0 +1,135 @@
+import copy
+import dataclasses
+import pathlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spindd import config as cfgmod
+from spindd.config import ConfigError
+
+_OU = {"type": "ornstein_uhlenbeck", "sigma_b": "59.22345 nT", "tau_c": "25 us"}
+_TIMES = {"start": "50 us", "stop": "500 us", "count": 4, "spacing": "linear"}
+
+# one valid config per experiment, with most optional keys present so that
+# their paths get replaced too
+BASES = [
+    {
+        "experiment": "decay",
+        "seed": 1,
+        "shots": 100,
+        "t1_envelope": True,
+        "out": "out",
+        "nv": {"t1": "5.93 ms", "gamma_e_rad_per_s_per_T": 1.76e11,
+               "zero_field_splitting": "2.88 GHz", "static_field": "15 G"},
+        "field": [
+            _OU,
+            {"type": "static_offset", "b": "1 nT"},
+            {"type": "quasi_static_gaussian", "sigma_b": "1 nT"},
+            {"type": "polynomial", "coefficients": [1e-9, 1e-6]},
+            {"type": "sinusoid_ac", "amplitude": "1 nT", "frequency": "1 kHz", "phase": "0 rad"},
+        ],
+        "sequence": {"kind": "cpmg", "n_pulses": 4},
+        "times": _TIMES,
+    },
+    {
+        "experiment": "decay",
+        "preset": "bulk_cvd",
+        "sequence": {"kind": "custom", "pulse_time_fractions": [0.25, 0.75]},
+        "times": _TIMES,
+    },
+    {"experiment": "spinlock", "preset": "nanodiamond", "rabi_frequency": "40 kHz",
+     "shots": 200, "times": _TIMES},
+    {"experiment": "pulse_error", "field": [_OU], "n_pulses": 4, "flip_angle_error": 0.1,
+     "phase_convention": "cp", "times": _TIMES},
+    {"experiment": "suppression_table", "n_max": 4, "k_max": 3},
+    {
+        "experiment": "sense",
+        "preset": "bulk_cvd",
+        "readout": {"photons_per_shot": 0.1, "contrast": 0.3, "overhead": "2 us"},
+        "sequence": {"kind": "cpmg", "n_pulses": 10},
+        "sequence_tau": "27 us",
+        "envelope": "auto",
+        "ac_amplitude_jitter": 0.0,
+        "seed": 3,
+        "times": {"start": "0.5 s", "stop": "500 s", "count": 6, "spacing": "geometric"},
+    },
+    {"experiment": "fit", "input_csv": "curve.csv", "model": "stretched_exp",
+     "fixed_params": {"amplitude": 1.0, "offset": 0.0, "stretch": 2.0}},
+    {"experiment": "fit", "input_csv": "curve.csv", "model": "exponential",
+     "fixed_params": {"decay_time": 1e-3}},
+]
+
+# Integers are bounded to |n| <= 10**6: a valid but huge grid or pulse count
+# is a resource request, not malformed input, and would only time allocation.
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-10**6, 10**6)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["1 us", "-5 us", "0 s", "5 nT", "1e999 s", "40 kHz", "auto",
+                      "hahn", "cpmg", "fid", "custom", "geometric", "static_offset"])
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["kind", "type", "n_pulses"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(cfg, path, value):
+    if not path:
+        return value
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda b: b["experiment"])
+def test_property_bases_are_valid(base):
+    assert dataclasses.is_dataclass(cfgmod.validate(base)["spec"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validate_returns_a_spec_or_raises_config_error(data):
+    base = data.draw(st.sampled_from(BASES))
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    cfg = _replace(base, path, data.draw(_JSON))
+    try:
+        report = cfgmod.validate(cfg)
+    except ConfigError:
+        return
+    assert dataclasses.is_dataclass(report["spec"])
+
+
+def test_readme_config_table_lists_every_declared_key():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config fields", 1)[1].split("\n#", 1)[0]
+    documented = set()
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            key, experiments = [c.strip(" `") for c in row.strip("|").split("|")[:2]]
+            names = cfgmod._EXPERIMENTS if experiments == "all" else experiments.split(", ")
+            documented |= {(name, key) for name in names}
+    declared = {
+        (name, f.name)
+        for name, cls in cfgmod._EXPERIMENTS.items()
+        for f in dataclasses.fields(cls)
+    }
+    assert documented == declared

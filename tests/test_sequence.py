@@ -43,11 +43,6 @@ def test_toggling_fid():
     assert tog.signed_area() == 3.0
 
 
-def test_toggling_rejects_spinlock():
-    with pytest.raises(ValueError, match="Bloch"):
-        sq.toggling(sq.spin_lock(1e5, 1.0))
-
-
 @pytest.mark.parametrize("n", range(1, 20))
 def test_cpmg_toggling_has_n_flips_and_zero_area(n):
     tog = sq.toggling(sq.cpmg(n, 1.0))

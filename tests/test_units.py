@@ -21,3 +21,9 @@ def test_rejects_bare_numbers_and_wrong_dimension():
         units.seconds("3 parsec")
     with pytest.raises(units.UnitError):
         units.seconds("abc ms")
+    # non-strings and values that overflow to infinity
+    for bad in (None, ["3 ms"], {"value": 3}, "1e999 s", "1e309 us"):
+        with pytest.raises(units.UnitError):
+            units.seconds(bad)
+    with pytest.raises(units.UnitError, match="non-finite"):
+        units.hertz("1e308 GHz")
