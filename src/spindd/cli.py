@@ -161,6 +161,8 @@ def _run_fit(spec, out_dir, threads):
             f"input_csv {spec.input_csv!r} needs total_time_s and signal columns ({exc})"
         ) from None
     sigma = data["std_error"] if "std_error" in data.dtype.names else None
+    if sigma is not None and not np.all(sigma >= 0):
+        raise ConfigError(f"input_csv {spec.input_csv!r} has a negative or missing std_error")
     curve = (times, signal) if sigma is None else (times, signal, sigma)
     fit = fit_decay(curve, spec.model, spec.fixed_params)
     path = os.path.join(out_dir, "fit.json")

@@ -163,8 +163,13 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, cfg, name):
     assert name in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["", "a,b\n1,2\n"], ids=["empty", "no_columns"])
-def test_fit_input_without_columns_exits_2(tmp_path, capsys, text):
+@pytest.mark.parametrize("text", [
+    "",
+    "a,b\n1,2\n",
+    "total_time_s,signal,std_error\n" + "".join(f"{t}e-4,0.5,-0.01\n" for t in range(1, 7)),
+    "total_time_s,signal,std_error\n" + "".join(f"{t}e-4,0.5,x\n" for t in range(1, 7)),
+], ids=["empty", "no_columns", "negative_std_error", "missing_std_error"])
+def test_malformed_fit_input_exits_2(tmp_path, capsys, text):
     csv = tmp_path / "curve.csv"
     csv.write_text(text)
     cfg_path = _write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv)))
