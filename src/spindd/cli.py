@@ -160,6 +160,8 @@ def _run_fit(spec, out_dir, threads):
         raise ConfigError(
             f"input_csv {spec.input_csv!r} needs total_time_s and signal columns ({exc})"
         ) from None
+    if data.size == 0:
+        raise ConfigError(f"input_csv {spec.input_csv!r} has no data rows")
     sigma = data["std_error"] if "std_error" in data.dtype.names else None
     if sigma is not None and not np.all(sigma >= 0):
         raise ConfigError(f"input_csv {spec.input_csv!r} has a negative or missing std_error")

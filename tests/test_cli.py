@@ -166,9 +166,10 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, cfg, name):
 @pytest.mark.parametrize("text", [
     "",
     "a,b\n1,2\n",
+    "total_time_s,signal\n",
     "total_time_s,signal,std_error\n" + "".join(f"{t}e-4,0.5,-0.01\n" for t in range(1, 7)),
     "total_time_s,signal,std_error\n" + "".join(f"{t}e-4,0.5,x\n" for t in range(1, 7)),
-], ids=["empty", "no_columns", "negative_std_error", "missing_std_error"])
+], ids=["empty", "no_columns", "no_rows", "negative_std_error", "missing_std_error"])
 def test_malformed_fit_input_exits_2(tmp_path, capsys, text):
     csv = tmp_path / "curve.csv"
     csv.write_text(text)
