@@ -12,7 +12,6 @@ from .field import (
     Polynomial,
     SinusoidAC,
     RngSpec,
-    sample_trajectory,
     signed_phase,
 )
 from .sequence import PulseSequence, TogglingFunction, cpmg_times, toggling, echo_times

@@ -70,6 +70,12 @@ class RngSpec:
 
 # ---------------------------------------------------------------------------
 # Field components
+#
+# Each component draws n_normals_base + n_normals_per_segment * n_seg standard
+# normals per trajectory (none when n_normals_base is 0), and
+# segment_integrals(a, b, draws) returns its exact int_a^b B dt over the
+# segments [a, b] from them: shape (n_seg,) when it draws nothing (draws is
+# None), (n_traj, n_seg) otherwise.
 # ---------------------------------------------------------------------------
 
 
@@ -79,6 +85,9 @@ class StaticOffset:
 
     n_normals_per_segment = 0
     n_normals_base = 0
+
+    def segment_integrals(self, a, b, draws):
+        return self.b * (b - a)
 
     def to_dict(self):
         return {"type": "static_offset", "b_T": self.b}
@@ -96,6 +105,9 @@ class QuasiStaticGaussian:
     def __post_init__(self):
         if self.sigma_b < 0:
             raise ValueError("sigma_b must be non-negative")
+
+    def segment_integrals(self, a, b, draws):
+        return self.sigma_b * draws[:, :1] * (b - a)[None, :]
 
     def to_dict(self):
         return {"type": "quasi_static_gaussian", "sigma_b_T": self.sigma_b}
@@ -116,6 +128,36 @@ class OrnsteinUhlenbeck:
             raise ValueError("sigma_b must be non-negative")
         if self.tau_c <= 0:
             raise ValueError("tau_c must be positive")
+
+    def segment_integrals(self, a, b, draws):
+        """Exact joint (X, int X dt) update, segment by segment.
+
+        Given X at the segment start, the end value and the segment integral
+        are jointly Gaussian:
+            X'           = e X      + sx * xi1
+            int X dt     = m(X)     + c1 * xi1 + c2 * xi2
+        with e = exp(-L/tau_c), m(X) = X tau_c (1 - e),
+        Var[int] = s^2 tau_c^2 (2 L/tau_c - 3 + 4 e - e^2),
+        Cov[X', int] = s^2 tau_c (1 - e)^2.
+        """
+        s, tc = self.sigma_b, self.tau_c
+        lengths = b - a
+        e = np.exp(-lengths / tc)
+        sx = s * np.sqrt(np.maximum(1.0 - e**2, 0.0))
+        var_i = s**2 * tc**2 * (2 * lengths / tc - 3.0 + 4.0 * e - e**2)
+        cov = s**2 * tc * (1.0 - e) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c1 = np.where(sx > 0, cov / np.where(sx > 0, sx, 1.0), 0.0)
+        c2 = np.sqrt(np.maximum(var_i - c1**2, 0.0))
+        mean_coef = tc * (1.0 - e)
+        out = np.empty((draws.shape[0], lengths.size))
+        x = s * draws[:, 0]  # stationary start
+        for i in range(lengths.size):
+            xi1 = draws[:, 1 + 2 * i]
+            xi2 = draws[:, 2 + 2 * i]
+            out[:, i] = x * mean_coef[i] + c1[i] * xi1 + c2[i] * xi2
+            x = x * e[i] + sx[i] * xi1
+        return out
 
     def to_dict(self):
         return {"type": "ornstein_uhlenbeck", "sigma_b_T": self.sigma_b, "tau_c_s": self.tau_c}
@@ -140,6 +182,12 @@ class Polynomial:
         if len(self.coefficients) - 1 > 12:
             raise ValueError("polynomial degree capped at 12")
 
+    def segment_integrals(self, a, b, draws):
+        # antiderivative sum_k a_k t^(k+1)/(k+1)
+        anti = [0.0] + [c / (k + 1) for k, c in enumerate(self.coefficients)]
+        poly = np.polynomial.polynomial.Polynomial(anti)
+        return poly(b) - poly(a)
+
     def to_dict(self):
         return {"type": "polynomial", "coefficients": list(self.coefficients)}
 
@@ -154,6 +202,12 @@ class SinusoidAC:
 
     n_normals_per_segment = 0
     n_normals_base = 0
+
+    def segment_integrals(self, a, b, draws):
+        w = 2 * np.pi * self.frequency
+        if w == 0.0:
+            return self.amplitude * np.sin(self.phi0) * (b - a)
+        return self.amplitude * (np.cos(w * a + self.phi0) - np.cos(w * b + self.phi0)) / w
 
     def to_dict(self):
         return {
@@ -203,101 +257,8 @@ class FieldModel:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory sampling
-# ---------------------------------------------------------------------------
-
-
-def _check_grid(grid: np.ndarray):
-    if grid.size == 0:
-        raise ValueError("time grid is empty")
-    if grid[0] != 0.0:
-        raise ValueError("time grid must start at 0")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-
-
-def sample_trajectory(
-    model: FieldModel, grid, rng: RngSpec, index: int
-) -> np.ndarray:
-    """One realization of B(t) on the grid, Tesla.
-
-    The OU component uses the exact discrete update
-    x' = x e^{-dt/tau_c} + sigma_b sqrt(1 - e^{-2 dt/tau_c}) xi
-    with x(0) drawn from the stationary distribution.
-    """
-    grid = np.asarray(grid, dtype=float)
-    _check_grid(grid)
-    out = np.zeros_like(grid)
-    for slot, comp in enumerate(model.components):
-        if isinstance(comp, StaticOffset):
-            out += comp.b
-        elif isinstance(comp, Polynomial):
-            out += np.polynomial.polynomial.polyval(grid, comp.coefficients)
-        elif isinstance(comp, SinusoidAC):
-            out += comp.amplitude * np.sin(2 * np.pi * comp.frequency * grid + comp.phi0)
-        elif isinstance(comp, QuasiStaticGaussian):
-            g = rng.generator(index, slot)
-            out += comp.sigma_b * g.standard_normal()
-        elif isinstance(comp, OrnsteinUhlenbeck):
-            g = rng.generator(index, slot)
-            xi = g.standard_normal(grid.size)
-            x = np.empty_like(grid)
-            x[0] = comp.sigma_b * xi[0]
-            decay = np.exp(-np.diff(grid) / comp.tau_c)
-            kick = comp.sigma_b * np.sqrt(1.0 - decay**2)
-            for i in range(1, grid.size):
-                x[i] = x[i - 1] * decay[i - 1] + kick[i - 1] * xi[i]
-            out += x
-        else:  # pragma: no cover
-            raise TypeError(f"unknown component {comp!r}")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Signed phase accumulation
 # ---------------------------------------------------------------------------
-
-
-def _deterministic_segment_integrals(comp: Component, tog: TogglingFunction) -> np.ndarray:
-    """int_seg B dt for each toggling segment, closed form."""
-    bp = np.asarray(tog.breakpoints)
-    a, b = bp[:-1], bp[1:]
-    if isinstance(comp, StaticOffset):
-        return comp.b * (b - a)
-    if isinstance(comp, Polynomial):
-        # antiderivative sum_k a_k t^(k+1)/(k+1)
-        anti = [0.0] + [c / (k + 1) for k, c in enumerate(comp.coefficients)]
-        poly = np.polynomial.polynomial.Polynomial(anti)
-        return poly(b) - poly(a)
-    if isinstance(comp, SinusoidAC):
-        w = 2 * np.pi * comp.frequency
-        if w == 0.0:
-            return comp.amplitude * np.sin(comp.phi0) * (b - a)
-        return comp.amplitude * (np.cos(w * a + comp.phi0) - np.cos(w * b + comp.phi0)) / w
-    raise TypeError(f"{comp!r} is not deterministic")
-
-
-def _ou_segment_coefficients(comp: OrnsteinUhlenbeck, lengths: np.ndarray):
-    """Per-segment constants of the exact joint (X, int X dt) update.
-
-    Given X at the segment start, the end value and the segment integral are
-    jointly Gaussian:
-        X'           = e X      + sx * xi1
-        int X dt     = m(X)     + a * xi1 + b * xi2
-    with e = exp(-L/tau_c), m(X) = X tau_c (1 - e),
-    Var[int] = s^2 tau_c^2 (2 L/tau_c - 3 + 4 e - e^2),
-    Cov[X', int] = s^2 tau_c (1 - e)^2.
-    """
-    s, tc = comp.sigma_b, comp.tau_c
-    e = np.exp(-lengths / tc)
-    sx = s * np.sqrt(np.maximum(1.0 - e**2, 0.0))
-    var_i = s**2 * tc**2 * (2 * lengths / tc - 3.0 + 4.0 * e - e**2)
-    cov = s**2 * tc * (1.0 - e) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(sx > 0, cov / np.where(sx > 0, sx, 1.0), 0.0)
-    b = np.sqrt(np.maximum(var_i - a**2, 0.0))
-    mean_coef = tc * (1.0 - e)
-    return e, sx, a, b, mean_coef
 
 
 def segment_phases(
@@ -315,32 +276,19 @@ def segment_phases(
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     bp = np.asarray(tog.breakpoints)
-    lengths = np.diff(bp)
-    n_seg = lengths.size
-    out = np.zeros((indices.size, n_seg))
+    a, b = bp[:-1], bp[1:]
+    out = np.zeros((indices.size, a.size))
 
     for slot, comp in enumerate(model.components):
-        if comp.n_normals_base == 0:
-            out += _deterministic_segment_integrals(comp, tog)[None, :]
-            continue
-        if rng is None:
-            raise ValueError("stochastic field model requires an RngSpec")
-        count = comp.n_normals_base + comp.n_normals_per_segment * n_seg
-        draws = np.empty((indices.size, count))
-        for row, idx in enumerate(indices):
-            draws[row] = rng.generator(int(idx), slot).standard_normal(count)
-        if isinstance(comp, QuasiStaticGaussian):
-            out += comp.sigma_b * draws[:, :1] * lengths[None, :]
-        elif isinstance(comp, OrnsteinUhlenbeck):
-            e, sx, a, b, mean_coef = _ou_segment_coefficients(comp, lengths)
-            x = comp.sigma_b * draws[:, 0]  # stationary start
-            for i in range(n_seg):
-                xi1 = draws[:, 1 + 2 * i]
-                xi2 = draws[:, 2 + 2 * i]
-                out[:, i] += x * mean_coef[i] + a[i] * xi1 + b[i] * xi2
-                x = x * e[i] + sx[i] * xi1
-        else:  # pragma: no cover
-            raise TypeError(f"unknown stochastic component {comp!r}")
+        draws = None
+        if comp.n_normals_base > 0:
+            if rng is None:
+                raise ValueError("stochastic field model requires an RngSpec")
+            count = comp.n_normals_base + comp.n_normals_per_segment * a.size
+            draws = np.empty((indices.size, count))
+            for row, idx in enumerate(indices):
+                draws[row] = rng.generator(int(idx), slot).standard_normal(count)
+        out += comp.segment_integrals(a, b, draws)
     return gamma_e * out
 
 

@@ -168,7 +168,8 @@ def sensitivity_scan(
 
     Each point spends its whole budget on repeated shots of duration
     (sequence time + overhead).  With ``rng=None`` the scan is analytic
-    (exact -1/2 exponent); otherwise the readout is Poisson-sampled per point.
+    (exact -1/2 exponent); otherwise each point uses a whole number of shots,
+    at least one.
     ``ac_amplitude_jitter`` optionally inflates sigma_sn by a relative
     AC-amplitude fluctuation floor, mimicking an unstable test field.
     """
@@ -181,14 +182,9 @@ def sensitivity_scan(
     dbs = np.empty_like(total_times)
     for i, t in enumerate(total_times):
         shots = t / shot_duration
-        if rng is None:
-            sigma = readout.sigma_sn(0.0, shots)
-        else:
-            ro = ReadoutModel(
-                readout.photons_per_shot, readout.contrast,
-                max(1, int(round(shots))), readout.overhead,
-            )
-            _, sigma = simulate_readout(0.0, ro, rng, index=i)
+        if rng is not None and math.isfinite(shots):
+            shots = max(1, round(shots))
+        sigma = readout.sigma_sn(0.0, shots)
         if ac_amplitude_jitter > 0.0:
             sigma = math.hypot(sigma, ac_amplitude_jitter * readout.contrast)
         sigmas[i] = sigma

@@ -275,6 +275,17 @@ def test_sense_subcommand_writes_report(tmp_path):
     assert 0 < report["envelope"] < 1
 
 
+@pytest.mark.parametrize("seed", [{}, {"seed": 1}], ids=["unseeded", "seeded"])
+@pytest.mark.parametrize("stop, code", [("1e300 s", cli.EXIT_OK),
+                                        ("1e308 s", cli.EXIT_NUMERICAL)])
+def test_sense_scan_to_extreme_times(tmp_path, seed, stop, code):
+    # at 1e308 s the shot count overflows to inf, sigma_sn is 0 and the
+    # power-law fit rejects it; a seeded scan must fail the same way
+    times = {"start": "0.5 s", "stop": stop, "count": 8, "spacing": "geometric"}
+    cfg_path = _write(tmp_path, "cfg.json", _sense_cfg(times=times, **seed))
+    assert cli.run(cfg_path, out_dir=str(tmp_path / "out"))[0] == code
+
+
 def test_validate_command_exit_codes(tmp_path, capsys):
     good = _write(tmp_path, "good.json", _decay_cfg())
     assert cli.main(["validate", "--config", good]) == cli.EXIT_OK

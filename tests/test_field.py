@@ -15,59 +15,11 @@ from spindd.field import (
     SinusoidAC,
     StaticOffset,
     ou_chi,
-    sample_trajectory,
     signed_phase,
     signed_phase_batch,
 )
 
 RNG = RngSpec(20240817)
-
-
-def test_static_offset_trajectory_is_constant():
-    m = FieldModel.of(StaticOffset(2e-9))
-    grid = np.array([0.0, 1e-6, 5e-6, 1e-3])
-    assert np.all(sample_trajectory(m, grid, RNG, 0) == 2e-9)
-
-
-def test_grid_validation():
-    m = FieldModel.of(StaticOffset(1e-9))
-    with pytest.raises(ValueError):
-        sample_trajectory(m, [], RNG, 0)
-    with pytest.raises(ValueError):
-        sample_trajectory(m, [0.0, 2e-6, 1e-6], RNG, 0)
-    with pytest.raises(ValueError):
-        sample_trajectory(m, [1e-6, 2e-6], RNG, 0)
-
-
-def test_ou_ensemble_mean_is_zero():
-    sigma = 1e-6
-    m = FieldModel.of(OrnsteinUhlenbeck(sigma, 1e-4))
-    n = 100_000
-    vals = np.array([sample_trajectory(m, [0.0, 3e-4], RNG, i)[1] for i in range(n)])
-    assert abs(vals.mean()) < 4 * sigma / math.sqrt(n)
-
-
-def test_ou_lag_autocovariance():
-    sigma, tau_c = 1e-6, 1e-4
-    lag = 0.7e-4
-    m = FieldModel.of(OrnsteinUhlenbeck(sigma, tau_c))
-    n = 100_000
-    pairs = np.array([sample_trajectory(m, [0.0, lag], RNG, i) for i in range(n)])
-    est = np.mean(pairs[:, 0] * pairs[:, 1])
-    expected = sigma**2 * math.exp(-lag / tau_c)
-    # std error of the product-moment estimator
-    se = np.std(pairs[:, 0] * pairs[:, 1], ddof=1) / math.sqrt(n)
-    assert abs(est - expected) < 3 * se
-
-
-def test_trajectory_deterministic_per_index():
-    m = FieldModel.of(OrnsteinUhlenbeck(1e-6, 1e-4))
-    grid = np.linspace(0, 1e-3, 7)
-    a = sample_trajectory(m, grid, RNG, 5)
-    b = sample_trajectory(m, grid, RNG, 5)
-    c = sample_trajectory(m, grid, RNG, 6)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 # --- signed phase ----------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used: a stdlib ``ast`` stand-in for
-a linter's unused-import rule."""
+"""Every name a package module imports is used, and every private top-level
+function or class is referenced: stdlib ``ast`` stand-ins for a linter's
+unused-import and dead-code rules."""
 
 import ast
 import pathlib
@@ -27,3 +28,24 @@ def test_no_unused_imports_in_package_modules():
         if path.name != "__init__.py" and (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dead = {
+        name: orphans
+        for name, tree in trees.items()
+        if (orphans := sorted(
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in referenced
+        ))
+    }
+    assert dead == {}
