@@ -117,21 +117,6 @@ def test_determinism_across_worker_counts():
     assert np.array_equal(a.signal, b.signal)
     assert np.array_equal(a.std_error, b.std_error)
 
-    # what this rests on: a trajectory's segment phases depend on its index
-    # alone, not on which other indices share the call or in what order
-    mixed = FieldModel.of(
-        StaticOffset(1e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5),
-        Polynomial((1e-9, 2e-6)), SinusoidAC(3e-9, 1234.0, 0.3),
-    )
-    tog = sq.toggling(sq.cpmg(3, 1e-4))
-    block = segment_phases(mixed, tog, RngSpec(42), range(50))
-    reverse = segment_phases(mixed, tog, RngSpec(42), np.arange(50)[::-1])
-    for i in range(50):
-        alone = segment_phases(mixed, tog, RngSpec(42), i)[0]
-        assert np.array_equal(alone, block[i])
-        assert np.array_equal(alone, reverse[49 - i])
-    assert len({row.tobytes() for row in block}) == 50
-
 
 def test_shots_floor_enforced():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=1e-5))

@@ -15,11 +15,29 @@ from spindd.field import (
     SinusoidAC,
     StaticOffset,
     ou_chi,
+    segment_phases,
     signed_phase,
     signed_phase_batch,
 )
 
 RNG = RngSpec(20240817)
+
+
+def test_trajectory_deterministic_per_index():
+    """A trajectory's segment phases depend on its index alone, not on which
+    other indices share the call or in what order."""
+    mixed = FieldModel.of(
+        StaticOffset(1e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5),
+        Polynomial((1e-9, 2e-6)), SinusoidAC(3e-9, 1234.0, 0.3),
+    )
+    tog = sq.toggling(sq.cpmg(3, 1e-4))
+    block = segment_phases(mixed, tog, RNG, range(50))
+    reverse = segment_phases(mixed, tog, RNG, np.arange(50)[::-1])
+    for i in range(50):
+        alone = segment_phases(mixed, tog, RNG, i)[0]
+        assert np.array_equal(alone, block[i])
+        assert np.array_equal(alone, reverse[49 - i])
+    assert len({row.tobytes() for row in block}) == 50
 
 
 # --- signed phase ----------------------------------------------------------
