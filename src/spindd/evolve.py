@@ -28,9 +28,9 @@ from .field import (
     NVParameters,
     OrnsteinUhlenbeck,
     RngSpec,
+    draw_normals,
     ou_chi,
     segment_phases,
-    signed_phase_batch,
 )
 
 #: trajectories per reduction chunk; fixed so that worker count cannot change
@@ -103,25 +103,6 @@ def _chunked_indices(shots: int):
         yield np.arange(start, min(start + CHUNK, shots), dtype=np.int64)
 
 
-def _mean_cos(model, tog, shots, rng, gamma_e, n_workers):
-    def work(idx):
-        ph = signed_phase_batch(model, tog, rng, idx, gamma_e)
-        c = np.cos(ph)
-        return np.sum(c), np.sum(c * c)
-
-    chunks = list(_chunked_indices(shots))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            partials = list(ex.map(work, chunks))
-    else:
-        partials = [work(c) for c in chunks]
-    s1 = float(np.sum(np.array([p[0] for p in partials])))
-    s2 = float(np.sum(np.array([p[1] for p in partials])))
-    mean = s1 / shots
-    var = max(s2 / shots - mean * mean, 0.0)
-    return mean, math.sqrt(var / shots)
-
-
 def coherence_curve(
     model: FieldModel,
     family,
@@ -143,11 +124,37 @@ def coherence_curve(
     if total_times.size == 0:
         raise ValueError("empty time grid")
     kind, make, n_pulses = family
+    togs = [sq.toggling(make(T)) for T in total_times]
+    n_seg = len(togs[0].signs)
+    if any(len(tog.signs) != n_seg for tog in togs):
+        raise ValueError("sequence family must have the same segment count at every time")
+    signs = [np.asarray(tog.signs, dtype=float) for tog in togs]
+
+    def work(idx):
+        # a trajectory's normals depend on (seed, index, slot, count) alone
+        # and count is the same at every time, so one draw serves the grid
+        draws = draw_normals(model, n_seg, rng, idx)
+        partials = []
+        for tog, sg in zip(togs, signs):
+            c = np.cos(segment_phases(model, tog, rng, idx, nv.gamma_e, draws=draws) @ sg)
+            partials.append((np.sum(c), np.sum(c * c)))
+        return partials
+
+    chunks = list(_chunked_indices(shots))
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as ex:
+            by_chunk = list(ex.map(work, chunks))
+    else:
+        by_chunk = [work(c) for c in chunks]
     sig = np.empty_like(total_times)
     err = np.empty_like(total_times)
     for i, T in enumerate(total_times):
-        tog = sq.toggling(make(T))
-        mean, se = _mean_cos(model, tog, shots, rng, nv.gamma_e, n_workers)
+        # each time's chunk partials reduced in chunk order, whatever the
+        # worker count
+        s1 = float(np.sum(np.array([p[i][0] for p in by_chunk])))
+        s2 = float(np.sum(np.array([p[i][1] for p in by_chunk])))
+        mean = s1 / shots
+        se = math.sqrt(max(s2 / shots - mean * mean, 0.0) / shots)
         env = float(t1_envelope(T, nv)) if apply_t1 else 1.0
         sig[i] = mean * env
         err[i] = se * env
@@ -330,13 +337,16 @@ def pulse_error_curve(
     # read out along the axis the ideal train refocuses to: pi pulses about
     # y send x -> (-1)^n x, pi pulses about x leave it fixed
     axis_sign = 1.0 if phase_convention == "cpmg" else (-1.0) ** n
+    # every time point has n + 1 segments, so one draw serves the grid
+    draws = None if model is None else draw_normals(model, n + 1, rng, range(eff_shots))
     sig = np.empty_like(total_times)
     err = np.empty_like(total_times)
     for i, T in enumerate(total_times):
         v = np.zeros((eff_shots, n + 1, 3))
         if model is not None:
             tog = sq.toggling(sq.cpmg(n, T))
-            v[..., 2] = segment_phases(model, tog, rng, range(eff_shots), nv.gamma_e)
+            v[..., 2] = segment_phases(model, tog, rng, range(eff_shots), nv.gamma_e,
+                                       draws=draws)
         free = _rotations(v)
         m = np.tile([1.0, 0.0, 0.0], (eff_shots, 1))
         for seg in range(n + 1):

@@ -261,34 +261,54 @@ class FieldModel:
 # ---------------------------------------------------------------------------
 
 
+def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices) -> list:
+    """Each component slot's standard normals for trajectories ``indices`` over
+    ``n_seg`` segments: shape (n_traj, count) per stochastic slot, None for a
+    deterministic one.
+
+    Row ``idx`` of slot ``slot`` is the first ``count`` normals of the Philox
+    stream (master_seed, idx, slot), so it depends on nothing else: draws made
+    once serve every toggling function with ``n_seg`` segments.
+    """
+    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+    out = []
+    for slot, comp in enumerate(model.components):
+        draws = None
+        if comp.n_normals_base > 0:
+            if rng is None:
+                raise ValueError("stochastic field model requires an RngSpec")
+            count = comp.n_normals_base + comp.n_normals_per_segment * n_seg
+            draws = np.empty((indices.size, count))
+            for row, idx in enumerate(indices):
+                draws[row] = rng.generator(int(idx), slot).standard_normal(count)
+        out.append(draws)
+    return out
+
+
 def segment_phases(
     model: FieldModel,
     tog: TogglingFunction,
     rng: Optional[RngSpec],
     indices,
     gamma_e: float = GAMMA_E,
+    draws: Optional[list] = None,
 ) -> np.ndarray:
     """Unsigned per-segment phases gamma_e * int_seg B dt, shape (n_traj, n_seg).
 
     Deterministic components contribute identically to every trajectory; the
     stochastic ones are sampled exactly per (master_seed, index, component).
-    ``indices`` may be a range/array of trajectory ordinals.
+    ``indices`` may be a range/array of trajectory ordinals.  ``draws`` are
+    the normals ``draw_normals`` returns for these indices and this segment
+    count; they are drawn here when not given.
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     bp = np.asarray(tog.breakpoints)
     a, b = bp[:-1], bp[1:]
+    if draws is None:
+        draws = draw_normals(model, a.size, rng, indices)
     out = np.zeros((indices.size, a.size))
-
-    for slot, comp in enumerate(model.components):
-        draws = None
-        if comp.n_normals_base > 0:
-            if rng is None:
-                raise ValueError("stochastic field model requires an RngSpec")
-            count = comp.n_normals_base + comp.n_normals_per_segment * a.size
-            draws = np.empty((indices.size, count))
-            for row, idx in enumerate(indices):
-                draws[row] = rng.generator(int(idx), slot).standard_normal(count)
-        out += comp.segment_integrals(a, b, draws)
+    for comp, comp_draws in zip(model.components, draws):
+        out += comp.segment_integrals(a, b, comp_draws)
     return gamma_e * out
 
 

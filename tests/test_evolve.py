@@ -18,6 +18,7 @@ from spindd.field import (
     ou_chi,
     segment_phases,
     signed_phase,
+    signed_phase_batch,
 )
 
 NV_NO_T1 = NVParameters(t1=math.inf)
@@ -109,13 +110,82 @@ def test_signal_bounds_and_metadata():
 
 def test_determinism_across_worker_counts():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5))
-    kw = dict(total_times=[1e-4, 5e-4], shots=700, nv=NV_NO_T1, apply_t1=False)
-    a = evolve.coherence_curve(model, evolve.hahn_family(), rng=RngSpec(42),
-                               n_workers=1, **kw)
-    b = evolve.coherence_curve(model, evolve.hahn_family(), rng=RngSpec(42),
-                               n_workers=8, **kw)
-    assert np.array_equal(a.signal, b.signal)
-    assert np.array_equal(a.std_error, b.std_error)
+    # 700 shots fit in one chunk; 2 CHUNK + 1 shots make three, the last one
+    # short, so a reduction in chunk-completion order would show
+    for shots, times, workers in ((700, [1e-4, 5e-4], 8),
+                                  (2 * evolve.CHUNK + 1, [1e-4, 3e-4, 5e-4], 2)):
+        kw = dict(total_times=times, shots=shots, nv=NV_NO_T1, apply_t1=False)
+        a = evolve.coherence_curve(model, evolve.hahn_family(), rng=RngSpec(42),
+                                   n_workers=1, **kw)
+        b = evolve.coherence_curve(model, evolve.hahn_family(), rng=RngSpec(42),
+                                   n_workers=workers, **kw)
+        assert np.array_equal(a.signal, b.signal)
+        assert np.array_equal(a.std_error, b.std_error)
+
+
+def _per_time_reference(model, family, times, shots, rng, gamma_e):
+    """coherence_curve's (signal, std_error) without T1, computed the way it was
+    before one draw served the whole grid: every time point draws each
+    trajectory's normals again, through signed_phase_batch."""
+    _, make, _ = family
+    sig, err = [], []
+    for T in times:
+        tog = sq.toggling(make(T))
+        partials = []
+        for start in range(0, shots, evolve.CHUNK):
+            idx = np.arange(start, min(start + evolve.CHUNK, shots))
+            c = np.cos(signed_phase_batch(model, tog, rng, idx, gamma_e))
+            partials.append((np.sum(c), np.sum(c * c)))
+        s1 = float(np.sum(np.array([p[0] for p in partials])))
+        s2 = float(np.sum(np.array([p[1] for p in partials])))
+        mean = s1 / shots
+        sig.append(mean)
+        err.append(math.sqrt(max(s2 / shots - mean * mean, 0.0) / shots))
+    return np.array(sig), np.array(err)
+
+
+def test_coherence_curve_matches_per_time_draws_bitwise():
+    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5),
+                          QuasiStaticGaussian(sigma_b=3e-8), StaticOffset(1e-8))
+    family = evolve.cpmg_family(3)
+    times = [1e-4, 3e-4, 6e-4]
+    shots = 2 * evolve.CHUNK + 1
+    curve = evolve.coherence_curve(model, family, times, shots, RngSpec(9),
+                                   nv=NV_NO_T1, apply_t1=False)
+    sig, err = _per_time_reference(model, family, times, shots, RngSpec(9), GAMMA_E)
+    assert np.array_equal(curve.signal, sig)
+    assert np.array_equal(curve.std_error, err)
+
+
+def test_generator_built_once_per_trajectory_and_slot(monkeypatch):
+    calls = []
+    make = RngSpec.generator
+
+    def counted(self, index, slot=0):
+        calls.append((index, slot))
+        return make(self, index, slot)
+
+    monkeypatch.setattr(RngSpec, "generator", counted)
+    # one stochastic slot next to a deterministic one
+    model = FieldModel.of(StaticOffset(1e-8), OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5))
+    evolve.coherence_curve(model, evolve.hahn_family(), [1e-4, 2e-4, 3e-4, 4e-4],
+                           shots=300, rng=RngSpec(3))
+    assert sorted(calls) == [(i, 1) for i in range(300)]
+    calls.clear()
+    evolve.pulse_error_curve(model, 4, 0.05, "cpmg", [1e-4, 2e-4, 3e-4], shots=200,
+                             rng=RngSpec(3))
+    assert sorted(calls) == [(i, 1) for i in range(200)]
+    calls.clear()
+    evolve.pulse_error_curve(FieldModel.of(StaticOffset(1e-8)), 4, 0.05, "cpmg",
+                             [1e-4, 2e-4], shots=200, rng=RngSpec(3))
+    assert calls == []
+
+
+def test_coherence_curve_rejects_family_with_varying_segment_count():
+    family = ("odd", lambda T: sq.cpmg(1 if T < 2e-4 else 2, T), 1)
+    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5))
+    with pytest.raises(ValueError, match="segment count"):
+        evolve.coherence_curve(model, family, [1e-4, 3e-4], shots=100, rng=RngSpec(0))
 
 
 def test_shots_floor_enforced():
