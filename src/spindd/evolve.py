@@ -103,6 +103,25 @@ def _chunked_indices(shots: int):
         yield np.arange(start, min(start + CHUNK, shots), dtype=np.int64)
 
 
+def _mean_and_error(sizes, partials):
+    """Mean and standard error of the mean from each chunk's size and its
+    (sum, centred sum of squares), merged in chunk order.
+
+    The mean is the 1-D sum of the chunk sums.  The centred sums of squares
+    are merged by Chan, Golub and LeVeque's pairwise update, which unlike
+    sum(c^2)/n - mean^2 does not cancel when every c is close to 1.
+    """
+    shots = sum(sizes)
+    mean = float(np.sum(np.array([p[0] for p in partials]))) / shots
+    n, run_mean, m2 = 0, 0.0, 0.0
+    for nb, (s, m2b) in zip(sizes, partials):
+        delta = float(s) / nb - run_mean
+        n += nb
+        run_mean += delta * nb / n
+        m2 += float(m2b) + delta * delta * (n - nb) * nb / n
+    return mean, math.sqrt(m2 / shots / shots)
+
+
 def coherence_curve(
     model: FieldModel,
     family,
@@ -137,7 +156,8 @@ def coherence_curve(
         partials = []
         for tog, sg in zip(togs, signs):
             c = np.cos(segment_phases(model, tog, rng, idx, nv.gamma_e, draws=draws) @ sg)
-            partials.append((np.sum(c), np.sum(c * c)))
+            s = np.sum(c)
+            partials.append((s, np.sum((c - s / c.size) ** 2)))
         return partials
 
     chunks = list(_chunked_indices(shots))
@@ -148,13 +168,11 @@ def coherence_curve(
         by_chunk = [work(c) for c in chunks]
     sig = np.empty_like(total_times)
     err = np.empty_like(total_times)
+    sizes = [idx.size for idx in chunks]
     for i, T in enumerate(total_times):
         # each time's chunk partials reduced in chunk order, whatever the
         # worker count
-        s1 = float(np.sum(np.array([p[i][0] for p in by_chunk])))
-        s2 = float(np.sum(np.array([p[i][1] for p in by_chunk])))
-        mean = s1 / shots
-        se = math.sqrt(max(s2 / shots - mean * mean, 0.0) / shots)
+        mean, se = _mean_and_error(sizes, [p[i] for p in by_chunk])
         env = float(t1_envelope(T, nv)) if apply_t1 else 1.0
         sig[i] = mean * env
         err[i] = se * env

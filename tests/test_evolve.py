@@ -135,13 +135,24 @@ def _per_time_reference(model, family, times, shots, rng, gamma_e):
         for start in range(0, shots, evolve.CHUNK):
             idx = np.arange(start, min(start + evolve.CHUNK, shots))
             c = np.cos(signed_phase_batch(model, tog, rng, idx, gamma_e))
-            partials.append((np.sum(c), np.sum(c * c)))
-        s1 = float(np.sum(np.array([p[0] for p in partials])))
-        s2 = float(np.sum(np.array([p[1] for p in partials])))
-        mean = s1 / shots
+            partials.append((np.sum(c), np.sum((c - np.sum(c) / c.size) ** 2)))
+        sizes = [min(evolve.CHUNK, shots - s) for s in range(0, shots, evolve.CHUNK)]
+        mean, se = evolve._mean_and_error(sizes, partials)
         sig.append(mean)
-        err.append(math.sqrt(max(s2 / shots - mean * mean, 0.0) / shots))
+        err.append(se)
     return np.array(sig), np.array(err)
+
+
+def test_std_error_is_centred_when_signal_is_near_one():
+    # cos(phi) = 1 - O(1e-8) here: sum(c^2)/n - mean^2 cancelled to a
+    # std_error 20 % low
+    model = FieldModel.of(QuasiStaticGaussian(sigma_b=1e-9))
+    shots, T = 5000, 1e-6
+    curve = evolve.coherence_curve(model, evolve.fid_family(), [T], shots, RngSpec(1),
+                                   nv=NV_NO_T1, apply_t1=False)
+    c = np.cos(signed_phase_batch(model, sq.toggling(sq.fid(T)), RngSpec(1), range(shots)))
+    assert curve.signal[0] == pytest.approx(np.mean(c), rel=1e-12)
+    assert curve.std_error[0] == pytest.approx(np.std(c) / math.sqrt(shots), rel=1e-6)
 
 
 def test_coherence_curve_matches_per_time_draws_bitwise():
