@@ -339,6 +339,12 @@ class SenseSpec(_GridSpec):
             raise ConfigError("sense needs at least 4 time points in times")
         if self.envelope == "auto" and self.field is None:
             raise ConfigError("envelope 'auto' needs a field model")
+        with np.errstate(over="ignore"):
+            shots = self.times / (self.sequence.total_time + self.readout.overhead)
+        if not np.all(np.isfinite(shots)):
+            raise ConfigError(
+                f"times.stop: {self.times[-1]!r} s overflows the shot count "
+                "t / (sequence time + readout.overhead)")
 
 
 @dataclass(frozen=True, kw_only=True)

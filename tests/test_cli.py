@@ -122,6 +122,9 @@ _MALFORMED = {
         _decay_cfg(times={"start": "50 us", "stop": "500 us", "count": "x"}), "count"),
     "times_stop_overflows": (
         _decay_cfg(times={"start": "50 us", "stop": "1e999 s", "count": 4}), "stop"),
+    "sense_times_stop_overflows_shots": (
+        _sense_cfg(times={"start": "0.5 s", "stop": "1e308 s", "count": 8,
+                          "spacing": "geometric"}), "times.stop"),
     "times_not_distinct": (
         _decay_cfg(times={"start": "1 s", "stop": "1.0000000000000002 s", "count": 3}), "times"),
     "cpmg_n_pulses_not_int": (_decay_cfg(sequence={"kind": "cpmg", "n_pulses": "x"}), "n_pulses"),
@@ -277,10 +280,10 @@ def test_sense_subcommand_writes_report(tmp_path):
 
 @pytest.mark.parametrize("seed", [{}, {"seed": 1}], ids=["unseeded", "seeded"])
 @pytest.mark.parametrize("stop, code", [("1e300 s", cli.EXIT_OK),
-                                        ("1e308 s", cli.EXIT_NUMERICAL)])
+                                        ("1e308 s", cli.EXIT_VALIDATION)])
 def test_sense_scan_to_extreme_times(tmp_path, seed, stop, code):
-    # at 1e308 s the shot count overflows to inf, sigma_sn is 0 and the
-    # power-law fit rejects it; a seeded scan must fail the same way
+    # at 1e308 s the shot count overflows to inf: validation rejects the
+    # grid, seeded or not
     times = {"start": "0.5 s", "stop": stop, "count": 8, "spacing": "geometric"}
     cfg_path = _write(tmp_path, "cfg.json", _sense_cfg(times=times, **seed))
     assert cli.run(cfg_path, out_dir=str(tmp_path / "out"))[0] == code
