@@ -115,10 +115,10 @@ def _mean_and_error(sizes, partials):
     mean = float(np.sum(np.array([p[0] for p in partials]))) / shots
     n, run_mean, m2 = 0, 0.0, 0.0
     for nb, (s, m2b) in zip(sizes, partials):
-        delta = float(s) / nb - run_mean
+        delta = s / nb - run_mean
         n += nb
         run_mean += delta * nb / n
-        m2 += float(m2b) + delta * delta * (n - nb) * nb / n
+        m2 += m2b + delta * delta * (n - nb) * nb / n
     return mean, math.sqrt(m2 / shots / shots)
 
 
@@ -147,15 +147,15 @@ def coherence_curve(
     n_seg = len(togs[0].signs)
     if any(len(tog.signs) != n_seg for tog in togs):
         raise ValueError("sequence family must have the same segment count at every time")
-    signs = [np.asarray(tog.signs, dtype=float) for tog in togs]
 
     def work(idx):
         # a trajectory's normals depend on (seed, index, slot, count) alone
         # and count is the same at every time, so one draw serves the grid
         draws = draw_normals(model, n_seg, rng, idx)
         partials = []
-        for tog, sg in zip(togs, signs):
-            c = np.cos(segment_phases(model, tog, rng, idx, nv.gamma_e, draws=draws) @ sg)
+        for tog in togs:
+            ph = segment_phases(model, tog, rng, idx, nv.gamma_e, draws=draws)
+            c = np.cos(ph @ np.asarray(tog.signs, dtype=float))
             s = np.sum(c)
             partials.append((s, np.sum((c - s / c.size) ** 2)))
         return partials
