@@ -123,26 +123,6 @@ def test_determinism_across_worker_counts():
         assert np.array_equal(a.std_error, b.std_error)
 
 
-def _per_time_reference(model, family, times, shots, rng, gamma_e):
-    """coherence_curve's (signal, std_error) without T1, computed the way it was
-    before one draw served the whole grid: every time point draws each
-    trajectory's normals again, through signed_phase_batch."""
-    _, make, _ = family
-    sig, err = [], []
-    for T in times:
-        tog = sq.toggling(make(T))
-        partials = []
-        for start in range(0, shots, evolve.CHUNK):
-            idx = np.arange(start, min(start + evolve.CHUNK, shots))
-            c = np.cos(signed_phase_batch(model, tog, rng, idx, gamma_e))
-            partials.append((np.sum(c), np.sum((c - np.sum(c) / c.size) ** 2)))
-        sizes = [min(evolve.CHUNK, shots - s) for s in range(0, shots, evolve.CHUNK)]
-        mean, se = evolve._mean_and_error(sizes, partials)
-        sig.append(mean)
-        err.append(se)
-    return np.array(sig), np.array(err)
-
-
 def test_std_error_is_centred_when_signal_is_near_one():
     # cos(phi) = 1 - O(1e-8) here: sum(c^2)/n - mean^2 cancelled to a
     # std_error 20 % low
@@ -153,6 +133,26 @@ def test_std_error_is_centred_when_signal_is_near_one():
     c = np.cos(signed_phase_batch(model, sq.toggling(sq.fid(T)), RngSpec(1), range(shots)))
     assert curve.signal[0] == pytest.approx(np.mean(c), rel=1e-12)
     assert curve.std_error[0] == pytest.approx(np.std(c) / math.sqrt(shots), rel=1e-6)
+
+
+def _per_time_reference(model, family, times, shots, rng, gamma_e):
+    """coherence_curve's (signal, std_error) without T1, computed the way it was
+    before one draw served the whole grid: every time point draws each
+    trajectory's normals again, through signed_phase_batch."""
+    _, make, _ = family
+    sig, err = [], []
+    for T in times:
+        tog = sq.toggling(make(T))
+        sizes, partials = [], []
+        for start in range(0, shots, evolve.CHUNK):
+            idx = np.arange(start, min(start + evolve.CHUNK, shots))
+            c = np.cos(signed_phase_batch(model, tog, rng, idx, gamma_e))
+            sizes.append(idx.size)
+            partials.append((np.sum(c), np.sum((c - np.sum(c) / c.size) ** 2)))
+        mean, se = evolve._mean_and_error(sizes, partials)
+        sig.append(mean)
+        err.append(se)
+    return np.array(sig), np.array(err)
 
 
 def test_coherence_curve_matches_per_time_draws_bitwise():
