@@ -53,9 +53,12 @@ def cpmg_factor(n: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError("Taylor order k must be non-negative")
     p = k + 1
-    acc = 2 + (-1) ** n * (2 * n) ** p
-    acc += 2 * sum((-1) ** j * (2 * j + 1) ** p for j in range(1, n))
-    return Fraction(acc, (2 * n) ** p)
+    return _cpmg_fraction(n, p, sum((-1) ** j * (2 * j + 1) ** p for j in range(1, n)))
+
+
+def _cpmg_fraction(n: int, p: int, alt_sum: int) -> Fraction:
+    """cpmg_factor(n, p - 1) from alt_sum = sum_{j=1}^{n-1} (-1)^j (2j+1)^p."""
+    return Fraction(2 + (-1) ** n * (2 * n) ** p + 2 * alt_sum, (2 * n) ** p)
 
 
 def oracle_factor(pulse_times: Sequence[Fraction], k: int) -> Fraction:
@@ -82,9 +85,16 @@ def oracle_factor(pulse_times: Sequence[Fraction], k: int) -> Fraction:
 
 
 def suppression_table(n_max: int, k_max: int):
-    """All SuppressionFactor entries for n in [1, n_max], k in [0, k_max]."""
-    return [
-        SuppressionFactor(k=k, n=n, value=cpmg_factor(n, k))
-        for n in range(1, n_max + 1)
-        for k in range(0, k_max + 1)
-    ]
+    """All SuppressionFactor entries for n in [1, n_max], k in [0, k_max].
+
+    Equal to cpmg_factor(n, k) entry by entry, but each order's alternating
+    sum is carried forward in n instead of summed afresh: O(n_max * k_max)
+    big-integer terms instead of O(n_max^2 * k_max).
+    """
+    alt_sums = [0] * (k_max + 1)  # sum_{j=1}^{n-1} (-1)^j (2j+1)^(k+1)
+    table = []
+    for n in range(1, n_max + 1):
+        for k in range(0, k_max + 1):
+            table.append(SuppressionFactor(k=k, n=n, value=_cpmg_fraction(n, k + 1, alt_sums[k])))
+            alt_sums[k] += (-1) ** n * (2 * n + 1) ** (k + 1)
+    return table

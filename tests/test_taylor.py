@@ -90,3 +90,9 @@ def test_suppression_table_shape():
     assert len(table) == 40
     entry = next(e for e in table if e.n == 1 and e.k == 1)
     assert entry.magnitude == Fraction(1, 2)
+
+
+def test_suppression_table_equals_cpmg_factor_entry_by_entry():
+    table = taylor.suppression_table(64, 12)
+    assert [(e.n, e.k) for e in table] == [(n, k) for n in range(1, 65) for k in range(13)]
+    assert [e.value for e in table] == [taylor.cpmg_factor(e.n, e.k) for e in table]
