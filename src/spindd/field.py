@@ -69,6 +69,47 @@ class RngSpec:
 
 
 # ---------------------------------------------------------------------------
+# OU coefficients for segments short against tau_c
+#
+# The closed forms in x = L/tau_c cancel O(1) terms down to O(x^2) or O(x^3);
+# below _SERIES_BELOW they are summed as Taylor series instead (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 1).
+# ---------------------------------------------------------------------------
+
+_SERIES_BELOW = 0.1
+_SERIES_TERMS = 12
+# g(x) = x - 1 + e^-x = sum_{n>=2} (-1)^n x^n / n!
+_G_COEFS = tuple((-1) ** n / math.factorial(n) for n in range(2, 2 + _SERIES_TERMS))
+# 2x (1 + e^-x) - 4 (1 - e^-x) = sum_{n>=3} (-1)^(n+1) (2n - 4) x^n / n!
+_C2_COEFS = tuple(
+    (-1) ** (n + 1) * (2 * n - 4) / math.factorial(n) for n in range(3, 3 + _SERIES_TERMS)
+)
+
+
+def _power_series(x, coefs, first):
+    """sum_i coefs[i] x^(first + i) by Horner's rule."""
+    acc = np.zeros_like(x)
+    for c in reversed(coefs):
+        acc = acc * x + c
+    return acc * x**first
+
+
+def _ou_g(x):
+    """g(x) = x - 1 + exp(-x) for x >= 0, to a few ulps."""
+    x = np.asarray(x, dtype=float)
+    xs = np.minimum(x, _SERIES_BELOW)
+    return np.where(x < _SERIES_BELOW, _power_series(xs, _G_COEFS, 2), x + np.expm1(-x))
+
+
+def _ou_c2_sq(x):
+    """2x - 4 tanh(x/2) for x >= 0: the OU segment integral's variance left
+    after its covariance with the end value, in units of (sigma tau_c)^2."""
+    xs = np.minimum(x, _SERIES_BELOW)
+    small = _power_series(xs, _C2_COEFS, 3) / (1.0 + np.exp(-xs))
+    return np.where(x < _SERIES_BELOW, small, 2.0 * x - 4.0 * np.tanh(0.5 * x))
+
+
+# ---------------------------------------------------------------------------
 # Field components
 #
 # Each component draws n_normals_base + n_normals_per_segment * n_seg standard
@@ -136,27 +177,30 @@ class OrnsteinUhlenbeck:
         are jointly Gaussian:
             X'           = e X      + sx * xi1
             int X dt     = m(X)     + c1 * xi1 + c2 * xi2
-        with e = exp(-L/tau_c), m(X) = X tau_c (1 - e),
-        Var[int] = s^2 tau_c^2 (2 L/tau_c - 3 + 4 e - e^2),
-        Cov[X', int] = s^2 tau_c (1 - e)^2.
+        with x = L/tau_c, e = exp(-x), m(X) = X tau_c (1 - e),
+        Var[int] = s^2 tau_c^2 (2x - 3 + 4e - e^2),
+        Cov[X', int] = s^2 tau_c (1 - e)^2, so that c1 = Cov/sx and
+        c2^2 = Var[int] - c1^2 = s^2 tau_c^2 (2x - 4 tanh(x/2)).  1 - e and
+        1 - e^2 come from expm1 and c2^2 from a series for small x, so a
+        segment short against tau_c loses no precision to cancellation.
         """
         s, tc = self.sigma_b, self.tau_c
-        lengths = b - a
-        e = np.exp(-lengths / tc)
-        sx = s * np.sqrt(np.maximum(1.0 - e**2, 0.0))
-        var_i = s**2 * tc**2 * (2 * lengths / tc - 3.0 + 4.0 * e - e**2)
-        cov = s**2 * tc * (1.0 - e) ** 2
+        x = (b - a) / tc
+        e = np.exp(-x)
+        one_m_e = -np.expm1(-x)
+        one_m_e2 = -np.expm1(-2.0 * x)
+        sx = s * np.sqrt(one_m_e2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            c1 = np.where(sx > 0, cov / np.where(sx > 0, sx, 1.0), 0.0)
-        c2 = np.sqrt(np.maximum(var_i - c1**2, 0.0))
-        mean_coef = tc * (1.0 - e)
-        out = np.empty((draws.shape[0], lengths.size))
-        x = s * draws[:, 0]  # stationary start
-        for i in range(lengths.size):
+            c1 = np.where(one_m_e2 > 0, s * tc * one_m_e**2 / np.sqrt(one_m_e2), 0.0)
+        c2 = s * tc * np.sqrt(_ou_c2_sq(x))
+        mean_coef = tc * one_m_e
+        out = np.empty((draws.shape[0], x.size))
+        xs = s * draws[:, 0]  # stationary start
+        for i in range(x.size):
             xi1 = draws[:, 1 + 2 * i]
             xi2 = draws[:, 2 + 2 * i]
-            out[:, i] = x * mean_coef[i] + c1[i] * xi1 + c2[i] * xi2
-            x = x * e[i] + sx[i] * xi1
+            out[:, i] = xs * mean_coef[i] + c1[i] * xi1 + c2[i] * xi2
+            xs = xs * e[i] + sx[i] * xi1
         return out
 
     def to_dict(self):
@@ -356,11 +400,12 @@ def ou_chi(
     lengths = ends - starts
     tc = tau_c
     # diagonal: int_0^L int_0^L e^{-|u-v|/tc} = 2 tc L - 2 tc^2 (1 - e^{-L/tc})
-    diag = 2 * tc * lengths - 2 * tc**2 * (1.0 - np.exp(-lengths / tc))
+    # = 2 tc^2 g(L/tc)
+    diag = 2 * tc**2 * _ou_g(lengths / tc)
     total = float(np.sum(signs**2 * diag))
     # off-diagonal i<j with gap g = starts[j] - ends[i]:
     # tc^2 (1 - e^{-Li/tc})(1 - e^{-Lj/tc}) e^{-g/tc}
-    f = 1.0 - np.exp(-lengths / tc)
+    f = -np.expm1(-lengths / tc)
     for i in range(lengths.size - 1):
         g = starts[i + 1:] - ends[i]
         total += 2.0 * signs[i] * float(

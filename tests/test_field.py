@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spindd.field import (
     signed_phase,
     signed_phase_batch,
 )
+from spindd.field import _ou_g
 
 RNG = RngSpec(20240817)
 
@@ -144,6 +146,75 @@ def test_ou_chi_matches_quadrature():
         assert ou_chi(tog, sigma, tau_c) == pytest.approx(
             ou_chi_quadrature(tog, sigma, tau_c), rel=1e-8
         )
+
+
+def _ou_reference(x):
+    """(1 - e, c1, c2, sx (1 - e), e (1 - e), g) at x = L/tau_c, unit sigma and
+    tau_c, from the textbook closed forms evaluated to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(float(x))
+        e = (-x).exp()
+        var = 2 * x - 3 + 4 * e - e * e
+        sx = (1 - e * e).sqrt()
+        c1 = (1 - e) ** 2 / sx
+        return [float(v) for v in (1 - e, c1, (var - c1 * c1).sqrt(), sx * (1 - e),
+                                   e * (1 - e), x - 1 + e)]
+
+
+def test_ou_coefficients_match_50_digit_closed_forms():
+    """The sampler's coefficients and g(x) = x - 1 + e^-x stay accurate when a
+    segment is short against tau_c, where the closed forms cancel O(1) terms."""
+    ou = OrnsteinUhlenbeck(1.0, 1.0)
+    worst = np.zeros(6)
+    for x in np.concatenate([np.logspace(-9, 1, 101), [0.0999, 0.1, 0.1001]]):
+        # two segments of length x; the rows of the identity pick out each
+        # coefficient: [m, e m], [c1, sx m], [c2, 0], ...
+        out = ou.segment_integrals(np.array([0.0, x]), np.array([x, 2 * x]), np.eye(5))
+        got = [out[0, 0], out[1, 0], out[2, 0], out[1, 1], out[0, 1], float(_ou_g(x))]
+        worst = np.maximum(worst, np.abs(np.array(got) / _ou_reference(x) - 1.0))
+    # measured: c2 6.4e-14 just above x = 0.1 (2x - 4 tanh(x/2) there), the
+    # rest within 1.3e-15
+    assert worst[2] < 2e-13
+    assert np.all(np.delete(worst, 2) < 4e-15)
+
+
+def _ou_chi_reference(tog, tau_c):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        bp = [Decimal(float(t)) for t in tog.breakpoints]
+        tc = Decimal(tau_c)
+        f = [1 - (-(b - a) / tc).exp() for a, b in zip(bp[:-1], bp[1:])]
+        total = Decimal(0)
+        for i, si in enumerate(tog.signs):
+            total += 2 * tc * (bp[i + 1] - bp[i]) - 2 * tc * tc * f[i]
+            for j in range(i + 1, len(f)):
+                total += 2 * si * tog.signs[j] * tc * tc * f[i] * f[j] * (
+                    -(bp[j] - bp[i + 1]) / tc).exp()
+        return float(total)
+
+
+def test_ou_chi_matches_50_digit_double_sum():
+    for make in (sq.hahn, lambda T: sq.cpmg(8, T)):
+        for ratio in np.logspace(-9, 1, 21):
+            tog = sq.toggling(make(ratio))
+            rel = abs(ou_chi(tog, 1.0, 1.0, 1.0) / _ou_chi_reference(tog, 1.0) - 1.0)
+            # the signed double sum itself cancels to O(T/tau_c) of its terms
+            # (measured 2.1e-6 at 3e-9, 1.2e-8 at 1e-6, 2e-14 at 1)
+            assert rel < max(1e-13, 3e-14 / ratio), (ratio, rel)
+
+
+def test_hahn_phase_variance_matches_ou_chi_for_slow_bath():
+    # T/tau_c = 1e-6: each segment's conditional variance is ~1e-19 of the
+    # O(1) terms its closed form cancels
+    sigma, tau_c, T = 1e-6, 1.0, 1e-6
+    tog = sq.toggling(sq.hahn(T))
+    n = 20_000
+    phases = signed_phase_batch(FieldModel.of(OrnsteinUhlenbeck(sigma, tau_c)), tog, RNG,
+                                range(n))
+    chi = ou_chi(tog, sigma, tau_c)
+    # the sample variance has a relative standard error of sqrt(2/n) = 1 %
+    assert np.var(phases) == pytest.approx(chi, rel=5 * math.sqrt(2 / n))
 
 
 def test_model_validation():
