@@ -3,8 +3,9 @@ Bloch evolution for spin locking and finite-error pulses.
 
 The free-evolution signal at total time T is mean_i cos(dphi_i) times the
 spin-lattice envelope exp(-T/T1).  Trajectories are independent work units;
-aggregation is chunked with a fixed chunk size and reduced in index order, so
-results are bit-identical for any worker count.
+aggregation is chunked with the fixed chunk size of the random streams
+(``field.CHUNK``) and reduced in index order, so results are bit-identical
+for any worker count.
 
 Both Bloch paths (spin locking and finite-error pulse trains) propagate m with
 one exact rotation kernel: over an interval of constant Omega, dm/dt =
@@ -23,7 +24,9 @@ import numpy as np
 
 from . import sequence as sq
 from .field import (
+    CHUNK,
     GAMMA_E,
+    RNG_SCHEME,
     FieldModel,
     NVParameters,
     OrnsteinUhlenbeck,
@@ -32,10 +35,6 @@ from .field import (
     ou_chi,
     segment_phases,
 )
-
-#: trajectories per reduction chunk; fixed so that worker count cannot change
-#: the floating-point reduction order.
-CHUNK = 4096
 
 
 @dataclass
@@ -150,7 +149,8 @@ def coherence_curve(
 
     def work(idx):
         # a trajectory's normals depend on (seed, index, slot, count) alone
-        # and count is the same at every time, so one draw serves the grid
+        # and count is the same at every time, so one draw serves the grid;
+        # idx is one whole chunk, so one stream per slot
         draws = draw_normals(model, n_seg, rng, idx)
         partials = []
         for tog in togs:
@@ -186,6 +186,7 @@ def coherence_curve(
             "sequence": kind,
             "shots": shots,
             "seed": rng.master_seed,
+            "rng_scheme": RNG_SCHEME,
             "t1_envelope": apply_t1,
         },
     )
@@ -314,6 +315,7 @@ def spin_lock_curve(
             "omega1": omega1,
             "shots": shots,
             "seed": rng.master_seed,
+            "rng_scheme": RNG_SCHEME,
             "t1_envelope": apply_t1,
         },
     )
@@ -386,6 +388,7 @@ def pulse_error_curve(
             "flip_angle_error": flip_angle_error,
             "shots": eff_shots,
             "seed": None if rng is None else rng.master_seed,
+            "rng_scheme": RNG_SCHEME,
             "model_digest": None if model is None else model.digest(),
             "t1_envelope": apply_t1,
         },

@@ -8,9 +8,11 @@ function s(t); deterministic components integrate in closed form per segment
 and the OU component is sampled jointly with its running integral (the pair
 is Gaussian with known covariance), so no discretization bias enters.
 
-Randomness is counter-based: trajectory ``index`` under ``master_seed`` maps
-to a dedicated Philox stream, so results are independent of execution order
-and worker count.
+Randomness is counter-based: trajectories are grouped in chunks of CHUNK,
+and chunk c and component slot under ``master_seed`` map to a dedicated
+Philox stream whose row r belongs to trajectory c * CHUNK + r (layout
+RNG_SCHEME).  A trajectory's normals therefore depend on its index alone,
+and results are independent of execution order, shot count and worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ from .sequence import TogglingFunction
 
 #: free-electron gyromagnetic ratio, rad s^-1 T^-1
 GAMMA_E = 1.760859e11
+
+#: trajectories per random stream (and per reduction chunk in ``evolve``);
+#: part of the random-stream layout, so fixed
+CHUNK = 4096
+#: the random-stream layout, recorded in every Monte Carlo curve's metadata
+RNG_SCHEME = f"philox-chunk{CHUNK}-v2"
 
 
 @dataclass(frozen=True)
@@ -51,10 +59,12 @@ class NVParameters:
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Deterministic per-trajectory substreams from a 64-bit master seed.
+    """Deterministic substreams from a 64-bit master seed.
 
-    Trajectory ``index`` and component slot select a Philox counter block, so
-    (master_seed, index) pins the trajectory bit-exactly.
+    ``generator(index, slot)`` keys Philox with (master_seed, index) and
+    starts its counter at block ``slot``.  ``draw_normals`` passes the chunk
+    ordinal as ``index``, so (master_seed, chunk, slot) is one stream that
+    the chunk's trajectories read row by row.
     """
 
     master_seed: int
@@ -307,14 +317,18 @@ class FieldModel:
 
 def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices) -> list:
     """Each component slot's standard normals for trajectories ``indices`` over
-    ``n_seg`` segments: shape (n_traj, count) per stochastic slot, None for a
-    deterministic one.
+    ``n_seg`` segments: shape (n_traj, count) per stochastic slot, stored
+    column-contiguous, None for a deterministic one.
 
-    Row ``idx`` of slot ``slot`` is the first ``count`` normals of the Philox
-    stream (master_seed, idx, slot), so it depends on nothing else: draws made
-    once serve every toggling function with ``n_seg`` segments.
+    Trajectory idx = c * CHUNK + r takes row r of the Philox stream
+    (master_seed, c, slot) read as a row-major (rows, count) array, so its
+    normals depend on (seed, idx, slot, count) alone, not on which other
+    indices share the call: draws made once serve every toggling function
+    with ``n_seg`` segments.  Each chunk's stream is drawn once, up to the
+    largest row asked of it.
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+    chunks, rows = np.divmod(indices, CHUNK)
     out = []
     for slot, comp in enumerate(model.components):
         draws = None
@@ -322,9 +336,15 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices)
             if rng is None:
                 raise ValueError("stochastic field model requires an RngSpec")
             count = comp.n_normals_base + comp.n_normals_per_segment * n_seg
+            # gathered row by row, then transposed once: a fancy-indexed
+            # write into a column-major array is several times slower
             draws = np.empty((indices.size, count))
-            for row, idx in enumerate(indices):
-                draws[row] = rng.generator(int(idx), slot).standard_normal(count)
+            for c in np.unique(chunks):
+                mine = np.flatnonzero(chunks == c)
+                block = rng.generator(int(c), slot).standard_normal(
+                    (int(rows[mine].max()) + 1, count))
+                draws[mine] = block[rows[mine]]
+            draws = np.asfortranarray(draws)
         out.append(draws)
     return out
 
@@ -340,7 +360,7 @@ def segment_phases(
     """Unsigned per-segment phases gamma_e * int_seg B dt, shape (n_traj, n_seg).
 
     Deterministic components contribute identically to every trajectory; the
-    stochastic ones are sampled exactly per (master_seed, index, component).
+    stochastic ones are sampled exactly from each trajectory's own normals.
     ``indices`` may be a range/array of trajectory ordinals.  ``draws`` are
     the normals ``draw_normals`` returns for these indices and this segment
     count; they are drawn here when not given.

@@ -6,6 +6,7 @@ import pytest
 
 from spindd import cli, config as cfgmod
 from spindd.config import ConfigError
+from spindd.field import RNG_SCHEME
 
 
 def _write(tmp_path, name, cfg):
@@ -312,3 +313,12 @@ def test_main_dispatch_with_overrides(tmp_path):
     assert man["config"]["shots"] == 200
     # subcommand and config experiment must agree
     assert cli.main(["spinlock", "--config", cfg_path]) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("cfg", [_decay_cfg(), _SPINLOCK, _PULSE_ERROR],
+                         ids=["decay", "spinlock", "pulse_error"])
+def test_manifest_records_rng_scheme(tmp_path, cfg):
+    code, _ = cli.run(_write(tmp_path, "cfg.json", cfg), out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_OK
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert man["metadata"]["rng_scheme"] == RNG_SCHEME == "philox-chunk4096-v2"

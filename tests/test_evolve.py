@@ -168,7 +168,7 @@ def test_coherence_curve_matches_per_time_draws_bitwise():
     assert np.array_equal(curve.std_error, err)
 
 
-def test_generator_built_once_per_trajectory_and_slot(monkeypatch):
+def test_generator_built_once_per_chunk_and_slot(monkeypatch):
     calls = []
     make = RngSpec.generator
 
@@ -181,11 +181,15 @@ def test_generator_built_once_per_trajectory_and_slot(monkeypatch):
     model = FieldModel.of(StaticOffset(1e-8), OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5))
     evolve.coherence_curve(model, evolve.hahn_family(), [1e-4, 2e-4, 3e-4, 4e-4],
                            shots=300, rng=RngSpec(3))
-    assert sorted(calls) == [(i, 1) for i in range(300)]
+    assert calls == [(0, 1)]
+    calls.clear()
+    evolve.coherence_curve(model, evolve.hahn_family(), [1e-4], shots=2 * evolve.CHUNK + 1,
+                           rng=RngSpec(3), n_workers=2)
+    assert sorted(calls) == [(0, 1), (1, 1), (2, 1)]
     calls.clear()
     evolve.pulse_error_curve(model, 4, 0.05, "cpmg", [1e-4, 2e-4, 3e-4], shots=200,
                              rng=RngSpec(3))
-    assert sorted(calls) == [(i, 1) for i in range(200)]
+    assert calls == [(0, 1)]
     calls.clear()
     evolve.pulse_error_curve(FieldModel.of(StaticOffset(1e-8)), 4, 0.05, "cpmg",
                              [1e-4, 2e-4], shots=200, rng=RngSpec(3))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -6,6 +7,7 @@ import pytest
 
 from spindd import sequence as sq
 from spindd.field import (
+    CHUNK,
     GAMMA_E,
     FieldModel,
     NVParameters,
@@ -15,6 +17,7 @@ from spindd.field import (
     RngSpec,
     SinusoidAC,
     StaticOffset,
+    draw_normals,
     ou_chi,
     segment_phases,
     signed_phase,
@@ -40,6 +43,34 @@ def test_trajectory_deterministic_per_index():
         assert np.array_equal(alone, block[i])
         assert np.array_equal(alone, reverse[49 - i])
     assert len({row.tobytes() for row in block}) == 50
+
+
+_TWO_SLOTS = FieldModel.of(OrnsteinUhlenbeck(2e-7, 2e-5), StaticOffset(1e-8),
+                          QuasiStaticGaussian(1e-8))
+
+
+def test_trajectory_rows_do_not_depend_on_shot_count():
+    # 300 shots draw 300 rows of chunk 0's stream; 2 CHUNK + 1 shots draw all
+    # of chunk 0 and reach into chunks 1 and 2
+    tog = sq.toggling(sq.cpmg(3, 1e-4))
+    few = segment_phases(_TWO_SLOTS, tog, RNG, range(300))
+    many = segment_phases(_TWO_SLOTS, tog, RNG, range(2 * CHUNK + 1))
+    assert np.array_equal(few, many[:300])
+    assert len({row.tobytes() for row in many}) == many.shape[0]
+
+
+def test_rows_across_chunk_boundaries_in_any_order():
+    tog = sq.toggling(sq.hahn(1e-4))
+    indices = [CHUNK + 3, CHUNK - 1, 0, 2 * CHUNK]
+    alone = {i: segment_phases(_TWO_SLOTS, tog, RNG, i)[0] for i in indices}
+    for order in itertools.permutations(indices):
+        rows = segment_phases(_TWO_SLOTS, tog, RNG, list(order))
+        for i, row in zip(order, rows):
+            assert np.array_equal(row, alone[i])
+    # index CHUNK + 3 is row 3 of chunk 1's stream: the OU slot draws
+    # 1 + 2 * 2 normals per row for Hahn's two segments
+    ou_rows = draw_normals(_TWO_SLOTS, 2, RNG, [CHUNK + 3])[0]
+    assert np.array_equal(ou_rows[0], RNG.generator(1, 0).standard_normal((4, 5))[3])
 
 
 # --- signed phase ----------------------------------------------------------
@@ -74,7 +105,8 @@ def test_quasistatic_is_draw_times_signed_lengths():
     m = FieldModel.of(QuasiStaticGaussian(sigma))
     tog = sq.toggling(sq.fid(1e-3))
     ph = signed_phase(m, tog, RNG, 11)
-    draw = RNG.generator(11, 0).standard_normal()
+    # trajectory 11 is row 11 of chunk 0's stream, one normal per row
+    draw = RNG.generator(0, 0).standard_normal((12, 1))[11, 0]
     assert ph == pytest.approx(GAMMA_E * sigma * draw * 1e-3, rel=1e-12)
 
 
