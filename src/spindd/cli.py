@@ -152,11 +152,15 @@ def _run_sense(spec, out_dir, threads):
 
 
 def _run_fit(spec, out_dir, threads):
+    # genfromtxt only warns on a file with nothing but whitespace
+    with open(spec.input_csv, "rb") as fh:
+        if not fh.read().strip():
+            raise ConfigError(f"input_csv {spec.input_csv!r} is empty")
     try:
         data = np.atleast_1d(np.genfromtxt(spec.input_csv, delimiter=",", names=True))
         times = data["total_time_s"]
         signal = data["signal"]
-    except (IndexError, ValueError) as exc:  # an empty file, a missing column
+    except (IndexError, ValueError) as exc:  # a missing column
         raise ConfigError(
             f"input_csv {spec.input_csv!r} needs total_time_s and signal columns ({exc})"
         ) from None

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,16 +170,20 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, cfg, name):
 
 @pytest.mark.parametrize("text", [
     "",
+    " \n\n",
     "a,b\n1,2\n",
     "total_time_s,signal\n",
     "total_time_s,signal,std_error\n" + "".join(f"{t}e-4,0.5,-0.01\n" for t in range(1, 7)),
     "total_time_s,signal,std_error\n" + "".join(f"{t}e-4,0.5,x\n" for t in range(1, 7)),
-], ids=["empty", "no_columns", "no_rows", "negative_std_error", "missing_std_error"])
+], ids=["empty", "blank", "no_columns", "no_rows", "negative_std_error",
+        "missing_std_error"])
 def test_malformed_fit_input_exits_2(tmp_path, capsys, text):
     csv = tmp_path / "curve.csv"
     csv.write_text(text)
     cfg_path = _write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv)))
-    code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's warning is not the report
+        code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
     assert code == cli.EXIT_VALIDATION
     assert artifacts == []
     assert "input_csv" in capsys.readouterr().err
