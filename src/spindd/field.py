@@ -106,7 +106,6 @@ def _power_series(x, coefs, first):
 
 def _ou_g(x):
     """g(x) = x - 1 + exp(-x) for x >= 0, to a few ulps."""
-    x = np.asarray(x, dtype=float)
     xs = np.minimum(x, _SERIES_BELOW)
     return np.where(x < _SERIES_BELOW, _power_series(xs, _G_COEFS, 2), x + np.expm1(-x))
 
@@ -205,12 +204,12 @@ class OrnsteinUhlenbeck:
         c2 = s * tc * np.sqrt(_ou_c2_sq(x))
         mean_coef = tc * one_m_e
         out = np.empty((draws.shape[0], x.size))
-        xs = s * draws[:, 0]  # stationary start
+        field = s * draws[:, 0]  # stationary start
         for i in range(x.size):
             xi1 = draws[:, 1 + 2 * i]
             xi2 = draws[:, 2 + 2 * i]
-            out[:, i] = xs * mean_coef[i] + c1[i] * xi1 + c2[i] * xi2
-            xs = xs * e[i] + sx[i] * xi1
+            out[:, i] = field * mean_coef[i] + c1[i] * xi1 + c2[i] * xi2
+            field = field * e[i] + sx[i] * xi1
         return out
 
     def to_dict(self):
