@@ -338,9 +338,11 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices)
             # gathered row by row, then transposed once: a fancy-indexed
             # write into a column-major array is several times slower
             draws = np.empty((indices.size, count))
-            for c in np.unique(chunks):
+            # the chunks present; np.unique would import numpy.ma, about
+            # 0.9 MB of resident memory
+            for c in sorted(set(chunks.tolist())):
                 mine = np.flatnonzero(chunks == c)
-                block = rng.generator(int(c), slot).standard_normal(
+                block = rng.generator(c, slot).standard_normal(
                     (int(rows[mine].max()) + 1, count))
                 draws[mine] = block[rows[mine]]
             draws = np.asfortranarray(draws)
