@@ -17,13 +17,13 @@ from spindd.field import (
     RngSpec,
     SinusoidAC,
     StaticOffset,
+    _ou_g,
     draw_normals,
     ou_chi,
     segment_phases,
     signed_phase,
     signed_phase_batch,
 )
-from spindd.field import _ou_g
 
 RNG = RngSpec(20240817)
 
@@ -45,6 +45,7 @@ def test_trajectory_deterministic_per_index():
     assert len({row.tobytes() for row in block}) == 50
 
 
+# two stochastic slots around a deterministic one
 _TWO_SLOTS = FieldModel.of(OrnsteinUhlenbeck(2e-7, 2e-5), StaticOffset(1e-8),
                           QuasiStaticGaussian(1e-8))
 
