@@ -166,6 +166,11 @@ def _run_fit(spec, out_dir, threads):
         ) from None
     if data.size == 0:
         raise ConfigError(f"input_csv {spec.input_csv!r} has no data rows")
+    # genfromtxt reads a non-numeric cell as nan
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(signal))):
+        raise ConfigError(
+            f"input_csv {spec.input_csv!r} has a non-finite or non-numeric "
+            "total_time_s or signal")
     sigma = data["std_error"] if "std_error" in data.dtype.names else None
     if sigma is not None and not np.all(sigma >= 0):
         raise ConfigError(f"input_csv {spec.input_csv!r} has a negative or missing std_error")

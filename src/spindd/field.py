@@ -328,6 +328,11 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices)
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     chunks, rows = np.divmod(indices, CHUNK)
+    # rows 0..n-1 of one chunk in order, as every curve asks: the chunk's
+    # draw is the answer, with no gather copy.  Compared as bytes: an array
+    # comparison or two lists raise the peak resident memory by about 0.1 MB
+    whole = (0 < indices.size <= CHUNK and rows[0] == 0
+             and indices.tobytes() == np.arange(indices[0], indices[0] + indices.size).tobytes())
     out = []
     for slot, comp in enumerate(model.components):
         draws = None
@@ -335,16 +340,20 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices)
             if rng is None:
                 raise ValueError("stochastic field model requires an RngSpec")
             count = comp.n_normals_base + comp.n_normals_per_segment * n_seg
-            # gathered row by row, then transposed once: a fancy-indexed
-            # write into a column-major array is several times slower
-            draws = np.empty((indices.size, count))
-            # the chunks present; np.unique would import numpy.ma, about
-            # 0.9 MB of resident memory
-            for c in sorted(set(chunks.tolist())):
-                mine = np.flatnonzero(chunks == c)
-                block = rng.generator(c, slot).standard_normal(
-                    (int(rows[mine].max()) + 1, count))
-                draws[mine] = block[rows[mine]]
+            if whole:
+                draws = rng.generator(int(chunks[0]), slot).standard_normal(
+                    (indices.size, count))
+            else:
+                # gathered row by row, then transposed once: a fancy-indexed
+                # write into a column-major array is several times slower
+                draws = np.empty((indices.size, count))
+                # the chunks present; np.unique would import numpy.ma, about
+                # 0.9 MB of resident memory
+                for c in sorted(set(chunks.tolist())):
+                    mine = np.flatnonzero(chunks == c)
+                    block = rng.generator(c, slot).standard_normal(
+                        (int(rows[mine].max()) + 1, count))
+                    draws[mine] = block[rows[mine]]
             draws = np.asfortranarray(draws)
         out.append(draws)
     return out

@@ -1,10 +1,13 @@
 """Weighted nonlinear least squares for decay curves and power laws.
 
-Stretched-exponential fitting has local minima, so the solver is a damped
-Gauss-Newton iteration with multi-start over decade-spaced initial decay
-times; the winner is the lowest residual (ties broken by smallest T).
-Parameter uncertainties come from the local quadratic model at the optimum,
-cov = (J^T W J)^-1 with W = diag(1/sigma^2).
+S(t) = A exp(-(t/T)^p) + c is linear in A and the offset c is pinned, so
+``fit_decay`` projects A out (variable projection: Golub and Pereyra, SIAM J.
+Numer. Anal. 10, 413 (1973)).  Each trial (log T, p) gets its weighted
+least-squares A in closed form, and a damped Gauss-Newton iteration moves the
+free nonlinear parameters alone, from the regression of log(-log(S/A)) on
+log t.  Parameter uncertainties come from the local quadratic model at the
+optimum, cov = (J^T W J)^-1 with W = diag(1/sigma^2), J over every free
+parameter.
 """
 
 from __future__ import annotations
@@ -70,36 +73,57 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
     return theta, r, J, cost, converged
 
 
-def _decay_residual_jac(times, values, weights, free, fixed):
-    names = list(free)
+def _decay_projection(times, y, weights, fixed, names):
+    """project(theta) -> (r, J, p, e, de) at the free nonlinear ``names``.
 
-    def rj(theta):
+    e = exp(-(t/T)^p) is the shape and de its derivatives, one per name.  The
+    amplitude p["amplitude"] is pinned, or the weighted least-squares value
+    for this shape, sum(w^2 e y) / sum(w^2 e^2); r is the weighted residual
+    and J its exact Jacobian in theta, through A as well.
+    """
+    w2 = weights**2
+
+    def project(theta):
         p = dict(fixed)
         p.update(zip(names, theta))
-        A, c = p["amplitude"], p["offset"]
         # clamp so wild trial steps stay evaluable; the minimum is interior
+        p["log_t"] = min(max(p["log_t"], -300.0), 300.0)
         stretch = min(max(p["stretch"], 0.05), 50.0)
-        T = math.exp(min(max(p["log_t"], -300.0), 300.0))
-        x = np.maximum(times / T, 1e-300)
+        x = np.maximum(times / math.exp(p["log_t"]), 1e-300)
         with np.errstate(over="ignore", invalid="ignore"):
             xp = np.minimum(x**stretch, 1e300)
         e = np.exp(-xp)
-        model = A * e + c
-        r = (model - values) * weights
-        cols = []
-        for nm in names:
-            if nm == "amplitude":
-                d = e
-            elif nm == "offset":
-                d = np.ones_like(times)
-            elif nm == "log_t":
-                d = A * e * stretch * xp  # d/d log T
-            elif nm == "stretch":
-                d = -A * e * xp * np.log(x)
-            cols.append(d * weights)
-        return r, np.column_stack(cols)
+        # d/d log T and d/d p
+        de = [e * stretch * xp if nm == "log_t" else -e * xp * np.log(x) for nm in names]
+        dA = [0.0] * len(names)
+        if "amplitude" not in fixed:
+            # floored: a shape that underflowed everywhere gives A = dA = 0
+            norm = max(float(w2 * e @ e), 1e-300)
+            p["amplitude"] = float(w2 * e @ y) / norm
+            dA = [float(w2 * (y - 2.0 * p["amplitude"] * e) @ d) / norm for d in de]
+        A = p["amplitude"]
+        J = np.transpose([weights * (A * d + e * a) for d, a in zip(de, dA)])
+        return weights * (A * e - y), J, p, e, de
 
-    return rj
+    return project
+
+
+def _regression_start(times, y, amp0, fixed, names):
+    """log(-log(S/A0)) = p log t - p log T: its unweighted regression over the
+    points with 0 < S/A0 < 1 (through a pinned T or with a pinned slope p), or
+    (T, p) = (max t, 2) where that regression is undefined."""
+    ratio = y / amp0
+    keep = (times > 0) & (ratio > 0) & (ratio < 1)
+    lt, z = np.log(times[keep]), np.log(-np.log(ratio[keep]))
+    start = {"log_t": math.log(max(float(times.max()), 1e-300)), "stretch": 2.0}
+    if "stretch" in fixed and lt.size:
+        start["log_t"] = float(np.mean(lt - z / min(max(fixed["stretch"], 0.05), 50.0)))
+    elif "stretch" not in fixed and lt.size >= (1 if "log_t" in fixed else 2):
+        u = lt - fixed.get("log_t", lt.mean())
+        slope = float(u @ z) / float(u @ u) if u @ u > 0 else 0.0
+        if slope > 0:
+            start = {"log_t": float(lt.mean() - z.mean() / slope), "stretch": slope}
+    return [start[nm] for nm in names]
 
 
 def fit_decay(
@@ -134,59 +158,34 @@ def fit_decay(
                 fixed[k] = float(v)
             else:
                 raise ValueError(f"unknown parameter {k!r}")
-    all_names = ["amplitude", "log_t", "stretch", "offset"]
-    free = [n for n in all_names if n not in fixed]
-
-    span = float(times[-1] - times[0]) + float(times[0])
-    starts_T = [0.1 * span, span, 10.0 * span]
-    starts_p = [1.0, 2.0, 3.0] if "stretch" in free else [None]
-    amp0 = float(values[0]) if "amplitude" in free else None
-
-    best = None
-    rj = _decay_residual_jac(times, values, weights, free, fixed)
-    for T0 in starts_T if "log_t" in free else [None]:
-        for p0 in starts_p:
-            theta0 = []
-            for nm in free:
-                if nm == "amplitude":
-                    theta0.append(amp0 if amp0 != 0 else 1.0)
-                elif nm == "log_t":
-                    theta0.append(math.log(T0))
-                elif nm == "stretch":
-                    theta0.append(p0)
-                elif nm == "offset":
-                    theta0.append(0.0)
-            theta, r, J, cost, conv = _gauss_newton(rj, theta0)
-            # the residual clamps log_t internally; mirror that here so a
-            # runaway start cannot overflow exp()
-            theta = [
-                min(max(v, -300.0), 300.0) if nm == "log_t" else v
-                for nm, v in zip(free, theta)
-            ]
-            t_now = math.exp(dict(zip(free, theta)).get("log_t", fixed.get("log_t", 0.0)))
-            if best is None or cost < best[3] - 1e-300 or (
-                abs(cost - best[3]) <= 1e-12 * max(cost, 1e-300) and t_now < best[5]
-            ):
-                best = (theta, r, J, cost, conv, t_now)
-
-    theta, r, J, cost, conv, _ = best
-    sol = dict(fixed)
-    sol.update(zip(free, theta))
-    unc_map = _uncertainties(J, free)
+    free = [n for n in ("amplitude", "log_t", "stretch") if n not in fixed]
+    names = free[1:] if "amplitude" in free else free
+    y = values - fixed["offset"]
+    project = _decay_projection(times, y, weights, fixed, names)
+    theta, conv = [], True  # every nonlinear parameter pinned: A alone
+    if names:
+        amp0 = fixed.get("amplitude", float(y[0]) or 1.0)
+        theta0 = _regression_start(times, y, amp0, fixed, names)
+        theta, _, _, _, conv = _gauss_newton(lambda th: project(th)[:2], theta0)
+    r, _, p, e, de = project(theta)
+    # uncertainties from the Jacobian over every free parameter, A included
+    cols = [weights * e] if "amplitude" in free else []
+    cols += [weights * p["amplitude"] * d for d in de]
+    unc_map = _uncertainties(np.column_stack(cols), free) if free else {}
 
     params = {
-        "amplitude": sol["amplitude"],
-        "decay_time": math.exp(sol["log_t"]),
-        "stretch": sol["stretch"],
-        "offset": sol["offset"],
+        "amplitude": p["amplitude"],
+        "decay_time": math.exp(p["log_t"]),
+        "stretch": p["stretch"],
+        "offset": p["offset"],
     }
     unc = {
         "amplitude": unc_map.get("amplitude", 0.0),
         "decay_time": unc_map.get("log_t", 0.0) * params["decay_time"],
         "stretch": unc_map.get("stretch", 0.0),
-        "offset": unc_map.get("offset", 0.0),
+        "offset": 0.0,
     }
-    return DecayFit(model, params, unc, math.sqrt(cost), conv)
+    return DecayFit(model, params, unc, math.sqrt(float(r @ r)), conv)
 
 
 def fit_power_law(

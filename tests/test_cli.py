@@ -175,8 +175,10 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, cfg, name):
     "total_time_s,signal\n",
     "total_time_s,signal,std_error\n" + "".join(f"{t}e-4,0.5,-0.01\n" for t in range(1, 7)),
     "total_time_s,signal,std_error\n" + "".join(f"{t}e-4,0.5,x\n" for t in range(1, 7)),
+    "total_time_s,signal\n" + "".join(f"{t}e-4,{0.9 ** t}\n" for t in range(1, 7)) + "7e-4,x\n",
+    "total_time_s,signal\n" + "".join(f"{t}e-4,{0.9 ** t}\n" for t in range(1, 7)) + "nan,0.4\n",
 ], ids=["empty", "blank", "no_columns", "no_rows", "negative_std_error",
-        "missing_std_error"])
+        "missing_std_error", "non_numeric_signal", "nan_time"])
 def test_malformed_fit_input_exits_2(tmp_path, capsys, text):
     csv = tmp_path / "curve.csv"
     csv.write_text(text)

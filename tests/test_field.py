@@ -74,6 +74,20 @@ def test_rows_across_chunk_boundaries_in_any_order():
     assert np.array_equal(ou_rows[0], RNG.generator(1, 0).standard_normal((4, 5))[3])
 
 
+@pytest.mark.parametrize("first, n", [(0, 300), (CHUNK, CHUNK)])
+def test_whole_chunk_draw_matches_the_row_gather(first, n):
+    # rows 0..n-1 of one chunk in order take the chunk's draw as it is; the
+    # same indices reversed go through the row gather
+    idx = np.arange(first, first + n)
+    whole = draw_normals(_TWO_SLOTS, 5, RNG, idx)
+    gathered = draw_normals(_TWO_SLOTS, 5, RNG, idx[::-1])
+    assert [a is None for a in whole] == [False, True, False]
+    for a, b in zip(whole, gathered):
+        if a is not None:
+            assert a.flags.f_contiguous
+            assert a.tobytes() == b[::-1].tobytes()
+
+
 # --- signed phase ----------------------------------------------------------
 
 

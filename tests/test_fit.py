@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from spindd import config, evolve, fit
+from spindd.field import RngSpec
 from spindd.fit import DecayFit, FitError, fit_decay, fit_power_law
 
 
@@ -123,3 +126,195 @@ def test_to_dict_is_json_ready():
     ts = np.linspace(1e-4, 3e-3, 10)
     res = fit_decay((ts, _stretched(ts, 1.0, 1e-3, 2.0)))
     json.dumps(res.to_dict())
+
+
+# --- the 9-start fit as a reference ------------------------------------------
+
+
+def _reference_residual_jac(times, values, weights, free, fixed):
+    names = list(free)
+
+    def rj(theta):
+        p = dict(fixed)
+        p.update(zip(names, theta))
+        A, c = p["amplitude"], p["offset"]
+        stretch = min(max(p["stretch"], 0.05), 50.0)
+        T = math.exp(min(max(p["log_t"], -300.0), 300.0))
+        x = np.maximum(times / T, 1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xp = np.minimum(x**stretch, 1e300)
+        e = np.exp(-xp)
+        r = (A * e + c - values) * weights
+        cols = {"amplitude": e, "log_t": A * e * stretch * xp, "stretch": -A * e * xp * np.log(x)}
+        return r, np.column_stack([cols[nm] * weights for nm in names])
+
+    return rj
+
+
+def _reference_fit_decay(curve, model="stretched_exp", fixed_params=None):
+    """Gauss-Newton over (A, log T, p) from a 3 x 3 grid of starts in
+    (T, p); the lowest residual wins, ties broken by the smallest T."""
+    times, values, sigmas = fit._unpack_curve(curve)
+    weights = fit._weights_from_sigmas(sigmas, times.size)
+    fixed = {"offset": 0.0}
+    if model == "exponential":
+        fixed["stretch"] = 1.0
+    for k, v in (fixed_params or {}).items():
+        fixed["log_t" if k == "decay_time" else k] = math.log(v) if k == "decay_time" else v
+    free = [n for n in ("amplitude", "log_t", "stretch") if n not in fixed]
+    span = float(times[-1])
+    rj = _reference_residual_jac(times, values, weights, free, fixed)
+    best = None
+    for T0, p0 in itertools.product([0.1 * span, span, 10.0 * span], [1.0, 2.0, 3.0]):
+        start = {"amplitude": float(values[0]) or 1.0, "log_t": math.log(T0), "stretch": p0}
+        theta, _, J, cost, conv = fit._gauss_newton(rj, [start[nm] for nm in free])
+        sol = dict(fixed)
+        sol.update(zip(free, theta))
+        sol["log_t"] = min(max(sol["log_t"], -300.0), 300.0)
+        t_now = math.exp(sol["log_t"])
+        if best is None or cost < best[0] - 1e-300 or (
+            abs(cost - best[0]) <= 1e-12 * max(cost, 1e-300) and t_now < best[1]
+        ):
+            best = (cost, t_now, sol, J, conv)
+    cost, t_now, sol, J, conv = best
+    unc = fit._uncertainties(J, free)
+    params = {"amplitude": sol["amplitude"], "decay_time": t_now, "stretch": sol["stretch"]}
+    uncs = {"amplitude": unc.get("amplitude", 0.0),
+            "decay_time": unc.get("log_t", 0.0) * t_now, "stretch": unc.get("stretch", 0.0)}
+    return params, uncs, conv
+
+
+def _bulk_curve(kind, seed):
+    """The benchmark's bulk_cvd decay curves: Hahn at 10 times, CPMG-90 at 12."""
+    cfg = {"experiment": "decay", "preset": "bulk_cvd", "seed": seed}
+    if kind == "hahn":
+        cfg.update(sequence={"kind": "hahn"}, shots=2000,
+                   times={"start": "0.06 ms", "stop": "0.86 ms", "count": 10})
+    else:
+        cfg.update(sequence={"kind": "cpmg", "n_pulses": 90}, shots=1500,
+                   times={"start": "0.3 ms", "stop": "6 ms", "count": 12})
+    s = config.validate(cfg)["spec"]
+    return evolve.coherence_curve(s.field, s.sequence, s.times, s.shots, RngSpec(seed), s.nv)
+
+
+def _exact(ts, amp, T, p):
+    return ts, _stretched(ts, amp, T, p)
+
+
+def _noisy(seed, T, p, sd, ts):
+    vals = _stretched(ts, 1.0, T, p) + np.random.default_rng(seed).normal(0, sd, ts.size)
+    return ts, vals, np.full(ts.size, sd)
+
+
+# the curves of the tests above
+_FIXTURES = {
+    "stretched": _exact(np.linspace(0.05e-3, 0.9e-3, 25), 1.0, 0.39e-3, 4.0),
+    "exponential": _exact(np.linspace(0.1e-3, 8e-3, 20), 0.8, 2.44e-3, 1.0),
+    "pinned": _exact(np.linspace(1e-4, 3e-3, 15), 1.0, 1e-3, 2.0),
+    "noise_40": _noisy(0, 1e-3, 2.0, 0.01, np.linspace(1e-4, 3e-3, 40)),
+    "noise_30": _noisy(4, 1e-3, 2.0, 0.02, np.linspace(1e-4, 3e-3, 30)),
+    "noise_35": _noisy(21, 0.39e-3, 3.0, 0.02, np.linspace(0.05e-3, 1.0e-3, 35)),
+}
+_FIXTURES["doubled"] = tuple(np.concatenate([a, a]) for a in _FIXTURES["noise_40"])
+
+
+def _assert_matches_reference(curve, **kw):
+    res = fit_decay(curve, **kw)
+    params, uncs, conv = _reference_fit_decay(curve, **kw)
+    assert res.converged and conv
+    for name in ("amplitude", "decay_time", "stretch"):
+        assert res.params[name] == pytest.approx(params[name], rel=1e-6), name
+        assert res.uncertainties[name] == pytest.approx(uncs[name], rel=1e-6), name
+
+
+@pytest.mark.parametrize("model", ["stretched_exp", "exponential"])
+@pytest.mark.parametrize("name", list(_FIXTURES))
+def test_projection_matches_multistart_on_fixtures(name, model):
+    _assert_matches_reference(_FIXTURES[name], model=model)
+
+
+@pytest.mark.parametrize("model", ["stretched_exp", "exponential"])
+@pytest.mark.parametrize("kind, seed", [("hahn", 1), ("hahn", 2), ("hahn", 5),
+                                        ("cpmg", 1), ("cpmg", 2), ("cpmg", 7)])
+def test_projection_matches_multistart_on_bulk_cvd_curves(kind, seed, model):
+    _assert_matches_reference(_bulk_curve(kind, seed), model=model)
+
+
+_PINS = {"amplitude": 0.98, "decay_time": 0.42e-3, "stretch": 1.2}
+
+
+@pytest.mark.parametrize("pinned", [c for r in (1, 2) for c in itertools.combinations(_PINS, r)],
+                         ids="+".join)
+def test_projection_matches_multistart_with_pinned_parameters(pinned):
+    fixed = {k: _PINS[k] for k in pinned}
+    _assert_matches_reference(_bulk_curve("hahn", 3), fixed_params=fixed)
+    ts, vals = _FIXTURES["pinned"]
+    exact = {"amplitude": 0.97, "decay_time": 1.1e-3, "stretch": 2.2}
+    _assert_matches_reference((ts, vals), fixed_params={k: exact[k] for k in pinned})
+    _assert_matches_reference((ts, vals + 0.05), fixed_params=dict(fixed, offset=0.05))
+
+
+def test_pinned_shape_is_the_closed_form_amplitude():
+    ts = np.linspace(1e-4, 3e-3, 15)
+    res = fit_decay((ts, _stretched(ts, 0.8, 1e-3, 2.0)),
+                    fixed_params={"decay_time": 1e-3, "stretch": 2.0})
+    assert res.converged
+    assert res.params["amplitude"] == pytest.approx(0.8, rel=1e-12)
+    assert res.residual_norm < 1e-12
+    assert res.uncertainties["decay_time"] == res.uncertainties["stretch"] == 0.0
+    # nothing free at all: the pinned curve and its residual
+    res = fit_decay((ts, _stretched(ts, 0.8, 1e-3, 2.0)),
+                    fixed_params={"amplitude": 0.8, "decay_time": 1e-3, "stretch": 2.0})
+    assert res.converged and res.params["amplitude"] == 0.8
+    assert res.residual_norm < 1e-12
+    assert set(res.uncertainties.values()) == {0.0}
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    solve = fit._gauss_newton
+
+    def counting(residual_jac, theta0, **kw):
+        def counted(theta):
+            calls.append(1)
+            return residual_jac(theta)
+        return solve(counted, theta0, **kw)
+
+    monkeypatch.setattr(fit, "_gauss_newton", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hahn_fit_evaluation_budget(monkeypatch, seed):
+    # the 9-start fit made about 700 residual evaluations on these curves
+    curve = _bulk_curve("hahn", seed)
+    calls = _count_evaluations(monkeypatch)
+    res = fit_decay(curve)
+    assert res.converged
+    assert 0 < len(calls) <= 60
+
+
+def test_pinned_shape_evaluates_no_residual(monkeypatch):
+    ts = np.linspace(1e-4, 3e-3, 15)
+    calls = _count_evaluations(monkeypatch)
+    fit_decay((ts, _stretched(ts, 0.8, 1e-3, 2.0)), model="exponential",
+              fixed_params={"decay_time": 1e-3})
+    assert calls == []
+
+
+@pytest.mark.parametrize("values", [
+    [0.2, 0.4, 0.6, 0.8, 1.0, 1.2],  # rising: no point below S/A0 = 1
+    [1.0, 1.0, 0.4, 0.0, 0.0, 0.0],  # a single point inside (0, 1)
+    [0.5, -0.1, -0.2, -0.1, -0.3, -0.2],  # below zero after the first
+    [0.0, -0.3, -0.1, -0.05, -0.02, -0.01],  # S(0) = 0, so A0 = 1
+], ids=["rising", "one_inside", "negative", "zero_first"])
+def test_fallback_start_returns_a_fit_or_fit_error(values):
+    ts = np.linspace(1e-4, 6e-4, 6)
+    y = np.asarray(values)
+    assert fit._regression_start(ts, y, y[0] or 1.0, {"offset": 0.0}, ["log_t", "stretch"]) == [
+        math.log(6e-4), 2.0]
+    try:
+        res = fit_decay((ts, y))
+    except FitError:
+        return
+    assert isinstance(res, DecayFit)
