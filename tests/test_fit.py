@@ -152,8 +152,9 @@ def _reference_residual_jac(times, values, weights, free, fixed):
 
 
 def _reference_fit_decay(curve, model="stretched_exp", fixed_params=None):
-    """Gauss-Newton over (A, log T, p) from a 3 x 3 grid of starts in
-    (T, p); the lowest residual wins, ties broken by the smallest T."""
+    """The fit before variable projection: Gauss-Newton over the free
+    (A, log T, p) from a 3 x 3 grid of starts in (T, p), pinned coordinates
+    ignored; the lowest residual wins, ties broken by the smallest T."""
     times, values, sigmas = fit._unpack_curve(curve)
     weights = fit._weights_from_sigmas(sigmas, times.size)
     fixed = {"offset": 0.0}
@@ -162,7 +163,7 @@ def _reference_fit_decay(curve, model="stretched_exp", fixed_params=None):
     for k, v in (fixed_params or {}).items():
         fixed["log_t" if k == "decay_time" else k] = math.log(v) if k == "decay_time" else v
     free = [n for n in ("amplitude", "log_t", "stretch") if n not in fixed]
-    span = float(times[-1])
+    span = float(times[-1] - times[0]) + float(times[0])
     rj = _reference_residual_jac(times, values, weights, free, fixed)
     best = None
     for T0, p0 in itertools.product([0.1 * span, span, 10.0 * span], [1.0, 2.0, 3.0]):
@@ -268,6 +269,20 @@ def test_pinned_shape_is_the_closed_form_amplitude():
     assert res.converged and res.params["amplitude"] == 0.8
     assert res.residual_norm < 1e-12
     assert set(res.uncertainties.values()) == {0.0}
+
+
+def test_regression_start_is_exact_on_exact_data():
+    ts = np.linspace(1e-4, 3e-3, 15)
+    y = _stretched(ts, 0.8, 1e-3, 2.0)
+    fixed = {"offset": 0.0, "amplitude": 0.8}
+    start = fit._regression_start(ts, y, 0.8, fixed, ["log_t", "stretch"])
+    assert start == pytest.approx([math.log(1e-3), 2.0], rel=1e-9)
+    # through a pinned T, and with a pinned slope p
+    pinned_t = dict(fixed, log_t=math.log(1e-3))
+    assert fit._regression_start(ts, y, 0.8, pinned_t, ["stretch"]) == pytest.approx([2.0])
+    pinned_p = dict(fixed, stretch=2.0)
+    assert fit._regression_start(ts, y, 0.8, pinned_p, ["log_t"]) == pytest.approx(
+        [math.log(1e-3)])
 
 
 def _count_evaluations(monkeypatch):
