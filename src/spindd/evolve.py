@@ -7,10 +7,13 @@ aggregation is chunked with the fixed chunk size of the random streams
 (``field.CHUNK``) and reduced in index order, so results are bit-identical
 for any worker count.
 
-Both Bloch paths (spin locking and finite-error pulse trains) propagate m with
-one exact rotation kernel: over an interval of constant Omega, dm/dt =
-m x Omega is a rotation, so no integrator error enters.  Their field phases
-come from ``segment_phases``, the same exact sampler as the decay curves.
+Spin locking propagates m with one exact rotation kernel: over an interval of
+constant Omega, dm/dt = m x Omega is a rotation, so no integrator error
+enters.  Finite-error pulse trains build no matrix per segment: free
+precession only turns (m_x, m_y) by the segment phase, and the one pulse
+matrix acts between segments, over blocks of a few time points.  Both take
+their field phases from ``segment_phases``, the exact sampler of the decay
+curves.
 """
 
 from __future__ import annotations
@@ -322,8 +325,10 @@ def spin_lock_curve(
 
 
 # ---------------------------------------------------------------------------
-# Finite-error pulses (rotation composition path)
+# Finite-error pulses (in-plane turns between fixed pulse rotations)
 # ---------------------------------------------------------------------------
+
+_BLOCK = 4  # time points per pulse-error block: vectorized, with bounded memory
 
 
 def pulse_error_curve(
@@ -359,24 +364,29 @@ def pulse_error_curve(
     axis_sign = 1.0 if phase_convention == "cpmg" else (-1.0) ** n
     # every time point has n + 1 segments, so one draw serves the grid
     draws = None if model is None else draw_normals(model, n + 1, rng, range(eff_shots))
-    sig = np.empty_like(total_times)
-    err = np.empty_like(total_times)
-    for i, T in enumerate(total_times):
-        v = np.zeros((eff_shots, n + 1, 3))
+    rows = pulse.tolist()
+    sig, err = np.empty((2,) + total_times.shape)
+    for start in range(0, total_times.size, _BLOCK):
+        ts = total_times[start:start + _BLOCK]
+        # segment-major, so each segment's (block, shots) slice is contiguous
+        ph = np.zeros((n + 1, ts.size, eff_shots))
         if model is not None:
-            tog = sq.toggling(sq.cpmg(n, T))
-            v[..., 2] = segment_phases(model, tog, rng, range(eff_shots), nv.gamma_e,
-                                       draws=draws)
-        free = _rotations(v)
-        m = np.tile([1.0, 0.0, 0.0], (eff_shots, 1))
+            for j, T in enumerate(ts):
+                tog = sq.toggling(sq.cpmg(n, T))
+                ph[:, j] = segment_phases(model, tog, rng, range(eff_shots), nv.gamma_e,
+                                          draws=draws).T
+        c = np.cos(ph)
+        s = np.sin(ph, out=ph)
+        mx, my, mz = 1.0, 0.0, 0.0  # m starts along x
         for seg in range(n + 1):
             if seg:
-                m = _rotate(pulse, m)
-            m = _rotate(free[:, seg], m)
-        mx = m[:, 0] * axis_sign
-        env = float(t1_envelope(T, nv)) if apply_t1 else 1.0
-        sig[i] = mx.mean() * env
-        err[i] = (mx.std(ddof=0) / math.sqrt(eff_shots)) * env
+                mx, my, mz = [r[0] * mx + r[1] * my + r[2] * mz for r in rows]
+            mx, my = c[seg] * mx + s[seg] * my, c[seg] * my - s[seg] * mx
+        del ph, c, s  # before the next block is allocated
+        mx *= axis_sign
+        env = t1_envelope(ts, nv) if apply_t1 else 1.0
+        sig[start:start + ts.size] = mx.mean(axis=-1) * env
+        err[start:start + ts.size] = mx.std(axis=-1, ddof=0) / math.sqrt(eff_shots) * env
     return CoherenceCurve(
         times=total_times,
         signal=sig,

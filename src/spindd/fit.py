@@ -86,9 +86,9 @@ def _decay_projection(times, y, weights, fixed, names):
     def project(theta):
         p = dict(fixed)
         p.update(zip(names, theta))
-        # clamp so wild trial steps stay evaluable; the minimum is interior
+        # clamp so wild trial steps stay evaluable; p holds what the model used
         p["log_t"] = min(max(p["log_t"], -300.0), 300.0)
-        stretch = min(max(p["stretch"], 0.05), 50.0)
+        stretch = p["stretch"] = min(max(p["stretch"], 0.05), 50.0)
         x = np.maximum(times / math.exp(p["log_t"]), 1e-300)
         with np.errstate(over="ignore", invalid="ignore"):
             xp = np.minimum(x**stretch, 1e300)
@@ -168,6 +168,9 @@ def fit_decay(
         theta0 = _regression_start(times, y, amp0, fixed, names)
         theta, _, _, _, conv = _gauss_newton(lambda th: project(th)[:2], theta0)
     r, _, p, e, de = project(theta)
+    # past the clamp the cost is flat in p, so an end there is not a minimum
+    raw = dict(fixed, **dict(zip(names, theta)))["stretch"]
+    conv = conv and 0.05 <= float(raw) <= 50.0
     # uncertainties from the Jacobian over every free parameter, A included
     cols = [weights * e] if "amplitude" in free else []
     cols += [weights * p["amplitude"] * d for d in de]

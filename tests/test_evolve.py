@@ -325,21 +325,24 @@ def _oracle_single_echo(eps, convention):
     return sign * m[0]
 
 
-def _reference_pulse_error(model, n, eps, convention, ts, shots, rng):
+def _reference_pulse_error(model, n, eps, convention, ts, shots, rng, nv=NV_NO_T1,
+                           apply_t1=False):
     # explicit x/y pulse matrices and per-row z rotations, composed one
     # trajectory block at a time: the reference for the rotation kernel
     pulse = _rx(math.pi * (1 + eps)) if convention == "cpmg" else _ry(math.pi * (1 + eps))
     sign = 1.0 if convention == "cpmg" else (-1.0) ** n
     sig, err = [], []
     for T in ts:
-        phases = segment_phases(model, sq.toggling(sq.cpmg(n, T)), rng, range(shots))
+        phases = segment_phases(model, sq.toggling(sq.cpmg(n, T)), rng, range(shots),
+                                nv.gamma_e)
         m = np.tile([1.0, 0.0, 0.0], (shots, 1))
         for seg in range(n + 1):
             m = _rz_batch(m, phases[:, seg])
             if seg < n:
                 m = m @ pulse.T
-        sig.append(np.mean(m[:, 0] * sign))
-        err.append(np.std(m[:, 0] * sign) / math.sqrt(shots))
+        env = math.exp(-T / nv.t1) if apply_t1 else 1.0
+        sig.append(np.mean(m[:, 0] * sign) * env)
+        err.append(np.std(m[:, 0] * sign) / math.sqrt(shots) * env)
     return np.array(sig), np.array(err)
 
 
@@ -355,15 +358,71 @@ def test_pulse_error_single_echo_oracle(convention):
         )
 
 
+_OU_BATH = OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=2e-5)
+_PULSE_TIMES = [1e-4, 4e-4, 1e-3]
+
+# (model, n, times, nv, apply_t1): an OU bath; OU + quasi-static + static
+# offset; odd n, which flips the cp readout sign; the T1 envelope; 9 points,
+# so the last block of the time grid is partial; a static offset alone, which
+# runs one effective shot
+_PULSE_REFERENCE_CASES = {
+    "ou": (FieldModel.of(_OU_BATH), 6, _PULSE_TIMES, NV_NO_T1, False),
+    "mixed": (FieldModel.of(_OU_BATH, QuasiStaticGaussian(sigma_b=5e-8), StaticOffset(3e-8)),
+              6, _PULSE_TIMES, NV_NO_T1, False),
+    "odd_n": (FieldModel.of(_OU_BATH), 7, _PULSE_TIMES, NV_NO_T1, False),
+    "t1": (FieldModel.of(_OU_BATH), 6, _PULSE_TIMES, NVParameters(t1=8e-4), True),
+    "grid_9": (FieldModel.of(_OU_BATH), 6, np.linspace(1e-4, 1e-3, 9), NV_NO_T1, False),
+    "static": (FieldModel.of(StaticOffset(3e-8)), 6, _PULSE_TIMES, NV_NO_T1, False),
+}
+
+
 @pytest.mark.parametrize("convention", ["cp", "cpmg"])
 def test_pulse_error_matches_reference_composition(convention):
-    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=2e-5))
-    ts = [1e-4, 4e-4, 1e-3]
-    curve = evolve.pulse_error_curve(model, 6, 0.07, convention, ts, shots=300,
-                                     rng=RngSpec(21), nv=NV_NO_T1)
-    sig, err = _reference_pulse_error(model, 6, 0.07, convention, ts, 300, RngSpec(21))
-    assert np.max(np.abs(curve.signal - sig)) <= 1e-12
-    assert np.max(np.abs(curve.std_error - err)) <= 1e-12
+    for case, (model, n, ts, nv, apply_t1) in _PULSE_REFERENCE_CASES.items():
+        curve = evolve.pulse_error_curve(model, n, 0.07, convention, ts, shots=300,
+                                         rng=RngSpec(21), nv=nv, apply_t1=apply_t1)
+        sig, err = _reference_pulse_error(model, n, 0.07, convention, ts, 300, RngSpec(21),
+                                          nv, apply_t1)
+        assert np.max(np.abs(curve.signal - sig)) <= 1e-12, case
+        assert np.max(np.abs(curve.std_error - err)) <= 1e-12, case
+        assert curve.metadata["shots"] == (1 if case == "static" else 300), case
+
+
+def test_pulse_error_builds_one_rotation_matrix_per_call(monkeypatch):
+    # the pulse is the only 3x3 matrix: free precession turns (m_x, m_y) in
+    # the plane, with no matrix per trajectory, segment or time point
+    calls = []
+    real = evolve._rotations
+
+    def counted(v):
+        calls.append(np.shape(v))
+        return real(v)
+
+    monkeypatch.setattr(evolve, "_rotations", counted)
+    model = FieldModel.of(_OU_BATH)
+    for ts in ([5e-4], np.linspace(1e-4, 1e-3, 9)):
+        calls.clear()
+        evolve.pulse_error_curve(model, 8, 0.05, "cpmg", ts, shots=200, rng=RngSpec(4))
+        assert calls == [(3,)]
+
+
+def test_pulse_error_peak_memory_does_not_grow_with_the_grid():
+    # the grid is composed in blocks, each freed before the next: stacking
+    # the whole grid, or keeping the blocks, raises the peak with the grid
+    import tracemalloc
+
+    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=6e-8, tau_c=2.5e-5))
+
+    def peak(count):
+        ts = np.linspace(1e-4, 1e-3, count)
+        tracemalloc.start()
+        try:
+            evolve.pulse_error_curve(model, 50, 0.05, "cpmg", ts, shots=500, rng=RngSpec(6))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= 1.1 * peak(8)
 
 
 def test_pulse_error_cpmg_robust_cp_fragile():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -333,3 +334,28 @@ def test_fallback_start_returns_a_fit_or_fit_error(values):
     except FitError:
         return
     assert isinstance(res, DecayFit)
+
+
+def test_fit_ending_on_the_stretch_clamp_reports_it_unconverged(tmp_path):
+    # exponential data with T pinned far too long: the cost falls as p drops
+    # until the model's clamp at p = 0.05, past which it is flat in p
+    ts = np.linspace(0.1e-3, 8e-3, 20)
+    ys = 0.8 * np.exp(-ts / 2.44e-3)
+    res = fit_decay((ts, ys), fixed_params={"decay_time": 50e-3})
+    assert res.params["stretch"] == 0.05
+    assert not res.converged
+    # the reported parameters are the curve the model evaluated
+    model = _stretched(ts, res.params["amplitude"], 50e-3, 0.05)
+    assert res.residual_norm == pytest.approx(float(np.linalg.norm(model - ys)), rel=1e-12)
+
+    from spindd import cli
+    csv = tmp_path / "curve.csv"
+    csv.write_text("total_time_s,signal\n"
+                   + "".join(f"{float(t)!r},{float(y)!r}\n" for t, y in zip(ts, ys)))
+    cfg = tmp_path / "fit.json"
+    cfg.write_text('{"experiment": "fit", "input_csv": "%s", '
+                   '"fixed_params": {"decay_time": 0.05}}' % csv)
+    code, _ = cli.run(str(cfg), out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_NUMERICAL
+    written = json.loads((tmp_path / "out" / "fit.json").read_text())
+    assert written["params"]["stretch"] == 0.05 and written["converged"] is False
