@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,8 +410,6 @@ def test_pulse_error_builds_one_rotation_matrix_per_call(monkeypatch):
 def test_pulse_error_peak_memory_does_not_grow_with_the_grid():
     # the grid is composed in blocks, each freed before the next: stacking
     # the whole grid, or keeping the blocks, raises the peak with the grid
-    import tracemalloc
-
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=6e-8, tau_c=2.5e-5))
 
     def peak(count):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spindd import config, evolve, fit
+from spindd import cli, config, evolve, fit
 from spindd.field import RngSpec
 from spindd.fit import DecayFit, FitError, fit_decay, fit_power_law
 
@@ -348,13 +348,12 @@ def test_fit_ending_on_the_stretch_clamp_reports_it_unconverged(tmp_path):
     model = _stretched(ts, res.params["amplitude"], 50e-3, 0.05)
     assert res.residual_norm == pytest.approx(float(np.linalg.norm(model - ys)), rel=1e-12)
 
-    from spindd import cli
     csv = tmp_path / "curve.csv"
     csv.write_text("total_time_s,signal\n"
                    + "".join(f"{float(t)!r},{float(y)!r}\n" for t, y in zip(ts, ys)))
     cfg = tmp_path / "fit.json"
-    cfg.write_text('{"experiment": "fit", "input_csv": "%s", '
-                   '"fixed_params": {"decay_time": 0.05}}' % csv)
+    cfg.write_text(json.dumps({"experiment": "fit", "input_csv": str(csv),
+                               "fixed_params": {"decay_time": 0.05}}))
     code, _ = cli.run(str(cfg), out_dir=str(tmp_path / "out"))
     assert code == cli.EXIT_NUMERICAL
     written = json.loads((tmp_path / "out" / "fit.json").read_text())
