@@ -2,10 +2,11 @@
 Bloch evolution for spin locking and finite-error pulses.
 
 The free-evolution signal at total time T is mean_i cos(dphi_i) times the
-spin-lattice envelope exp(-T/T1).  Trajectories are independent work units;
-aggregation is chunked with the fixed chunk size of the random streams
-(``field.CHUNK``) and reduced in index order, so results are bit-identical
-for any worker count.
+spin-lattice envelope exp(-T/T1).  Every curve here is such a mean of a
+per-trajectory observable, and one driver (``_monte_carlo``) computes it:
+trajectories are drawn and reduced in chunks of the fixed chunk size of the
+random streams (``field.CHUNK``), in index order, so results are
+bit-identical for any worker count.
 
 Spin locking propagates m with one exact rotation kernel: over an interval of
 constant Omega, dm/dt = m x Omega is a rotation, so no integrator error
@@ -124,6 +125,63 @@ def _mean_and_error(sizes, partials):
     return mean, math.sqrt(m2 / shots / shots)
 
 
+def _monte_carlo(model, n_seg, times, shots, rng, nv, apply_t1, observe, n_pulses,
+                 metadata, n_workers=1):
+    """The curve of a per-trajectory observable: its mean and standard error at
+    each of ``times``, times the T1 envelope when ``apply_t1``.
+
+    Each chunk of trajectories draws its normals for ``n_seg`` segments once
+    (with ``n_seg`` None, observe draws its own or needs none), and
+    ``observe(idx, draws)`` yields one row of per-trajectory values per time
+    point.  A row is reduced to its (sum,
+    centred sum of squares) as it comes, so no chunk outlives its reduction.
+    A mean or standard error that is not finite raises FloatingPointError.
+    ``metadata`` adds to what every Monte Carlo curve records.
+    """
+
+    def work(idx):
+        # a trajectory's normals depend on (seed, index, slot, count) alone
+        # and count is the same at every time, so one draw serves the grid;
+        # idx is one whole chunk, so one stream per slot
+        draws = None if n_seg is None else draw_normals(model, n_seg, rng, idx)
+        partials = []
+        for c in observe(idx, draws):
+            s = np.sum(c)
+            partials.append((s, np.sum((c - s / c.size) ** 2)))
+        return partials
+
+    chunks = list(_chunked_indices(shots))
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as ex:
+            by_chunk = list(ex.map(work, chunks))
+    else:
+        by_chunk = [work(c) for c in chunks]
+    sig, err = np.empty((2,) + times.shape)
+    sizes = [idx.size for idx in chunks]
+    for i, T in enumerate(times):
+        # each time's chunk partials reduced in chunk order, whatever the
+        # worker count
+        mean, se = _mean_and_error(sizes, [p[i] for p in by_chunk])
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise FloatingPointError(f"signal or std_error is not finite at t = {float(T)!r} s")
+        env = float(t1_envelope(T, nv)) if apply_t1 else 1.0
+        sig[i], err[i] = mean * env, se * env
+    return CoherenceCurve(
+        times=times,
+        signal=sig,
+        std_error=err,
+        n_pulses=np.full(times.shape, n_pulses),
+        metadata={
+            "model_digest": None if model is None else model.digest(),
+            "shots": shots,
+            "seed": None if rng is None else rng.master_seed,
+            "rng_scheme": RNG_SCHEME,
+            "t1_envelope": apply_t1,
+            **metadata,
+        },
+    )
+
+
 def coherence_curve(
     model: FieldModel,
     family,
@@ -150,49 +208,13 @@ def coherence_curve(
     if any(len(tog.signs) != n_seg for tog in togs):
         raise ValueError("sequence family must have the same segment count at every time")
 
-    def work(idx):
-        # a trajectory's normals depend on (seed, index, slot, count) alone
-        # and count is the same at every time, so one draw serves the grid;
-        # idx is one whole chunk, so one stream per slot
-        draws = draw_normals(model, n_seg, rng, idx)
-        partials = []
+    def observe(idx, draws):
         for tog in togs:
             ph = segment_phases(model, tog, rng, idx, nv.gamma_e, draws=draws)
-            c = np.cos(ph @ np.asarray(tog.signs, dtype=float))
-            s = np.sum(c)
-            partials.append((s, np.sum((c - s / c.size) ** 2)))
-        return partials
+            yield np.cos(ph @ np.asarray(tog.signs, dtype=float))
 
-    chunks = list(_chunked_indices(shots))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            by_chunk = list(ex.map(work, chunks))
-    else:
-        by_chunk = [work(c) for c in chunks]
-    sig = np.empty_like(total_times)
-    err = np.empty_like(total_times)
-    sizes = [idx.size for idx in chunks]
-    for i, T in enumerate(total_times):
-        # each time's chunk partials reduced in chunk order, whatever the
-        # worker count
-        mean, se = _mean_and_error(sizes, [p[i] for p in by_chunk])
-        env = float(t1_envelope(T, nv)) if apply_t1 else 1.0
-        sig[i] = mean * env
-        err[i] = se * env
-    return CoherenceCurve(
-        times=total_times,
-        signal=sig,
-        std_error=err,
-        n_pulses=np.full(total_times.shape, n_pulses),
-        metadata={
-            "model_digest": model.digest(),
-            "sequence": kind,
-            "shots": shots,
-            "seed": rng.master_seed,
-            "rng_scheme": RNG_SCHEME,
-            "t1_envelope": apply_t1,
-        },
-    )
+    return _monte_carlo(model, n_seg, total_times, shots, rng, nv, apply_t1, observe,
+                        n_pulses, {"sequence": kind}, n_workers)
 
 
 def ou_coherence_exponent(family, total_times, comp: OrnsteinUhlenbeck,
@@ -241,15 +263,15 @@ def _rotate(r, m):
     return (r @ m[..., None])[..., 0]
 
 
-def _bloch_run(model, omega1, sample_times, shots, rng, gamma_e, m0):
-    """Evolve dm/dt = m x Omega(t), Omega = (omega1, 0, gamma_e B(t)), for all
-    trajectories with the exact rotation of each step.
+def _bloch_run(model, omega1, sample_times, idx, rng, gamma_e, m0):
+    """Evolve dm/dt = m x Omega(t), Omega = (omega1, 0, gamma_e B(t)), for
+    trajectories ``idx`` with the exact rotation of each step.
 
     Omega_z dt of a step is the exact phase gamma_e int_step B dt from
     ``segment_phases``, so the OU bath enters through its exact joint
     (X, int X) update.  Steps are no longer than t_max/200 and tau_c/20 of
     every OU component.  Returns m at each sample time, shape
-    (n_samples, shots, 3).
+    (n_samples, n_traj, 3).
     """
     sample_times = np.asarray(sample_times, dtype=float)
     h_cap = min(
@@ -266,11 +288,12 @@ def _bloch_run(model, omega1, sample_times, shots, rng, gamma_e, m0):
     )
     steps = np.diff(grid)
     tog = sq.TogglingFunction(tuple(grid), (1,) * steps.size)
-    phases = segment_phases(model, tog, rng, range(shots), gamma_e)
+    # drawn here, so the normals are freed before the rotations run
+    phases = segment_phases(model, tog, rng, idx, gamma_e)
 
-    m = np.tile(np.asarray(m0, dtype=float), (shots, 1))
-    out = np.empty((sample_times.size, shots, 3))
-    # one sample interval at a time, so the matrices take shots x nsub[k] x 9
+    m = np.tile(np.asarray(m0, dtype=float), (len(idx), 1))
+    out = np.empty((sample_times.size, len(idx), 3))
+    # one sample interval at a time, so the matrices take n_traj x nsub[k] x 9
     cuts = np.cumsum(nsub)[:-1]
     for k, (dt, phase) in enumerate(zip(np.split(steps, cuts), np.split(phases, cuts, axis=1))):
         v = np.zeros(phase.shape + (3,))
@@ -302,26 +325,13 @@ def spin_lock_curve(
     total_times = np.asarray(total_times, dtype=float)
     if np.any(np.diff(total_times) <= 0) or total_times[0] <= 0:
         raise ValueError("total_times must be positive and strictly increasing")
-    ms = _bloch_run(model, omega1, total_times, shots, rng, nv.gamma_e, (1.0, 0.0, 0.0))
-    mx = ms[:, :, 0]
-    mean = mx.mean(axis=1)
-    se = mx.std(axis=1, ddof=0) / math.sqrt(shots)
-    env = t1_envelope(total_times, nv) if apply_t1 else 1.0
-    return CoherenceCurve(
-        times=total_times,
-        signal=mean * env,
-        std_error=se * np.ones_like(mean) if np.isscalar(env) else se * env,
-        n_pulses=np.zeros(total_times.shape, dtype=int),
-        metadata={
-            "model_digest": model.digest(),
-            "sequence": "spinlock",
-            "omega1": omega1,
-            "shots": shots,
-            "seed": rng.master_seed,
-            "rng_scheme": RNG_SCHEME,
-            "t1_envelope": apply_t1,
-        },
-    )
+
+    def observe(idx, draws):
+        return _bloch_run(model, omega1, total_times, idx, rng, nv.gamma_e,
+                          (1.0, 0.0, 0.0))[:, :, 0]
+
+    return _monte_carlo(model, None, total_times, shots, rng, nv, apply_t1, observe, 0,
+                        {"sequence": "spinlock", "omega1": omega1})
 
 
 # ---------------------------------------------------------------------------
@@ -356,50 +366,34 @@ def pulse_error_curve(
     angle = math.pi * (1.0 + flip_angle_error)
     axis = (1.0, 0.0, 0.0) if phase_convention == "cpmg" else (0.0, 1.0, 0.0)
     # the pulse turns m counterclockwise about its axis: Omega dt = -angle axis
-    pulse = _rotations(-angle * np.asarray(axis))
-    noiseless = model is None or not model.is_stochastic()
-    eff_shots = 1 if noiseless else shots
+    rows = _rotations(-angle * np.asarray(axis)).tolist()
     # read out along the axis the ideal train refocuses to: pi pulses about
     # y send x -> (-1)^n x, pi pulses about x leave it fixed
     axis_sign = 1.0 if phase_convention == "cpmg" else (-1.0) ** n
-    # every time point has n + 1 segments, so one draw serves the grid
-    draws = None if model is None else draw_normals(model, n + 1, rng, range(eff_shots))
-    rows = pulse.tolist()
-    sig, err = np.empty((2,) + total_times.shape)
-    for start in range(0, total_times.size, _BLOCK):
-        ts = total_times[start:start + _BLOCK]
-        # segment-major, so each segment's (block, shots) slice is contiguous
-        ph = np.zeros((n + 1, ts.size, eff_shots))
-        if model is not None:
-            for j, T in enumerate(ts):
-                tog = sq.toggling(sq.cpmg(n, T))
-                ph[:, j] = segment_phases(model, tog, rng, range(eff_shots), nv.gamma_e,
-                                          draws=draws).T
-        c = np.cos(ph)
-        s = np.sin(ph, out=ph)
-        mx, my, mz = 1.0, 0.0, 0.0  # m starts along x
-        for seg in range(n + 1):
-            if seg:
-                mx, my, mz = [r[0] * mx + r[1] * my + r[2] * mz for r in rows]
-            mx, my = c[seg] * mx + s[seg] * my, c[seg] * my - s[seg] * mx
-        del ph, c, s  # before the next block is allocated
-        mx *= axis_sign
-        env = t1_envelope(ts, nv) if apply_t1 else 1.0
-        sig[start:start + ts.size] = mx.mean(axis=-1) * env
-        err[start:start + ts.size] = mx.std(axis=-1, ddof=0) / math.sqrt(eff_shots) * env
-    return CoherenceCurve(
-        times=total_times,
-        signal=sig,
-        std_error=err,
-        n_pulses=np.full(total_times.shape, n),
-        metadata={
-            "sequence": f"cpmg-{n}",
-            "phase_convention": phase_convention,
-            "flip_angle_error": flip_angle_error,
-            "shots": eff_shots,
-            "seed": None if rng is None else rng.master_seed,
-            "rng_scheme": RNG_SCHEME,
-            "model_digest": None if model is None else model.digest(),
-            "t1_envelope": apply_t1,
-        },
-    )
+
+    def observe(idx, draws):
+        for start in range(0, total_times.size, _BLOCK):
+            ts = total_times[start:start + _BLOCK]
+            # segment-major: each segment's (block, trajectories) slice is contiguous
+            ph = np.zeros((n + 1, ts.size, idx.size))
+            if model is not None:
+                for j, T in enumerate(ts):
+                    tog = sq.toggling(sq.cpmg(n, T))
+                    ph[:, j] = segment_phases(model, tog, rng, idx, nv.gamma_e,
+                                              draws=draws).T
+            c = np.cos(ph)
+            s = np.sin(ph, out=ph)
+            mx, my, mz = 1.0, 0.0, 0.0  # m starts along x
+            for seg in range(n + 1):
+                if seg:
+                    mx, my, mz = [r[0] * mx + r[1] * my + r[2] * mz for r in rows]
+                mx, my = c[seg] * mx + s[seg] * my, c[seg] * my - s[seg] * mx
+            del ph, c, s  # before the next block is allocated
+            mx *= axis_sign
+            yield from mx
+
+    noiseless = model is None or not model.is_stochastic()
+    return _monte_carlo(model, None if model is None else n + 1, total_times,
+                        1 if noiseless else shots, rng, nv, apply_t1, observe, n,
+                        {"sequence": f"cpmg-{n}", "phase_convention": phase_convention,
+                         "flip_angle_error": flip_angle_error})

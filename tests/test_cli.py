@@ -112,6 +112,28 @@ _SPINLOCK = dict(_BLOCH_BASE, experiment="spinlock", rabi_frequency="40 kHz", sh
 _PULSE_ERROR = dict(_BLOCH_BASE, experiment="pulse_error", n_pulses=4)
 _FIT = {"experiment": "fit", "input_csv": "curve.csv"}
 
+_HUGE_OFFSET = [{"type": "static_offset", "b": "1e300 T"}]
+_MS_TIMES = {"start": "1 ms", "stop": "2 ms", "count": 2}
+
+
+# each of these wrote nan rows to curve.csv and exited 0
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cfg", [
+    _decay_cfg(field=_HUGE_OFFSET, sequence={"kind": "fid"}, times=_MS_TIMES),
+    dict(_SPINLOCK, field=_HUGE_OFFSET),
+    dict(_SPINLOCK, rabi_frequency="1e300 Hz"),
+    dict(_PULSE_ERROR, field=[{"type": "quasi_static_gaussian", "sigma_b": "1e300 T"}],
+         times=_MS_TIMES),
+], ids=["decay_offset", "spinlock_offset", "spinlock_rabi", "pulse_error_sigma_b"])
+def test_curve_that_is_not_finite_exits_3(tmp_path, capsys, cfg):
+    out = tmp_path / "out"
+    code, artifacts = cli.run(_write(tmp_path, "cfg.json", cfg), out_dir=str(out))
+    assert code == cli.EXIT_NUMERICAL
+    assert artifacts == []
+    assert not (out / "curve.csv").exists() and not (out / "manifest.json").exists()
+    assert "not finite" in capsys.readouterr().err
+
+
 # each of these raised a traceback, or ran with the value misread, ignored or
 # out of its range
 _MALFORMED = {

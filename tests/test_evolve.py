@@ -195,6 +195,12 @@ def test_generator_built_once_per_chunk_and_slot(monkeypatch):
     evolve.pulse_error_curve(FieldModel.of(StaticOffset(1e-8)), 4, 0.05, "cpmg",
                              [1e-4, 2e-4], shots=200, rng=RngSpec(3))
     assert calls == []
+    evolve.spin_lock_curve(model, 2 * math.pi * 1e5, [1e-5, 2e-5], shots=200, rng=RngSpec(3))
+    assert calls == [(0, 1)]
+    calls.clear()
+    evolve.pulse_error_curve(model, 4, 0.05, "cpmg", [1e-4, 2e-4], shots=2 * evolve.CHUNK + 1,
+                             rng=RngSpec(3))
+    assert calls == [(0, 1), (1, 1), (2, 1)]
 
 
 def test_coherence_curve_rejects_family_with_varying_segment_count():
@@ -232,7 +238,7 @@ def test_rotation_kernel_solves_bloch_equation():
 def test_bloch_norm_conservation():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=5e-7, tau_c=1e-6))
     ms = evolve._bloch_run(
-        model, 2 * math.pi * 1e5, np.array([1e-3]), 4, RngSpec(9), GAMMA_E,
+        model, 2 * math.pi * 1e5, np.array([1e-3]), range(4), RngSpec(9), GAMMA_E,
         (1.0, 0.0, 0.0),
     )
     norms = np.linalg.norm(ms[0], axis=1)
@@ -362,31 +368,33 @@ def test_pulse_error_single_echo_oracle(convention):
 _OU_BATH = OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=2e-5)
 _PULSE_TIMES = [1e-4, 4e-4, 1e-3]
 
-# (model, n, times, nv, apply_t1): an OU bath; OU + quasi-static + static
-# offset; odd n, which flips the cp readout sign; the T1 envelope; 9 points,
-# so the last block of the time grid is partial; a static offset alone, which
-# runs one effective shot
+# (model, n, times, nv, apply_t1, shots): an OU bath; OU + quasi-static +
+# static offset; odd n, which flips the cp readout sign; the T1 envelope; 9
+# points, so the last block of the time grid is partial; a static offset
+# alone, which runs one effective shot; three chunks, the last one short
 _PULSE_REFERENCE_CASES = {
-    "ou": (FieldModel.of(_OU_BATH), 6, _PULSE_TIMES, NV_NO_T1, False),
+    "ou": (FieldModel.of(_OU_BATH), 6, _PULSE_TIMES, NV_NO_T1, False, 300),
     "mixed": (FieldModel.of(_OU_BATH, QuasiStaticGaussian(sigma_b=5e-8), StaticOffset(3e-8)),
-              6, _PULSE_TIMES, NV_NO_T1, False),
-    "odd_n": (FieldModel.of(_OU_BATH), 7, _PULSE_TIMES, NV_NO_T1, False),
-    "t1": (FieldModel.of(_OU_BATH), 6, _PULSE_TIMES, NVParameters(t1=8e-4), True),
-    "grid_9": (FieldModel.of(_OU_BATH), 6, np.linspace(1e-4, 1e-3, 9), NV_NO_T1, False),
-    "static": (FieldModel.of(StaticOffset(3e-8)), 6, _PULSE_TIMES, NV_NO_T1, False),
+              6, _PULSE_TIMES, NV_NO_T1, False, 300),
+    "odd_n": (FieldModel.of(_OU_BATH), 7, _PULSE_TIMES, NV_NO_T1, False, 300),
+    "t1": (FieldModel.of(_OU_BATH), 6, _PULSE_TIMES, NVParameters(t1=8e-4), True, 300),
+    "grid_9": (FieldModel.of(_OU_BATH), 6, np.linspace(1e-4, 1e-3, 9), NV_NO_T1, False, 300),
+    "static": (FieldModel.of(StaticOffset(3e-8)), 6, _PULSE_TIMES, NV_NO_T1, False, 300),
+    "chunks_3": (FieldModel.of(_OU_BATH), 6, _PULSE_TIMES, NV_NO_T1, False,
+                 2 * evolve.CHUNK + 1),
 }
 
 
 @pytest.mark.parametrize("convention", ["cp", "cpmg"])
 def test_pulse_error_matches_reference_composition(convention):
-    for case, (model, n, ts, nv, apply_t1) in _PULSE_REFERENCE_CASES.items():
-        curve = evolve.pulse_error_curve(model, n, 0.07, convention, ts, shots=300,
+    for case, (model, n, ts, nv, apply_t1, shots) in _PULSE_REFERENCE_CASES.items():
+        curve = evolve.pulse_error_curve(model, n, 0.07, convention, ts, shots=shots,
                                          rng=RngSpec(21), nv=nv, apply_t1=apply_t1)
-        sig, err = _reference_pulse_error(model, n, 0.07, convention, ts, 300, RngSpec(21),
+        sig, err = _reference_pulse_error(model, n, 0.07, convention, ts, shots, RngSpec(21),
                                           nv, apply_t1)
         assert np.max(np.abs(curve.signal - sig)) <= 1e-12, case
         assert np.max(np.abs(curve.std_error - err)) <= 1e-12, case
-        assert curve.metadata["shots"] == (1 if case == "static" else 300), case
+        assert curve.metadata["shots"] == (1 if case == "static" else shots), case
 
 
 def test_pulse_error_builds_one_rotation_matrix_per_call(monkeypatch):
@@ -422,6 +430,24 @@ def test_pulse_error_peak_memory_does_not_grow_with_the_grid():
             tracemalloc.stop()
 
     assert peak(32) <= 1.1 * peak(8)
+
+
+def test_pulse_error_peak_memory_is_flat_past_one_chunk():
+    # chunks are drawn, composed and reduced one at a time, so the peak is
+    # that of one chunk whatever the shot count
+    model = FieldModel.of(_OU_BATH)
+
+    def peak(shots):
+        tracemalloc.start()
+        try:
+            evolve.pulse_error_curve(model, 10, 0.05, "cpmg", [1e-4, 5e-4], shots,
+                                     RngSpec(6))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # one-time allocations of a first call stay out of the comparison
+    assert peak(3 * evolve.CHUNK) <= 1.1 * peak(evolve.CHUNK)
 
 
 def test_pulse_error_cpmg_robust_cp_fragile():
