@@ -14,7 +14,7 @@ from .field import (
     RngSpec,
     signed_phase,
 )
-from .sequence import PulseSequence, TogglingFunction, cpmg_times, toggling, echo_times
+from .sequence import PulseSequence, TogglingFunction, cpmg_times, toggling
 from .taylor import hahn_factor, cpmg_factor, oracle_factor, SuppressionFactor
 from .evolve import (
     CoherenceCurve,

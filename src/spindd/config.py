@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import evolve, sequence as sq, units
+from . import sequence as sq, units
 from .field import (
     FieldModel,
     NVParameters,
@@ -235,19 +235,20 @@ def _fractions(value, path):
     return fr
 
 
-# kind -> (evolve family, its keys in argument order)
+# kind -> (sequence constructor, its keys in argument order before the total time)
 _SEQ_KEYS = {
-    "fid": (evolve.fid_family, {}),
-    "hahn": (evolve.hahn_family, {}),
-    "cpmg": (evolve.cpmg_family, {"n_pulses": _key(_integer(1))}),
-    "custom": (evolve.custom_family, {"pulse_time_fractions": _key(_fractions)}),
+    "fid": (sq.fid, {}),
+    "hahn": (sq.hahn, {}),
+    "cpmg": (sq.cpmg, {"n_pulses": _key(_integer(1))}),
+    "custom": (sq.custom, {"pulse_time_fractions": _key(_fractions)}),
 }
 
 
 def parse_sequence_spec(spec, where="sequence", kinds=tuple(_SEQ_KEYS)):
-    """The sequence family (name, total time -> PulseSequence, n_pulses)."""
+    """The sequence's pulse pattern, a PulseSequence of total time 1 that the
+    runner rescales to each total time."""
     make, keys = _SEQ_KEYS[_kind(spec, "kind", kinds, where)]
-    return make(*_read(keys, spec, where, tag="kind").values())
+    return make(*_read(keys, spec, where, tag="kind").values(), 1.0)
 
 
 _READOUT_KEYS = {
@@ -273,6 +274,16 @@ _FIXED_PARAM_KEYS = {
 }
 
 
+def _scales_to(sequence, times, where):
+    """A ConfigError naming ``where`` if the pattern's pulses collide or reach
+    an end of the sequence once rescaled to a time of the grid."""
+    for T in times.tolist():
+        try:
+            sequence.scaled(T)
+        except ValueError as exc:
+            raise ConfigError(f"{where} at t = {T!r} s: {exc}") from None
+
+
 @dataclass(frozen=True, kw_only=True)
 class _Spec:
     out: str = _key(_path_string, ".")
@@ -290,9 +301,12 @@ class _GridSpec(_Spec):
 
 @dataclass(frozen=True, kw_only=True)
 class DecaySpec(_GridSpec):
-    sequence: tuple = _key(parse_sequence_spec, evolve.hahn_family())  # evolve family
+    sequence: sq.PulseSequence = _key(parse_sequence_spec, sq.hahn(1.0))  # at total time 1
     shots: int = _key(_SHOTS, 10_000)
     t1_envelope: bool = _key(_boolean, True)
+
+    def __post_init__(self):
+        _scales_to(self.sequence, self.times, "sequence")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -310,6 +324,9 @@ class PulseErrorSpec(_GridSpec):
     shots: int = _key(_SHOTS, 1000)
     t1_envelope: bool = _key(_boolean, False)
 
+    def __post_init__(self):
+        _scales_to(sq.cpmg(self.n_pulses, 1.0), self.times, "times")
+
 
 @dataclass(frozen=True, kw_only=True)
 class SuppressionSpec(_Spec):
@@ -322,19 +339,19 @@ class SenseSpec(_GridSpec):
     field: Optional[FieldModel] = _key(parse_field, None)  # needed by envelope "auto"
     seed: Optional[int] = _key(_SEED, None)  # None: analytic readout
     readout: ReadoutModel = _key(parse_readout, SENSE_READOUT)
-    # read as a hahn or cpmg family; __post_init__ makes it the PulseSequence
-    # of base interval sequence_tau
+    # read at total time 1; __post_init__ rescales it to base interval
+    # sequence_tau
     sequence: sq.PulseSequence = _key(partial(parse_sequence_spec, kinds=("hahn", "cpmg")))
     sequence_tau: Optional[float] = _key(_SECONDS, None)  # s; 115 us (hahn), 27 us (cpmg)
     envelope: Union[float, str] = _key(_envelope, 1.0)  # coherence factor or "auto"
     ac_amplitude_jitter: float = _key(_FINITE, 0.0)
 
     def __post_init__(self):
-        name, make, n = self.sequence
         tau = self.sequence_tau
         if tau is None:
-            tau = 115e-6 if name == "hahn" else 27e-6
-        object.__setattr__(self, "sequence", _build("sequence_tau", make, 2 * n * tau))
+            tau = 115e-6 if self.sequence.kind == "hahn" else 27e-6
+        object.__setattr__(self, "sequence", _build(
+            "sequence_tau", self.sequence.scaled, 2 * self.sequence.n_pulses * tau))
         if self.times.size < 4:
             raise ConfigError("sense needs at least 4 time points in times")
         if self.envelope == "auto" and self.field is None:
@@ -410,8 +427,8 @@ def validate(raw):
     spec = cls(**_read(keys, cfg, "", tag="experiment"))
 
     warnings = []
-    if kind == "decay" and spec.sequence[0].startswith("cpmg"):
-        base_tau = float(spec.times[-1]) / (2 * spec.sequence[2])
+    if kind == "decay" and spec.sequence.kind == "cpmg":
+        base_tau = float(spec.times[-1]) / (2 * spec.sequence.n_pulses)
         for comp in spec.field.components:
             if isinstance(comp, OrnsteinUhlenbeck) and comp.tau_c < base_tau / 10:
                 warnings.append(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -79,26 +79,8 @@ def t1_envelope(t, nv: NVParameters) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sequence families over a time grid
+# Monte Carlo curves over a time grid
 # ---------------------------------------------------------------------------
-
-
-def fid_family():
-    return ("fid", lambda T: sq.fid(T), 0)
-
-
-def hahn_family():
-    return ("hahn", lambda T: sq.hahn(T), 1)
-
-
-def cpmg_family(n: int):
-    return (f"cpmg-{n}", lambda T: sq.cpmg(n, T), n)
-
-
-def custom_family(fractions: Sequence[float]):
-    """Pulses at fixed fractions of the total time."""
-    fr = tuple(fractions)
-    return ("custom", lambda T: sq.custom([f * T for f in fr], T), len(fr))
 
 
 def _chunked_indices(shots: int):
@@ -125,29 +107,27 @@ def _mean_and_error(sizes, partials):
     return mean, math.sqrt(m2 / shots / shots)
 
 
-def _monte_carlo(model, n_seg, times, shots, rng, nv, apply_t1, observe, n_pulses,
-                 metadata, n_workers=1):
+def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, metadata,
+                 n_workers=1):
     """The curve of a per-trajectory observable: its mean and standard error at
     each of ``times``, times the T1 envelope when ``apply_t1``.
 
-    Each chunk of trajectories draws its normals for ``n_seg`` segments once
-    (with ``n_seg`` None, observe draws its own or needs none), and
-    ``observe(idx, draws)`` yields one row of per-trajectory values per time
-    point.  A row is reduced to its (sum,
-    centred sum of squares) as it comes, so no chunk outlives its reduction.
-    A mean or standard error that is not finite raises FloatingPointError.
-    ``metadata`` adds to what every Monte Carlo curve records.
+    ``observe(idx)`` draws what the chunk of trajectories ``idx`` needs and
+    yields one row of per-trajectory values per time point.  A row is reduced
+    to its (sum, centred sum of squares) as it comes, so no chunk outlives
+    its reduction.  A mean or standard error that is not finite raises
+    FloatingPointError.  ``metadata`` adds to what every Monte Carlo curve
+    records.
     """
 
     def work(idx):
-        # a trajectory's normals depend on (seed, index, slot, count) alone
-        # and count is the same at every time, so one draw serves the grid;
-        # idx is one whole chunk, so one stream per slot
-        draws = None if n_seg is None else draw_normals(model, n_seg, rng, idx)
-        partials = []
-        for c in observe(idx, draws):
-            s = np.sum(c)
-            partials.append((s, np.sum((c - s / c.size) ** 2)))
+        # an overflow ends as a value that is not finite, which the check
+        # below reports; the error state is per thread, so it is set here
+        with np.errstate(over="ignore", invalid="ignore"):
+            partials = []
+            for c in observe(idx):
+                s = np.sum(c)
+                partials.append((s, np.sum((c - s / c.size) ** 2)))
         return partials
 
     chunks = list(_chunked_indices(shots))
@@ -172,7 +152,7 @@ def _monte_carlo(model, n_seg, times, shots, rng, nv, apply_t1, observe, n_pulse
         std_error=err,
         n_pulses=np.full(times.shape, n_pulses),
         metadata={
-            "model_digest": None if model is None else model.digest(),
+            "model_digest": model.digest(),
             "shots": shots,
             "seed": None if rng is None else rng.master_seed,
             "rng_scheme": RNG_SCHEME,
@@ -184,7 +164,7 @@ def _monte_carlo(model, n_seg, times, shots, rng, nv, apply_t1, observe, n_pulse
 
 def coherence_curve(
     model: FieldModel,
-    family,
+    sequence: sq.PulseSequence,
     total_times,
     shots: int,
     rng: RngSpec,
@@ -194,35 +174,37 @@ def coherence_curve(
 ) -> CoherenceCurve:
     """Monte Carlo coherence signal over a grid of total evolution times.
 
-    ``family`` is one of fid_family(), hahn_family(), cpmg_family(n) or
-    custom_family(...).  Deterministic given (model, seed, shots, grid).
+    ``sequence`` is a pulse pattern, rescaled to each total time of the grid.
+    Deterministic given (model, seed, shots, grid).
     """
     if shots < 100:
         raise ValueError("need at least 100 shots")
     total_times = np.asarray(total_times, dtype=float)
     if total_times.size == 0:
         raise ValueError("empty time grid")
-    kind, make, n_pulses = family
-    togs = [sq.toggling(make(T)) for T in total_times]
-    n_seg = len(togs[0].signs)
-    if any(len(tog.signs) != n_seg for tog in togs):
-        raise ValueError("sequence family must have the same segment count at every time")
+    togs = [sq.toggling(sequence.scaled(T)) for T in total_times]
+    n = sequence.n_pulses
 
-    def observe(idx, draws):
+    def observe(idx):
+        # a trajectory's normals depend on (seed, index, slot, count) alone
+        # and count is the same at every time, so one draw serves the grid;
+        # idx is one whole chunk, so one stream per slot
+        draws = draw_normals(model, n + 1, rng, idx)
         for tog in togs:
             ph = segment_phases(model, tog, rng, idx, nv.gamma_e, draws=draws)
             yield np.cos(ph @ np.asarray(tog.signs, dtype=float))
 
-    return _monte_carlo(model, n_seg, total_times, shots, rng, nv, apply_t1, observe,
-                        n_pulses, {"sequence": kind}, n_workers)
+    label = f"cpmg-{n}" if sequence.kind == "cpmg" else sequence.kind
+    return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, n,
+                        {"sequence": label}, n_workers)
 
 
-def ou_coherence_exponent(family, total_times, comp: OrnsteinUhlenbeck,
+def ou_coherence_exponent(sequence: sq.PulseSequence, total_times, comp: OrnsteinUhlenbeck,
                           gamma_e: float = GAMMA_E) -> np.ndarray:
-    """Analytic chi(T)/2 of an OU bath for a sequence family (no T1)."""
-    kind, make, _ = family
+    """Analytic chi(T)/2 of an OU bath for a pulse pattern rescaled to each
+    total time (no T1)."""
     return np.array(
-        [0.5 * ou_chi(sq.toggling(make(T)), comp.sigma_b, comp.tau_c, gamma_e)
+        [0.5 * ou_chi(sq.toggling(sequence.scaled(T)), comp.sigma_b, comp.tau_c, gamma_e)
          for T in np.atleast_1d(total_times)]
     )
 
@@ -326,11 +308,11 @@ def spin_lock_curve(
     if np.any(np.diff(total_times) <= 0) or total_times[0] <= 0:
         raise ValueError("total_times must be positive and strictly increasing")
 
-    def observe(idx, draws):
+    def observe(idx):
         return _bloch_run(model, omega1, total_times, idx, rng, nv.gamma_e,
                           (1.0, 0.0, 0.0))[:, :, 0]
 
-    return _monte_carlo(model, None, total_times, shots, rng, nv, apply_t1, observe, 0,
+    return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, 0,
                         {"sequence": "spinlock", "omega1": omega1})
 
 
@@ -342,7 +324,7 @@ _BLOCK = 4  # time points per pulse-error block: vectorized, with bounded memory
 
 
 def pulse_error_curve(
-    model: Optional[FieldModel],
+    model: FieldModel,
     n: int,
     flip_angle_error: float,
     phase_convention: str,
@@ -356,7 +338,7 @@ def pulse_error_curve(
 
     phase_convention "cpmg" rotates about x (90 degrees from the initial pi/2
     about y, error-robust for the in-phase component); "cp" rotates about y.
-    ``model=None`` runs the noiseless rotation composition. Signal is m_x.
+    A model without noise runs one trajectory. Signal is m_x.
     """
     if abs(flip_angle_error) >= 0.5:
         raise ValueError("|flip_angle_error| must be < 0.5")
@@ -371,16 +353,15 @@ def pulse_error_curve(
     # y send x -> (-1)^n x, pi pulses about x leave it fixed
     axis_sign = 1.0 if phase_convention == "cpmg" else (-1.0) ** n
 
-    def observe(idx, draws):
+    def observe(idx):
+        draws = draw_normals(model, n + 1, rng, idx)
         for start in range(0, total_times.size, _BLOCK):
             ts = total_times[start:start + _BLOCK]
             # segment-major: each segment's (block, trajectories) slice is contiguous
-            ph = np.zeros((n + 1, ts.size, idx.size))
-            if model is not None:
-                for j, T in enumerate(ts):
-                    tog = sq.toggling(sq.cpmg(n, T))
-                    ph[:, j] = segment_phases(model, tog, rng, idx, nv.gamma_e,
-                                              draws=draws).T
+            ph = np.empty((n + 1, ts.size, idx.size))
+            for j, T in enumerate(ts):
+                tog = sq.toggling(sq.cpmg(n, T))
+                ph[:, j] = segment_phases(model, tog, rng, idx, nv.gamma_e, draws=draws).T
             c = np.cos(ph)
             s = np.sin(ph, out=ph)
             mx, my, mz = 1.0, 0.0, 0.0  # m starts along x
@@ -392,8 +373,7 @@ def pulse_error_curve(
             mx *= axis_sign
             yield from mx
 
-    noiseless = model is None or not model.is_stochastic()
-    return _monte_carlo(model, None if model is None else n + 1, total_times,
-                        1 if noiseless else shots, rng, nv, apply_t1, observe, n,
+    return _monte_carlo(model, total_times, shots if model.is_stochastic() else 1, rng, nv,
+                        apply_t1, observe, n,
                         {"sequence": f"cpmg-{n}", "phase_convention": phase_convention,
                          "flip_angle_error": flip_angle_error})

@@ -43,14 +43,6 @@ class TogglingFunction:
         bp = np.asarray(self.breakpoints)
         return float(np.dot(np.asarray(self.signs, dtype=float), np.diff(bp)))
 
-    def __call__(self, t):
-        idx = np.clip(
-            np.searchsorted(self.breakpoints, t, side="right") - 1,
-            0,
-            len(self.signs) - 1,
-        )
-        return np.asarray(self.signs)[idx]
-
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -65,36 +57,33 @@ class PulseSequence:
     kind: str
     total_time: float
     pi_pulse_times: tuple = ()
-    n_pulses: int = 0
 
     def __post_init__(self):
         if self.kind not in ("fid", "hahn", "cpmg", "custom"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.total_time <= 0:
             raise ValueError("total_time must be positive")
-        t = np.asarray(self.pi_pulse_times, dtype=float)
-        if t.size:
-            if np.any(np.diff(t) <= 0):
+        t = self.pi_pulse_times
+        if t:
+            # plain comparisons: a rescaled pattern is checked at every time of a grid
+            if any(b <= a for a, b in zip(t, t[1:])):
                 raise ValueError("pi_pulse_times must be strictly increasing")
             if t[0] <= 0 or t[-1] >= self.total_time:
                 raise ValueError("pi_pulse_times must lie strictly inside (0, total_time)")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "total_time": self.total_time,
-            "pi_pulse_times": list(self.pi_pulse_times),
-            "n_pulses": self.n_pulses,
-        }
+    @property
+    def n_pulses(self) -> int:
+        return len(self.pi_pulse_times)
 
-    @staticmethod
-    def from_dict(d: dict) -> "PulseSequence":
-        return PulseSequence(
-            kind=d["kind"],
-            total_time=d["total_time"],
-            pi_pulse_times=tuple(d.get("pi_pulse_times", ())),
-            n_pulses=d.get("n_pulses", 0),
-        )
+    def scaled(self, total_time: float) -> "PulseSequence":
+        """The same kind of sequence with each pulse moved to t / total_time * T.
+
+        From a pattern built at total time 1 that is f * T, the product that
+        ``cpmg`` and ``custom`` form at T, and 0.5 * T equals the T / 2 of
+        ``hahn``: the rescaled sequence is the one built at T, bit for bit.
+        """
+        s, T = self.total_time, float(total_time)
+        return PulseSequence(self.kind, T, tuple([t / s * T for t in self.pi_pulse_times]))
 
 
 def fid(total_time: float) -> PulseSequence:
@@ -103,7 +92,7 @@ def fid(total_time: float) -> PulseSequence:
 
 def hahn(total_time: float) -> PulseSequence:
     """pi/2 - tau - pi - tau with tau = total_time / 2."""
-    return PulseSequence("hahn", total_time, (total_time / 2.0,), n_pulses=1)
+    return PulseSequence("hahn", total_time, (total_time / 2.0,))
 
 
 def cpmg_times(n: int, total_time: float) -> list:
@@ -119,12 +108,11 @@ def cpmg_times(n: int, total_time: float) -> list:
 
 
 def cpmg(n: int, total_time: float) -> PulseSequence:
-    return PulseSequence("cpmg", total_time, tuple(cpmg_times(n, total_time)), n_pulses=n)
+    return PulseSequence("cpmg", total_time, tuple(cpmg_times(n, total_time)))
 
 
 def custom(pi_pulse_times, total_time: float) -> PulseSequence:
-    return PulseSequence("custom", total_time, tuple(pi_pulse_times),
-                         n_pulses=len(pi_pulse_times))
+    return PulseSequence("custom", total_time, tuple(pi_pulse_times))
 
 
 def toggling(sequence: PulseSequence) -> TogglingFunction:
@@ -132,13 +120,3 @@ def toggling(sequence: PulseSequence) -> TogglingFunction:
     bp = (0.0,) + tuple(sequence.pi_pulse_times) + (sequence.total_time,)
     signs = tuple((-1) ** i for i in range(len(bp) - 1))
     return TogglingFunction(bp, signs)
-
-
-def echo_times(sequence: PulseSequence) -> list:
-    """Echo instants 2*tau, 4*tau, ..., 2n*tau of a CPMG(n) sequence."""
-    if sequence.kind == "cpmg" or (sequence.kind == "hahn" and sequence.n_pulses == 1):
-        n = sequence.n_pulses
-    else:
-        raise ValueError("echo_times is defined for CPMG (and Hahn) sequences only")
-    tau = sequence.total_time / (2 * n)
-    return [2 * j * tau for j in range(1, n + 1)]

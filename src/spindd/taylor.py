@@ -30,10 +30,6 @@ class SuppressionFactor:
     def magnitude(self) -> Fraction:
         return abs(self.value)
 
-    @property
-    def as_float(self) -> float:
-        return float(self.value)
-
 
 def hahn_factor(k: int) -> Fraction:
     """Hahn-echo suppression magnitude 1 - 2^-k for the order-k channel."""

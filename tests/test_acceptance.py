@@ -24,6 +24,7 @@ from spindd.field import (
     OrnsteinUhlenbeck,
     QuasiStaticGaussian,
     RngSpec,
+    StaticOffset,
     ou_chi,
 )
 from conftest import ou_chi_quadrature, toggled_sine_quadrature
@@ -41,9 +42,8 @@ def _report(capsys, num, name, ok, detail=""):
     assert ok, line
 
 
-def _chi_exponent(family, sigma_b, tau_c, t1=math.inf):
-    _, make, _ = family
-    return lambda T: 0.5 * ou_chi(sq.toggling(make(T)), sigma_b, tau_c) + T / t1
+def _chi_exponent(sequence, sigma_b, tau_c, t1=math.inf):
+    return lambda T: 0.5 * ou_chi(sq.toggling(sequence.scaled(T)), sigma_b, tau_c) + T / t1
 
 
 def _decay_grid(exponent, npts=10):
@@ -87,11 +87,11 @@ def test_criterion_03_quasi_static_gaussian_law(capsys):
     model = FieldModel.of(QuasiStaticGaussian(sigma_b=sigma_b))
     nv = NVParameters(t1=math.inf)
     ts = np.linspace(1e-5, 1.4e-4, 10)
-    fid = evolve.coherence_curve(model, evolve.fid_family(), ts, shots=100_000,
+    fid = evolve.coherence_curve(model, sq.fid(1.0), ts, shots=100_000,
                                  rng=RngSpec(100), nv=nv, apply_t1=False)
     expected = np.exp(-0.5 * (GAMMA_E * sigma_b * ts) ** 2)
     ok = bool(np.all(np.abs(fid.signal - expected) <= 3 * fid.std_error + 1e-12))
-    hahn = evolve.coherence_curve(model, evolve.hahn_family(), ts, shots=100,
+    hahn = evolve.coherence_curve(model, sq.hahn(1.0), ts, shots=100,
                                   rng=RngSpec(100), nv=nv, apply_t1=False)
     ok &= bool(np.all(hahn.signal == 1.0))
     elapsed = time.perf_counter() - t0
@@ -107,7 +107,7 @@ def test_criterion_04_ou_hahn_vs_double_integral(capsys):
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=sigma_b, tau_c=tau_c))
     nv = NVParameters(t1=math.inf)
     taus = np.array([0.1, 0.3, 0.7, 1.3, 2.0, 3.0]) * tau_c
-    curve = evolve.coherence_curve(model, evolve.hahn_family(), 2 * taus,
+    curve = evolve.coherence_curve(model, sq.hahn(1.0), 2 * taus,
                                    shots=100_000, rng=RngSpec(200), nv=nv,
                                    apply_t1=False)
     worst = 0.0
@@ -129,9 +129,9 @@ def test_criterion_05_cpmg_scaling_exponent(capsys):
     ns = [1, 2, 4, 8, 16, 32]
     t2s = []
     for n in ns:
-        fam = evolve.cpmg_family(n)
-        grid = _decay_grid(_chi_exponent(fam, sigma_b, tau_c))
-        curve = evolve.coherence_curve(model, fam, grid, shots=3000,
+        seq = sq.cpmg(n, 1.0)
+        grid = _decay_grid(_chi_exponent(seq, sigma_b, tau_c))
+        curve = evolve.coherence_curve(model, seq, grid, shots=3000,
                                        rng=RngSpec(2024), nv=nv, apply_t1=False)
         t2s.append(fit.fit_decay(curve).params["decay_time"])
     slope = float(np.polyfit(np.log(ns), np.log(t2s), 1)[0])
@@ -145,15 +145,15 @@ def test_criterion_06_t1_ceiling_ordering(capsys):
     model = FieldModel.of(comp)
     nv = NVParameters(t1=BULK_T1)
 
-    hahn_fam = evolve.hahn_family()
-    grid = _decay_grid(_chi_exponent(hahn_fam, BULK_SIGMA, BULK_TAU_C, BULK_T1))
-    hahn = evolve.coherence_curve(model, hahn_fam, grid, shots=20_000,
+    hahn_seq = sq.hahn(1.0)
+    grid = _decay_grid(_chi_exponent(hahn_seq, BULK_SIGMA, BULK_TAU_C, BULK_T1))
+    hahn = evolve.coherence_curve(model, hahn_seq, grid, shots=20_000,
                                   rng=RngSpec(6), nv=nv)
     t2_hahn = fit.fit_decay(hahn).params["decay_time"]
 
-    cpmg_fam = evolve.cpmg_family(90)
-    grid = _decay_grid(_chi_exponent(cpmg_fam, BULK_SIGMA, BULK_TAU_C, BULK_T1))
-    cpmg = evolve.coherence_curve(model, cpmg_fam, grid, shots=3000,
+    cpmg_seq = sq.cpmg(90, 1.0)
+    grid = _decay_grid(_chi_exponent(cpmg_seq, BULK_SIGMA, BULK_TAU_C, BULK_T1))
+    cpmg = evolve.coherence_curve(model, cpmg_seq, grid, shots=3000,
                                   rng=RngSpec(6), nv=nv)
     t2_cpmg = fit.fit_decay(cpmg).params["decay_time"]
 
@@ -174,14 +174,14 @@ def test_criterion_06_t1_ceiling_ordering(capsys):
 def test_criterion_07_nanodiamond_improvement_cap(capsys):
     # short-correlated bath: decoupling barely helps before the T1 ceiling,
     # so the best CPMG T2 stays within 3x of the Hahn T2
-    def t2_of(fam):
-        exponent = _chi_exponent(fam, ND_SIGMA, ND_TAU_C, ND_T1)
+    def t2_of(seq):
+        exponent = _chi_exponent(seq, ND_SIGMA, ND_TAU_C, ND_T1)
         grid = _decay_grid(exponent, npts=14)
         vals = np.exp([-exponent(T) for T in grid])
         return fit.fit_decay((grid, vals)).params["decay_time"]
 
-    t2_hahn = t2_of(evolve.hahn_family())
-    improvements = [t2_of(evolve.cpmg_family(n)) / t2_hahn
+    t2_hahn = t2_of(sq.hahn(1.0))
+    improvements = [t2_of(sq.cpmg(n, 1.0)) / t2_hahn
                     for n in (2, 5, 10, 30, 90)]
     best = max(improvements)
     ok = abs(t2_hahn - 2.1e-6) <= 0.2 * 2.1e-6
@@ -242,10 +242,11 @@ def test_criterion_09_phase_response_closed_forms(capsys):
 
 
 def test_criterion_10_pulse_error_robustness(capsys):
+    noiseless = FieldModel.of(StaticOffset(0.0))
     kw = dict(total_times=[1e-3], shots=100, rng=None,
               nv=NVParameters(t1=math.inf))
-    s_cpmg = evolve.pulse_error_curve(None, 50, 0.05, "cpmg", **kw).signal[0]
-    s_cp = evolve.pulse_error_curve(None, 50, 0.05, "cp", **kw).signal[0]
+    s_cpmg = evolve.pulse_error_curve(noiseless, 50, 0.05, "cpmg", **kw).signal[0]
+    s_cp = evolve.pulse_error_curve(noiseless, 50, 0.05, "cp", **kw).signal[0]
     ok = s_cpmg >= 0.9 and (s_cpmg - s_cp) >= 0.2
     _report(capsys, 10, "flip-angle-error robustness of the CPMG phase", ok,
             f"cpmg {s_cpmg:.3f}, cp {s_cp:.3f}")

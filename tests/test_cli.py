@@ -1,9 +1,12 @@
+import copy
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindd import cli, config as cfgmod
 from spindd.config import ConfigError
@@ -116,8 +119,9 @@ _HUGE_OFFSET = [{"type": "static_offset", "b": "1e300 T"}]
 _MS_TIMES = {"start": "1 ms", "stop": "2 ms", "count": 2}
 
 
-# each of these wrote nan rows to curve.csv and exited 0
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# each of these wrote nan rows to curve.csv and exited 0; numpy's overflow
+# warnings, here errors, must not reach the user before the report
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cfg", [
     _decay_cfg(field=_HUGE_OFFSET, sequence={"kind": "fid"}, times=_MS_TIMES),
     dict(_SPINLOCK, field=_HUGE_OFFSET),
@@ -131,7 +135,9 @@ def test_curve_that_is_not_finite_exits_3(tmp_path, capsys, cfg):
     assert code == cli.EXIT_NUMERICAL
     assert artifacts == []
     assert not (out / "curve.csv").exists() and not (out / "manifest.json").exists()
-    assert "not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "not finite" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # each of these raised a traceback, or ran with the value misread, ignored or
@@ -155,6 +161,12 @@ _MALFORMED = {
     "custom_fractions_not_list": (
         _decay_cfg(sequence={"kind": "custom", "pulse_time_fractions": "x"}),
         "pulse_time_fractions"),
+    "custom_pulse_vanishes_at_a_time": (
+        _decay_cfg(sequence={"kind": "custom", "pulse_time_fractions": [5e-324, 0.5]}),
+        "sequence at t = "),
+    "pulse_error_pulses_collide_at_a_time": (
+        dict(_PULSE_ERROR, times={"start": "1e-323 s", "stop": "1 us", "count": 2}),
+        "times at t = 1e-323 s"),
     "decay_no_times": (_without(_decay_cfg(), "times"), "times"),
     "field_item_not_object": (_decay_cfg(field=[1]), "field"),
     "t1_envelope_string": (_decay_cfg(t1_envelope="false"), "t1_envelope"),
@@ -351,3 +363,82 @@ def test_manifest_records_rng_scheme(tmp_path, cfg):
     assert code == cli.EXIT_OK
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert man["metadata"]["rng_scheme"] == RNG_SCHEME == "philox-chunk4096-v2"
+
+
+# one small valid config per experiment for the property test below; the fit
+# reads the CSV written next to it
+_SMALL_TIMES = {"start": "20 us", "stop": "60 us", "count": 2}
+_SMALL_BASES = [
+    _decay_cfg(shots=100, times=_SMALL_TIMES, t1_envelope=True,
+               sequence={"kind": "custom", "pulse_time_fractions": [0.25, 0.75]}),
+    dict(_SPINLOCK, times=_SMALL_TIMES),
+    dict(_PULSE_ERROR, n_pulses=2, times=_SMALL_TIMES, shots=100),
+    {"experiment": "suppression_table", "n_max": 4, "k_max": 3},
+    _sense_cfg(times={"start": "0.5 s", "stop": "50 s", "count": 4}, sequence_tau="27 us",
+               sequence={"kind": "cpmg", "n_pulses": 2}, envelope="auto"),
+    dict(_FIT, model="exponential", fixed_params={"offset": 0.0}),
+]
+
+# integers stay at most 300 so that a mutation which still validates asks
+# for a small run
+_PROPERTY_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-300, 300)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["1 us", "-5 us", "0 s", "5 nT", "1e300 T", "1e999 s", "40 kHz",
+                       "auto", "hahn", "cpmg", "fid", "custom", "cp", "geometric",
+                       "static_offset", "ornstein_uhlenbeck", "exponential"])
+)
+_PROPERTY_JSON = st.recursive(
+    _PROPERTY_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["kind", "type", "n_pulses"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _containers(node):
+    """Every object and list in a config, the config first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _containers(child)
+
+
+@pytest.fixture(scope="module")
+def fit_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fit_input") / "curve.csv"
+    path.write_text("total_time_s,signal,std_error\n"
+                    + "".join(f"{t}e-4,{0.9 ** t!r},0.01\n" for t in range(1, 7)))
+    return str(path)
+
+
+@pytest.mark.parametrize("base", _SMALL_BASES, ids=lambda b: b["experiment"])
+def test_small_bases_run(fit_csv, tmp_path, base):
+    cfg = dict(base, input_csv=fit_csv) if base["experiment"] == "fit" else base
+    assert cli.run(_write(tmp_path, "cfg.json", cfg), out_dir=str(tmp_path / "out"))[0] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_of_a_mutated_config_exits_with_a_code(fit_csv, tmp_path_factory, data):
+    base = copy.deepcopy(data.draw(st.sampled_from(_SMALL_BASES)))
+    if base["experiment"] == "fit":
+        base["input_csv"] = fit_csv
+    node = data.draw(st.sampled_from(list(_containers(base))))
+    key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    mutation = data.draw(st.sampled_from(
+        ["drop", "replace", "add"] if isinstance(node, dict) else ["drop", "replace"]))
+    if mutation == "drop":
+        del node[key]
+    elif mutation == "replace":
+        node[key] = data.draw(_PROPERTY_JSON)
+    else:
+        new_key = data.draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in node))
+        node[new_key] = data.draw(_PROPERTY_JSON)
+    work = tmp_path_factory.mktemp("mutated")
+    code, _ = cli.run(_write(work, "cfg.json", base), out_dir=str(work / "out"))
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_IO)

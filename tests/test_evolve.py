@@ -41,7 +41,7 @@ def test_quasi_static_hahn_is_exact():
     # balanced toggling function, so the echo is exactly 1 without T1
     model = FieldModel.of(QuasiStaticGaussian(sigma_b=1e-6))
     curve = evolve.coherence_curve(
-        model, evolve.hahn_family(), [1e-4, 3e-4, 1e-3], shots=200,
+        model, sq.hahn(1.0), [1e-4, 3e-4, 1e-3], shots=200,
         rng=RngSpec(7), nv=NV_NO_T1, apply_t1=False,
     )
     assert np.all(curve.signal == 1.0)
@@ -53,7 +53,7 @@ def test_quasi_static_fid_gaussian_law():
     model = FieldModel.of(QuasiStaticGaussian(sigma_b=sigma_b))
     ts = np.array([2e-5, 5e-5, 1e-4])
     curve = evolve.coherence_curve(
-        model, evolve.fid_family(), ts, shots=20000, rng=RngSpec(11),
+        model, sq.fid(1.0), ts, shots=20000, rng=RngSpec(11),
         nv=NV_NO_T1, apply_t1=False,
     )
     expected = np.exp(-0.5 * (GAMMA_E * sigma_b * ts) ** 2)
@@ -66,7 +66,7 @@ def test_ou_hahn_monte_carlo_matches_analytic():
     model = FieldModel.of(comp)
     T = 2e-4
     curve = evolve.coherence_curve(
-        model, evolve.hahn_family(), [T], shots=40000, rng=RngSpec(3),
+        model, sq.hahn(1.0), [T], shots=40000, rng=RngSpec(3),
         nv=NV_NO_T1, apply_t1=False,
     )
     chi = ou_chi(sq.toggling(sq.hahn(T)), comp.sigma_b, comp.tau_c)
@@ -78,7 +78,7 @@ def test_ou_hahn_monte_carlo_matches_analytic():
 def test_ou_coherence_exponent_matches_ou_chi():
     comp = OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=5e-5)
     ts = [1e-4, 4e-4]
-    got = evolve.ou_coherence_exponent(evolve.cpmg_family(4), ts, comp)
+    got = evolve.ou_coherence_exponent(sq.cpmg(4, 1.0), ts, comp)
     want = [0.5 * ou_chi(sq.toggling(sq.cpmg(4, T)), comp.sigma_b, comp.tau_c)
             for T in ts]
     assert got == pytest.approx(want, rel=1e-12)
@@ -101,7 +101,7 @@ def test_polynomial_refocusing_matches_exact_factors():
 def test_signal_bounds_and_metadata():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=5e-7, tau_c=1e-5))
     curve = evolve.coherence_curve(
-        model, evolve.cpmg_family(2), np.linspace(1e-5, 2e-3, 6), shots=300,
+        model, sq.cpmg(2, 1.0), np.linspace(1e-5, 2e-3, 6), shots=300,
         rng=RngSpec(1),
     )
     assert np.all(np.abs(curve.signal) <= 1.0)
@@ -116,9 +116,9 @@ def test_determinism_across_worker_counts():
     for shots, times, workers in ((700, [1e-4, 5e-4], 8),
                                   (2 * evolve.CHUNK + 1, [1e-4, 3e-4, 5e-4], 2)):
         kw = dict(total_times=times, shots=shots, nv=NV_NO_T1, apply_t1=False)
-        a = evolve.coherence_curve(model, evolve.hahn_family(), rng=RngSpec(42),
+        a = evolve.coherence_curve(model, sq.hahn(1.0), rng=RngSpec(42),
                                    n_workers=1, **kw)
-        b = evolve.coherence_curve(model, evolve.hahn_family(), rng=RngSpec(42),
+        b = evolve.coherence_curve(model, sq.hahn(1.0), rng=RngSpec(42),
                                    n_workers=workers, **kw)
         assert np.array_equal(a.signal, b.signal)
         assert np.array_equal(a.std_error, b.std_error)
@@ -129,18 +129,18 @@ def test_std_error_is_centred_when_signal_is_near_one():
     # std_error 20 % low
     model = FieldModel.of(QuasiStaticGaussian(sigma_b=1e-9))
     shots, T = 5000, 1e-6
-    curve = evolve.coherence_curve(model, evolve.fid_family(), [T], shots, RngSpec(1),
+    curve = evolve.coherence_curve(model, sq.fid(1.0), [T], shots, RngSpec(1),
                                    nv=NV_NO_T1, apply_t1=False)
     c = np.cos(signed_phase_batch(model, sq.toggling(sq.fid(T)), RngSpec(1), range(shots)))
     assert curve.signal[0] == pytest.approx(np.mean(c), rel=1e-12)
     assert curve.std_error[0] == pytest.approx(np.std(c) / math.sqrt(shots), rel=1e-6)
 
 
-def _per_time_reference(model, family, times, shots, rng, gamma_e):
+def _per_time_reference(model, make, times, shots, rng, gamma_e):
     """coherence_curve's (signal, std_error) without T1, computed the way it was
     before one draw served the whole grid: every time point draws each
-    trajectory's normals again, through signed_phase_batch."""
-    _, make, _ = family
+    trajectory's normals again, through signed_phase_batch, for the sequence
+    that ``make`` builds at that total time."""
     sig, err = [], []
     for T in times:
         tog = sq.toggling(make(T))
@@ -159,12 +159,12 @@ def _per_time_reference(model, family, times, shots, rng, gamma_e):
 def test_coherence_curve_matches_per_time_draws_bitwise():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5),
                           QuasiStaticGaussian(sigma_b=3e-8), StaticOffset(1e-8))
-    family = evolve.cpmg_family(3)
     times = [1e-4, 3e-4, 6e-4]
     shots = 2 * evolve.CHUNK + 1
-    curve = evolve.coherence_curve(model, family, times, shots, RngSpec(9),
+    curve = evolve.coherence_curve(model, sq.cpmg(3, 1.0), times, shots, RngSpec(9),
                                    nv=NV_NO_T1, apply_t1=False)
-    sig, err = _per_time_reference(model, family, times, shots, RngSpec(9), GAMMA_E)
+    sig, err = _per_time_reference(model, lambda T: sq.cpmg(3, T), times, shots,
+                                   RngSpec(9), GAMMA_E)
     assert np.array_equal(curve.signal, sig)
     assert np.array_equal(curve.std_error, err)
 
@@ -180,11 +180,11 @@ def test_generator_built_once_per_chunk_and_slot(monkeypatch):
     monkeypatch.setattr(RngSpec, "generator", counted)
     # one stochastic slot next to a deterministic one
     model = FieldModel.of(StaticOffset(1e-8), OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5))
-    evolve.coherence_curve(model, evolve.hahn_family(), [1e-4, 2e-4, 3e-4, 4e-4],
+    evolve.coherence_curve(model, sq.hahn(1.0), [1e-4, 2e-4, 3e-4, 4e-4],
                            shots=300, rng=RngSpec(3))
     assert calls == [(0, 1)]
     calls.clear()
-    evolve.coherence_curve(model, evolve.hahn_family(), [1e-4], shots=2 * evolve.CHUNK + 1,
+    evolve.coherence_curve(model, sq.hahn(1.0), [1e-4], shots=2 * evolve.CHUNK + 1,
                            rng=RngSpec(3), n_workers=2)
     assert sorted(calls) == [(0, 1), (1, 1), (2, 1)]
     calls.clear()
@@ -203,17 +203,10 @@ def test_generator_built_once_per_chunk_and_slot(monkeypatch):
     assert calls == [(0, 1), (1, 1), (2, 1)]
 
 
-def test_coherence_curve_rejects_family_with_varying_segment_count():
-    family = ("odd", lambda T: sq.cpmg(1 if T < 2e-4 else 2, T), 1)
-    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5))
-    with pytest.raises(ValueError, match="segment count"):
-        evolve.coherence_curve(model, family, [1e-4, 3e-4], shots=100, rng=RngSpec(0))
-
-
 def test_shots_floor_enforced():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=1e-5))
     with pytest.raises(ValueError):
-        evolve.coherence_curve(model, evolve.hahn_family(), [1e-4], shots=50,
+        evolve.coherence_curve(model, sq.hahn(1.0), [1e-4], shots=50,
                                rng=RngSpec(0))
 
 
@@ -357,7 +350,7 @@ def _reference_pulse_error(model, n, eps, convention, ts, shots, rng, nv=NV_NO_T
 def test_pulse_error_single_echo_oracle(convention):
     for eps in (0.0, 0.03, -0.08):
         curve = evolve.pulse_error_curve(
-            None, 1, eps, convention, [1e-4], shots=100, rng=None,
+            FieldModel.of(StaticOffset(0.0)), 1, eps, convention, [1e-4], shots=100, rng=None,
             nv=NV_NO_T1,
         )
         assert curve.signal[0] == pytest.approx(
@@ -452,9 +445,10 @@ def test_pulse_error_peak_memory_is_flat_past_one_chunk():
 
 def test_pulse_error_cpmg_robust_cp_fragile():
     eps, n = 0.05, 10
-    cpmg = evolve.pulse_error_curve(None, n, eps, "cpmg", [1e-3], shots=100,
+    noiseless = FieldModel.of(StaticOffset(0.0))
+    cpmg = evolve.pulse_error_curve(noiseless, n, eps, "cpmg", [1e-3], shots=100,
                                     rng=None, nv=NV_NO_T1)
-    cp = evolve.pulse_error_curve(None, n, eps, "cp", [1e-3], shots=100,
+    cp = evolve.pulse_error_curve(noiseless, n, eps, "cp", [1e-3], shots=100,
                                   rng=None, nv=NV_NO_T1)
     assert cpmg.signal[0] > 0.99
     # for y-phase pulses the flip-angle errors add coherently: m_x = cos(n pi eps)
@@ -467,13 +461,15 @@ def test_pulse_error_perfect_pulses_match_cpmg():
     ts = [2e-4, 8e-4]
     a = evolve.pulse_error_curve(model, 4, 0.0, "cpmg", ts, shots=500,
                                  rng=RngSpec(13), nv=NV_NO_T1)
-    b = evolve.coherence_curve(model, evolve.cpmg_family(4), ts, shots=500,
+    b = evolve.coherence_curve(model, sq.cpmg(4, 1.0), ts, shots=500,
                                rng=RngSpec(13), nv=NV_NO_T1, apply_t1=False)
     assert a.signal == pytest.approx(b.signal, abs=1e-12)
 
 
 def test_pulse_error_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        evolve.pulse_error_curve(None, 1, 0.6, "cpmg", [1e-4], 100, None)
+        evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), 1, 0.6, "cpmg", [1e-4],
+                                 100, None)
     with pytest.raises(ValueError):
-        evolve.pulse_error_curve(None, 1, 0.1, "xy8", [1e-4], 100, None)
+        evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), 1, 0.1, "xy8", [1e-4],
+                                 100, None)

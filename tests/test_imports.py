@@ -1,11 +1,12 @@
-"""Every name a package module imports is used, and every private top-level
-function or class is referenced: stdlib ``ast`` stand-ins for a linter's
-unused-import and dead-code rules."""
+"""Every name a package module imports is used, and every definition is
+referenced: stdlib ``ast`` stand-ins for a linter's unused-import and
+dead-code rules."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spindd"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "spindd"
 
 
 def _unused_imports(path):
@@ -30,22 +31,50 @@ def test_no_unused_imports_in_package_modules():
     assert unused == {}
 
 
-def test_no_unreferenced_private_definitions():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+def _referenced(paths, strings=False):
+    """Names used as a name or an attribute, and with ``strings`` the dotted
+    parts of string constants."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    dead = {
-        name: orphans
-        for name, tree in trees.items()
-        if (orphans := sorted(
-            node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and node.name not in referenced
-        ))
-    }
-    assert dead == {}
+                names.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    return names
+
+
+def _definitions(path):
+    """(name, qualified name) of each top-level function and class of a
+    module, and of each method of its classes other than a dunder."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name, f"{node.name}.{item.name}"
+
+
+def _unreferenced(private, referenced):
+    dead = {}
+    for path in sorted(SRC.glob("*.py")):
+        orphans = sorted(qual for name, qual in _definitions(path)
+                         if name.startswith("_") == private and name not in referenced)
+        if orphans:
+            dead[path.name] = orphans
+    return dead
+
+
+def test_no_unreferenced_private_definitions():
+    assert _unreferenced(True, _referenced(SRC.glob("*.py"))) == {}
+
+
+def test_no_unreferenced_public_definitions():
+    # public API is kept while the package, its tests or the benchmark use
+    # it; the benchmark's tracer names its targets by string
+    users = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    assert _unreferenced(False, _referenced(users, strings=True)) == {}

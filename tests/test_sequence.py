@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spindd import sequence as sq
+from spindd.config import parse_times
 
 
 def test_cpmg_times_examples():
@@ -51,22 +52,39 @@ def test_cpmg_toggling_has_n_flips_and_zero_area(n):
     assert abs(tog.signed_area()) < 1e-15
 
 
-def test_echo_times():
-    tau = 1.0
-    assert sq.echo_times(sq.cpmg(3, 6 * tau)) == pytest.approx([2.0, 4.0, 6.0])
-    assert sq.echo_times(sq.cpmg(1, 2 * tau)) == pytest.approx([2.0])
-    assert sq.echo_times(sq.cpmg(2, 4e-3)) == pytest.approx([2e-3, 4e-3])
+# the decay, pulse-error and thread-check grids of the benchmark workloads
+_BENCH_GRIDS = [
+    {"start": "0.3 ms", "stop": "6 ms", "count": 12},
+    {"start": "0.06 ms", "stop": "0.86 ms", "count": 10},
+    {"start": "0.1 ms", "stop": "1 ms", "count": 8},
+    {"start": "0.5 ms", "stop": "3 ms", "count": 6},
+]
+# the sense totals 2 n tau: Hahn at tau = 115 us, CPMG-10 at 27 us
+_SENSE_TOTALS = [2 * 1 * 115e-6, 2 * 10 * 27e-6]
+
+
+def test_scaled_pattern_is_the_sequence_built_at_that_time():
+    # config reads a pattern at total time 1 and the runners rescale it; the
+    # rescaled pulses must be the ones each constructor places, bit for bit
+    times = np.concatenate([parse_times(g) for g in _BENCH_GRIDS])
+    times = np.concatenate([times, _SENSE_TOTALS, np.geomspace(1e-9, 10, 11)])
+    fractions = (0.1, 0.25, 1 / 3, 0.7, 0.999)
+    cpmg = {n: sq.cpmg(n, 1.0) for n in list(range(1, 120)) + [256]}
+    for T in times:
+        assert sq.fid(1.0).scaled(T) == sq.fid(T)
+        assert sq.hahn(1.0).scaled(T) == sq.hahn(T)
+        assert sq.custom(fractions, 1.0).scaled(T) == sq.custom([f * T for f in fractions], T)
+        for n, pattern in cpmg.items():
+            assert pattern.scaled(T) == sq.cpmg(n, T), (n, T)
+
+
+def test_scaled_keeps_kind_and_pulse_count():
+    for seq in (sq.fid(2.0), sq.hahn(2.0), sq.cpmg(5, 2.0), sq.custom([0.5, 1.5], 2.0)):
+        again = seq.scaled(3e-4)
+        assert (again.kind, again.n_pulses, again.total_time) == (seq.kind, seq.n_pulses, 3e-4)
+    assert sq.custom([0.5, 1.5], 2.0).scaled(4.0).pi_pulse_times == (1.0, 3.0)
     with pytest.raises(ValueError):
-        sq.echo_times(sq.fid(1.0))
-
-
-def test_sequence_roundtrip_bit_exact():
-    seq = sq.cpmg(7, 3.1e-3)
-    again = sq.PulseSequence.from_dict(seq.to_dict())
-    assert again.pi_pulse_times == seq.pi_pulse_times
-    assert again == seq
-    tog1, tog2 = sq.toggling(seq), sq.toggling(again)
-    assert tog1.breakpoints == tog2.breakpoints
+        sq.hahn(1.0).scaled(0.0)
 
 
 def test_custom_sequence_validation():
