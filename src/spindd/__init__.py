@@ -12,7 +12,7 @@ from .field import (
     Polynomial,
     SinusoidAC,
     RngSpec,
-    signed_phase,
+    phase_map,
 )
 from .sequence import PulseSequence, TogglingFunction, cpmg_times, toggling
 from .taylor import hahn_factor, cpmg_factor, oracle_factor, SuppressionFactor

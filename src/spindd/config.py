@@ -24,7 +24,9 @@ from typing import Optional, Union
 import numpy as np
 
 from . import sequence as sq, units
+from .evolve import PULSE_BLOCK, bloch_steps
 from .field import (
+    CHUNK,
     FieldModel,
     NVParameters,
     OrnsteinUhlenbeck,
@@ -209,10 +211,17 @@ def parse_nv(spec, where="nv") -> NVParameters:
     return _build(where, NVParameters, *_read(_NV_KEYS, spec, where).values())
 
 
+#: the most float64 values a run may hold at once on one thread, 2^30 (8 GiB)
+WORK_BUDGET = 2**30
+# 8-byte words a pulse pattern takes per segment while its phases are mapped:
+# its tuples of Python floats and the arrays of the map (measured 42)
+_PATTERN = 50
+
 _TIMES_KEYS = {
     "start": _key(_SECONDS),
     "stop": _key(_SECONDS),
-    "count": _key(_integer(2)),
+    # the grid and its differences are built while it is read
+    "count": _key(_integer(2, WORK_BUDGET // 2)),
     "spacing": _key(_choice("linear", "geometric"), "linear"),
 }
 
@@ -239,7 +248,8 @@ def _fractions(value, path):
 _SEQ_KEYS = {
     "fid": (sq.fid, {}),
     "hahn": (sq.hahn, {}),
-    "cpmg": (sq.cpmg, {"n_pulses": _key(_integer(1))}),
+    # the pattern is built while it is read
+    "cpmg": (sq.cpmg, {"n_pulses": _key(_integer(1, WORK_BUDGET // _PATTERN))}),
     "custom": (sq.custom, {"pulse_time_fractions": _key(_fractions)}),
 }
 
@@ -274,6 +284,30 @@ _FIXED_PARAM_KEYS = {
 }
 
 
+def _normals(model, n_seg):
+    """Standard normals one trajectory draws over ``n_seg`` segments."""
+    return sum(c.n_normals_base + c.n_normals_per_segment * n_seg
+               for c in model.components if c.n_normals_base > 0)
+
+
+def _within_budget(terms):
+    """A ConfigError if a run would hold more than WORK_BUDGET float64 values
+    at once; ``terms`` maps each key to the values that grow with it, and the
+    message names the key of the largest.  Each term is estimated before
+    anything of that size is built."""
+    total = sum(terms.values())
+    if total > WORK_BUDGET:
+        key = max(terms, key=terms.get)
+        raise ConfigError(f"{key}: this run would hold {total:.3g} float64 values at once, "
+                          f"above the budget of 2^30 (8 GiB)")
+
+
+def _run_terms(shots, times):
+    """What a Monte Carlo run keeps across its chunks: every chunk's shot
+    indices and, per chunk and time, two partial sums."""
+    return {"shots": shots, "times.count": 2 * times.size * math.ceil(shots / CHUNK)}
+
+
 def _scales_to(sequence, times, where):
     """A ConfigError naming ``where`` if the pattern's pulses collide or reach
     an end of the sequence once rescaled to a time of the grid."""
@@ -306,6 +340,15 @@ class DecaySpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
+        # one chunk's normals, phases and their product, the weights of every
+        # time of the grid, and the arrays of one pattern in flight
+        n_seg, n_times = self.sequence.n_pulses + 1, self.times.size
+        rows, normals = min(self.shots, CHUNK), _normals(self.field, n_seg)
+        terms = _run_terms(self.shots, self.times)
+        terms["times.count"] += 2 * rows * n_times
+        key = "sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"
+        terms[key] = (rows + 2 * n_times) * normals + _PATTERN * n_seg
+        _within_budget(terms)
         _scales_to(self.sequence, self.times, "sequence")
 
 
@@ -314,6 +357,17 @@ class SpinlockSpec(_GridSpec):
     rabi_frequency: float = _key(_quantity("hertz", 0.0))  # Hz
     shots: int = _key(_SHOTS, 200)
     t1_envelope: bool = _key(_boolean, True)
+
+    def __post_init__(self):
+        # the normals and phases of every step, then the phases and one
+        # sample interval's rotations (about 20 values a step)
+        with np.errstate(over="ignore"):
+            steps = bloch_steps(self.field, self.times)
+        rows, n_steps = min(self.shots, CHUNK), float(np.sum(steps))
+        terms = _run_terms(self.shots, self.times)
+        terms["times"] = rows * max(_normals(self.field, n_steps) + 3 * n_steps,
+                                    n_steps + 20 * float(np.max(steps)))
+        _within_budget(terms)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -325,6 +379,15 @@ class PulseErrorSpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, False)
 
     def __post_init__(self):
+        # one chunk's normals, one block's phases, cosines and sines, and one
+        # time's segment phases
+        n_seg = self.n_pulses + 1
+        rows = min(self.shots, CHUNK) if self.field.is_stochastic() else 1
+        block = min(PULSE_BLOCK, self.times.size)
+        terms = _run_terms(self.shots, self.times)
+        terms["n_pulses"] = rows * (_normals(self.field, n_seg) + (2 * block + 3) * n_seg)
+        terms["n_pulses"] += _PATTERN * n_seg
+        _within_budget(terms)
         _scales_to(sq.cpmg(self.n_pulses, 1.0), self.times, "times")
 
 

@@ -8,13 +8,16 @@ trajectories are drawn and reduced in chunks of the fixed chunk size of the
 random streams (``field.CHUNK``), in index order, so results are
 bit-identical for any worker count.
 
+The decay takes a chunk's phases at every time of the grid from one matrix
+product per stochastic slot, with the linear map of ``field.phase_map``.
+
 Spin locking propagates m with one exact rotation kernel: over an interval of
 constant Omega, dm/dt = m x Omega is a rotation, so no integrator error
 enters.  Finite-error pulse trains build no matrix per segment: free
 precession only turns (m_x, m_y) by the segment phase, and the one pulse
 matrix acts between segments, over blocks of a few time points.  Both take
-their field phases from ``segment_phases``, the exact sampler of the decay
-curves.
+their per-segment field phases from ``segment_phases``, the exact forward
+sampler.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .field import (
     RngSpec,
     draw_normals,
     ou_chi,
+    phase_map,
     segment_phases,
 )
 
@@ -182,7 +186,13 @@ def coherence_curve(
     total_times = np.asarray(total_times, dtype=float)
     if total_times.size == 0:
         raise ValueError("empty time grid")
-    togs = [sq.toggling(sequence.scaled(T)) for T in total_times]
+    # an overflow ends as a curve that is not finite, which the driver reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        consts, slot_weights = zip(*[phase_map(model, sq.toggling(sequence.scaled(T)),
+                                               nv.gamma_e) for T in total_times])
+    const = np.array(consts)[:, None]
+    # per stochastic slot, one weight row per time of the grid
+    weights = [None if w[0] is None else np.array(w) for w in zip(*slot_weights)]
     n = sequence.n_pulses
 
     def observe(idx):
@@ -190,9 +200,11 @@ def coherence_curve(
         # and count is the same at every time, so one draw serves the grid;
         # idx is one whole chunk, so one stream per slot
         draws = draw_normals(model, n + 1, rng, idx)
-        for tog in togs:
-            ph = segment_phases(model, tog, rng, idx, nv.gamma_e, draws=draws)
-            yield np.cos(ph @ np.asarray(tog.signs, dtype=float))
+        ph = np.repeat(const, idx.size, axis=1)
+        for d, w in zip(draws, weights):
+            if d is not None:
+                ph += w @ d.T
+        yield from np.cos(ph, out=ph)
 
     label = f"cpmg-{n}" if sequence.kind == "cpmg" else sequence.kind
     return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, n,
@@ -245,6 +257,17 @@ def _rotate(r, m):
     return (r @ m[..., None])[..., 0]
 
 
+def bloch_steps(model: FieldModel, sample_times) -> np.ndarray:
+    """The number of spin-lock steps before each sample time, as floats: no
+    step is longer than t_max/200 or tau_c/20 of any OU component."""
+    sample_times = np.asarray(sample_times, dtype=float)
+    h_cap = min(
+        [sample_times[-1] / 200.0]
+        + [c.tau_c / 20.0 for c in model.components if isinstance(c, OrnsteinUhlenbeck)]
+    )
+    return np.maximum(1.0, np.ceil(np.diff(sample_times, prepend=0.0) / h_cap))
+
+
 def _bloch_run(model, omega1, sample_times, idx, rng, gamma_e, m0):
     """Evolve dm/dt = m x Omega(t), Omega = (omega1, 0, gamma_e B(t)), for
     trajectories ``idx`` with the exact rotation of each step.
@@ -256,15 +279,10 @@ def _bloch_run(model, omega1, sample_times, idx, rng, gamma_e, m0):
     (n_samples, n_traj, 3).
     """
     sample_times = np.asarray(sample_times, dtype=float)
-    h_cap = min(
-        [sample_times[-1] / 200.0]
-        + [c.tau_c / 20.0 for c in model.components if isinstance(c, OrnsteinUhlenbeck)]
-    )
-
     # a step grid hitting every sample time exactly, nsub[k] steps before
     # sample k
     knots = np.concatenate([[0.0], sample_times])
-    nsub = np.maximum(1, np.ceil(np.diff(knots) / h_cap).astype(int))
+    nsub = bloch_steps(model, sample_times).astype(int)
     grid = np.concatenate(
         [[0.0]] + [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(knots[:-1], knots[1:], nsub)]
     )
@@ -320,7 +338,7 @@ def spin_lock_curve(
 # Finite-error pulses (in-plane turns between fixed pulse rotations)
 # ---------------------------------------------------------------------------
 
-_BLOCK = 4  # time points per pulse-error block: vectorized, with bounded memory
+PULSE_BLOCK = 4  # time points per pulse-error block: vectorized, with bounded memory
 
 
 def pulse_error_curve(
@@ -355,8 +373,8 @@ def pulse_error_curve(
 
     def observe(idx):
         draws = draw_normals(model, n + 1, rng, idx)
-        for start in range(0, total_times.size, _BLOCK):
-            ts = total_times[start:start + _BLOCK]
+        for start in range(0, total_times.size, PULSE_BLOCK):
+            ts = total_times[start:start + PULSE_BLOCK]
             # segment-major: each segment's (block, trajectories) slice is contiguous
             ph = np.empty((n + 1, ts.size, idx.size))
             for j, T in enumerate(ts):

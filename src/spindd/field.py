@@ -81,40 +81,27 @@ class RngSpec:
 # ---------------------------------------------------------------------------
 # OU coefficients for segments short against tau_c
 #
-# The closed forms in x = L/tau_c cancel O(1) terms down to O(x^2) or O(x^3);
-# below _SERIES_BELOW they are summed as Taylor series instead (Higham,
+# The closed form of c2^2 in x = L/tau_c cancels O(1) terms down to O(x^3);
+# below _SERIES_BELOW it is summed as a Taylor series instead (Higham,
 # Accuracy and Stability of Numerical Algorithms, ch. 1).
 # ---------------------------------------------------------------------------
 
 _SERIES_BELOW = 0.1
 _SERIES_TERMS = 12
-# g(x) = x - 1 + e^-x = sum_{n>=2} (-1)^n x^n / n!
-_G_COEFS = tuple((-1) ** n / math.factorial(n) for n in range(2, 2 + _SERIES_TERMS))
 # 2x (1 + e^-x) - 4 (1 - e^-x) = sum_{n>=3} (-1)^(n+1) (2n - 4) x^n / n!
 _C2_COEFS = tuple(
     (-1) ** (n + 1) * (2 * n - 4) / math.factorial(n) for n in range(3, 3 + _SERIES_TERMS)
 )
 
 
-def _power_series(x, coefs, first):
-    """sum_i coefs[i] x^(first + i) by Horner's rule."""
-    acc = np.zeros_like(x)
-    for c in reversed(coefs):
-        acc = acc * x + c
-    return acc * x**first
-
-
-def _ou_g(x):
-    """g(x) = x - 1 + exp(-x) for x >= 0, to a few ulps."""
-    xs = np.minimum(x, _SERIES_BELOW)
-    return np.where(x < _SERIES_BELOW, _power_series(xs, _G_COEFS, 2), x + np.expm1(-x))
-
-
 def _ou_c2_sq(x):
     """2x - 4 tanh(x/2) for x >= 0: the OU segment integral's variance left
     after its covariance with the end value, in units of (sigma tau_c)^2."""
     xs = np.minimum(x, _SERIES_BELOW)
-    small = _power_series(xs, _C2_COEFS, 3) / (1.0 + np.exp(-xs))
+    small = np.zeros_like(xs)  # the series by Horner's rule
+    for c in reversed(_C2_COEFS):
+        small = small * xs + c
+    small = small * xs**3 / (1.0 + np.exp(-xs))
     return np.where(x < _SERIES_BELOW, small, 2.0 * x - 4.0 * np.tanh(0.5 * x))
 
 
@@ -125,7 +112,9 @@ def _ou_c2_sq(x):
 # normals per trajectory (none when n_normals_base is 0), and
 # segment_integrals(a, b, draws) returns its exact int_a^b B dt over the
 # segments [a, b] from them: shape (n_seg,) when it draws nothing (draws is
-# None), (n_traj, n_seg) otherwise.
+# None), (n_traj, n_seg) otherwise.  A component that draws also has
+# phase_weights(a, b, signs), the weights w with
+# segment_integrals(a, b, draws) @ signs = draws @ w.
 # ---------------------------------------------------------------------------
 
 
@@ -159,6 +148,9 @@ class QuasiStaticGaussian:
     def segment_integrals(self, a, b, draws):
         return self.sigma_b * draws[:, :1] * (b - a)[None, :]
 
+    def phase_weights(self, a, b, signs):
+        return np.array([self.sigma_b * np.sum(signs * (b - a))])
+
     def to_dict(self):
         return {"type": "quasi_static_gaussian", "sigma_b_T": self.sigma_b}
 
@@ -179,14 +171,15 @@ class OrnsteinUhlenbeck:
         if self.tau_c <= 0:
             raise ValueError("tau_c must be positive")
 
-    def segment_integrals(self, a, b, draws):
-        """Exact joint (X, int X dt) update, segment by segment.
+    def _coefficients(self, a, b):
+        """(e, m, c1, c2, sx) of the exact joint (X, int X dt) update over each
+        segment [a, b].
 
         Given X at the segment start, the end value and the segment integral
         are jointly Gaussian:
             X'           = e X      + sx * xi1
-            int X dt     = m(X)     + c1 * xi1 + c2 * xi2
-        with x = L/tau_c, e = exp(-x), m(X) = X tau_c (1 - e),
+            int X dt     = m X      + c1 * xi1 + c2 * xi2
+        with x = L/tau_c, e = exp(-x), m = tau_c (1 - e),
         Var[int] = s^2 tau_c^2 (2x - 3 + 4e - e^2),
         Cov[X', int] = s^2 tau_c (1 - e)^2, so that c1 = Cov/sx and
         c2^2 = Var[int] - c1^2 = s^2 tau_c^2 (2x - 4 tanh(x/2)).  1 - e and
@@ -195,22 +188,40 @@ class OrnsteinUhlenbeck:
         """
         s, tc = self.sigma_b, self.tau_c
         x = (b - a) / tc
-        e = np.exp(-x)
         one_m_e = -np.expm1(-x)
         one_m_e2 = -np.expm1(-2.0 * x)
         sx = s * np.sqrt(one_m_e2)
         with np.errstate(divide="ignore", invalid="ignore"):
             c1 = np.where(one_m_e2 > 0, s * tc * one_m_e**2 / np.sqrt(one_m_e2), 0.0)
         c2 = s * tc * np.sqrt(_ou_c2_sq(x))
-        mean_coef = tc * one_m_e
-        out = np.empty((draws.shape[0], x.size))
-        field = s * draws[:, 0]  # stationary start
-        for i in range(x.size):
+        return np.exp(-x), tc * one_m_e, c1, c2, sx
+
+    def segment_integrals(self, a, b, draws):
+        e, m, c1, c2, sx = self._coefficients(a, b)
+        out = np.empty((draws.shape[0], e.size))
+        field = self.sigma_b * draws[:, 0]  # stationary start
+        for i in range(e.size):
             xi1 = draws[:, 1 + 2 * i]
             xi2 = draws[:, 2 + 2 * i]
-            out[:, i] = field * mean_coef[i] + c1[i] * xi1 + c2[i] * xi2
+            out[:, i] = field * m[i] + c1[i] * xi1 + c2[i] * xi2
             field = field * e[i] + sx[i] * xi1
         return out
+
+    def phase_weights(self, a, b, signs):
+        """The adjoint of ``segment_integrals``: sum_i signs_i int_i X dt is
+        xi0 s A_0 + sum_i xi1_i (signs_i c1_i + sx_i A_{i+1}) + xi2_i signs_i c2_i,
+        where A_i = signs_i m_i + e_i A_{i+1} (A_n = 0) is that sum's
+        derivative by the X entering segment i."""
+        e, m, c1, c2, sx = (v.tolist() for v in self._coefficients(a, b))
+        s = signs.tolist()
+        w = np.empty(1 + 2 * len(e))
+        w[2::2] = np.multiply(s, c2)
+        acc = 0.0
+        for i in reversed(range(len(e))):
+            w[1 + 2 * i] = s[i] * c1[i] + sx[i] * acc
+            acc = s[i] * m[i] + e[i] * acc
+        w[0] = self.sigma_b * acc
+        return w
 
     def to_dict(self):
         return {"type": "ornstein_uhlenbeck", "sigma_b_T": self.sigma_b, "tau_c_s": self.tau_c}
@@ -316,8 +327,8 @@ class FieldModel:
 
 def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices) -> list:
     """Each component slot's standard normals for trajectories ``indices`` over
-    ``n_seg`` segments: shape (n_traj, count) per stochastic slot, stored
-    column-contiguous, None for a deterministic one.
+    ``n_seg`` segments: shape (n_traj, count) per stochastic slot, None for a
+    deterministic one.
 
     Trajectory idx = c * CHUNK + r takes row r of the Philox stream
     (master_seed, c, slot) read as a row-major (rows, count) array, so its
@@ -344,8 +355,6 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices)
                 draws = rng.generator(int(chunks[0]), slot).standard_normal(
                     (indices.size, count))
             else:
-                # gathered row by row, then transposed once: a fancy-indexed
-                # write into a column-major array is several times slower
                 draws = np.empty((indices.size, count))
                 # the chunks present; np.unique would import numpy.ma, about
                 # 0.9 MB of resident memory
@@ -354,7 +363,6 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices)
                     block = rng.generator(c, slot).standard_normal(
                         (int(rows[mine].max()) + 1, count))
                     draws[mine] = block[rows[mine]]
-            draws = np.asfortranarray(draws)
         out.append(draws)
     return out
 
@@ -386,28 +394,23 @@ def segment_phases(
     return gamma_e * out
 
 
-def signed_phase_batch(
-    model: FieldModel,
-    tog: TogglingFunction,
-    rng: Optional[RngSpec],
-    indices,
-    gamma_e: float = GAMMA_E,
-) -> np.ndarray:
-    """Accumulated phases gamma_e * int s(t) B(t) dt for many trajectories."""
-    phases = segment_phases(model, tog, rng, indices, gamma_e)
+def phase_map(model: FieldModel, tog: TogglingFunction, gamma_e: float = GAMMA_E):
+    """A trajectory's signed phase gamma_e * int s(t) B(t) dt as a linear map
+    of its normals ``draws`` (from ``draw_normals``): (c, weights) with phase
+    c + sum_slot draws[slot] @ weights[slot].  The deterministic components
+    make up c; their weights, like their draws, are None."""
+    bp = np.asarray(tog.breakpoints)
+    a, b = bp[:-1], bp[1:]
     signs = np.asarray(tog.signs, dtype=float)
-    return phases @ signs
-
-
-def signed_phase(
-    model: FieldModel,
-    tog: TogglingFunction,
-    rng: Optional[RngSpec] = None,
-    index: int = 0,
-    gamma_e: float = GAMMA_E,
-) -> float:
-    """Accumulated phase of one trajectory against the toggling function."""
-    return float(signed_phase_batch(model, tog, rng, [index], gamma_e)[0])
+    det = np.zeros(a.size)
+    weights = []
+    for comp in model.components:
+        if comp.n_normals_base > 0:
+            weights.append(gamma_e * comp.phase_weights(a, b, signs))
+        else:
+            det += comp.segment_integrals(a, b, None)
+            weights.append(None)
+    return float(np.sum(gamma_e * det * signs)), weights
 
 
 # ---------------------------------------------------------------------------
@@ -420,25 +423,10 @@ def ou_chi(
 ) -> float:
     """Variance of the signed OU phase: chi = g^2 s^2 intint s s' e^{-|t-t'|/tc}.
 
-    Closed-form double sum over toggling segment pairs; the Gaussian coherence
-    is exp(-chi/2).  Serves as the deterministic counterpart of the Monte
-    Carlo path (and of the brute-force quadrature oracle used in tests).
+    The phase is linear in independent standard normals, so chi is the sum of
+    its squared weights (``phase_map``), with nothing to cancel; the Gaussian
+    coherence is exp(-chi/2).  Serves as the deterministic counterpart of the
+    Monte Carlo path (and of the quadrature oracles used in tests).
     """
-    bp = np.asarray(tog.breakpoints)
-    signs = np.asarray(tog.signs, dtype=float)
-    starts, ends = bp[:-1], bp[1:]
-    lengths = ends - starts
-    tc = tau_c
-    # diagonal: int_0^L int_0^L e^{-|u-v|/tc} = 2 tc L - 2 tc^2 (1 - e^{-L/tc})
-    # = 2 tc^2 g(L/tc)
-    diag = 2 * tc**2 * _ou_g(lengths / tc)
-    total = float(np.sum(signs**2 * diag))
-    # off-diagonal i<j with gap g = starts[j] - ends[i]:
-    # tc^2 (1 - e^{-Li/tc})(1 - e^{-Lj/tc}) e^{-g/tc}
-    f = -np.expm1(-lengths / tc)
-    for i in range(lengths.size - 1):
-        g = starts[i + 1:] - ends[i]
-        total += 2.0 * signs[i] * float(
-            np.sum(signs[i + 1:] * tc**2 * f[i] * f[i + 1:] * np.exp(-g / tc))
-        )
-    return gamma_e**2 * sigma_b**2 * total
+    _, (w,) = phase_map(FieldModel.of(OrnsteinUhlenbeck(sigma_b, tau_c)), tog, gamma_e)
+    return float(np.sum(w * w))

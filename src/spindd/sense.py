@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import sequence as sq
-from .field import FieldModel, NVParameters, RngSpec, SinusoidAC, signed_phase
+from .field import FieldModel, NVParameters, RngSpec, SinusoidAC, phase_map
 from .fit import DecayFit, fit_power_law
 
 #: laser polarization/readout dead time added to every shot, seconds
@@ -104,8 +104,7 @@ def phase_response(
     Closed form; for the matched field this is 4 gamma b tau / pi (Hahn) and
     4 n gamma b tau / pi (CPMG-n).
     """
-    tog = sq.toggling(sequence)
-    return signed_phase(FieldModel.of(ac), tog, gamma_e=nv.gamma_e)
+    return phase_map(FieldModel.of(ac), sq.toggling(sequence), nv.gamma_e)[0]
 
 
 def simulate_readout(

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,30 @@ def ou_chi_quadrature(tog: TogglingFunction, sigma_b: float, tau_c: float,
                 )
             total += s1 * s2 * val
     return gamma_e**2 * sigma_b**2 * total
+
+
+def ou_chi_double_sum(tog: TogglingFunction, sigma_b: float, tau_c: float,
+                      gamma_e: float = GAMMA_E) -> float:
+    """The OU phase variance as a closed-form double sum over toggling
+    segment pairs, evaluated to 50 digits.
+
+    Segment i alone gives int_0^L int_0^L e^{-|u-v|/tc} = 2 tc L - 2 tc^2 f_i
+    with f_i = 1 - e^{-L_i/tc}; a pair i < j with gap g between them gives
+    tc^2 f_i f_j e^{-g/tc} twice.  The signed terms cancel to O(T/tau_c) of
+    their size, which 50 digits hold; independent of the weights ou_chi sums.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        bp = [Decimal(float(t)) for t in tog.breakpoints]
+        tc = Decimal(tau_c)
+        f = [1 - (-(b - a) / tc).exp() for a, b in zip(bp[:-1], bp[1:])]
+        total = Decimal(0)
+        for i, si in enumerate(tog.signs):
+            total += 2 * tc * (bp[i + 1] - bp[i]) - 2 * tc * tc * f[i]
+            for j in range(i + 1, len(f)):
+                total += 2 * si * tog.signs[j] * tc * tc * f[i] * f[j] * (
+                    -(bp[j] - bp[i + 1]) / tc).exp()
+        return float(total * (Decimal(gamma_e) * Decimal(sigma_b)) ** 2)
 
 
 def toggled_sine_quadrature(tog: TogglingFunction, amplitude, frequency, phi0,

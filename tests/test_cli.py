@@ -1,6 +1,10 @@
 import copy
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -442,3 +446,30 @@ def test_run_of_a_mutated_config_exits_with_a_code(fit_csv, tmp_path_factory, da
     work = tmp_path_factory.mktemp("mutated")
     code, _ = cli.run(_write(work, "cfg.json", base), out_dir=str(work / "out"))
     assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_IO)
+
+
+def test_decay_bytes_do_not_depend_on_worker_or_blas_threads(tmp_path):
+    # the decay maps each chunk's normals to its phases with one matrix
+    # product per slot; neither the worker count nor BLAS's own threads may
+    # change a byte.  BLAS reads its thread count once, so each run is a
+    # process of its own
+    cfg = _decay_cfg(field=[{"type": "ornstein_uhlenbeck", "sigma_b": "59.22345 nT",
+                             "tau_c": "25 us"},
+                            {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
+                            {"type": "static_offset", "b": "1 nT"}],
+                     sequence={"kind": "cpmg", "n_pulses": 90},
+                     times={"start": "0.3 ms", "stop": "6 ms", "count": 12},
+                     shots=2 * 4096 + 1)
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    curves = {}
+    for blas in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for workers in (1, 2):
+            out = tmp_path / f"blas{blas}_workers{workers}"
+            subprocess.run([sys.executable, "-m", "spindd.cli", "decay", "--config", cfg_path,
+                            "--out", str(out), "--threads", str(workers)],
+                           env=env, check=True, capture_output=True)
+            curves[blas, workers] = (out / "curve.csv").read_bytes()
+    assert len(set(curves.values())) == 1

@@ -133,3 +133,57 @@ def test_readme_config_table_lists_every_declared_key():
         for f in dataclasses.fields(cls)
     }
     assert documented == declared
+
+
+_SHORT = {"start": "50 us", "stop": "500 us", "count": 4}
+_DECAY = {"experiment": "decay", "preset": "bulk_cvd", "times": _SHORT,
+          "sequence": {"kind": "cpmg", "n_pulses": 90}}
+_SPINLOCK = {"experiment": "spinlock", "preset": "nanodiamond", "rabi_frequency": "40 kHz",
+             "shots": 200, "times": _SHORT}
+_PULSE_ERROR = {"experiment": "pulse_error", "preset": "bulk_cvd", "n_pulses": 4,
+                "times": _SHORT}
+
+# each of these asks a run to hold more than the work budget: a traceback or
+# an out-of-memory kill when run, so they are only validated here
+_OVER_BUDGET = {
+    # 2n + 3 normals x 4096 rows a chunk
+    "decay_n_pulses": (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**6}),
+                       "sequence.n_pulses"),
+    # past what one pattern can hold: refused before it is built
+    "decay_n_pulses_pattern": (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**9}),
+                               "sequence.n_pulses"),
+    "decay_custom_pattern": (
+        dict(_DECAY, sequence={"kind": "custom",
+                               "pulse_time_fractions": [i / 200_001 for i in range(1, 200_001)]}),
+        "sequence"),
+    "decay_shots": (dict(_DECAY, shots=10**12), "shots"),
+    "decay_times_count": (dict(_DECAY, times=dict(_SHORT, count=10**7)), "times.count"),
+    "decay_times_count_grid": (dict(_DECAY, times=dict(_SHORT, count=10**12)), "times.count"),
+    # steps of tau_c/20 = 1 ns to 5 ms
+    "spinlock_steps": (dict(_SPINLOCK, times=dict(_SHORT, stop="5 ms")), "times"),
+    "spinlock_steps_overflow": (dict(_SPINLOCK, times=dict(_SHORT, stop="1e300 s")), "times"),
+    "spinlock_shots": (dict(_SPINLOCK, preset="bulk_cvd", shots=10**10), "shots"),
+    "pulse_error_n_pulses": (dict(_PULSE_ERROR, n_pulses=10**6), "n_pulses"),
+    "pulse_error_shots": (dict(_PULSE_ERROR, shots=10**12), "shots"),
+    "sense_n_pulses": (
+        {"experiment": "sense", "preset": "bulk_cvd", "sequence": {"kind": "cpmg", "n_pulses": 10**8},
+         "times": {"start": "0.5 s", "stop": "500 s", "count": 8}},
+        "sequence.n_pulses"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg, key", list(_OVER_BUDGET.values()), ids=list(_OVER_BUDGET))
+def test_work_over_the_budget_is_refused_naming_the_field(cfg, key):
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.validate(cfg)
+    assert str(exc.value).startswith(f"{key}:") or str(exc.value).startswith(f"{key} must")
+
+
+def test_work_within_the_budget_is_valid():
+    # the same configs one step smaller
+    for cfg in (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**4}),
+                dict(_DECAY, shots=10**8),
+                dict(_SPINLOCK, times=dict(_SHORT, stop="600 us")),
+                dict(_PULSE_ERROR, n_pulses=10**4)):
+        assert dataclasses.is_dataclass(cfgmod.validate(cfg)["spec"])

@@ -17,9 +17,8 @@ from spindd.field import (
     SinusoidAC,
     StaticOffset,
     ou_chi,
+    phase_map,
     segment_phases,
-    signed_phase,
-    signed_phase_batch,
 )
 
 NV_NO_T1 = NVParameters(t1=math.inf)
@@ -91,9 +90,9 @@ def test_polynomial_refocusing_matches_exact_factors():
     for k in (1, 2, 3, 4):
         comp = Polynomial(coefficients=[0.0] * k + [1e-3 / T**k])
         model = FieldModel.of(comp)
-        free = signed_phase(model, sq.toggling(sq.fid(T)), None)
+        free = phase_map(model, sq.toggling(sq.fid(T)))[0]
         for n in (1, 2, 3, 8):
-            phi = signed_phase(model, sq.toggling(sq.cpmg(n, T)), None)
+            phi = phase_map(model, sq.toggling(sq.cpmg(n, T)))[0]
             factor = float(taylor.cpmg_factor(n, k))
             assert phi / free == pytest.approx(factor, abs=1e-10)
 
@@ -131,23 +130,29 @@ def test_std_error_is_centred_when_signal_is_near_one():
     shots, T = 5000, 1e-6
     curve = evolve.coherence_curve(model, sq.fid(1.0), [T], shots, RngSpec(1),
                                    nv=NV_NO_T1, apply_t1=False)
-    c = np.cos(signed_phase_batch(model, sq.toggling(sq.fid(T)), RngSpec(1), range(shots)))
+    c = np.cos(_signed_phases(model, sq.toggling(sq.fid(T)), RngSpec(1), range(shots)))
     assert curve.signal[0] == pytest.approx(np.mean(c), rel=1e-12)
     assert curve.std_error[0] == pytest.approx(np.std(c) / math.sqrt(shots), rel=1e-6)
 
 
+def _signed_phases(model, tog, rng, indices, gamma_e=GAMMA_E):
+    """Signed phases summed from the forward sampler's segment phases."""
+    return segment_phases(model, tog, rng, indices, gamma_e) @ np.asarray(tog.signs, dtype=float)
+
+
 def _per_time_reference(model, make, times, shots, rng, gamma_e):
     """coherence_curve's (signal, std_error) without T1, computed the way it was
-    before one draw served the whole grid: every time point draws each
-    trajectory's normals again, through signed_phase_batch, for the sequence
-    that ``make`` builds at that total time."""
+    before one draw and one linear map served the whole grid: every time
+    point draws each trajectory's normals again and sums the forward
+    sampler's segment phases, for the sequence that ``make`` builds at that
+    total time."""
     sig, err = [], []
     for T in times:
         tog = sq.toggling(make(T))
         sizes, partials = [], []
         for start in range(0, shots, evolve.CHUNK):
             idx = np.arange(start, min(start + evolve.CHUNK, shots))
-            c = np.cos(signed_phase_batch(model, tog, rng, idx, gamma_e))
+            c = np.cos(_signed_phases(model, tog, rng, idx, gamma_e))
             sizes.append(idx.size)
             partials.append((np.sum(c), np.sum((c - np.sum(c) / c.size) ** 2)))
         mean, se = evolve._mean_and_error(sizes, partials)
@@ -156,7 +161,7 @@ def _per_time_reference(model, make, times, shots, rng, gamma_e):
     return np.array(sig), np.array(err)
 
 
-def test_coherence_curve_matches_per_time_draws_bitwise():
+def test_coherence_curve_matches_per_time_draws():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5),
                           QuasiStaticGaussian(sigma_b=3e-8), StaticOffset(1e-8))
     times = [1e-4, 3e-4, 6e-4]
@@ -165,8 +170,10 @@ def test_coherence_curve_matches_per_time_draws_bitwise():
                                    nv=NV_NO_T1, apply_t1=False)
     sig, err = _per_time_reference(model, lambda T: sq.cpmg(3, T), times, shots,
                                    RngSpec(9), GAMMA_E)
-    assert np.array_equal(curve.signal, sig)
-    assert np.array_equal(curve.std_error, err)
+    # the linear map rounds each phase differently from the forward sum
+    # (measured 8.8e-18 in the signal, 1.1e-16 relative in the standard error)
+    assert np.max(np.abs(curve.signal - sig)) <= 1e-15
+    assert np.max(np.abs(curve.std_error / err - 1.0)) <= 1e-12
 
 
 def test_generator_built_once_per_chunk_and_slot(monkeypatch):

@@ -17,15 +17,26 @@ from spindd.field import (
     RngSpec,
     SinusoidAC,
     StaticOffset,
-    _ou_g,
     draw_normals,
     ou_chi,
+    phase_map,
     segment_phases,
-    signed_phase,
-    signed_phase_batch,
 )
 
 RNG = RngSpec(20240817)
+
+
+def _forward(model, tog, indices):
+    """Signed phases of trajectories ``indices`` summed from the forward
+    sampler's segment phases."""
+    return segment_phases(model, tog, RNG, indices) @ np.asarray(tog.signs, dtype=float)
+
+
+def _mapped(model, tog, indices):
+    """Signed phases of trajectories ``indices`` through ``phase_map``."""
+    c, weights = phase_map(model, tog)
+    draws = draw_normals(model, len(tog.signs), RNG, indices)
+    return c + sum(d @ w for d, w in zip(draws, weights) if d is not None)
 
 
 def test_trajectory_deterministic_per_index():
@@ -84,7 +95,7 @@ def test_whole_chunk_draw_matches_the_row_gather(first, n):
     assert [a is None for a in whole] == [False, True, False]
     for a, b in zip(whole, gathered):
         if a is not None:
-            assert a.flags.f_contiguous
+            assert a.flags.c_contiguous
             assert a.tobytes() == b[::-1].tobytes()
 
 
@@ -93,7 +104,7 @@ def test_whole_chunk_draw_matches_the_row_gather(first, n):
 
 def test_static_term_fully_refocused_by_hahn():
     m = FieldModel.of(Polynomial((3.7e-9,)))
-    assert signed_phase(m, sq.toggling(sq.hahn(2.0))) == 0.0
+    assert phase_map(m, sq.toggling(sq.hahn(2.0))) == (0.0, [None])
 
 
 def test_linear_term_hahn_matches_closed_form_and_eq3_ratio():
@@ -101,9 +112,9 @@ def test_linear_term_hahn_matches_closed_form_and_eq3_ratio():
     tau = 0.37
     tog = sq.toggling(sq.hahn(2 * tau))
     m = FieldModel.of(Polynomial((0.0, a1)))
-    got = signed_phase(m, tog)
+    got = phase_map(m, tog)[0]
     assert got == pytest.approx(-GAMMA_E * a1 * tau**2, rel=1e-12)
-    fid_phase = signed_phase(m, sq.toggling(sq.fid(2 * tau)))
+    fid_phase = phase_map(m, sq.toggling(sq.fid(2 * tau)))[0]
     assert abs(got / fid_phase) == pytest.approx(0.5, rel=1e-12)
 
 
@@ -111,7 +122,7 @@ def test_resonant_ac_hahn_phase():
     tau = 1e-3
     b = 1e-9
     m = FieldModel.of(SinusoidAC(b, 1 / (2 * tau), 0.0))
-    got = signed_phase(m, sq.toggling(sq.hahn(2 * tau)))
+    got = phase_map(m, sq.toggling(sq.hahn(2 * tau)))[0]
     assert got == pytest.approx(4 * GAMMA_E * b * tau / math.pi, rel=1e-12)
 
 
@@ -119,10 +130,11 @@ def test_quasistatic_is_draw_times_signed_lengths():
     sigma = 2e-9
     m = FieldModel.of(QuasiStaticGaussian(sigma))
     tog = sq.toggling(sq.fid(1e-3))
-    ph = signed_phase(m, tog, RNG, 11)
     # trajectory 11 is row 11 of chunk 0's stream, one normal per row
     draw = RNG.generator(0, 0).standard_normal((12, 1))[11, 0]
-    assert ph == pytest.approx(GAMMA_E * sigma * draw * 1e-3, rel=1e-12)
+    for phase in (_forward, _mapped):
+        ph = phase(m, tog, [11])[0]
+        assert ph == pytest.approx(GAMMA_E * sigma * draw * 1e-3, rel=1e-12)
 
 
 def test_zero_area_toggling_annihilates_static_offset():
@@ -130,9 +142,9 @@ def test_zero_area_toggling_annihilates_static_offset():
     for times in ([0.5], [0.25, 0.75], [0.2, 0.5, 0.7, 1.0 - 1e-9]):
         tog = sq.toggling(sq.custom(list(times), 1.0))
         if abs(tog.signed_area()) < 1e-15:
-            assert signed_phase(m, tog) == pytest.approx(0.0, abs=1e-20)
+            assert phase_map(m, tog)[0] == pytest.approx(0.0, abs=1e-20)
     # Hahn is exactly zero, not just approximately
-    assert signed_phase(m, sq.toggling(sq.hahn(1.0))) == 0.0
+    assert phase_map(m, sq.toggling(sq.hahn(1.0)))[0] == 0.0
 
 
 def test_phase_linearity_over_components():
@@ -143,13 +155,32 @@ def test_phase_linearity_over_components():
     # single-component model, so it sees the same substream
     ou = OrnsteinUhlenbeck(1e-7, 1e-4)
     combo = FieldModel.of(ou, det1.components[0], det2.components[0])
-    got = signed_phase(combo, tog, RNG, 3)
-    parts = (
-        signed_phase(FieldModel.of(ou), tog, RNG, 3)
-        + signed_phase(det1, tog)
-        + signed_phase(det2, tog)
-    )
-    assert got == pytest.approx(parts, rel=1e-12)
+    for phase in (_forward, _mapped):
+        got = phase(combo, tog, [3])[0]
+        parts = (phase(FieldModel.of(ou), tog, [3])[0]
+                 + phase_map(det1, tog)[0] + phase_map(det2, tog)[0])
+        assert got == pytest.approx(parts, rel=1e-12)
+
+
+def test_phase_map_matches_forward_sampler():
+    """The linear map gives each trajectory the phase the forward sampler
+    sums, for segments short and long against tau_c, at indices on both sides
+    of chunk boundaries and out of order."""
+    # every component type, with two OU baths
+    model = FieldModel.of(
+        StaticOffset(1e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5),
+        Polynomial((1e-9, 2e-6, -3e-3)), SinusoidAC(3e-9, 1234.0, 0.3),
+        OrnsteinUhlenbeck(5e-8, 3e-3))
+    idx = [CHUNK - 2, 5, 2 * CHUNK + 7, CHUNK - 1, CHUNK, 0, 3 * CHUNK - 1, 2 * CHUNK]
+    for seq in (sq.fid(1e-4), sq.hahn(3e-4), sq.cpmg(8, 8e-4), sq.cpmg(90, 6e-3),
+                sq.custom([0.1, 0.35, 0.4, 0.9], 1.0).scaled(2e-9),
+                sq.custom([0.1, 0.35, 0.4, 0.9], 1.0).scaled(2.0)):
+        tog = sq.toggling(seq)
+        ref = _forward(model, tog, idx)
+        got = _mapped(model, tog, idx)
+        rms = math.sqrt(np.mean(ref**2))
+        # measured 1.2e-15 of the RMS phase at most
+        assert np.max(np.abs(got - ref)) <= 1e-14 * rms, seq
 
 
 def test_ou_exact_sampler_vs_dense_trapezoid():
@@ -160,7 +191,7 @@ def test_ou_exact_sampler_vs_dense_trapezoid():
     tog = sq.toggling(sq.hahn(2 * tau))
     m = FieldModel.of(OrnsteinUhlenbeck(sigma, tau_c))
     n = 10_000
-    exact = signed_phase_batch(m, tog, RNG, range(n))
+    exact = _forward(m, tog, range(n))
 
     # independent trapezoid path at step tau_c / 1000
     rng = np.random.default_rng(99)
@@ -210,45 +241,36 @@ def _ou_reference(x):
 
 
 def test_ou_coefficients_match_50_digit_closed_forms():
-    """The sampler's coefficients and g(x) = x - 1 + e^-x stay accurate when a
-    segment is short against tau_c, where the closed forms cancel O(1) terms."""
+    """The sampler's coefficients and a single segment's ou_chi stay accurate
+    when a segment is short against tau_c, where the closed forms cancel O(1)
+    terms."""
     ou = OrnsteinUhlenbeck(1.0, 1.0)
     worst = np.zeros(6)
     for x in np.concatenate([np.logspace(-9, 1, 101), [0.0999, 0.1, 0.1001]]):
         # two segments of length x; the rows of the identity pick out each
         # coefficient: [m, e m], [c1, sx m], [c2, 0], ...
         out = ou.segment_integrals(np.array([0.0, x]), np.array([x, 2 * x]), np.eye(5))
-        got = [out[0, 0], out[1, 0], out[2, 0], out[1, 1], out[0, 1], float(_ou_g(x))]
+        # a single segment's ou_chi is 2 g(x), g(x) = x - 1 + e^-x
+        got = [out[0, 0], out[1, 0], out[2, 0], out[1, 1], out[0, 1],
+               ou_chi(sq.toggling(sq.fid(x)), 1.0, 1.0, 1.0) / 2]
         worst = np.maximum(worst, np.abs(np.array(got) / _ou_reference(x) - 1.0))
-    # measured: c2 6.4e-14 just above x = 0.1 (2x - 4 tanh(x/2) there), the
-    # rest within 1.3e-15
+    # measured: c2 6.4e-14 just above x = 0.1 (2x - 4 tanh(x/2) there),
+    # ou_chi 2.3e-15, the rest within 4.5e-16
     assert worst[2] < 2e-13
     assert np.all(np.delete(worst, 2) < 4e-15)
 
 
-def _ou_chi_reference(tog, tau_c):
-    with localcontext() as ctx:
-        ctx.prec = 50
-        bp = [Decimal(float(t)) for t in tog.breakpoints]
-        tc = Decimal(tau_c)
-        f = [1 - (-(b - a) / tc).exp() for a, b in zip(bp[:-1], bp[1:])]
-        total = Decimal(0)
-        for i, si in enumerate(tog.signs):
-            total += 2 * tc * (bp[i + 1] - bp[i]) - 2 * tc * tc * f[i]
-            for j in range(i + 1, len(f)):
-                total += 2 * si * tog.signs[j] * tc * tc * f[i] * f[j] * (
-                    -(bp[j] - bp[i + 1]) / tc).exp()
-        return float(total)
-
-
 def test_ou_chi_matches_50_digit_double_sum():
-    for make in (sq.hahn, lambda T: sq.cpmg(8, T)):
+    from conftest import ou_chi_double_sum
+
+    custom = sq.custom([0.1, 0.35, 0.4, 0.9], 1.0)
+    for pattern in (sq.hahn(1.0), sq.cpmg(8, 1.0), sq.cpmg(90, 1.0), custom):
         for ratio in np.logspace(-9, 1, 21):
-            tog = sq.toggling(make(ratio))
-            rel = abs(ou_chi(tog, 1.0, 1.0, 1.0) / _ou_chi_reference(tog, 1.0) - 1.0)
-            # the signed double sum itself cancels to O(T/tau_c) of its terms
-            # (measured 2.1e-6 at 3e-9, 1.2e-8 at 1e-6, 2e-14 at 1)
-            assert rel < max(1e-13, 3e-14 / ratio), (ratio, rel)
+            tog = sq.toggling(pattern.scaled(ratio))
+            rel = abs(ou_chi(tog, 1.0, 1.0, 1.0) / ou_chi_double_sum(tog, 1.0, 1.0, 1.0) - 1.0)
+            # a sum of squares, with nothing to cancel (measured 6.2e-14 at
+            # most, for CPMG-90 segments just above c2's series range)
+            assert rel < 2e-13, (pattern.kind, pattern.n_pulses, ratio, rel)
 
 
 def test_hahn_phase_variance_matches_ou_chi_for_slow_bath():
@@ -257,8 +279,7 @@ def test_hahn_phase_variance_matches_ou_chi_for_slow_bath():
     sigma, tau_c, T = 1e-6, 1.0, 1e-6
     tog = sq.toggling(sq.hahn(T))
     n = 20_000
-    phases = signed_phase_batch(FieldModel.of(OrnsteinUhlenbeck(sigma, tau_c)), tog, RNG,
-                                range(n))
+    phases = _forward(FieldModel.of(OrnsteinUhlenbeck(sigma, tau_c)), tog, range(n))
     chi = ou_chi(tog, sigma, tau_c)
     # the sample variance has a relative standard error of sqrt(2/n) = 1 %
     assert np.var(phases) == pytest.approx(chi, rel=5 * math.sqrt(2 / n))
