@@ -30,7 +30,6 @@ from .sense import (
     SensitivityResult,
     phase_response,
     matched_ac,
-    simulate_readout,
     min_detectable_field,
     signal_slope,
     sensitivity_scan,

@@ -130,7 +130,6 @@ def _run_sense(spec, out_dir, threads):
         spec.sequence,
         spec.readout,
         spec.times,
-        rng=None if spec.seed is None else RngSpec(spec.seed),
         nv=spec.nv,
         envelope=envelope,
         ac_amplitude_jitter=spec.ac_amplitude_jitter,

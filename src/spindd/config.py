@@ -303,8 +303,10 @@ def _within_budget(terms):
 
 
 def _run_terms(shots, times):
-    """What a Monte Carlo run keeps across its chunks: every chunk's shot
-    indices and, per chunk and time, two partial sums."""
+    """What a Monte Carlo run keeps across its chunks: two partial sums per
+    chunk and time.  The ``shots`` term holds no array; it bounds the length
+    of the run, so that more than 2^30 shots are refused whatever else the
+    run holds."""
     return {"shots": shots, "times.count": 2 * times.size * math.ceil(shots / CHUNK)}
 
 
@@ -400,7 +402,6 @@ class SuppressionSpec(_Spec):
 @dataclass(frozen=True, kw_only=True)
 class SenseSpec(_GridSpec):
     field: Optional[FieldModel] = _key(parse_field, None)  # needed by envelope "auto"
-    seed: Optional[int] = _key(_SEED, None)  # None: analytic readout
     readout: ReadoutModel = _key(parse_readout, SENSE_READOUT)
     # read at total time 1; __post_init__ rescales it to base interval
     # sequence_tau

@@ -6,7 +6,8 @@ spin-lattice envelope exp(-T/T1).  Every curve here is such a mean of a
 per-trajectory observable, and one driver (``_monte_carlo``) computes it:
 trajectories are drawn and reduced in chunks of the fixed chunk size of the
 random streams (``field.CHUNK``), in index order, so results are
-bit-identical for any worker count.
+bit-identical for any worker count.  The driver hands each observer a chunk
+ordinal and a row count, and the observer draws that whole chunk at once.
 
 The decay takes a chunk's phases at every time of the grid from one matrix
 product per stochastic slot, with the linear map of ``field.phase_map``.
@@ -87,9 +88,19 @@ def t1_envelope(t, nv: NVParameters) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chunked_indices(shots: int):
-    for start in range(0, shots, CHUNK):
-        yield np.arange(start, min(start + CHUNK, shots), dtype=np.int64)
+def _grid(total_times, shots):
+    """``total_times`` as floats, after the checks every curve shares: a
+    ValueError for fewer than 100 shots or a grid that is empty, not finite,
+    not positive or not strictly increasing."""
+    if shots < 100:
+        raise ValueError("need at least 100 shots")
+    total_times = np.asarray(total_times, dtype=float)
+    if total_times.size == 0:
+        raise ValueError("empty time grid")
+    if not (np.all(np.isfinite(total_times)) and total_times[0] > 0
+            and np.all(np.diff(total_times) > 0)):
+        raise ValueError("total_times must be finite, positive and strictly increasing")
+    return total_times
 
 
 def _mean_and_error(sizes, partials):
@@ -116,32 +127,33 @@ def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, meta
     """The curve of a per-trajectory observable: its mean and standard error at
     each of ``times``, times the T1 envelope when ``apply_t1``.
 
-    ``observe(idx)`` draws what the chunk of trajectories ``idx`` needs and
-    yields one row of per-trajectory values per time point.  A row is reduced
-    to its (sum, centred sum of squares) as it comes, so no chunk outlives
-    its reduction.  A mean or standard error that is not finite raises
-    FloatingPointError.  ``metadata`` adds to what every Monte Carlo curve
-    records.
+    ``observe(chunk, rows)`` draws what rows 0..rows-1 of chunk ``chunk``
+    need (``field.draw_normals``) and yields one row of per-trajectory
+    values per time point.  A row is reduced to its (sum, centred sum of
+    squares) as it comes, so no chunk outlives its reduction.  A mean or
+    standard error that is not finite raises FloatingPointError.
+    ``metadata`` adds to what every Monte Carlo curve records.
     """
 
-    def work(idx):
+    # every chunk is whole but the last
+    sizes = [min(CHUNK, shots - start) for start in range(0, shots, CHUNK)]
+
+    def work(chunk):
         # an overflow ends as a value that is not finite, which the check
         # below reports; the error state is per thread, so it is set here
         with np.errstate(over="ignore", invalid="ignore"):
             partials = []
-            for c in observe(idx):
+            for c in observe(chunk, sizes[chunk]):
                 s = np.sum(c)
                 partials.append((s, np.sum((c - s / c.size) ** 2)))
         return partials
 
-    chunks = list(_chunked_indices(shots))
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            by_chunk = list(ex.map(work, chunks))
+            by_chunk = list(ex.map(work, range(len(sizes))))
     else:
-        by_chunk = [work(c) for c in chunks]
+        by_chunk = [work(c) for c in range(len(sizes))]
     sig, err = np.empty((2,) + times.shape)
-    sizes = [idx.size for idx in chunks]
     for i, T in enumerate(times):
         # each time's chunk partials reduced in chunk order, whatever the
         # worker count
@@ -181,11 +193,7 @@ def coherence_curve(
     ``sequence`` is a pulse pattern, rescaled to each total time of the grid.
     Deterministic given (model, seed, shots, grid).
     """
-    if shots < 100:
-        raise ValueError("need at least 100 shots")
-    total_times = np.asarray(total_times, dtype=float)
-    if total_times.size == 0:
-        raise ValueError("empty time grid")
+    total_times = _grid(total_times, shots)
     # an overflow ends as a curve that is not finite, which the driver reports
     with np.errstate(over="ignore", invalid="ignore"):
         consts, slot_weights = zip(*[phase_map(model, sq.toggling(sequence.scaled(T)),
@@ -195,12 +203,11 @@ def coherence_curve(
     weights = [None if w[0] is None else np.array(w) for w in zip(*slot_weights)]
     n = sequence.n_pulses
 
-    def observe(idx):
+    def observe(chunk, rows):
         # a trajectory's normals depend on (seed, index, slot, count) alone
-        # and count is the same at every time, so one draw serves the grid;
-        # idx is one whole chunk, so one stream per slot
-        draws = draw_normals(model, n + 1, rng, idx)
-        ph = np.repeat(const, idx.size, axis=1)
+        # and count is the same at every time, so one draw serves the grid
+        draws = draw_normals(model, n + 1, rng, chunk, rows)
+        ph = np.repeat(const, rows, axis=1)
         for d, w in zip(draws, weights):
             if d is not None:
                 ph += w @ d.T
@@ -268,31 +275,17 @@ def bloch_steps(model: FieldModel, sample_times) -> np.ndarray:
     return np.maximum(1.0, np.ceil(np.diff(sample_times, prepend=0.0) / h_cap))
 
 
-def _bloch_run(model, omega1, sample_times, idx, rng, gamma_e, m0):
-    """Evolve dm/dt = m x Omega(t), Omega = (omega1, 0, gamma_e B(t)), for
-    trajectories ``idx`` with the exact rotation of each step.
+def _bloch_run(omega1, steps, nsub, phases, m0):
+    """Evolve dm/dt = m x Omega(t), Omega = (omega1, 0, Omega_z), with the
+    exact rotation of each step.
 
-    Omega_z dt of a step is the exact phase gamma_e int_step B dt from
-    ``segment_phases``, so the OU bath enters through its exact joint
-    (X, int X) update.  Steps are no longer than t_max/200 and tau_c/20 of
-    every OU component.  Returns m at each sample time, shape
+    ``phases`` holds each trajectory's Omega_z dt over each of ``steps``,
+    shape (n_traj, n_steps); ``nsub[k]`` steps make up sample interval k.
+    Returns m at the end of each sample interval, shape
     (n_samples, n_traj, 3).
     """
-    sample_times = np.asarray(sample_times, dtype=float)
-    # a step grid hitting every sample time exactly, nsub[k] steps before
-    # sample k
-    knots = np.concatenate([[0.0], sample_times])
-    nsub = bloch_steps(model, sample_times).astype(int)
-    grid = np.concatenate(
-        [[0.0]] + [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(knots[:-1], knots[1:], nsub)]
-    )
-    steps = np.diff(grid)
-    tog = sq.TogglingFunction(tuple(grid), (1,) * steps.size)
-    # drawn here, so the normals are freed before the rotations run
-    phases = segment_phases(model, tog, rng, idx, gamma_e)
-
-    m = np.tile(np.asarray(m0, dtype=float), (len(idx), 1))
-    out = np.empty((sample_times.size, len(idx), 3))
+    m = np.tile(np.asarray(m0, dtype=float), (phases.shape[0], 1))
+    out = np.empty((nsub.size,) + m.shape)
     # one sample interval at a time, so the matrices take n_traj x nsub[k] x 9
     cuts = np.cumsum(nsub)[:-1]
     for k, (dt, phase) in enumerate(zip(np.split(steps, cuts), np.split(phases, cuts, axis=1))):
@@ -319,16 +312,31 @@ def spin_lock_curve(
     The magnetization starts along x (after the initial pi/2); the drive holds
     it there and the residual decay rate is set by the noise spectral density
     at the Rabi frequency.
+
+    Omega_z dt of a step is the exact phase gamma_e int_step B dt from
+    ``segment_phases``, so the OU bath enters through its exact joint
+    (X, int X) update.  Steps are no longer than t_max/200 and tau_c/20 of
+    every OU component (``bloch_steps``).
     """
     if omega1 < 0:
         raise ValueError("omega1 must be non-negative")
-    total_times = np.asarray(total_times, dtype=float)
-    if np.any(np.diff(total_times) <= 0) or total_times[0] <= 0:
-        raise ValueError("total_times must be positive and strictly increasing")
+    total_times = _grid(total_times, shots)
+    # a step grid hitting every sample time exactly, nsub[k] steps before
+    # sample k
+    knots = np.concatenate([[0.0], total_times])
+    nsub = bloch_steps(model, total_times).astype(int)
+    grid = np.concatenate(
+        [[0.0]] + [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(knots[:-1], knots[1:], nsub)]
+    )
+    steps = np.diff(grid)
+    tog = sq.TogglingFunction(tuple(grid), (1,) * steps.size)
 
-    def observe(idx):
-        return _bloch_run(model, omega1, total_times, idx, rng, nv.gamma_e,
-                          (1.0, 0.0, 0.0))[:, :, 0]
+    def observe(chunk, rows):
+        # mapped to phases as drawn, so the normals are freed before the
+        # rotations run
+        phases = segment_phases(model, tog, draw_normals(model, steps.size, rng, chunk, rows),
+                                rows, nv.gamma_e)
+        return _bloch_run(omega1, steps, nsub, phases, (1.0, 0.0, 0.0))[:, :, 0]
 
     return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, 0,
                         {"sequence": "spinlock", "omega1": omega1})
@@ -362,30 +370,30 @@ def pulse_error_curve(
         raise ValueError("|flip_angle_error| must be < 0.5")
     if phase_convention not in ("cp", "cpmg"):
         raise ValueError("phase_convention must be 'cp' or 'cpmg'")
-    total_times = np.asarray(total_times, dtype=float)
+    total_times = _grid(total_times, shots)
     angle = math.pi * (1.0 + flip_angle_error)
     axis = (1.0, 0.0, 0.0) if phase_convention == "cpmg" else (0.0, 1.0, 0.0)
     # the pulse turns m counterclockwise about its axis: Omega dt = -angle axis
-    rows = _rotations(-angle * np.asarray(axis)).tolist()
+    pulse = _rotations(-angle * np.asarray(axis)).tolist()
     # read out along the axis the ideal train refocuses to: pi pulses about
     # y send x -> (-1)^n x, pi pulses about x leave it fixed
     axis_sign = 1.0 if phase_convention == "cpmg" else (-1.0) ** n
 
-    def observe(idx):
-        draws = draw_normals(model, n + 1, rng, idx)
+    def observe(chunk, rows):
+        draws = draw_normals(model, n + 1, rng, chunk, rows)
         for start in range(0, total_times.size, PULSE_BLOCK):
             ts = total_times[start:start + PULSE_BLOCK]
             # segment-major: each segment's (block, trajectories) slice is contiguous
-            ph = np.empty((n + 1, ts.size, idx.size))
+            ph = np.empty((n + 1, ts.size, rows))
             for j, T in enumerate(ts):
                 tog = sq.toggling(sq.cpmg(n, T))
-                ph[:, j] = segment_phases(model, tog, rng, idx, nv.gamma_e, draws=draws).T
+                ph[:, j] = segment_phases(model, tog, draws, rows, nv.gamma_e).T
             c = np.cos(ph)
             s = np.sin(ph, out=ph)
             mx, my, mz = 1.0, 0.0, 0.0  # m starts along x
             for seg in range(n + 1):
                 if seg:
-                    mx, my, mz = [r[0] * mx + r[1] * my + r[2] * mz for r in rows]
+                    mx, my, mz = [r[0] * mx + r[1] * my + r[2] * mz for r in pulse]
                 mx, my = c[seg] * mx + s[seg] * my, c[seg] * my - s[seg] * mx
             del ph, c, s  # before the next block is allocated
             mx *= axis_sign

@@ -11,8 +11,9 @@ is Gaussian with known covariance), so no discretization bias enters.
 Randomness is counter-based: trajectories are grouped in chunks of CHUNK,
 and chunk c and component slot under ``master_seed`` map to a dedicated
 Philox stream whose row r belongs to trajectory c * CHUNK + r (layout
-RNG_SCHEME).  A trajectory's normals therefore depend on its index alone,
-and results are independent of execution order, shot count and worker count.
+RNG_SCHEME).  A whole chunk is the unit that is drawn (``draw_normals``);
+a trajectory's normals depend on its index alone, so results are
+independent of execution order, shot count and worker count.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ class NVParameters:
 class RngSpec:
     """Deterministic substreams from a 64-bit master seed.
 
-    ``generator(index, slot)`` keys Philox with (master_seed, index) and
-    starts its counter at block ``slot``.  ``draw_normals`` passes the chunk
-    ordinal as ``index``, so (master_seed, chunk, slot) is one stream that
-    the chunk's trajectories read row by row.
+    ``generator(chunk, slot)`` keys Philox with (master_seed, chunk) and
+    starts its counter at block ``slot``: one stream per chunk of CHUNK
+    trajectories and component slot, which the chunk's trajectories read row
+    by row.  ``draw_normals`` is its one caller.
     """
 
     master_seed: int
@@ -73,8 +74,8 @@ class RngSpec:
         if not (0 <= int(self.master_seed) < 2**64):
             raise ValueError("master_seed must fit in 64 bits")
 
-    def generator(self, index: int, slot: int = 0) -> np.random.Generator:
-        key = (int(self.master_seed) << 64) | int(index)
+    def generator(self, chunk: int, slot: int) -> np.random.Generator:
+        key = (int(self.master_seed) << 64) | int(chunk)
         return np.random.Generator(np.random.Philox(key=key, counter=int(slot) << 192))
 
 
@@ -325,25 +326,18 @@ class FieldModel:
 # ---------------------------------------------------------------------------
 
 
-def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices) -> list:
-    """Each component slot's standard normals for trajectories ``indices`` over
-    ``n_seg`` segments: shape (n_traj, count) per stochastic slot, None for a
-    deterministic one.
+def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], chunk: int,
+                 rows: int) -> list:
+    """Each component slot's standard normals for rows 0..rows-1 of chunk
+    ``chunk`` over ``n_seg`` segments: shape (rows, count) per stochastic
+    slot, None for a deterministic one.
 
-    Trajectory idx = c * CHUNK + r takes row r of the Philox stream
-    (master_seed, c, slot) read as a row-major (rows, count) array, so its
-    normals depend on (seed, idx, slot, count) alone, not on which other
-    indices share the call: draws made once serve every toggling function
-    with ``n_seg`` segments.  Each chunk's stream is drawn once, up to the
-    largest row asked of it.
+    Row r of chunk c is trajectory c * CHUNK + r, and it is row r of the
+    Philox stream (master_seed, c, slot) read as a row-major (rows, count)
+    array.  A trajectory's normals therefore depend on (seed, index, slot,
+    count) alone, not on how many rows are drawn, and draws made once serve
+    every toggling function with ``n_seg`` segments.
     """
-    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    chunks, rows = np.divmod(indices, CHUNK)
-    # rows 0..n-1 of one chunk in order, as every curve asks: the chunk's
-    # draw is the answer, with no gather copy.  Compared as bytes: an array
-    # comparison or two lists raise the peak resident memory by about 0.1 MB
-    whole = (0 < indices.size <= CHUNK and rows[0] == 0
-             and indices.tobytes() == np.arange(indices[0], indices[0] + indices.size).tobytes())
     out = []
     for slot, comp in enumerate(model.components):
         draws = None
@@ -351,44 +345,23 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], indices)
             if rng is None:
                 raise ValueError("stochastic field model requires an RngSpec")
             count = comp.n_normals_base + comp.n_normals_per_segment * n_seg
-            if whole:
-                draws = rng.generator(int(chunks[0]), slot).standard_normal(
-                    (indices.size, count))
-            else:
-                draws = np.empty((indices.size, count))
-                # the chunks present; np.unique would import numpy.ma, about
-                # 0.9 MB of resident memory
-                for c in sorted(set(chunks.tolist())):
-                    mine = np.flatnonzero(chunks == c)
-                    block = rng.generator(c, slot).standard_normal(
-                        (int(rows[mine].max()) + 1, count))
-                    draws[mine] = block[rows[mine]]
+            draws = rng.generator(chunk, slot).standard_normal((rows, count))
         out.append(draws)
     return out
 
 
-def segment_phases(
-    model: FieldModel,
-    tog: TogglingFunction,
-    rng: Optional[RngSpec],
-    indices,
-    gamma_e: float = GAMMA_E,
-    draws: Optional[list] = None,
-) -> np.ndarray:
-    """Unsigned per-segment phases gamma_e * int_seg B dt, shape (n_traj, n_seg).
+def segment_phases(model: FieldModel, tog: TogglingFunction, draws: list, rows: int,
+                   gamma_e: float = GAMMA_E) -> np.ndarray:
+    """Unsigned per-segment phases gamma_e * int_seg B dt, shape (rows, n_seg),
+    from the normals ``draws`` that ``draw_normals`` returns for ``rows``
+    trajectories and this segment count.
 
     Deterministic components contribute identically to every trajectory; the
     stochastic ones are sampled exactly from each trajectory's own normals.
-    ``indices`` may be a range/array of trajectory ordinals.  ``draws`` are
-    the normals ``draw_normals`` returns for these indices and this segment
-    count; they are drawn here when not given.
     """
-    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     bp = np.asarray(tog.breakpoints)
     a, b = bp[:-1], bp[1:]
-    if draws is None:
-        draws = draw_normals(model, a.size, rng, indices)
-    out = np.zeros((indices.size, a.size))
+    out = np.zeros((rows, a.size))
     for comp, comp_draws in zip(model.components, draws):
         out += comp.segment_integrals(a, b, comp_draws)
     return gamma_e * out

@@ -1,6 +1,9 @@
 """AC magnetometry: phase response to a synchronized AC field, photon
 shot-noise readout, minimal detectable field and sensitivity-vs-time scans.
 
+Everything here is analytic: a scan spends each point's time budget on a
+fractional number of shots, so dB_min follows k/sqrt(t) exactly.
+
 Conventions used throughout the pipeline:
   * the ideal signal is s = cos(dPhi + theta0), and the sensor operates at
     the quadrature point theta0 = pi/2 where |ds/dPhi| = 1;
@@ -13,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import sequence as sq
-from .field import FieldModel, NVParameters, RngSpec, SinusoidAC, phase_map
+from .field import FieldModel, NVParameters, SinusoidAC, phase_map
 from .fit import DecayFit, fit_power_law
 
 #: laser polarization/readout dead time added to every shot, seconds
@@ -36,7 +38,6 @@ class ReadoutModel:
 
     photons_per_shot: float = 0.03
     contrast: float = 0.3
-    shots_per_point: int = 100_000
     overhead: float = DEFAULT_OVERHEAD  # s per shot on top of the sequence
 
     def __post_init__(self):
@@ -44,8 +45,6 @@ class ReadoutModel:
             raise ValueError("contrast must be in (0, 1)")
         if self.photons_per_shot <= 0:
             raise ValueError("photons_per_shot must be positive")
-        if self.shots_per_point <= 0:
-            raise ValueError("shots_per_point must be positive")
         if self.overhead < 0:
             raise ValueError("overhead must be non-negative")
 
@@ -107,31 +106,6 @@ def phase_response(
     return phase_map(FieldModel.of(ac), sq.toggling(sequence), nv.gamma_e)[0]
 
 
-def simulate_readout(
-    signal: float,
-    readout: ReadoutModel,
-    rng: Optional[RngSpec] = None,
-    index: int = 0,
-):
-    """Estimate the ideal signal from Poisson photon counts.
-
-    Returns (estimate, sigma_sn).  With ``rng=None`` the analytic
-    infinite-shot path returns the signal itself with its shot-noise sigma.
-    sigma_sn is on the contrast-weighted scale (see module docstring).
-    """
-    if abs(signal) > 1:
-        raise ValueError("|signal| must be <= 1")
-    shots = readout.shots_per_point
-    sigma = readout.sigma_sn(signal, shots)
-    if rng is None:
-        return float(signal), sigma
-    g = rng.generator(index)
-    counts = g.poisson(readout.mean_photons(signal) * shots)
-    rate = counts / (shots * readout.photons_per_shot)
-    estimate = 1.0 - 2.0 * (1.0 - rate) / readout.contrast
-    return float(estimate), sigma
-
-
 def signal_slope(
     sequence: sq.PulseSequence,
     readout: ReadoutModel,
@@ -158,7 +132,6 @@ def sensitivity_scan(
     sequence: sq.PulseSequence,
     readout: ReadoutModel,
     total_times,
-    rng: Optional[RngSpec] = None,
     nv: NVParameters = NVParameters(),
     envelope: float = 1.0,
     ac_amplitude_jitter: float = 0.0,
@@ -166,9 +139,8 @@ def sensitivity_scan(
     """dB_min versus total measurement time, with a k/sqrt(t) fit.
 
     Each point spends its whole budget on repeated shots of duration
-    (sequence time + overhead).  With ``rng=None`` the scan is analytic
-    (exact -1/2 exponent); otherwise each point uses a whole number of shots,
-    at least one.
+    (sequence time + overhead), a fractional number of them, so the scan
+    has an exact -1/2 exponent.
     ``ac_amplitude_jitter`` optionally inflates sigma_sn by a relative
     AC-amplitude fluctuation floor, mimicking an unstable test field.
     """
@@ -180,10 +152,7 @@ def sensitivity_scan(
     sigmas = np.empty_like(total_times)
     dbs = np.empty_like(total_times)
     for i, t in enumerate(total_times):
-        shots = t / shot_duration
-        if rng is not None and math.isfinite(shots):
-            shots = max(1, round(shots))
-        sigma = readout.sigma_sn(0.0, shots)
+        sigma = readout.sigma_sn(0.0, t / shot_duration)
         if ac_amplitude_jitter > 0.0:
             sigma = math.hypot(sigma, ac_amplitude_jitter * readout.contrast)
         sigmas[i] = sigma

@@ -7,6 +7,7 @@ unit tests live in the per-module files.
 
 import json
 import math
+import pathlib
 import time
 from fractions import Fraction
 
@@ -269,6 +270,6 @@ def test_criterion_11_determinism_across_workers(capsys, tmp_path):
                                   threads=threads)
         assert code == cli.EXIT_OK
         csv = [p for p in artifacts if p.endswith("curve.csv")][0]
-        blobs.append(open(csv, "rb").read())
+        blobs.append(pathlib.Path(csv).read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
     _report(capsys, 11, "byte-identical artifacts across reruns and workers", ok)

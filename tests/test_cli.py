@@ -43,7 +43,7 @@ def test_decay_run_is_reproducible(tmp_path):
     for tag in ("a", "b"):
         code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / tag))
         assert code == cli.EXIT_OK
-        outs.append({p.split("/")[-1]: open(p, "rb").read() for p in artifacts})
+        outs.append({p.split("/")[-1]: pathlib.Path(p).read_bytes() for p in artifacts})
     assert outs[0]["curve.csv"] == outs[1]["curve.csv"]
     # the manifest carries per-artifact digests
     man = json.loads(outs[0]["manifest.json"])
@@ -55,8 +55,8 @@ def test_thread_count_does_not_change_results(tmp_path):
     cfg_path = _write(tmp_path, "cfg.json", _decay_cfg(shots=700))
     _, a1 = cli.run(cfg_path, out_dir=str(tmp_path / "t1"), threads=1)
     _, a8 = cli.run(cfg_path, out_dir=str(tmp_path / "t8"), threads=8)
-    csv1 = open([p for p in a1 if p.endswith("curve.csv")][0], "rb").read()
-    csv8 = open([p for p in a8 if p.endswith("curve.csv")][0], "rb").read()
+    csv1 = pathlib.Path([p for p in a1 if p.endswith("curve.csv")][0]).read_bytes()
+    csv8 = pathlib.Path([p for p in a8 if p.endswith("curve.csv")][0]).read_bytes()
     assert csv1 == csv8
 
 
@@ -66,7 +66,7 @@ def test_suppression_table_artifact(tmp_path):
     code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
     assert code == cli.EXIT_OK
     csv_path = [p for p in artifacts if p.endswith("suppression.csv")][0]
-    rows = open(csv_path).read().strip().splitlines()
+    rows = pathlib.Path(csv_path).read_text().strip().splitlines()
     assert rows[0] == "n,k,factor_exact_num,factor_exact_den,factor_float"
     # k runs from 0 through k_max inclusive
     assert len(rows) == 1 + 8 * 6
@@ -301,7 +301,7 @@ def test_fit_subcommand_round_trip(tmp_path):
                       {"experiment": "fit", "input_csv": str(csv)})
     code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
     assert code == cli.EXIT_OK
-    fit = json.loads(open([p for p in artifacts if p.endswith("fit.json")][0]).read())
+    fit = json.loads(pathlib.Path([p for p in artifacts if p.endswith("fit.json")][0]).read_text())
     assert fit["params"]["decay_time"] == pytest.approx(0.39e-3, rel=1e-6)
     assert fit["params"]["stretch"] == pytest.approx(3.0, rel=1e-6)
 
@@ -319,7 +319,7 @@ def test_sense_subcommand_writes_report(tmp_path):
     code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
     assert code == cli.EXIT_OK
     report = json.loads(
-        open([p for p in artifacts if p.endswith("report.json")][0]).read())
+        pathlib.Path([p for p in artifacts if p.endswith("report.json")][0]).read_text())
     assert report["k_nT_per_sqrt_Hz"] == pytest.approx(19.4, abs=0.1)
     assert 0 < report["envelope"] < 1
 

@@ -16,6 +16,7 @@ from spindd.field import (
     RngSpec,
     SinusoidAC,
     StaticOffset,
+    draw_normals,
     ou_chi,
     phase_map,
     segment_phases,
@@ -130,14 +131,24 @@ def test_std_error_is_centred_when_signal_is_near_one():
     shots, T = 5000, 1e-6
     curve = evolve.coherence_curve(model, sq.fid(1.0), [T], shots, RngSpec(1),
                                    nv=NV_NO_T1, apply_t1=False)
-    c = np.cos(_signed_phases(model, sq.toggling(sq.fid(T)), RngSpec(1), range(shots)))
+    c = np.cos(_signed_phases(model, sq.toggling(sq.fid(T)), RngSpec(1), shots))
     assert curve.signal[0] == pytest.approx(np.mean(c), rel=1e-12)
     assert curve.std_error[0] == pytest.approx(np.std(c) / math.sqrt(shots), rel=1e-6)
 
 
-def _signed_phases(model, tog, rng, indices, gamma_e=GAMMA_E):
+def _segment_phases(model, tog, rng, shots, gamma_e=GAMMA_E):
+    """The forward sampler's segment phases of trajectories 0..shots-1,
+    drawn chunk by chunk: row i is trajectory i."""
+    n_seg = len(tog.signs)
+    return np.concatenate([
+        segment_phases(model, tog, draw_normals(model, n_seg, rng, chunk, rows), rows, gamma_e)
+        for chunk, rows in enumerate(min(evolve.CHUNK, shots - start)
+                                     for start in range(0, shots, evolve.CHUNK))])
+
+
+def _signed_phases(model, tog, rng, shots, gamma_e=GAMMA_E):
     """Signed phases summed from the forward sampler's segment phases."""
-    return segment_phases(model, tog, rng, indices, gamma_e) @ np.asarray(tog.signs, dtype=float)
+    return _segment_phases(model, tog, rng, shots, gamma_e) @ np.asarray(tog.signs, dtype=float)
 
 
 def _per_time_reference(model, make, times, shots, rng, gamma_e):
@@ -148,12 +159,11 @@ def _per_time_reference(model, make, times, shots, rng, gamma_e):
     total time."""
     sig, err = [], []
     for T in times:
-        tog = sq.toggling(make(T))
+        phases = _signed_phases(model, sq.toggling(make(T)), rng, shots, gamma_e)
         sizes, partials = [], []
         for start in range(0, shots, evolve.CHUNK):
-            idx = np.arange(start, min(start + evolve.CHUNK, shots))
-            c = np.cos(_signed_phases(model, tog, rng, idx, gamma_e))
-            sizes.append(idx.size)
+            c = np.cos(phases[start:start + evolve.CHUNK])
+            sizes.append(c.size)
             partials.append((np.sum(c), np.sum((c - np.sum(c) / c.size) ** 2)))
         mean, se = evolve._mean_and_error(sizes, partials)
         sig.append(mean)
@@ -211,10 +221,36 @@ def test_generator_built_once_per_chunk_and_slot(monkeypatch):
 
 
 def test_shots_floor_enforced():
+    # every curve refuses too few shots and a grid that is empty, not finite
+    # or not strictly increasing alike
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=1e-5))
-    with pytest.raises(ValueError):
-        evolve.coherence_curve(model, sq.hahn(1.0), [1e-4], shots=50,
-                               rng=RngSpec(0))
+    curves = (
+        lambda ts, shots: evolve.coherence_curve(model, sq.hahn(1.0), ts, shots, RngSpec(0)),
+        lambda ts, shots: evolve.spin_lock_curve(model, 2 * math.pi * 1e5, ts, shots,
+                                                 RngSpec(0)),
+        lambda ts, shots: evolve.pulse_error_curve(model, 2, 0.05, "cpmg", ts, shots,
+                                                   RngSpec(0)),
+    )
+    for curve in curves:
+        with pytest.raises(ValueError, match="100 shots"):
+            curve([1e-4], 50)
+        for ts in ([], [math.inf], [1e-4, math.nan], [2e-4, 1e-4], [1e-4, 1e-4], [-1e-4, 1e-4]):
+            with pytest.raises(ValueError, match="time grid|total_times"):
+                curve(ts, 100)
+
+
+def test_curve_peak_memory_is_flat_in_shots():
+    # the driver holds no per-shot array across its chunks: 32 chunks of
+    # int64 shot indices alone would take 1 MB (measured peak 0.17 MB)
+    model = FieldModel.of(QuasiStaticGaussian(sigma_b=1e-9))
+    evolve.coherence_curve(model, sq.hahn(1.0), [1e-4, 2e-4], 100, RngSpec(2))
+    tracemalloc.start()
+    try:
+        evolve.coherence_curve(model, sq.hahn(1.0), [1e-4, 2e-4], 32 * evolve.CHUNK, RngSpec(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +273,10 @@ def test_rotation_kernel_solves_bloch_equation():
 
 def test_bloch_norm_conservation():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=5e-7, tau_c=1e-6))
-    ms = evolve._bloch_run(
-        model, 2 * math.pi * 1e5, np.array([1e-3]), range(4), RngSpec(9), GAMMA_E,
-        (1.0, 0.0, 0.0),
-    )
+    n = int(evolve.bloch_steps(model, [1e-3])[0])
+    tog = sq.TogglingFunction(tuple(np.linspace(0.0, 1e-3, n + 1)), (1,) * n)
+    ms = evolve._bloch_run(2 * math.pi * 1e5, np.diff(tog.breakpoints), np.array([n]),
+                           _segment_phases(model, tog, RngSpec(9), 4), (1.0, 0.0, 0.0))
     norms = np.linalg.norm(ms[0], axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-12)
 
@@ -340,8 +376,7 @@ def _reference_pulse_error(model, n, eps, convention, ts, shots, rng, nv=NV_NO_T
     sign = 1.0 if convention == "cpmg" else (-1.0) ** n
     sig, err = [], []
     for T in ts:
-        phases = segment_phases(model, sq.toggling(sq.cpmg(n, T)), rng, range(shots),
-                                nv.gamma_e)
+        phases = _segment_phases(model, sq.toggling(sq.cpmg(n, T)), rng, shots, nv.gamma_e)
         m = np.tile([1.0, 0.0, 0.0], (shots, 1))
         for seg in range(n + 1):
             m = _rz_batch(m, phases[:, seg])
@@ -480,3 +515,9 @@ def test_pulse_error_rejects_bad_arguments():
     with pytest.raises(ValueError):
         evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), 1, 0.1, "xy8", [1e-4],
                                  100, None)
+    # a deterministic train runs one trajectory, but refuses what the other
+    # curves refuse
+    for ts, shots in (([1e-4], 99), ([], 100), ([math.inf], 100), ([2e-4, 1e-4], 100)):
+        with pytest.raises(ValueError):
+            evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), 1, 0.1, "cpmg", ts,
+                                     shots, None)

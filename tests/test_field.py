@@ -1,4 +1,3 @@
-import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -26,34 +25,26 @@ from spindd.field import (
 RNG = RngSpec(20240817)
 
 
-def _forward(model, tog, indices):
-    """Signed phases of trajectories ``indices`` summed from the forward
+def _draws(model, n_seg, shots):
+    """The normals of trajectories 0..shots-1 over ``n_seg`` segments, drawn
+    chunk by chunk: row i is trajectory i."""
+    chunks = [draw_normals(model, n_seg, RNG, c, min(CHUNK, shots - c * CHUNK))
+              for c in range(-(-shots // CHUNK))]
+    return [None if d[0] is None else np.concatenate(d) for d in zip(*chunks)]
+
+
+def _forward(model, tog, shots):
+    """Signed phases of trajectories 0..shots-1 summed from the forward
     sampler's segment phases."""
-    return segment_phases(model, tog, RNG, indices) @ np.asarray(tog.signs, dtype=float)
+    draws = _draws(model, len(tog.signs), shots)
+    return segment_phases(model, tog, draws, shots) @ np.asarray(tog.signs, dtype=float)
 
 
-def _mapped(model, tog, indices):
-    """Signed phases of trajectories ``indices`` through ``phase_map``."""
+def _mapped(model, tog, shots):
+    """Signed phases of trajectories 0..shots-1 through ``phase_map``."""
     c, weights = phase_map(model, tog)
-    draws = draw_normals(model, len(tog.signs), RNG, indices)
+    draws = _draws(model, len(tog.signs), shots)
     return c + sum(d @ w for d, w in zip(draws, weights) if d is not None)
-
-
-def test_trajectory_deterministic_per_index():
-    """A trajectory's segment phases depend on its index alone, not on which
-    other indices share the call or in what order."""
-    mixed = FieldModel.of(
-        StaticOffset(1e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5),
-        Polynomial((1e-9, 2e-6)), SinusoidAC(3e-9, 1234.0, 0.3),
-    )
-    tog = sq.toggling(sq.cpmg(3, 1e-4))
-    block = segment_phases(mixed, tog, RNG, range(50))
-    reverse = segment_phases(mixed, tog, RNG, np.arange(50)[::-1])
-    for i in range(50):
-        alone = segment_phases(mixed, tog, RNG, i)[0]
-        assert np.array_equal(alone, block[i])
-        assert np.array_equal(alone, reverse[49 - i])
-    assert len({row.tobytes() for row in block}) == 50
 
 
 # two stochastic slots around a deterministic one
@@ -62,41 +53,23 @@ _TWO_SLOTS = FieldModel.of(OrnsteinUhlenbeck(2e-7, 2e-5), StaticOffset(1e-8),
 
 
 def test_trajectory_rows_do_not_depend_on_shot_count():
-    # 300 shots draw 300 rows of chunk 0's stream; 2 CHUNK + 1 shots draw all
-    # of chunk 0 and reach into chunks 1 and 2
-    tog = sq.toggling(sq.cpmg(3, 1e-4))
-    few = segment_phases(_TWO_SLOTS, tog, RNG, range(300))
-    many = segment_phases(_TWO_SLOTS, tog, RNG, range(2 * CHUNK + 1))
-    assert np.array_equal(few, many[:300])
-    assert len({row.tobytes() for row in many}) == many.shape[0]
-
-
-def test_rows_across_chunk_boundaries_in_any_order():
-    tog = sq.toggling(sq.hahn(1e-4))
-    indices = [CHUNK + 3, CHUNK - 1, 0, 2 * CHUNK]
-    alone = {i: segment_phases(_TWO_SLOTS, tog, RNG, i)[0] for i in indices}
-    for order in itertools.permutations(indices):
-        rows = segment_phases(_TWO_SLOTS, tog, RNG, list(order))
-        for i, row in zip(order, rows):
-            assert np.array_equal(row, alone[i])
-    # index CHUNK + 3 is row 3 of chunk 1's stream: the OU slot draws
-    # 1 + 2 * 2 normals per row for Hahn's two segments
-    ou_rows = draw_normals(_TWO_SLOTS, 2, RNG, [CHUNK + 3])[0]
-    assert np.array_equal(ou_rows[0], RNG.generator(1, 0).standard_normal((4, 5))[3])
-
-
-@pytest.mark.parametrize("first, n", [(0, 300), (CHUNK, CHUNK)])
-def test_whole_chunk_draw_matches_the_row_gather(first, n):
-    # rows 0..n-1 of one chunk in order take the chunk's draw as it is; the
-    # same indices reversed go through the row gather
-    idx = np.arange(first, first + n)
-    whole = draw_normals(_TWO_SLOTS, 5, RNG, idx)
-    gathered = draw_normals(_TWO_SLOTS, 5, RNG, idx[::-1])
-    assert [a is None for a in whole] == [False, True, False]
-    for a, b in zip(whole, gathered):
-        if a is not None:
-            assert a.flags.c_contiguous
-            assert a.tobytes() == b[::-1].tobytes()
+    """A chunk drawn with 300 rows is the first 300 rows of the same chunk
+    drawn whole, in every stochastic slot, and row r of chunk c is row r of
+    the Philox stream (seed, c, slot)."""
+    few = draw_normals(_TWO_SLOTS, 2, RNG, 1, 300)
+    whole = draw_normals(_TWO_SLOTS, 2, RNG, 1, CHUNK)
+    assert [d is None for d in whole] == [False, True, False]
+    for slot, (a, b) in enumerate(zip(few, whole)):
+        if b is None:
+            continue
+        assert a.flags.c_contiguous
+        assert np.array_equal(a, b[:300])
+        assert len({row.tobytes() for row in b}) == CHUNK
+        # trajectory CHUNK + 3: the OU slot draws 1 + 2 * 2 normals a row for
+        # Hahn's two segments, the quasi-static slot one
+        assert np.array_equal(b[3], RNG.generator(1, slot).standard_normal((4, b.shape[1]))[3])
+    # another chunk reads another stream
+    assert not np.array_equal(draw_normals(_TWO_SLOTS, 2, RNG, 0, 300)[0], few[0])
 
 
 # --- signed phase ----------------------------------------------------------
@@ -133,7 +106,7 @@ def test_quasistatic_is_draw_times_signed_lengths():
     # trajectory 11 is row 11 of chunk 0's stream, one normal per row
     draw = RNG.generator(0, 0).standard_normal((12, 1))[11, 0]
     for phase in (_forward, _mapped):
-        ph = phase(m, tog, [11])[0]
+        ph = phase(m, tog, 12)[11]
         assert ph == pytest.approx(GAMMA_E * sigma * draw * 1e-3, rel=1e-12)
 
 
@@ -156,28 +129,28 @@ def test_phase_linearity_over_components():
     ou = OrnsteinUhlenbeck(1e-7, 1e-4)
     combo = FieldModel.of(ou, det1.components[0], det2.components[0])
     for phase in (_forward, _mapped):
-        got = phase(combo, tog, [3])[0]
-        parts = (phase(FieldModel.of(ou), tog, [3])[0]
+        got = phase(combo, tog, 4)[3]
+        parts = (phase(FieldModel.of(ou), tog, 4)[3]
                  + phase_map(det1, tog)[0] + phase_map(det2, tog)[0])
         assert got == pytest.approx(parts, rel=1e-12)
 
 
 def test_phase_map_matches_forward_sampler():
     """The linear map gives each trajectory the phase the forward sampler
-    sums, for segments short and long against tau_c, at indices on both sides
-    of chunk boundaries and out of order."""
+    sums, for segments short and long against tau_c, in every chunk of a
+    run of three."""
     # every component type, with two OU baths
     model = FieldModel.of(
         StaticOffset(1e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5),
         Polynomial((1e-9, 2e-6, -3e-3)), SinusoidAC(3e-9, 1234.0, 0.3),
         OrnsteinUhlenbeck(5e-8, 3e-3))
-    idx = [CHUNK - 2, 5, 2 * CHUNK + 7, CHUNK - 1, CHUNK, 0, 3 * CHUNK - 1, 2 * CHUNK]
+    shots = 2 * CHUNK + 8
     for seq in (sq.fid(1e-4), sq.hahn(3e-4), sq.cpmg(8, 8e-4), sq.cpmg(90, 6e-3),
                 sq.custom([0.1, 0.35, 0.4, 0.9], 1.0).scaled(2e-9),
                 sq.custom([0.1, 0.35, 0.4, 0.9], 1.0).scaled(2.0)):
         tog = sq.toggling(seq)
-        ref = _forward(model, tog, idx)
-        got = _mapped(model, tog, idx)
+        ref = _forward(model, tog, shots)
+        got = _mapped(model, tog, shots)
         rms = math.sqrt(np.mean(ref**2))
         # measured 1.2e-15 of the RMS phase at most
         assert np.max(np.abs(got - ref)) <= 1e-14 * rms, seq
@@ -191,7 +164,7 @@ def test_ou_exact_sampler_vs_dense_trapezoid():
     tog = sq.toggling(sq.hahn(2 * tau))
     m = FieldModel.of(OrnsteinUhlenbeck(sigma, tau_c))
     n = 10_000
-    exact = _forward(m, tog, range(n))
+    exact = _forward(m, tog, n)
 
     # independent trapezoid path at step tau_c / 1000
     rng = np.random.default_rng(99)
@@ -279,7 +252,7 @@ def test_hahn_phase_variance_matches_ou_chi_for_slow_bath():
     sigma, tau_c, T = 1e-6, 1.0, 1e-6
     tog = sq.toggling(sq.hahn(T))
     n = 20_000
-    phases = _forward(FieldModel.of(OrnsteinUhlenbeck(sigma, tau_c)), tog, range(n))
+    phases = _forward(FieldModel.of(OrnsteinUhlenbeck(sigma, tau_c)), tog, n)
     chi = ou_chi(tog, sigma, tau_c)
     # the sample variance has a relative standard error of sqrt(2/n) = 1 %
     assert np.var(phases) == pytest.approx(chi, rel=5 * math.sqrt(2 / n))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import spindd.sequence as sq
 from spindd import sense
-from spindd.field import GAMMA_E, NVParameters, RngSpec, SinusoidAC
+from spindd.field import GAMMA_E, NVParameters, SinusoidAC
 from conftest import toggled_sine_quadrature
 
 NV = NVParameters(t1=math.inf)
@@ -74,32 +74,34 @@ def test_cpmg_sync_is_locally_optimal():
 # ---------------------------------------------------------------------------
 
 
-def test_simulate_readout_analytic_path():
-    ro = sense.ReadoutModel(photons_per_shot=0.03, contrast=0.3,
-                            shots_per_point=1_000_000)
-    est, sigma = sense.simulate_readout(0.0, ro)
-    assert est == 0.0
+def test_sigma_sn_closed_form():
+    ro = sense.ReadoutModel(photons_per_shot=0.03, contrast=0.3)
     lam = 0.03 * (1 - 0.5 * 0.3)
-    assert sigma == pytest.approx((2 / 0.03) * math.sqrt(lam / 1e6), rel=1e-12)
+    assert ro.mean_photons(0.0) == pytest.approx(lam, rel=1e-15)
+    assert ro.sigma_sn(0.0, 1e6) == pytest.approx((2 / 0.03) * math.sqrt(lam / 1e6), rel=1e-12)
 
 
-def test_simulate_readout_sampling_statistics():
+def _poisson_estimates(ro, shots, reps, rng):
+    """Estimates of the ideal signal 0 from Poisson photon counts of ``shots``
+    shots, ``reps`` times: the fluorescence rate inverted through the
+    contrast."""
+    counts = rng.poisson(ro.mean_photons(0.0) * shots, size=reps)
+    rate = counts / (shots * ro.photons_per_shot)
+    return 1.0 - 2.0 * (1.0 - rate) / ro.contrast
+
+
+def test_sigma_sn_matches_poisson_spread():
     # the empirical spread of Poisson-sampled estimates should match sigma_sn,
     # and quadrupling the shots should halve it
-    ro4 = sense.ReadoutModel(photons_per_shot=0.03, contrast=0.3,
-                             shots_per_point=400_000)
-    ro1 = sense.ReadoutModel(photons_per_shot=0.03, contrast=0.3,
-                             shots_per_point=100_000)
+    ro = sense.ReadoutModel(photons_per_shot=0.03, contrast=0.3)
+    rng = np.random.default_rng(1)
     reps = 100
-    e1 = [sense.simulate_readout(0.0, ro1, RngSpec(1), index=i)[0]
-          for i in range(reps)]
-    e4 = [sense.simulate_readout(0.0, ro4, RngSpec(2), index=i)[0]
-          for i in range(reps)]
+    e1 = _poisson_estimates(ro, 100_000, reps, rng)
+    e4 = _poisson_estimates(ro, 400_000, reps, rng)
     s1, s4 = np.std(e1, ddof=1), np.std(e4, ddof=1)
     # sigma_sn is quoted on the contrast-weighted scale; the estimate lives on
     # the ideal-signal scale, so its spread is sigma_sn / contrast
-    assert s1 * 0.3 == pytest.approx(ro1.sigma_sn(0.0, ro1.shots_per_point),
-                                     rel=0.2)
+    assert s1 * 0.3 == pytest.approx(ro.sigma_sn(0.0, 100_000), rel=0.2)
     assert s4 / s1 == pytest.approx(0.5, rel=0.25)
     assert np.mean(e1) == pytest.approx(0.0, abs=5 * s1 / math.sqrt(reps))
 
@@ -109,9 +111,8 @@ def test_readout_rejects_bad_parameters():
         sense.ReadoutModel(contrast=1.2)
     with pytest.raises(ValueError):
         sense.ReadoutModel(photons_per_shot=0.0)
-    ro = sense.ReadoutModel()
     with pytest.raises(ValueError):
-        sense.simulate_readout(1.5, ro)
+        sense.ReadoutModel(overhead=-1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +124,10 @@ def test_min_detectable_field_arithmetic():
     # CPMG-10 with base half-period tau = 27 us: slope = c * envelope * 4 n g tau / pi
     n, tau = 10, 27e-6
     seq = sq.cpmg(n, 2 * n * tau)
-    ro = sense.ReadoutModel(photons_per_shot=0.03, contrast=0.3,
-                            shots_per_point=100_000)
+    ro = sense.ReadoutModel(photons_per_shot=0.03, contrast=0.3)
     slope = sense.signal_slope(seq, ro, NV, envelope=1.0)
     assert slope == pytest.approx(0.3 * 4 * n * GAMMA_E * tau / math.pi, rel=1e-12)
-    sigma = ro.sigma_sn(0.0, ro.shots_per_point)
+    sigma = ro.sigma_sn(0.0, 100_000)
     db = sense.min_detectable_field(slope, sigma)
     assert db == pytest.approx(sigma / slope, rel=1e-15)
     # doubling sigma doubles dB_min
@@ -163,17 +163,6 @@ def test_sensitivity_scan_analytic_scaling():
     res_half = sense.sensitivity_scan(seq, ro_half, ts, envelope=0.6)
     assert res_half.fit.params["coefficient"] / res.fit.params["coefficient"] \
         == pytest.approx(math.sqrt(2.0), rel=0.1)
-
-
-def test_sensitivity_scan_sampled_converges_to_analytic():
-    seq = sq.cpmg(4, 8 * 27e-6)
-    ro = sense.ReadoutModel(photons_per_shot=0.05, contrast=0.3, overhead=2e-6)
-    ts = np.geomspace(2, 200, 8)
-    analytic = sense.sensitivity_scan(seq, ro, ts)
-    sampled = sense.sensitivity_scan(seq, ro, ts, rng=RngSpec(6))
-    assert sampled.fit.params["coefficient"] == pytest.approx(
-        analytic.fit.params["coefficient"], rel=1e-6
-    )
 
 
 def test_amplitude_jitter_floors_sensitivity():
