@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -47,6 +48,48 @@ def _mapped(model, tog, shots):
     return c + sum(d @ w for d, w in zip(draws, weights) if d is not None)
 
 
+def _trajectory(model, tog, i):
+    """Segment phases of trajectory ``i`` on its own: the last row of its
+    chunk drawn up to it."""
+    c, r = divmod(i, CHUNK)
+    draws = draw_normals(model, len(tog.signs), RNG, c, r + 1)
+    return segment_phases(model, tog, draws, r + 1)[r]
+
+
+def _row_gather(model, n_seg, indices):
+    """Reference draw: each trajectory's normals read one at a time from row
+    i % CHUNK of the stream (seed, i // CHUNK, slot)."""
+    out = []
+    for slot, comp in enumerate(model.components):
+        if comp.n_normals_base == 0:
+            out.append(None)
+            continue
+        count = comp.n_normals_base + comp.n_normals_per_segment * n_seg
+        streams = {}
+        rows = []
+        for i in indices:
+            c, r = divmod(int(i), CHUNK)
+            if c not in streams:
+                streams[c] = RNG.generator(c, slot).standard_normal((CHUNK, count))
+            rows.append(streams[c][r])
+        out.append(np.array(rows))
+    return out
+
+
+def test_trajectory_deterministic_per_index():
+    """A trajectory's segment phases depend on its index alone, not on how
+    many other trajectories share the draw."""
+    mixed = FieldModel.of(
+        StaticOffset(1e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5),
+        Polynomial((1e-9, 2e-6)), SinusoidAC(3e-9, 1234.0, 0.3),
+    )
+    tog = sq.toggling(sq.cpmg(3, 1e-4))
+    block = segment_phases(mixed, tog, _draws(mixed, len(tog.signs), 50), 50)
+    for i in range(50):
+        assert np.array_equal(_trajectory(mixed, tog, i), block[i])
+    assert len({row.tobytes() for row in block}) == 50
+
+
 # two stochastic slots around a deterministic one
 _TWO_SLOTS = FieldModel.of(OrnsteinUhlenbeck(2e-7, 2e-5), StaticOffset(1e-8),
                           QuasiStaticGaussian(1e-8))
@@ -70,6 +113,42 @@ def test_trajectory_rows_do_not_depend_on_shot_count():
         assert np.array_equal(b[3], RNG.generator(1, slot).standard_normal((4, b.shape[1]))[3])
     # another chunk reads another stream
     assert not np.array_equal(draw_normals(_TWO_SLOTS, 2, RNG, 0, 300)[0], few[0])
+
+
+
+def test_rows_across_chunk_boundaries_in_any_order():
+    """Chunks drawn in any order give each trajectory the same row: a
+    chunk's draw reads its own stream and no state another draw left."""
+    tog = sq.toggling(sq.hahn(1e-4))
+    indices = [CHUNK + 3, CHUNK - 1, 0, 2 * CHUNK]
+    alone = {i: _trajectory(_TWO_SLOTS, tog, i) for i in indices}
+    for order in itertools.permutations(range(3)):
+        rows = {}
+        for c in order:
+            draws = draw_normals(_TWO_SLOTS, 2, RNG, c, CHUNK)
+            phases = segment_phases(_TWO_SLOTS, tog, draws, CHUNK)
+            rows.update((i, phases[i - c * CHUNK]) for i in indices if i // CHUNK == c)
+        for i in indices:
+            assert np.array_equal(rows[i], alone[i])
+    # index CHUNK + 3 is row 3 of chunk 1's stream: the OU slot draws
+    # 1 + 2 * 2 normals per row for Hahn's two segments
+    ou_rows = draw_normals(_TWO_SLOTS, 2, RNG, 1, 4)[0]
+    assert np.array_equal(ou_rows[3], RNG.generator(1, 0).standard_normal((4, 5))[3])
+
+
+@pytest.mark.parametrize("first, n", [(0, 300), (CHUNK, CHUNK)])
+def test_whole_chunk_draw_matches_the_row_gather(first, n):
+    # the first n rows of the chunk holding trajectory ``first`` are those
+    # trajectories' rows read one at a time, in reverse, from the chunk's
+    # stream
+    idx = np.arange(first, first + n)
+    whole = draw_normals(_TWO_SLOTS, 5, RNG, first // CHUNK, n)
+    gathered = _row_gather(_TWO_SLOTS, 5, idx[::-1])
+    assert [a is None for a in whole] == [False, True, False]
+    for a, b in zip(whole, gathered):
+        if a is not None:
+            assert a.flags.c_contiguous
+            assert a.tobytes() == b[::-1].tobytes()
 
 
 # --- signed phase ----------------------------------------------------------
