@@ -12,13 +12,11 @@ ordinal and a row count, and the observer draws that whole chunk at once.
 The decay takes a chunk's phases at every time of the grid from one matrix
 product per stochastic slot, with the linear map of ``field.phase_map``.
 
-Spin locking propagates m with one exact rotation kernel: over an interval of
-constant Omega, dm/dt = m x Omega is a rotation, so no integrator error
-enters.  Finite-error pulse trains build no matrix per segment: free
-precession only turns (m_x, m_y) by the segment phase, and the one pulse
-matrix acts between segments, over blocks of a few time points.  Both take
-their per-segment field phases from ``segment_phases``, the exact forward
-sampler.
+Over a step of constant Omega, dm/dt = m x Omega is a rotation, so the Bloch
+paths are exact: spin locking composes a sample interval's steps as SU(2)
+matrices, pairwise, and advances one spinor per interval; a finite-error
+pulse train turns (m_x, m_y) by each segment's phase and (m_y, m_z) at each
+pulse.  Both take their per-segment field phases from ``segment_phases``.
 """
 
 from __future__ import annotations
@@ -233,37 +231,6 @@ def ou_coherence_exponent(sequence: sq.PulseSequence, total_times, comp: Ornstei
 # ---------------------------------------------------------------------------
 
 
-def _rotations(v):
-    """Rotation matrices R, shape (..., 3, 3), with m(dt) = R @ m(0) solving
-    dm/dt = m x Omega exactly over a step of constant Omega; v = Omega * dt
-    has shape (..., 3).  A zero v gives the identity.
-
-    m x Omega turns m clockwise about Omega by theta = |v| (Rodrigues):
-    R = cos(theta) I + (1 - cos theta)/theta^2 v v^T - sin(theta)/theta [v]_x.
-    """
-    theta = np.sqrt(np.sum(v * v, axis=-1))
-    sin_c = np.sinc(theta / np.pi)  # sin(theta)/theta
-    # (1 - cos theta)/theta^2 written without the cancellation near theta = 0
-    cos_c = 0.5 * np.sinc(theta / (2 * np.pi)) ** 2
-    # built in place, one (..., 3, 3) array: the batches hold many steps
-    r = v[..., :, None] * v[..., None, :]
-    r *= cos_c[..., None, None]
-    diag = np.arange(3)
-    r[..., diag, diag] += np.cos(theta)[..., None]
-    # minus sin(theta)/theta times the cross-product matrix [v]_x
-    w = sin_c[..., None] * v
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        r[..., j, k] += w[..., i]
-        r[..., k, j] -= w[..., i]
-    return r
-
-
-def _rotate(r, m):
-    """Apply rotations r (..., 3, 3) to magnetizations m (..., 3)."""
-    return (r @ m[..., None])[..., 0]
-
-
 def bloch_steps(model: FieldModel, sample_times) -> np.ndarray:
     """The number of spin-lock steps before each sample time, as floats: no
     step is longer than t_max/200 or tau_c/20 of any OU component."""
@@ -275,26 +242,42 @@ def bloch_steps(model: FieldModel, sample_times) -> np.ndarray:
     return np.maximum(1.0, np.ceil(np.diff(sample_times, prepend=0.0) / h_cap))
 
 
-def _bloch_run(omega1, steps, nsub, phases, m0):
-    """Evolve dm/dt = m x Omega(t), Omega = (omega1, 0, Omega_z), with the
-    exact rotation of each step.
+def _su2_turn(vx, vz):
+    """The SU(2) matrix [[a, b], [-b*, a*]], as (a, b), of steps v = Omega dt =
+    (vx, 0, vz) taken in order along the last axis.  Each turns m clockwise
+    about v by theta = |v|, as dm/dt = m x Omega does over a step of constant
+    Omega: a = cos(theta/2) + i s vz, b = i s vx, s = sin(theta/2)/theta."""
+    theta = np.sqrt(vx * vx + vz * vz)
+    s = 0.5 * np.sinc(theta / (2 * np.pi))
+    a, b = np.cos(0.5 * theta) + 1j * (s * vz), 1j * (s * vx)
+    while a.shape[-1] > 1:
+        # pairwise, the later step on the left; an odd one left over is carried
+        h = a.shape[-1] // 2 * 2
+        a1, a2, b1, b2 = a[..., :h:2], a[..., 1:h:2], b[..., :h:2], b[..., 1:h:2]
+        a = np.concatenate([a2 * a1 - b2 * b1.conj(), a[..., h:]], axis=-1)
+        b = np.concatenate([a2 * b1 + b2 * a1.conj(), b[..., h:]], axis=-1)
+    return a[..., 0], b[..., 0]
+
+
+def _bloch_run(omega1, steps, nsub, phases):
+    """Evolve dm/dt = m x Omega(t), Omega = (omega1, 0, Omega_z), from m = x
+    with the exact rotation of each step.
 
     ``phases`` holds each trajectory's Omega_z dt over each of ``steps``,
     shape (n_traj, n_steps); ``nsub[k]`` steps make up sample interval k.
-    Returns m at the end of each sample interval, shape
-    (n_samples, n_traj, 3).
+    Returns m at the end of each sample interval, shape (n_samples, n_traj, 3),
+    from a spinor (up, dn), (1, 1) at the start, that each interval's
+    ``_su2_turn`` advances once: m = (Re up* dn, Im up* dn, (|up|^2 - |dn|^2) / 2).
     """
-    m = np.tile(np.asarray(m0, dtype=float), (phases.shape[0], 1))
-    out = np.empty((nsub.size,) + m.shape)
-    # one sample interval at a time, so the matrices take n_traj x nsub[k] x 9
+    up = dn = np.ones(phases.shape[0], dtype=complex)
+    out = np.empty((nsub.size, up.size, 3))
+    # one sample interval at a time, so the pairs take n_traj x nsub[k] x 4
     cuts = np.cumsum(nsub)[:-1]
-    for k, (dt, phase) in enumerate(zip(np.split(steps, cuts), np.split(phases, cuts, axis=1))):
-        v = np.zeros(phase.shape + (3,))
-        v[..., 0] = omega1 * dt
-        v[..., 2] = phase
-        for r in _rotations(v).swapaxes(0, 1):
-            m = _rotate(r, m)
-        out[k] = m
+    for k, (dt, vz) in enumerate(zip(np.split(steps, cuts), np.split(phases, cuts, axis=1))):
+        a, b = _su2_turn(omega1 * dt, vz)
+        up, dn = a * up + b * dn, a.conj() * dn - b.conj() * up
+        cross = up.conj() * dn
+        out[k] = np.column_stack([cross.real, cross.imag, 0.5 * (abs(up)**2 - abs(dn)**2)])
     return out
 
 
@@ -318,8 +301,8 @@ def spin_lock_curve(
     (X, int X) update.  Steps are no longer than t_max/200 and tau_c/20 of
     every OU component (``bloch_steps``).
     """
-    if omega1 < 0:
-        raise ValueError("omega1 must be non-negative")
+    if not (math.isfinite(omega1) and omega1 >= 0):
+        raise ValueError("omega1 must be finite and non-negative")
     total_times = _grid(total_times, shots)
     # a step grid hitting every sample time exactly, nsub[k] steps before
     # sample k
@@ -336,7 +319,7 @@ def spin_lock_curve(
         # rotations run
         phases = segment_phases(model, tog, draw_normals(model, steps.size, rng, chunk, rows),
                                 rows, nv.gamma_e)
-        return _bloch_run(omega1, steps, nsub, phases, (1.0, 0.0, 0.0))[:, :, 0]
+        return _bloch_run(omega1, steps, nsub, phases)[:, :, 0]
 
     return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, 0,
                         {"sequence": "spinlock", "omega1": omega1})
@@ -366,18 +349,18 @@ def pulse_error_curve(
     about y, error-robust for the in-phase component); "cp" rotates about y.
     A model without noise runs one trajectory. Signal is m_x.
     """
-    if abs(flip_angle_error) >= 0.5:
+    if not abs(flip_angle_error) < 0.5:
         raise ValueError("|flip_angle_error| must be < 0.5")
     if phase_convention not in ("cp", "cpmg"):
         raise ValueError("phase_convention must be 'cp' or 'cpmg'")
     total_times = _grid(total_times, shots)
+    # free precession commutes with a 90-degree turn about z taking y to x:
+    # a CP train is one of pulses about x started along y and read on m_y,
+    # along which ideal pi pulses about x refocus it to (-1)^n y
     angle = math.pi * (1.0 + flip_angle_error)
-    axis = (1.0, 0.0, 0.0) if phase_convention == "cpmg" else (0.0, 1.0, 0.0)
-    # the pulse turns m counterclockwise about its axis: Omega dt = -angle axis
-    pulse = _rotations(-angle * np.asarray(axis)).tolist()
-    # read out along the axis the ideal train refocuses to: pi pulses about
-    # y send x -> (-1)^n x, pi pulses about x leave it fixed
-    axis_sign = 1.0 if phase_convention == "cpmg" else (-1.0) ** n
+    ca, sa = math.cos(angle), math.sin(angle)
+    cp = phase_convention == "cp"
+    axis_sign = (-1.0) ** n if cp else 1.0
 
     def observe(chunk, rows):
         draws = draw_normals(model, n + 1, rng, chunk, rows)
@@ -390,14 +373,13 @@ def pulse_error_curve(
                 ph[:, j] = segment_phases(model, tog, draws, rows, nv.gamma_e).T
             c = np.cos(ph)
             s = np.sin(ph, out=ph)
-            mx, my, mz = 1.0, 0.0, 0.0  # m starts along x
+            mx, my, mz = (0.0, 1.0, 0.0) if cp else (1.0, 0.0, 0.0)
             for seg in range(n + 1):
                 if seg:
-                    mx, my, mz = [r[0] * mx + r[1] * my + r[2] * mz for r in pulse]
+                    my, mz = ca * my - sa * mz, sa * my + ca * mz
                 mx, my = c[seg] * mx + s[seg] * my, c[seg] * my - s[seg] * mx
             del ph, c, s  # before the next block is allocated
-            mx *= axis_sign
-            yield from mx
+            yield from (my if cp else mx) * axis_sign
 
     return _monte_carlo(model, total_times, shots if model.is_stochastic() else 1, rng, nv,
                         apply_t1, observe, n,

@@ -5,8 +5,9 @@ quasi-static Gaussian draw, an Ornstein-Uhlenbeck process, a deterministic
 polynomial, or a synchronized AC sinusoid.  The quantity that matters for
 dephasing is the signed phase gamma_e * int s(t) B(t) dt against a toggling
 function s(t); deterministic components integrate in closed form per segment
-and the OU component is sampled jointly with its running integral (the pair
-is Gaussian with known covariance), so no discretization bias enters.
+and the OU component is sampled with its running integral from their exact
+joint Gaussian update, one matrix product per OU_BLOCK segments, so no
+discretization bias enters.
 
 Randomness is counter-based: trajectories are grouped in chunks of CHUNK,
 and chunk c and component slot under ``master_seed`` map to a dedicated
@@ -36,6 +37,8 @@ GAMMA_E = 1.760859e11
 CHUNK = 4096
 #: the random-stream layout, recorded in every Monte Carlo curve's metadata
 RNG_SCHEME = f"philox-chunk{CHUNK}-v2"
+#: segments per block of the OU forward map, one matrix product each
+OU_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -197,15 +200,31 @@ class OrnsteinUhlenbeck:
         c2 = s * tc * np.sqrt(_ou_c2_sq(x))
         return np.exp(-x), tc * one_m_e, c1, c2, sx
 
+    def _block_map(self, a, b):
+        """M with (X, xi1_0, xi2_0, ..., xi2_{B-1}) @ M the integrals of the B
+        segments [a, b] and X at their end, from X at their start: X entering
+        segment i is sum_{k<=i} g_k e^(S_k - S_i), g = (X, sx_0 xi1_0, ...), S
+        summing x from 0 at the block's start, so no error grows in S past it."""
+        _, m, c1, c2, sx = self._coefficients(a, b)
+        n, s = a.size, np.concatenate([[0.0], np.cumsum((b - a) / self.tau_c)])
+        lag = np.where(np.tri(n + 1, dtype=bool), s[:, None] - s, np.inf)
+        mb = np.zeros((1 + 2 * n, n + 1))
+        # integral i is m_i X_i + c1_i xi1_i + c2_i xi2_i; column n = B is X_B
+        mb[np.r_[0, 1:2 * n:2]] = np.exp(-lag).T * np.append(1.0, sx)[:, None] * np.append(m, 1.0)
+        mb[1::2, :n] += np.diag(c1)
+        mb[2::2, :n] = np.diag(c2)
+        return mb
+
     def segment_integrals(self, a, b, draws):
-        e, m, c1, c2, sx = self._coefficients(a, b)
-        out = np.empty((draws.shape[0], e.size))
+        out = np.empty((draws.shape[0], a.size))
         field = self.sigma_b * draws[:, 0]  # stationary start
-        for i in range(e.size):
-            xi1 = draws[:, 1 + 2 * i]
-            xi2 = draws[:, 2 + 2 * i]
-            out[:, i] = field * m[i] + c1[i] * xi1 + c2[i] * xi2
-            field = field * e[i] + sx[i] * xi1
+        for lo in range(0, a.size, OU_BLOCK):
+            hi = min(lo + OU_BLOCK, a.size)
+            mb = self._block_map(a[lo:hi], b[lo:hi])
+            block = draws[:, 1 + 2 * lo:1 + 2 * hi] @ mb[1:]
+            block += field[:, None] @ mb[:1]  # a broadcast product takes larger buffers
+            out[:, lo:hi] = block[:, :-1]
+            field = block[:, -1]
         return out
 
     def phase_weights(self, a, b, signs):

@@ -258,17 +258,39 @@ def test_curve_peak_memory_is_flat_in_shots():
 # ---------------------------------------------------------------------------
 
 
+def _so3(a, b):
+    """The rotation R with U (m . sigma) U^H = (R m) . sigma for the SU(2)
+    matrix U = [[a, b], [-b*, a*]]."""
+    u = np.array([[a, b], [-np.conj(b), np.conj(a)]])
+    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]])]
+    return np.array([[0.5 * np.trace(si @ u @ sj @ u.conj().T).real for sj in paulis]
+                     for si in paulis])
+
+
 def test_rotation_kernel_solves_bloch_equation():
     # dm/dt = m x Omega = -[Omega]_x m, so one step is m -> expm(-[v]_x) m.
     # m_x read out from m = x cannot tell the sense of rotation; R can
     from scipy.linalg import expm
 
-    v = np.concatenate([np.random.default_rng(0).normal(scale=3.0, size=(20, 3)),
-                        [[1e-9, 0.0, 0.0], [0.0, 0.0, 0.0]]])
-    for vi, r in zip(v, evolve._rotations(v)):
+    def step(vi):
         cross = np.array([[0, -vi[2], vi[1]], [vi[2], 0, -vi[0]], [-vi[1], vi[0], 0]])
-        assert np.max(np.abs(r - expm(-cross))) <= 1e-12
-    assert np.array_equal(evolve._rotations(np.zeros(3)), np.eye(3))
+        return expm(-cross)
+
+    v = np.concatenate([np.random.default_rng(0).normal(scale=3.0, size=(20, 3)),
+                        [[1e-9, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2e-9]]])
+    v[:, 1] = 0.0  # the drive is along x
+    a, b = evolve._su2_turn(v[:, :1], v[:, 2:])
+    for vi, ai, bi in zip(v, a, b):
+        assert np.max(np.abs(_so3(ai, bi) - step(vi))) <= 1e-12
+    assert evolve._su2_turn(np.zeros(1), np.zeros(1)) == (1.0, 0.0)
+    # consecutive steps compose in order, an odd count included
+    for n in (2, 5, 8):
+        a, b = evolve._su2_turn(v[:n, 0], v[:n, 2])
+        want = np.eye(3)
+        for vi in v[:n]:
+            want = step(vi) @ want
+        assert np.max(np.abs(_so3(a, b) - want)) <= 1e-12
 
 
 def test_bloch_norm_conservation():
@@ -276,9 +298,17 @@ def test_bloch_norm_conservation():
     n = int(evolve.bloch_steps(model, [1e-3])[0])
     tog = sq.TogglingFunction(tuple(np.linspace(0.0, 1e-3, n + 1)), (1,) * n)
     ms = evolve._bloch_run(2 * math.pi * 1e5, np.diff(tog.breakpoints), np.array([n]),
-                           _segment_phases(model, tog, RngSpec(9), 4), (1.0, 0.0, 0.0))
+                           _segment_phases(model, tog, RngSpec(9), 4))
     norms = np.linalg.norm(ms[0], axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-12)
+
+
+def test_spin_lock_rejects_bad_omega1():
+    # NaN fails every comparison, so it must be refused, not let through
+    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=1e-5))
+    for omega1 in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega1"):
+            evolve.spin_lock_curve(model, omega1, [1e-5], 100, RngSpec(0))
 
 
 def test_spin_lock_noiseless_stays_locked():
@@ -432,24 +462,6 @@ def test_pulse_error_matches_reference_composition(convention):
         assert curve.metadata["shots"] == (1 if case == "static" else shots), case
 
 
-def test_pulse_error_builds_one_rotation_matrix_per_call(monkeypatch):
-    # the pulse is the only 3x3 matrix: free precession turns (m_x, m_y) in
-    # the plane, with no matrix per trajectory, segment or time point
-    calls = []
-    real = evolve._rotations
-
-    def counted(v):
-        calls.append(np.shape(v))
-        return real(v)
-
-    monkeypatch.setattr(evolve, "_rotations", counted)
-    model = FieldModel.of(_OU_BATH)
-    for ts in ([5e-4], np.linspace(1e-4, 1e-3, 9)):
-        calls.clear()
-        evolve.pulse_error_curve(model, 8, 0.05, "cpmg", ts, shots=200, rng=RngSpec(4))
-        assert calls == [(3,)]
-
-
 def test_pulse_error_peak_memory_does_not_grow_with_the_grid():
     # the grid is composed in blocks, each freed before the next: stacking
     # the whole grid, or keeping the blocks, raises the peak with the grid
@@ -509,9 +521,11 @@ def test_pulse_error_perfect_pulses_match_cpmg():
 
 
 def test_pulse_error_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), 1, 0.6, "cpmg", [1e-4],
-                                 100, None)
+    # NaN fails every comparison, so it must be refused, not let through
+    for eps in (0.6, -0.5, math.nan):
+        with pytest.raises(ValueError, match="flip_angle_error"):
+            evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), 1, eps, "cpmg", [1e-4],
+                                     100, None)
     with pytest.raises(ValueError):
         evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), 1, 0.1, "xy8", [1e-4],
                                  100, None)
