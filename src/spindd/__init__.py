@@ -15,7 +15,7 @@ from .field import (
     phase_map,
 )
 from .sequence import PulseSequence, TogglingFunction, cpmg_times, toggling
-from .taylor import hahn_factor, cpmg_factor, oracle_factor, SuppressionFactor
+from .taylor import hahn_factor, cpmg_factor, oracle_factor
 from .evolve import (
     CoherenceCurve,
     coherence_curve,

@@ -91,9 +91,9 @@ def _run_suppression(spec, out_dir, threads):
     path = os.path.join(out_dir, "suppression.csv")
     with open(path, "w") as fh:
         fh.write("n,k,factor_exact_num,factor_exact_den,factor_float\n")
-        for entry in suppression_table(spec.n_max, spec.k_max):
-            v = entry.value
-            fh.write(f"{entry.n},{entry.k},{v.numerator},{v.denominator},{float(v)!r}\n")
+        # integer true division is correctly rounded, as float(Fraction) is
+        for n, k, num, den in suppression_table(spec.n_max, spec.k_max):
+            fh.write(f"{n},{k},{num},{den},{num / den!r}\n")
     return [path], {}
 
 

@@ -399,8 +399,16 @@ class PulseErrorSpec(_GridSpec):
 
 @dataclass(frozen=True, kw_only=True)
 class SuppressionSpec(_Spec):
-    n_max: int = _key(_integer(1))
-    k_max: int = _key(_integer(0))
+    n_max: int = _key(_integer(1, WORK_BUDGET))  # a row holds more than one value
+    k_max: int = _key(_integer(0, WORK_BUDGET))
+
+    def __post_init__(self):
+        # every row at once: a 4-tuple, its list slot and three integer headers
+        # (19 words), and a reduced numerator and denominator of up to
+        # (k_max + 1) log2(2 n_max) bits each, 30 bits to a 4-byte digit
+        rows = self.n_max * (self.k_max + 1)
+        bits = (self.k_max + 1) * math.log2(2 * self.n_max)
+        _within_budget({"n_max": 19 * rows, "k_max": rows * bits / 30})
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -88,10 +88,10 @@ def t1_envelope(t, nv: NVParameters) -> np.ndarray:
 
 def _grid(total_times, shots):
     """``total_times`` as floats, after the checks every curve shares: a
-    ValueError for fewer than 100 shots or a grid that is empty, not finite,
-    not positive or not strictly increasing."""
-    if shots < 100:
-        raise ValueError("need at least 100 shots")
+    ValueError for shots that are not an integer of at least 100 or a grid
+    that is empty, not finite, not positive or not strictly increasing."""
+    if not (isinstance(shots, (int, np.integer)) and shots >= 100):
+        raise ValueError(f"need an integer of at least 100 shots, got {shots!r}")
     total_times = np.asarray(total_times, dtype=float)
     if total_times.size == 0:
         raise ValueError("empty time grid")
@@ -349,6 +349,8 @@ def pulse_error_curve(
     about y, error-robust for the in-phase component); "cp" rotates about y.
     A model without noise runs one trajectory. Signal is m_x.
     """
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"need an integer of at least 1 pulse, got {n!r}")
     if not abs(flip_angle_error) < 0.5:
         raise ValueError("|flip_angle_error| must be < 0.5")
     if phase_convention not in ("cp", "cpmg"):

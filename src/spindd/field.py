@@ -55,9 +55,9 @@ class NVParameters:
     static_field_b0: float = 15e-4  # T (15 G)
 
     def __post_init__(self):
-        if self.gamma_e <= 0:
+        if not self.gamma_e > 0:
             raise ValueError("gamma_e must be positive")
-        if self.t1 <= 0:
+        if not self.t1 > 0:
             raise ValueError("t1 must be positive")
 
 
@@ -146,7 +146,7 @@ class QuasiStaticGaussian:
     n_normals_base = 1
 
     def __post_init__(self):
-        if self.sigma_b < 0:
+        if not self.sigma_b >= 0:
             raise ValueError("sigma_b must be non-negative")
 
     def segment_integrals(self, a, b, draws):
@@ -170,9 +170,9 @@ class OrnsteinUhlenbeck:
     n_normals_base = 1
 
     def __post_init__(self):
-        if self.sigma_b < 0:
+        if not self.sigma_b >= 0:
             raise ValueError("sigma_b must be non-negative")
-        if self.tau_c <= 0:
+        if not self.tau_c > 0:
             raise ValueError("tau_c must be positive")
 
     def _coefficients(self, a, b):
@@ -383,7 +383,8 @@ def segment_phases(model: FieldModel, tog: TogglingFunction, draws: list, rows: 
     out = np.zeros((rows, a.size))
     for comp, comp_draws in zip(model.components, draws):
         out += comp.segment_integrals(a, b, comp_draws)
-    return gamma_e * out
+    out *= gamma_e
+    return out
 
 
 def phase_map(model: FieldModel, tog: TogglingFunction, gamma_e: float = GAMMA_E):

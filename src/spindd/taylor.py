@@ -5,7 +5,7 @@ channels; a pi-pulse train rescales each a_k by a dimensionless factor.  Two
 evaluation paths are provided: a closed-form CPMG expression and an exact
 piecewise-integration oracle for arbitrary pulse patterns.  Both are computed
 in exact rational arithmetic (the alternating sums cancel catastrophically in
-floating point once k*n gets large); float accessors reduce at the end.
+floating point once k*n gets large); floats are taken only at the end.
 
 Sign convention: factors are stored signed, with the oracle's leading segment
 taken positive.  The closed-form n-pulse expression agrees with the oracle for
@@ -15,20 +15,9 @@ magnitude convention, exposed as `hahn_factor`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Sequence
-
-
-@dataclass(frozen=True)
-class SuppressionFactor:
-    k: int  # Taylor order
-    n: int  # pulse count
-    value: Fraction  # signed, exact
-
-    @property
-    def magnitude(self) -> Fraction:
-        return abs(self.value)
 
 
 def hahn_factor(k: int) -> Fraction:
@@ -49,12 +38,14 @@ def cpmg_factor(n: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError("Taylor order k must be non-negative")
     p = k + 1
-    return _cpmg_fraction(n, p, sum((-1) ** j * (2 * j + 1) ** p for j in range(1, n)))
+    return Fraction(*_cpmg_terms(n, p, sum((-1) ** j * (2 * j + 1) ** p for j in range(1, n))))
 
 
-def _cpmg_fraction(n: int, p: int, alt_sum: int) -> Fraction:
-    """cpmg_factor(n, p - 1) from alt_sum = sum_{j=1}^{n-1} (-1)^j (2j+1)^p."""
-    return Fraction(2 + (-1) ** n * (2 * n) ** p + 2 * alt_sum, (2 * n) ** p)
+def _cpmg_terms(n: int, p: int, alt_sum: int) -> tuple:
+    """Unreduced (numerator, denominator > 0) of cpmg_factor(n, p - 1), from
+    alt_sum = sum_{j=1}^{n-1} (-1)^j (2j+1)^p."""
+    den = (2 * n) ** p
+    return 2 + (-1) ** n * den + 2 * alt_sum, den
 
 
 def oracle_factor(pulse_times: Sequence[Fraction], k: int) -> Fraction:
@@ -80,10 +71,11 @@ def oracle_factor(pulse_times: Sequence[Fraction], k: int) -> Fraction:
     return total  # division by 1/(k+1) then multiplication by 1/(k+1) cancels
 
 
-def suppression_table(n_max: int, k_max: int):
-    """All SuppressionFactor entries for n in [1, n_max], k in [0, k_max].
+def suppression_table(n_max: int, k_max: int) -> list:
+    """Rows (n, k, num, den) for n in [1, n_max], k in [0, k_max], n-major.
 
-    Equal to cpmg_factor(n, k) entry by entry, but each order's alternating
+    num / den is cpmg_factor(n, k) in lowest terms with den > 0, so the pair
+    is that Fraction's numerator and denominator.  Each order's alternating
     sum is carried forward in n instead of summed afresh: O(n_max * k_max)
     big-integer terms instead of O(n_max^2 * k_max).
     """
@@ -91,6 +83,8 @@ def suppression_table(n_max: int, k_max: int):
     table = []
     for n in range(1, n_max + 1):
         for k in range(0, k_max + 1):
-            table.append(SuppressionFactor(k=k, n=n, value=_cpmg_fraction(n, k + 1, alt_sums[k])))
+            num, den = _cpmg_terms(n, k + 1, alt_sums[k])
+            g = math.gcd(num, den)
+            table.append((n, k, num // g, den // g))
             alt_sums[k] += (-1) ** n * (2 * n + 1) ** (k + 1)
     return table

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindd import cli, config as cfgmod
+from spindd import cli, config as cfgmod, taylor
 from spindd.config import ConfigError
 from spindd.field import RNG_SCHEME
 
@@ -76,6 +76,21 @@ def test_suppression_table_artifact(tmp_path):
     n1k1 = rows[2].split(",")
     assert (int(n1k1[0]), int(n1k1[1])) == (1, 1)
     assert abs(float(n1k1[4])) == 0.5
+
+
+def test_suppression_csv_matches_the_fraction_reference(tmp_path):
+    n_max, k_max = 200, 12
+    cfg_path = _write(tmp_path, "cfg.json",
+                      {"experiment": "suppression_table", "n_max": n_max, "k_max": k_max})
+    code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_OK
+    want = ["n,k,factor_exact_num,factor_exact_den,factor_float\n"]
+    for n in range(1, n_max + 1):
+        for k in range(k_max + 1):
+            v = taylor.cpmg_factor(n, k)
+            want.append(f"{n},{k},{v.numerator},{v.denominator},{float(v)!r}\n")
+    csv_path = [p for p in artifacts if p.endswith("suppression.csv")][0]
+    assert pathlib.Path(csv_path).read_bytes() == "".join(want).encode()
 
 
 _BLOCH_BASE = {

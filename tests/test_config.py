@@ -169,6 +169,17 @@ _OVER_BUDGET = {
         {"experiment": "sense", "preset": "bulk_cvd", "sequence": {"kind": "cpmg", "n_pulses": 10**8},
          "times": {"start": "0.5 s", "stop": "500 s", "count": 8}},
         "sequence.n_pulses"),
+    # 10^8 rows of the table
+    "suppression_n_max": ({"experiment": "suppression_table", "n_max": 10**8, "k_max": 0},
+                          "n_max"),
+    # 10^8 rows of 10^5 integers of up to 1.1 million bits
+    "suppression_k_max": ({"experiment": "suppression_table", "n_max": 1000, "k_max": 10**5},
+                          "k_max"),
+    # 10^18 rows: refused by the reader
+    "suppression_rows": ({"experiment": "suppression_table", "n_max": 10**12, "k_max": 10**6},
+                         "n_max"),
+    "suppression_k_max_alone": ({"experiment": "suppression_table", "n_max": 1, "k_max": 10**12},
+                                "k_max"),
 }
 
 
@@ -185,5 +196,6 @@ def test_work_within_the_budget_is_valid():
     for cfg in (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**4}),
                 dict(_DECAY, shots=10**8),
                 dict(_SPINLOCK, times=dict(_SHORT, stop="600 us")),
-                dict(_PULSE_ERROR, n_pulses=10**4)):
+                dict(_PULSE_ERROR, n_pulses=10**4),
+                {"experiment": "suppression_table", "n_max": 10**6, "k_max": 12}):
         assert dataclasses.is_dataclass(cfgmod.validate(cfg)["spec"])

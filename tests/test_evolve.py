@@ -232,8 +232,9 @@ def test_shots_floor_enforced():
                                                    RngSpec(0)),
     )
     for curve in curves:
-        with pytest.raises(ValueError, match="100 shots"):
-            curve([1e-4], 50)
+        for shots in (50, 100.5, math.nan):
+            with pytest.raises(ValueError, match="100 shots"):
+                curve([1e-4], shots)
         for ts in ([], [math.inf], [1e-4, math.nan], [2e-4, 1e-4], [1e-4, 1e-4], [-1e-4, 1e-4]):
             with pytest.raises(ValueError, match="time grid|total_times"):
                 curve(ts, 100)
@@ -529,6 +530,10 @@ def test_pulse_error_rejects_bad_arguments():
     with pytest.raises(ValueError):
         evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), 1, 0.1, "xy8", [1e-4],
                                  100, None)
+    for n in (0, 2.5):
+        with pytest.raises(ValueError, match="1 pulse"):
+            evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), n, 0.1, "cpmg", [1e-4],
+                                     100, None)
     # a deterministic train runs one trajectory, but refuses what the other
     # curves refuse
     for ts, shots in (([1e-4], 99), ([], 100), ([math.inf], 100), ([2e-4, 1e-4], 100)):

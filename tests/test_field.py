@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -384,6 +385,33 @@ def test_model_validation():
         Polynomial(tuple([0.0] * 14))
     with pytest.raises(ValueError):
         NVParameters(t1=-1.0)
+
+
+def test_segment_phases_scales_in_place():
+    # a deterministic field adds one (n_seg,) row per component, so the
+    # phases are the one (rows, n_seg) array the call holds
+    model = FieldModel.of(StaticOffset(1e-6))
+    tog = sq.toggling(sq.cpmg(199, 1e-3))
+    draws = draw_normals(model, 200, None, 0, 500)
+    tracemalloc.start()
+    try:
+        ph = segment_phases(model, tog, draws, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * ph.nbytes, (peak, ph.nbytes)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OrnsteinUhlenbeck(math.nan, 1e-5),
+    lambda: OrnsteinUhlenbeck(1e-7, math.nan),
+    lambda: QuasiStaticGaussian(math.nan),
+    lambda: NVParameters(t1=math.nan),
+], ids=["ou_sigma_b", "ou_tau_c", "quasi_static_sigma_b", "nv_t1"])
+def test_nan_parameters_are_refused(make):
+    # NaN fails every comparison, so a check must refuse what is not in range
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_quasi_static_ratio_diagnostic():
