@@ -10,7 +10,8 @@ bit-identical for any worker count.  The driver hands each observer a chunk
 ordinal and a row count, and the observer draws that whole chunk at once.
 
 The decay takes a chunk's phases at every time of the grid from one matrix
-product per stochastic slot, with the linear map of ``field.phase_map``.
+product per stochastic slot, with the linear map that ``field.phase_map``
+gives for the whole grid at once (``sequence.on_grid``).
 
 Over a step of constant Omega, dm/dt = m x Omega is a rotation, so the Bloch
 paths are exact: spin locking composes a sample interval's steps as SU(2)
@@ -146,7 +147,8 @@ def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, meta
                 partials.append((s, np.sum((c - s / c.size) ** 2)))
         return partials
 
-    if n_workers > 1:
+    # a pool for a single chunk only adds its start-up to the curve
+    if n_workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
             by_chunk = list(ex.map(work, range(len(sizes))))
     else:
@@ -194,18 +196,14 @@ def coherence_curve(
     total_times = _grid(total_times, shots)
     # an overflow ends as a curve that is not finite, which the driver reports
     with np.errstate(over="ignore", invalid="ignore"):
-        consts, slot_weights = zip(*[phase_map(model, sq.toggling(sequence.scaled(T)),
-                                               nv.gamma_e) for T in total_times])
-    const = np.array(consts)[:, None]
-    # per stochastic slot, one weight row per time of the grid
-    weights = [None if w[0] is None else np.array(w) for w in zip(*slot_weights)]
+        const, weights = phase_map(model, sq.on_grid(sequence, total_times), nv.gamma_e)
     n = sequence.n_pulses
 
     def observe(chunk, rows):
         # a trajectory's normals depend on (seed, index, slot, count) alone
         # and count is the same at every time, so one draw serves the grid
         draws = draw_normals(model, n + 1, rng, chunk, rows)
-        ph = np.repeat(const, rows, axis=1)
+        ph = np.repeat(const[:, None], rows, axis=1)
         for d, w in zip(draws, weights):
             if d is not None:
                 ph += w @ d.T
@@ -312,7 +310,7 @@ def spin_lock_curve(
         [[0.0]] + [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(knots[:-1], knots[1:], nsub)]
     )
     steps = np.diff(grid)
-    tog = sq.TogglingFunction(tuple(grid), (1,) * steps.size)
+    tog = sq.TogglingFunction(tuple(grid))
 
     def observe(chunk, rows):
         # mapped to phases as drawn, so the normals are freed before the

@@ -118,7 +118,8 @@ def _ou_c2_sq(x):
 # segments [a, b] from them: shape (n_seg,) when it draws nothing (draws is
 # None), (n_traj, n_seg) otherwise.  A component that draws also has
 # phase_weights(a, b, signs), the weights w with
-# segment_integrals(a, b, draws) @ signs = draws @ w.
+# segment_integrals(a, b, draws) @ signs = draws @ w.  Without draws both take
+# a and b with leading axes, one set of segments along the last axis each.
 # ---------------------------------------------------------------------------
 
 
@@ -153,7 +154,7 @@ class QuasiStaticGaussian:
         return self.sigma_b * draws[:, :1] * (b - a)[None, :]
 
     def phase_weights(self, a, b, signs):
-        return np.array([self.sigma_b * np.sum(signs * (b - a))])
+        return (self.sigma_b * np.sum(signs * (b - a), axis=-1))[..., None]
 
     def to_dict(self):
         return {"type": "quasi_static_gaussian", "sigma_b_T": self.sigma_b}
@@ -231,16 +232,20 @@ class OrnsteinUhlenbeck:
         """The adjoint of ``segment_integrals``: sum_i signs_i int_i X dt is
         xi0 s A_0 + sum_i xi1_i (signs_i c1_i + sx_i A_{i+1}) + xi2_i signs_i c2_i,
         where A_i = signs_i m_i + e_i A_{i+1} (A_n = 0) is that sum's
-        derivative by the X entering segment i."""
-        e, m, c1, c2, sx = (v.tolist() for v in self._coefficients(a, b))
+        derivative by the X entering segment i.  Each step of the pass spans
+        the leading axes of ``a`` and ``b``."""
+        coefficients = self._coefficients(a, b)
+        w = np.empty(a.shape[:-1] + (1 + 2 * a.shape[-1],))
+        w[..., 2::2] = signs * coefficients[3]
+        # per segment: Python floats for one row, arrays over the leading axes else
+        e, m, c1, _, sx = (v.tolist() if v.ndim == 1 else list(np.moveaxis(v, -1, 0))
+                           for v in coefficients)
         s = signs.tolist()
-        w = np.empty(1 + 2 * len(e))
-        w[2::2] = np.multiply(s, c2)
         acc = 0.0
         for i in reversed(range(len(e))):
-            w[1 + 2 * i] = s[i] * c1[i] + sx[i] * acc
+            w[..., 1 + 2 * i] = s[i] * c1[i] + sx[i] * acc
             acc = s[i] * m[i] + e[i] * acc
-        w[0] = self.sigma_b * acc
+        w[..., 0] = self.sigma_b * acc
         return w
 
     def to_dict(self):
@@ -387,15 +392,18 @@ def segment_phases(model: FieldModel, tog: TogglingFunction, draws: list, rows: 
     return out
 
 
-def phase_map(model: FieldModel, tog: TogglingFunction, gamma_e: float = GAMMA_E):
+def phase_map(model: FieldModel, breakpoints, gamma_e: float = GAMMA_E):
     """A trajectory's signed phase gamma_e * int s(t) B(t) dt as a linear map
     of its normals ``draws`` (from ``draw_normals``): (c, weights) with phase
-    c + sum_slot draws[slot] @ weights[slot].  The deterministic components
-    make up c; their weights, like their draws, are None."""
-    bp = np.asarray(tog.breakpoints)
-    a, b = bp[:-1], bp[1:]
-    signs = np.asarray(tog.signs, dtype=float)
-    det = np.zeros(a.size)
+    c + sum_slot draws[slot] @ weights[slot], for the toggling function
+    (``sequence.TogglingFunction``) of ``breakpoints``.  The deterministic
+    components make up c; their weights, like their draws, are None.
+    Leading axes of ``breakpoints`` (``sequence.on_grid``) carry over to c
+    and every weight."""
+    bp = np.asarray(breakpoints, dtype=float)
+    a, b = bp[..., :-1], bp[..., 1:]
+    signs = np.where(np.arange(a.shape[-1]) % 2, -1.0, 1.0)
+    det = np.zeros(a.shape)
     weights = []
     for comp in model.components:
         if comp.n_normals_base > 0:
@@ -403,7 +411,7 @@ def phase_map(model: FieldModel, tog: TogglingFunction, gamma_e: float = GAMMA_E
         else:
             det += comp.segment_integrals(a, b, None)
             weights.append(None)
-    return float(np.sum(gamma_e * det * signs)), weights
+    return np.sum(gamma_e * det * signs, axis=-1), weights
 
 
 # ---------------------------------------------------------------------------
@@ -421,5 +429,6 @@ def ou_chi(
     coherence is exp(-chi/2).  Serves as the deterministic counterpart of the
     Monte Carlo path (and of the quadrature oracles used in tests).
     """
-    _, (w,) = phase_map(FieldModel.of(OrnsteinUhlenbeck(sigma_b, tau_c)), tog, gamma_e)
+    _, (w,) = phase_map(FieldModel.of(OrnsteinUhlenbeck(sigma_b, tau_c)), tog.breakpoints,
+                        gamma_e)
     return float(np.sum(w * w))

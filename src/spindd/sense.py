@@ -43,9 +43,9 @@ class ReadoutModel:
     def __post_init__(self):
         if not (0 < self.contrast < 1):
             raise ValueError("contrast must be in (0, 1)")
-        if self.photons_per_shot <= 0:
+        if not self.photons_per_shot > 0:
             raise ValueError("photons_per_shot must be positive")
-        if self.overhead < 0:
+        if not self.overhead >= 0:
             raise ValueError("overhead must be non-negative")
 
     def mean_photons(self, signal: float) -> float:
@@ -103,7 +103,7 @@ def phase_response(
     Closed form; for the matched field this is 4 gamma b tau / pi (Hahn) and
     4 n gamma b tau / pi (CPMG-n).
     """
-    return phase_map(FieldModel.of(ac), sq.toggling(sequence), nv.gamma_e)[0]
+    return float(phase_map(FieldModel.of(ac), sq.toggling(sequence).breakpoints, nv.gamma_e)[0])
 
 
 def signal_slope(

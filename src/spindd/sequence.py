@@ -8,40 +8,36 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _increasing(bp):
+    """Strictly increasing along the last axis, per row (NaN is not)."""
+    return np.all(np.diff(bp, axis=-1) > 0, axis=-1)
+
+
 @dataclass(frozen=True)
 class TogglingFunction:
     """Piecewise-constant sign function s(t) on [0, T].
 
-    ``breakpoints`` includes 0 and T; ``signs[i]`` is the value on
-    [breakpoints[i], breakpoints[i+1]).  The initial sign is +1 and it flips
-    at every pi-pulse instant.
+    ``breakpoints`` includes 0 and T; the sign is +1 on the first segment
+    and flips at every interior breakpoint, each a pi-pulse instant.
     """
 
     breakpoints: tuple
-    signs: tuple
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.size < 2 or np.any(np.diff(bp) <= 0):
+        if len(self.breakpoints) < 2 or not _increasing(self.breakpoints):
             raise ValueError("breakpoints must be strictly increasing, length >= 2")
-        if len(self.signs) != bp.size - 1:
-            raise ValueError("need one sign per segment")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
 
     @property
-    def total_time(self) -> float:
-        return self.breakpoints[-1]
+    def signs(self) -> tuple:
+        """``signs[i]``, the value on [breakpoints[i], breakpoints[i+1])."""
+        return tuple((-1) ** i for i in range(len(self.breakpoints) - 1))
 
     def segments(self):
-        """Yield (t_start, t_end, sign) triples."""
-        bp = self.breakpoints
-        for i, s in enumerate(self.signs):
-            yield bp[i], bp[i + 1], s
+        """(t_start, t_end, sign) triples."""
+        return zip(self.breakpoints[:-1], self.breakpoints[1:], self.signs)
 
     def signed_area(self) -> float:
-        bp = np.asarray(self.breakpoints)
-        return float(np.dot(np.asarray(self.signs, dtype=float), np.diff(bp)))
+        return float(np.dot(np.asarray(self.signs, dtype=float), np.diff(self.breakpoints)))
 
 
 @dataclass(frozen=True)
@@ -61,15 +57,9 @@ class PulseSequence:
     def __post_init__(self):
         if self.kind not in ("fid", "hahn", "cpmg", "custom"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
-        t = self.pi_pulse_times
-        if t:
-            # plain comparisons: a rescaled pattern is checked at every time of a grid
-            if any(b <= a for a, b in zip(t, t[1:])):
-                raise ValueError("pi_pulse_times must be strictly increasing")
-            if t[0] <= 0 or t[-1] >= self.total_time:
-                raise ValueError("pi_pulse_times must lie strictly inside (0, total_time)")
+        if not _increasing((0.0, *self.pi_pulse_times, self.total_time)):
+            raise ValueError("total_time must be positive and pi_pulse_times strictly "
+                             "increasing inside (0, total_time)")
 
     @property
     def n_pulses(self) -> int:
@@ -117,6 +107,19 @@ def custom(pi_pulse_times, total_time: float) -> PulseSequence:
 
 def toggling(sequence: PulseSequence) -> TogglingFunction:
     """Toggling sign function of an ideal pulse sequence."""
-    bp = (0.0,) + tuple(sequence.pi_pulse_times) + (sequence.total_time,)
-    signs = tuple((-1) ** i for i in range(len(bp) - 1))
-    return TogglingFunction(bp, signs)
+    return TogglingFunction((0.0, *sequence.pi_pulse_times, sequence.total_time))
+
+
+def on_grid(sequence: PulseSequence, times) -> np.ndarray:
+    """The breakpoints (0, t / total_time * T, ..., T) of
+    ``toggling(sequence.scaled(T))``, bit for bit, for each T of ``times``:
+    shape (n_times, n_pulses + 2).  A ValueError names the first T at which
+    the rescaled pulses collide or reach 0 or T."""
+    T = np.asarray(times, dtype=float)[:, None]
+    fractions = np.divide(sequence.pi_pulse_times, sequence.total_time)
+    bp = np.hstack([np.zeros_like(T), fractions * T, T])
+    ok = _increasing(bp)
+    if not ok.all():
+        raise ValueError(f"pulses collide or reach an end of the sequence at "
+                         f"t = {float(T[np.argmin(ok), 0])!r} s")
+    return bp

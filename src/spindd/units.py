@@ -63,18 +63,3 @@ def parse_quantity(text: str, dimension: str) -> float:
         raise UnitError(f"non-finite value in {text!r}")
     return value
 
-
-def tesla(text: str) -> float:
-    return parse_quantity(text, "tesla")
-
-
-def seconds(text: str) -> float:
-    return parse_quantity(text, "second")
-
-
-def hertz(text: str) -> float:
-    return parse_quantity(text, "hertz")
-
-
-def radians(text: str) -> float:
-    return parse_quantity(text, "radian")

@@ -91,9 +91,9 @@ def test_polynomial_refocusing_matches_exact_factors():
     for k in (1, 2, 3, 4):
         comp = Polynomial(coefficients=[0.0] * k + [1e-3 / T**k])
         model = FieldModel.of(comp)
-        free = phase_map(model, sq.toggling(sq.fid(T)))[0]
+        free = phase_map(model, sq.toggling(sq.fid(T)).breakpoints)[0]
         for n in (1, 2, 3, 8):
-            phi = phase_map(model, sq.toggling(sq.cpmg(n, T)))[0]
+            phi = phase_map(model, sq.toggling(sq.cpmg(n, T)).breakpoints)[0]
             factor = float(taylor.cpmg_factor(n, k))
             assert phi / free == pytest.approx(factor, abs=1e-10)
 
@@ -171,6 +171,21 @@ def _per_time_reference(model, make, times, shots, rng, gamma_e):
     return np.array(sig), np.array(err)
 
 
+def test_one_chunk_runs_without_a_thread_pool(monkeypatch):
+    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5))
+    kw = dict(total_times=[1e-4, 5e-4], shots=700, rng=RngSpec(42), nv=NV_NO_T1,
+              apply_t1=False)
+    inline = evolve.coherence_curve(model, sq.cpmg(4, 1.0), n_workers=1, **kw)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started for a single chunk")
+
+    monkeypatch.setattr(evolve, "ThreadPoolExecutor", no_pool)
+    curve = evolve.coherence_curve(model, sq.cpmg(4, 1.0), n_workers=2, **kw)
+    assert curve.signal.tobytes() == inline.signal.tobytes()
+    assert curve.std_error.tobytes() == inline.std_error.tobytes()
+
+
 def test_coherence_curve_matches_per_time_draws():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5),
                           QuasiStaticGaussian(sigma_b=3e-8), StaticOffset(1e-8))
@@ -238,6 +253,10 @@ def test_shots_floor_enforced():
         for ts in ([], [math.inf], [1e-4, math.nan], [2e-4, 1e-4], [1e-4, 1e-4], [-1e-4, 1e-4]):
             with pytest.raises(ValueError, match="time grid|total_times"):
                 curve(ts, 100)
+    # a pattern whose first pulse rescales to 0 at every time of the grid
+    with pytest.raises(ValueError, match=r"at t = 5e-05 s"):
+        evolve.coherence_curve(model, sq.custom([5e-324, 0.5], 1.0),
+                               np.linspace(50e-6, 500e-6, 4), 100, RngSpec(0))
 
 
 def test_curve_peak_memory_is_flat_in_shots():
@@ -297,7 +316,7 @@ def test_rotation_kernel_solves_bloch_equation():
 def test_bloch_norm_conservation():
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=5e-7, tau_c=1e-6))
     n = int(evolve.bloch_steps(model, [1e-3])[0])
-    tog = sq.TogglingFunction(tuple(np.linspace(0.0, 1e-3, n + 1)), (1,) * n)
+    tog = sq.TogglingFunction(tuple(np.linspace(0.0, 1e-3, n + 1)))
     ms = evolve._bloch_run(2 * math.pi * 1e5, np.diff(tog.breakpoints), np.array([n]),
                            _segment_phases(model, tog, RngSpec(9), 4))
     norms = np.linalg.norm(ms[0], axis=1)

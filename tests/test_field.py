@@ -24,6 +24,7 @@ from spindd.field import (
     phase_map,
     segment_phases,
 )
+from spindd.sense import ReadoutModel
 
 RNG = RngSpec(20240817)
 
@@ -45,7 +46,7 @@ def _forward(model, tog, shots):
 
 def _mapped(model, tog, shots):
     """Signed phases of trajectories 0..shots-1 through ``phase_map``."""
-    c, weights = phase_map(model, tog)
+    c, weights = phase_map(model, tog.breakpoints)
     draws = _draws(model, len(tog.signs), shots)
     return c + sum(d @ w for d, w in zip(draws, weights) if d is not None)
 
@@ -158,7 +159,7 @@ def test_whole_chunk_draw_matches_the_row_gather(first, n):
 
 def test_static_term_fully_refocused_by_hahn():
     m = FieldModel.of(Polynomial((3.7e-9,)))
-    assert phase_map(m, sq.toggling(sq.hahn(2.0))) == (0.0, [None])
+    assert phase_map(m, sq.toggling(sq.hahn(2.0)).breakpoints) == (0.0, [None])
 
 
 def test_linear_term_hahn_matches_closed_form_and_eq3_ratio():
@@ -166,9 +167,9 @@ def test_linear_term_hahn_matches_closed_form_and_eq3_ratio():
     tau = 0.37
     tog = sq.toggling(sq.hahn(2 * tau))
     m = FieldModel.of(Polynomial((0.0, a1)))
-    got = phase_map(m, tog)[0]
+    got = phase_map(m, tog.breakpoints)[0]
     assert got == pytest.approx(-GAMMA_E * a1 * tau**2, rel=1e-12)
-    fid_phase = phase_map(m, sq.toggling(sq.fid(2 * tau)))[0]
+    fid_phase = phase_map(m, sq.toggling(sq.fid(2 * tau)).breakpoints)[0]
     assert abs(got / fid_phase) == pytest.approx(0.5, rel=1e-12)
 
 
@@ -176,7 +177,7 @@ def test_resonant_ac_hahn_phase():
     tau = 1e-3
     b = 1e-9
     m = FieldModel.of(SinusoidAC(b, 1 / (2 * tau), 0.0))
-    got = phase_map(m, sq.toggling(sq.hahn(2 * tau)))[0]
+    got = phase_map(m, sq.toggling(sq.hahn(2 * tau)).breakpoints)[0]
     assert got == pytest.approx(4 * GAMMA_E * b * tau / math.pi, rel=1e-12)
 
 
@@ -196,9 +197,9 @@ def test_zero_area_toggling_annihilates_static_offset():
     for times in ([0.5], [0.25, 0.75], [0.2, 0.5, 0.7, 1.0 - 1e-9]):
         tog = sq.toggling(sq.custom(list(times), 1.0))
         if abs(tog.signed_area()) < 1e-15:
-            assert phase_map(m, tog)[0] == pytest.approx(0.0, abs=1e-20)
+            assert phase_map(m, tog.breakpoints)[0] == pytest.approx(0.0, abs=1e-20)
     # Hahn is exactly zero, not just approximately
-    assert phase_map(m, sq.toggling(sq.hahn(1.0)))[0] == 0.0
+    assert phase_map(m, sq.toggling(sq.hahn(1.0)).breakpoints)[0] == 0.0
 
 
 def test_phase_linearity_over_components():
@@ -212,7 +213,7 @@ def test_phase_linearity_over_components():
     for phase in (_forward, _mapped):
         got = phase(combo, tog, 4)[3]
         parts = (phase(FieldModel.of(ou), tog, 4)[3]
-                 + phase_map(det1, tog)[0] + phase_map(det2, tog)[0])
+                 + phase_map(det1, tog.breakpoints)[0] + phase_map(det2, tog.breakpoints)[0])
         assert got == pytest.approx(parts, rel=1e-12)
 
 
@@ -235,6 +236,26 @@ def test_phase_map_matches_forward_sampler():
         rms = math.sqrt(np.mean(ref**2))
         # measured 1.2e-15 of the RMS phase at most
         assert np.max(np.abs(got - ref)) <= 1e-14 * rms, seq
+
+
+def test_phase_map_over_a_grid_equals_each_row():
+    """A pattern mapped on a whole grid at once gives every time the constant
+    and weights of its own one-row map, bit for bit."""
+    model = FieldModel.of(
+        StaticOffset(1e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5),
+        Polynomial((1e-9, 2e-6, -3e-3)), SinusoidAC(3e-9, 1234.0, 0.3),
+        OrnsteinUhlenbeck(5e-8, 3e-3))
+    times = np.geomspace(1e-9, 2.0, 13)
+    for pattern in (sq.hahn(1.0), sq.cpmg(90, 1.0), sq.custom([0.1, 0.35, 0.4, 0.9], 1.0)):
+        c, weights = phase_map(model, sq.on_grid(pattern, times))
+        assert c.shape == times.shape
+        for i, T in enumerate(times):
+            c_row, weights_row = phase_map(model, sq.toggling(pattern.scaled(T)).breakpoints)
+            assert np.array_equal(c[i], c_row), (pattern.kind, T)
+            for w, w_row in zip(weights, weights_row):
+                assert (w is None) == (w_row is None)
+                if w is not None:
+                    assert np.array_equal(w[i], w_row), (pattern.kind, T)
 
 
 def _ou_forward_loop(ou, a, b, draws):
@@ -407,7 +428,15 @@ def test_segment_phases_scales_in_place():
     lambda: OrnsteinUhlenbeck(1e-7, math.nan),
     lambda: QuasiStaticGaussian(math.nan),
     lambda: NVParameters(t1=math.nan),
-], ids=["ou_sigma_b", "ou_tau_c", "quasi_static_sigma_b", "nv_t1"])
+    lambda: ReadoutModel(photons_per_shot=math.nan, contrast=0.3),
+    lambda: ReadoutModel(0.1, 0.3, overhead=math.nan),
+    lambda: sq.hahn(math.nan),
+    lambda: sq.cpmg(3, math.nan),
+    lambda: sq.fid(math.nan),
+    lambda: sq.custom([math.nan], 1.0),
+], ids=["ou_sigma_b", "ou_tau_c", "quasi_static_sigma_b", "nv_t1", "readout_photons_per_shot",
+        "readout_overhead", "hahn_total_time", "cpmg_total_time", "fid_total_time",
+        "custom_pulse_time"])
 def test_nan_parameters_are_refused(make):
     # NaN fails every comparison, so a check must refuse what is not in range
     with pytest.raises(ValueError):

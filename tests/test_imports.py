@@ -1,8 +1,10 @@
 """Every name a package module imports is used, and every definition is
 referenced: stdlib ``ast`` stand-ins for a linter's unused-import and
-dead-code rules."""
+dead-code rules; and every name the benchmark's tracer patches exists."""
 
 import ast
+import importlib
+import operator
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -78,3 +80,17 @@ def test_no_unreferenced_public_definitions():
     # it; the benchmark's tracer names its targets by string
     users = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     assert _unreferenced(False, _referenced(users, strings=True)) == {}
+
+
+def test_benchmark_trace_targets_resolve():
+    # the tracer patches each (module, dotted attribute) of its TARGETS, and a
+    # run with tracing fails on any name that is gone; read without importing
+    # the benchmark
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (targets,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in targets.elts]
+    assert pairs
+    for module, attribute in pairs:
+        assert callable(operator.attrgetter(attribute)(importlib.import_module(module))), \
+            (module, attribute)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,13 @@ def test_scaled_pattern_is_the_sequence_built_at_that_time():
         assert sq.custom(fractions, 1.0).scaled(T) == sq.custom([f * T for f in fractions], T)
         for n, pattern in cpmg.items():
             assert pattern.scaled(T) == sq.cpmg(n, T), (n, T)
+    # and the whole grid at once: row i is the rescaled sequence's breakpoints
+    patterns = [sq.fid(1.0), sq.hahn(1.0), sq.custom(fractions, 1.0), *cpmg.values()]
+    for pattern in patterns:
+        grid = sq.on_grid(pattern, times)
+        assert grid.shape == (times.size, pattern.n_pulses + 2)
+        for row, T in zip(grid.tolist(), times):
+            assert tuple(row) == (0.0, *pattern.scaled(T).pi_pulse_times, T), (pattern, T)
 
 
 def test_scaled_keeps_kind_and_pulse_count():
@@ -85,6 +94,24 @@ def test_scaled_keeps_kind_and_pulse_count():
     assert sq.custom([0.5, 1.5], 2.0).scaled(4.0).pi_pulse_times == (1.0, 3.0)
     with pytest.raises(ValueError):
         sq.hahn(1.0).scaled(0.0)
+
+
+def test_on_grid_names_the_first_time_the_pulses_collide():
+    # the first pulse underflows to 0 at every time below 2^-52 s / 5e-324
+    pattern = sq.custom([5e-324, 0.5], 1.0)
+    with pytest.raises(ValueError, match=r"t = 1e-300 s"):
+        sq.on_grid(pattern, [1.0, 1e-300, 1e-310])
+    assert sq.on_grid(pattern, [1.0]).tolist() == [[0.0, 5e-324, 0.5, 1.0]]
+    with pytest.raises(ValueError, match=r"t = 0\.0 s"):
+        sq.on_grid(sq.hahn(1.0), [1.0, 0.0])
+
+
+def test_toggling_signs_alternate_from_plus_one():
+    assert sq.TogglingFunction((0.0, 1.0)).signs == (1,)
+    assert sq.TogglingFunction((0.0, 0.5, 1.5, 2.0, 3.0)).signs == (1, -1, 1, -1)
+    for bad in ((0.0,), (0.0, 1.0, 1.0), (0.0, 2.0, 1.0), (0.0, math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            sq.TogglingFunction(bad)
 
 
 def test_custom_sequence_validation():
