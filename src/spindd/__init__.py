@@ -22,7 +22,7 @@ from .evolve import (
     t1_envelope,
     spin_lock_curve,
     pulse_error_curve,
-    ou_coherence_exponent,
+    gaussian_coherence,
 )
 from .fit import DecayFit, fit_decay, fit_power_law
 from .sense import (

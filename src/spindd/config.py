@@ -218,8 +218,10 @@ WORK_BUDGET = 2**30
 # its tuples of Python floats and the arrays of the map (measured 42)
 _PATTERN = 50
 # words per time and segment of a decay's map on the whole grid, besides 3 per
-# normal (measured 4.1 static, 7.0 polynomial and AC, 12.1 with 2 OU normals)
-_ON_GRID = 8
+# normal (measured 4.1 static, 7.0 polynomial and AC, 12.1 with 2 OU normals);
+# words per segment of its OU coefficient views (98 with the pattern, on 2 times);
+# words at any size, numpy's ufunc buffer of 8192 values among them
+_ON_GRID, _ON_GRID_SEGMENT, _DECAY_FIXED = 8, 32, 2**14
 # an OU block map and the arrays that build it; per trajectory, a block's product
 _BLOCK_MAP, _BLOCK_ROW = 6 * (OU_BLOCK + 1) ** 2, 2 * (OU_BLOCK + 1)
 
@@ -348,17 +350,17 @@ class DecaySpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
-        # one chunk's normals, phases and their product, the map of the pattern
-        # on the whole grid with the weights of every time, and the pattern
+        # one chunk's normals and phases, the map of the pattern on the whole
+        # grid with the weights of every time and QR's copies, and the pattern
         n_seg, n_times = self.sequence.n_pulses + 1, self.times.size
         rows, normals = min(self.shots, CHUNK), _normals(self.field, n_seg)
         terms = _run_terms(self.shots, self.times)
-        terms["times.count"] += 2 * rows * n_times
+        terms["times.count"] += rows * n_times
         key = "sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"
-        terms[key] = ((rows + 3 * n_times) * normals + _ON_GRID * n_times * n_seg
-                      + _PATTERN * n_seg)
+        terms[key] = (rows * min(normals, n_times) + 3 * n_times * normals + _DECAY_FIXED
+                      + (_ON_GRID * n_times + _ON_GRID_SEGMENT + _PATTERN) * n_seg)
         _within_budget(terms)
-        _scales_to(self.sequence, self.times, "sequence")
+        _build("sequence", sq.on_grid, self.sequence, self.times)
 
 
 @dataclass(frozen=True, kw_only=True)

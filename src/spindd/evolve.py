@@ -9,9 +9,9 @@ random streams (``field.CHUNK``), in index order, so results are
 bit-identical for any worker count.  The driver hands each observer a chunk
 ordinal and a row count, and the observer draws that whole chunk at once.
 
-The decay takes a chunk's phases at every time of the grid from one matrix
-product per stochastic slot, with the linear map that ``field.phase_map``
-gives for the whole grid at once (``sequence.on_grid``).
+The decay's phases over its grid are one Gaussian vector c + W xi
+(``field.phase_map`` on ``sequence.on_grid``), drawn as c + R^T z from
+min(normals, n_times) normals z per trajectory, W^T = Q R once per curve.
 
 Over a step of constant Omega, dm/dt = m x Omega is a rotation, so the Bloch
 paths are exact: spin locking composes a sample interval's steps as SU(2)
@@ -29,20 +29,21 @@ from typing import Optional
 
 import numpy as np
 
-from . import sequence as sq
+from . import field as _field, sequence as sq
 from .field import (
     CHUNK,
-    GAMMA_E,
+    DECAY_RNG_SCHEME,
     RNG_SCHEME,
     FieldModel,
     NVParameters,
     OrnsteinUhlenbeck,
     RngSpec,
     draw_normals,
-    ou_chi,
     phase_map,
     segment_phases,
 )
+
+ou_chi = _field.ou_chi  # not called here: the benchmark's tracer patches it
 
 
 @dataclass
@@ -127,11 +128,11 @@ def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, meta
     each of ``times``, times the T1 envelope when ``apply_t1``.
 
     ``observe(chunk, rows)`` draws what rows 0..rows-1 of chunk ``chunk``
-    need (``field.draw_normals``) and yields one row of per-trajectory
+    need (``RngSpec.generator``) and yields one row of per-trajectory
     values per time point.  A row is reduced to its (sum, centred sum of
     squares) as it comes, so no chunk outlives its reduction.  A mean or
     standard error that is not finite raises FloatingPointError.
-    ``metadata`` adds to what every Monte Carlo curve records.
+    ``metadata`` adds to, or overrides, what every Monte Carlo curve records.
     """
 
     # every chunk is whole but the last
@@ -191,37 +192,43 @@ def coherence_curve(
     """Monte Carlo coherence signal over a grid of total evolution times.
 
     ``sequence`` is a pulse pattern, rescaled to each total time of the grid.
-    Deterministic given (model, seed, shots, grid).
+    Deterministic given (model, seed, shots, grid); row r of chunk c's
+    (rows, k) draw from slot 0 is trajectory c * CHUNK + r (DECAY_RNG_SCHEME).
     """
     total_times = _grid(total_times, shots)
     # an overflow ends as a curve that is not finite, which the driver reports
     with np.errstate(over="ignore", invalid="ignore"):
         const, weights = phase_map(model, sq.on_grid(sequence, total_times), nv.gamma_e)
-    n = sequence.n_pulses
+        # c + R^T z, W^T = Q R, has the covariance W W^T = R^T R of c + W xi; QR,
+        # as near times make W W^T nearly singular (Golub & Van Loan, ch. 5)
+        w = [x for x in weights if x is not None]
+        r = np.linalg.qr(np.hstack(w).T, mode="r") if w else np.empty((0, const.size))
+    if w and rng is None:
+        raise ValueError("stochastic field model requires an RngSpec")
+    del weights, w  # the chunks need R alone
 
     def observe(chunk, rows):
-        # a trajectory's normals depend on (seed, index, slot, count) alone
-        # and count is the same at every time, so one draw serves the grid
-        draws = draw_normals(model, n + 1, rng, chunk, rows)
-        ph = np.repeat(const[:, None], rows, axis=1)
-        for d, w in zip(draws, weights):
-            if d is not None:
-                ph += w @ d.T
+        # k = 0 normals for a deterministic model, which draws nothing
+        k = r.shape[0]
+        z = rng.generator(chunk, 0).standard_normal((rows, k)) if k else np.empty((rows, 0))
+        ph = r.T @ z.T
+        ph += const[:, None]
         yield from np.cos(ph, out=ph)
 
+    n = sequence.n_pulses
     label = f"cpmg-{n}" if sequence.kind == "cpmg" else sequence.kind
     return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, n,
-                        {"sequence": label}, n_workers)
+                        {"sequence": label, "rng_scheme": DECAY_RNG_SCHEME}, n_workers)
 
 
-def ou_coherence_exponent(sequence: sq.PulseSequence, total_times, comp: OrnsteinUhlenbeck,
-                          gamma_e: float = GAMMA_E) -> np.ndarray:
-    """Analytic chi(T)/2 of an OU bath for a pulse pattern rescaled to each
-    total time (no T1)."""
-    return np.array(
-        [0.5 * ou_chi(sq.toggling(sequence.scaled(T)), comp.sigma_b, comp.tau_c, gamma_e)
-         for T in np.atleast_1d(total_times)]
-    )
+def gaussian_coherence(model: FieldModel, sequence: sq.PulseSequence, total_times,
+                       nv: NVParameters = NVParameters(), apply_t1: bool = True) -> np.ndarray:
+    """The exact mean of ``coherence_curve``, cos c exp(-|w|^2 / 2) at each time
+    for the Gaussian phase c + w xi (Cywinski et al., PRB 77, 174509 (2008)),
+    times the T1 envelope when ``apply_t1``."""
+    const, weights = phase_map(model, sq.on_grid(sequence, total_times), nv.gamma_e)
+    chi = sum(np.sum(w * w, axis=1) for w in weights if w is not None)
+    return np.cos(const) * np.exp(-0.5 * chi) * (t1_envelope(total_times, nv) if apply_t1 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ discretization bias enters.
 
 Randomness is counter-based: trajectories are grouped in chunks of CHUNK,
 and chunk c and component slot under ``master_seed`` map to a dedicated
-Philox stream whose row r belongs to trajectory c * CHUNK + r (layout
-RNG_SCHEME).  A whole chunk is the unit that is drawn (``draw_normals``);
-a trajectory's normals depend on its index alone, so results are
-independent of execution order, shot count and worker count.
+Philox stream whose row r belongs to trajectory c * CHUNK + r: field normals
+(``draw_normals``, RNG_SCHEME) or the decay's phase normals (DECAY_RNG_SCHEME).
+A whole chunk is the unit drawn; a trajectory's normals depend on its index
+alone, so results do not depend on execution order, shot count or worker count.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ GAMMA_E = 1.760859e11
 #: trajectories per random stream (and per reduction chunk in ``evolve``);
 #: part of the random-stream layout, so fixed
 CHUNK = 4096
-#: the random-stream layout, recorded in every Monte Carlo curve's metadata
-RNG_SCHEME = f"philox-chunk{CHUNK}-v2"
+#: the random-stream layouts of the Bloch paths and the decay, in curve metadata
+RNG_SCHEME, DECAY_RNG_SCHEME = f"philox-chunk{CHUNK}-v2", f"philox-chunk{CHUNK}-v3"
 #: segments per block of the OU forward map, one matrix product each
 OU_BLOCK = 64
 
@@ -68,7 +68,7 @@ class RngSpec:
     ``generator(chunk, slot)`` keys Philox with (master_seed, chunk) and
     starts its counter at block ``slot``: one stream per chunk of CHUNK
     trajectories and component slot, which the chunk's trajectories read row
-    by row.  ``draw_normals`` is its one caller.
+    by row.  ``draw_normals`` and ``evolve.coherence_curve`` call it.
     """
 
     master_seed: int
@@ -426,8 +426,7 @@ def ou_chi(
 
     The phase is linear in independent standard normals, so chi is the sum of
     its squared weights (``phase_map``), with nothing to cancel; the Gaussian
-    coherence is exp(-chi/2).  Serves as the deterministic counterpart of the
-    Monte Carlo path (and of the quadrature oracles used in tests).
+    coherence is exp(-chi/2) (``evolve.gaussian_coherence`` for any model).
     """
     _, (w,) = phase_map(FieldModel.of(OrnsteinUhlenbeck(sigma_b, tau_c)), tog.breakpoints,
                         gamma_e)

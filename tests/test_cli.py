@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from spindd import cli, config as cfgmod, taylor
 from spindd.config import ConfigError
-from spindd.field import RNG_SCHEME
+from spindd.field import DECAY_RNG_SCHEME, RNG_SCHEME
 
 
 def _write(tmp_path, name, cfg):
@@ -375,13 +375,16 @@ def test_main_dispatch_with_overrides(tmp_path):
     assert cli.main(["spinlock", "--config", cfg_path]) == cli.EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("cfg", [_decay_cfg(), _SPINLOCK, _PULSE_ERROR],
+# the decay draws its phases' own normals; the Bloch paths draw the field's
+@pytest.mark.parametrize("cfg, scheme", [(_decay_cfg(), DECAY_RNG_SCHEME),
+                                         (_SPINLOCK, RNG_SCHEME), (_PULSE_ERROR, RNG_SCHEME)],
                          ids=["decay", "spinlock", "pulse_error"])
-def test_manifest_records_rng_scheme(tmp_path, cfg):
+def test_manifest_records_rng_scheme(tmp_path, cfg, scheme):
     code, _ = cli.run(_write(tmp_path, "cfg.json", cfg), out_dir=str(tmp_path / "out"))
     assert code == cli.EXIT_OK
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert man["metadata"]["rng_scheme"] == RNG_SCHEME == "philox-chunk4096-v2"
+    assert man["metadata"]["rng_scheme"] == scheme
+    assert (RNG_SCHEME, DECAY_RNG_SCHEME) == ("philox-chunk4096-v2", "philox-chunk4096-v3")
 
 
 # one small valid config per experiment for the property test below; the fit

@@ -1,13 +1,15 @@
 import copy
 import dataclasses
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindd import config as cfgmod
+from spindd import config as cfgmod, evolve
 from spindd.config import ConfigError
+from spindd.field import RngSpec
 
 _OU = {"type": "ornstein_uhlenbeck", "sigma_b": "59.22345 nT", "tau_c": "25 us"}
 _TIMES = {"start": "50 us", "stop": "500 us", "count": 4, "spacing": "linear"}
@@ -146,15 +148,17 @@ _PULSE_ERROR = {"experiment": "pulse_error", "preset": "bulk_cvd", "n_pulses": 4
 # each of these asks a run to hold more than the work budget: a traceback or
 # an out-of-memory kill when run, so they are only validated here
 _OVER_BUDGET = {
-    # 2n + 3 normals x 4096 rows a chunk
-    "decay_n_pulses": (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**6}),
+    # the map of 2n + 3 normals and n + 1 segments on each of 1000 times
+    "decay_n_pulses": (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**6},
+                            times=dict(_SHORT, count=1000)),
                        "sequence.n_pulses"),
     # past what one pattern can hold: refused before it is built
     "decay_n_pulses_pattern": (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**9}),
                                "sequence.n_pulses"),
     "decay_custom_pattern": (
         dict(_DECAY, sequence={"kind": "custom",
-                               "pulse_time_fractions": [i / 200_001 for i in range(1, 200_001)]}),
+                               "pulse_time_fractions": [i / 200_001 for i in range(1, 200_001)]},
+             times=dict(_SHORT, count=1000)),
         "sequence"),
     "decay_shots": (dict(_DECAY, shots=10**12), "shots"),
     "decay_times_count": (dict(_DECAY, times=dict(_SHORT, count=10**7)), "times.count"),
@@ -189,6 +193,39 @@ def test_work_over_the_budget_is_refused_naming_the_field(cfg, key):
     with pytest.raises(ConfigError) as exc:
         cfgmod.validate(cfg)
     assert str(exc.value).startswith(f"{key}:") or str(exc.value).startswith(f"{key} must")
+
+
+_MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
+               {"type": "ornstein_uhlenbeck", "sigma_b": "20 nT", "tau_c": "2 us"},
+               {"type": "static_offset", "b": "1 nT"}]
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(_DECAY, sequence={"kind": "hahn"}, times=dict(_SHORT, count=10), shots=2000),
+    dict(_DECAY, sequence={"kind": "hahn"}, times=dict(_SHORT, count=1000), shots=100),
+    dict(_DECAY, times=dict(_SHORT, count=12), shots=1500),
+    dict(_DECAY, field=_MULTI_SLOT, sequence={"kind": "cpmg", "n_pulses": 8},
+         times=dict(_SHORT, count=12), shots=1000),
+], ids=["hahn_10_times", "hahn_1000_times", "cpmg_90", "multi_slot"])
+def test_decay_estimate_bounds_the_traced_peak(monkeypatch, cfg):
+    terms = []
+    monkeypatch.setattr(cfgmod, "_within_budget", terms.append)
+    spec = cfgmod.validate(cfg)["spec"]
+    # in 8-byte words; the shots term bounds the run's length and holds no array
+    estimate = 8 * sum(v for key, v in terms[0].items() if key != "shots")
+
+    def run():
+        evolve.coherence_curve(spec.field, spec.sequence, spec.times, spec.shots,
+                               RngSpec(spec.seed), spec.nv, spec.t1_envelope)
+
+    run()  # numpy's and the interpreter's first-call allocations
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate >= peak, (estimate, peak)
 
 
 def test_work_within_the_budget_is_valid():

@@ -46,6 +46,8 @@ def test_quasi_static_hahn_is_exact():
     )
     assert np.all(curve.signal == 1.0)
     assert np.all(curve.std_error == 0.0)
+    assert np.all(evolve.gaussian_coherence(model, sq.hahn(1.0), [1e-4, 3e-4, 1e-3],
+                                            apply_t1=False) == 1.0)
 
 
 def test_quasi_static_fid_gaussian_law():
@@ -75,13 +77,27 @@ def test_ou_hahn_monte_carlo_matches_analytic():
     )
 
 
-def test_ou_coherence_exponent_matches_ou_chi():
+def test_gaussian_coherence_matches_ou_chi():
     comp = OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=5e-5)
-    ts = [1e-4, 4e-4]
-    got = evolve.ou_coherence_exponent(sq.cpmg(4, 1.0), ts, comp)
-    want = [0.5 * ou_chi(sq.toggling(sq.cpmg(4, T)), comp.sigma_b, comp.tau_c)
+    ts = [1e-4, 4e-4, 1e-3]
+    got = evolve.gaussian_coherence(FieldModel.of(comp), sq.cpmg(4, 1.0), ts, apply_t1=False)
+    want = [math.exp(-0.5 * ou_chi(sq.toggling(sq.cpmg(4, T)), comp.sigma_b, comp.tau_c))
             for T in ts]
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_coherence_curve_is_within_4_sigma_of_its_gaussian_mean(seed):
+    # every slot and a mean phase of up to 2.4 rad at once: 10 normals on 12
+    # times, and a pattern whose signed area leaves the quasi-static draw a weight
+    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=5e-8, tau_c=2e-5),
+                          QuasiStaticGaussian(sigma_b=3e-8), StaticOffset(5e-8),
+                          Polynomial((0.0, 1e-5)))
+    pattern, times = sq.custom([0.2, 0.5, 0.9], 1.0), np.linspace(1e-4, 1.2e-3, 12)
+    curve = evolve.coherence_curve(model, pattern, times, 2000, RngSpec(seed))
+    exact = evolve.gaussian_coherence(model, pattern, times)
+    assert np.all(np.abs(curve.signal - exact) <= 4 * curve.std_error), \
+        (curve.signal - exact) / curve.std_error
 
 
 def test_polynomial_refocusing_matches_exact_factors():
@@ -152,19 +168,23 @@ def _signed_phases(model, tog, rng, shots, gamma_e=GAMMA_E):
 
 
 def _per_time_reference(model, make, times, shots, rng, gamma_e):
-    """coherence_curve's (signal, std_error) without T1, computed the way it was
-    before one draw and one linear map served the whole grid: every time
-    point draws each trajectory's normals again and sums the forward
-    sampler's segment phases, for the sequence that ``make`` builds at that
-    total time."""
+    """coherence_curve's (signal, std_error) without T1, in plain loops: each
+    time's phase map for the sequence that ``make`` builds at that total
+    time, its weights stacked over the slots into a row of W, R of
+    W^T = Q R, and trajectory i's phase at time j c_j + z_i . R[:, j], z_i
+    row i of its chunk's (rows, k) draw from slot 0."""
+    maps = [phase_map(model, sq.toggling(make(T)).breakpoints, gamma_e) for T in times]
+    w = np.array([np.concatenate([x for x in weights if x is not None]) for _, weights in maps])
+    r = np.linalg.qr(w.T, mode="r")
+    sizes = [min(evolve.CHUNK, shots - start) for start in range(0, shots, evolve.CHUNK)]
+    z = [rng.generator(chunk, 0).standard_normal((rows, r.shape[0]))
+         for chunk, rows in enumerate(sizes)]
     sig, err = [], []
-    for T in times:
-        phases = _signed_phases(model, sq.toggling(make(T)), rng, shots, gamma_e)
-        sizes, partials = [], []
-        for start in range(0, shots, evolve.CHUNK):
-            c = np.cos(phases[start:start + evolve.CHUNK])
-            sizes.append(c.size)
-            partials.append((np.sum(c), np.sum((c - np.sum(c) / c.size) ** 2)))
+    for j, (c, _) in enumerate(maps):
+        partials = []
+        for zc in z:
+            cos = np.array([math.cos(c + zi @ r[:, j]) for zi in zc])
+            partials.append((np.sum(cos), np.sum((cos - np.sum(cos) / cos.size) ** 2)))
         mean, se = evolve._mean_and_error(sizes, partials)
         sig.append(mean)
         err.append(se)
@@ -195,8 +215,8 @@ def test_coherence_curve_matches_per_time_draws():
                                    nv=NV_NO_T1, apply_t1=False)
     sig, err = _per_time_reference(model, lambda T: sq.cpmg(3, T), times, shots,
                                    RngSpec(9), GAMMA_E)
-    # the linear map rounds each phase differently from the forward sum
-    # (measured 8.8e-18 in the signal, 1.1e-16 relative in the standard error)
+    # the one product over the grid rounds each phase differently from the
+    # per-time dot products
     assert np.max(np.abs(curve.signal - sig)) <= 1e-15
     assert np.max(np.abs(curve.std_error / err - 1.0)) <= 1e-12
 
@@ -212,13 +232,14 @@ def test_generator_built_once_per_chunk_and_slot(monkeypatch):
     monkeypatch.setattr(RngSpec, "generator", counted)
     # one stochastic slot next to a deterministic one
     model = FieldModel.of(StaticOffset(1e-8), OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5))
+    # the decay draws its phases' normals from slot 0, whatever its slots
     evolve.coherence_curve(model, sq.hahn(1.0), [1e-4, 2e-4, 3e-4, 4e-4],
                            shots=300, rng=RngSpec(3))
-    assert calls == [(0, 1)]
+    assert calls == [(0, 0)]
     calls.clear()
     evolve.coherence_curve(model, sq.hahn(1.0), [1e-4], shots=2 * evolve.CHUNK + 1,
                            rng=RngSpec(3), n_workers=2)
-    assert sorted(calls) == [(0, 1), (1, 1), (2, 1)]
+    assert sorted(calls) == [(0, 0), (1, 0), (2, 0)]
     calls.clear()
     evolve.pulse_error_curve(model, 4, 0.05, "cpmg", [1e-4, 2e-4, 3e-4], shots=200,
                              rng=RngSpec(3))
@@ -233,6 +254,41 @@ def test_generator_built_once_per_chunk_and_slot(monkeypatch):
     evolve.pulse_error_curve(model, 4, 0.05, "cpmg", [1e-4, 2e-4], shots=2 * evolve.CHUNK + 1,
                              rng=RngSpec(3))
     assert calls == [(0, 1), (1, 1), (2, 1)]
+
+
+def test_decay_draws_one_block_of_min_normals_and_times_per_chunk(monkeypatch):
+    sizes = []
+    make = RngSpec.generator
+
+    class Recorded:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def standard_normal(self, size):
+            sizes.append(size)
+            return self.generator.standard_normal(size)
+
+    monkeypatch.setattr(RngSpec, "generator",
+                        lambda self, chunk, slot: Recorded(make(self, chunk, slot)))
+    bulk = FieldModel.of(OrnsteinUhlenbeck(sigma_b=59.22345e-9, tau_c=25e-6))
+    # 183 normals on 12 times
+    evolve.coherence_curve(bulk, sq.cpmg(90, 1.0), np.linspace(3e-4, 6e-3, 12), 1500,
+                           RngSpec(1))
+    assert sizes == [(1500, 12)]
+    sizes.clear()
+    # 5 normals on 10 times
+    evolve.coherence_curve(bulk, sq.hahn(1.0), np.linspace(6e-5, 8.6e-4, 10), 2000, RngSpec(1))
+    assert sizes == [(2000, 5)]
+    sizes.clear()
+    evolve.coherence_curve(bulk, sq.hahn(1.0), [1e-4, 2e-4], 2 * evolve.CHUNK + 1, RngSpec(1),
+                           n_workers=2)
+    assert sorted(sizes) == [(1, 2), (evolve.CHUNK, 2), (evolve.CHUNK, 2)]
+    sizes.clear()
+    # a deterministic model draws nothing; a stochastic one needs an RngSpec
+    evolve.coherence_curve(FieldModel.of(StaticOffset(1e-8)), sq.hahn(1.0), [1e-4], 100, None)
+    assert sizes == []
+    with pytest.raises(ValueError, match="RngSpec"):
+        evolve.coherence_curve(bulk, sq.hahn(1.0), [1e-4], 100, None)
 
 
 def test_shots_floor_enforced():
@@ -531,13 +587,15 @@ def test_pulse_error_cpmg_robust_cp_fragile():
 
 
 def test_pulse_error_perfect_pulses_match_cpmg():
+    # with perfect pulses the train is the CPMG echo: the mean cosine of each
+    # trajectory's signed phase, over the train's own draws
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=2e-5))
     ts = [2e-4, 8e-4]
     a = evolve.pulse_error_curve(model, 4, 0.0, "cpmg", ts, shots=500,
                                  rng=RngSpec(13), nv=NV_NO_T1)
-    b = evolve.coherence_curve(model, sq.cpmg(4, 1.0), ts, shots=500,
-                               rng=RngSpec(13), nv=NV_NO_T1, apply_t1=False)
-    assert a.signal == pytest.approx(b.signal, abs=1e-12)
+    echo = [np.mean(np.cos(_signed_phases(model, sq.toggling(sq.cpmg(4, T)), RngSpec(13), 500)))
+            for T in ts]
+    assert a.signal == pytest.approx(echo, abs=1e-12)
 
 
 def test_pulse_error_rejects_bad_arguments():
