@@ -17,11 +17,14 @@ import sys
 
 import numpy as np
 
-from . import __version__, config as cfgmod, evolve, sense as sensemod, sequence as sq
+from . import __version__, config as cfgmod, evolve, field as _field, sense as sensemod
+from . import sequence as sq
 from .config import ConfigError
-from .field import OrnsteinUhlenbeck, RngSpec, ou_chi
+from .field import RngSpec, phase_map
 from .fit import FitError, fit_decay
 from .taylor import suppression_table
+
+ou_chi = _field.ou_chi  # not called here: the benchmark's tracer patches it
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -113,14 +116,13 @@ def _run_pulse_error(spec, out_dir, threads):
 
 
 def _sense_envelope(spec):
-    """Coherence factor at the sequence duration; 'auto' uses the configured
-    OU bath's analytic exponent plus the T1 ceiling."""
+    """Coherence factor at the sequence duration; 'auto' uses the exact
+    exponent of the configured field's Gaussian phase, chi = sum |w|^2 over
+    its stochastic slots (``phase_map``), plus the T1 ceiling."""
     if spec.envelope != "auto":
         return spec.envelope
-    chi = 0.0
-    for comp in spec.field.components:
-        if isinstance(comp, OrnsteinUhlenbeck):
-            chi += ou_chi(sq.toggling(spec.sequence), comp.sigma_b, comp.tau_c, spec.nv.gamma_e)
+    _, weights = phase_map(spec.field, sq.toggling(spec.sequence).breakpoints, spec.nv.gamma_e)
+    chi = sum(float(np.sum(w * w)) for w in weights if w is not None)
     return math.exp(-0.5 * chi - spec.sequence.total_time / spec.nv.t1)
 
 

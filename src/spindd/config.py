@@ -218,10 +218,10 @@ WORK_BUDGET = 2**30
 # its tuples of Python floats and the arrays of the map (measured 42)
 _PATTERN = 50
 # words per time and segment of a decay's map on the whole grid, besides 3 per
-# normal (measured 4.1 static, 7.0 polynomial and AC, 12.1 with 2 OU normals);
-# words per segment of its OU coefficient views (98 with the pattern, on 2 times);
-# words at any size, numpy's ufunc buffer of 8192 values among them
-_ON_GRID, _ON_GRID_SEGMENT, _DECAY_FIXED = 8, 32, 2**14
+# normal (measured 4.1 static, 7.0 polynomial and AC, 12.1 with 2 OU normals),
+# the OU doubling pass's arrays among them; words at any size, numpy's ufunc
+# buffer of 8192 values among them
+_ON_GRID, _DECAY_FIXED = 8, 2**14
 # an OU block map and the arrays that build it; per trajectory, a block's product
 _BLOCK_MAP, _BLOCK_ROW = 6 * (OU_BLOCK + 1) ** 2, 2 * (OU_BLOCK + 1)
 
@@ -318,16 +318,6 @@ def _run_terms(shots, times):
     return {"shots": shots, "times.count": 2 * times.size * math.ceil(shots / CHUNK)}
 
 
-def _scales_to(sequence, times, where):
-    """A ConfigError naming ``where`` if the pattern's pulses collide or reach
-    an end of the sequence once rescaled to a time of the grid."""
-    for T in times.tolist():
-        try:
-            sequence.scaled(T)
-        except ValueError as exc:
-            raise ConfigError(f"{where} at t = {T!r} s: {exc}") from None
-
-
 @dataclass(frozen=True, kw_only=True)
 class _Spec:
     out: str = _key(_path_string, ".")
@@ -358,7 +348,7 @@ class DecaySpec(_GridSpec):
         terms["times.count"] += rows * n_times
         key = "sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"
         terms[key] = (rows * min(normals, n_times) + 3 * n_times * normals + _DECAY_FIXED
-                      + (_ON_GRID * n_times + _ON_GRID_SEGMENT + _PATTERN) * n_seg)
+                      + (_ON_GRID * n_times + _PATTERN) * n_seg)
         _within_budget(terms)
         _build("sequence", sq.on_grid, self.sequence, self.times)
 
@@ -400,7 +390,10 @@ class PulseErrorSpec(_GridSpec):
         terms["n_pulses"] = rows * (_normals(self.field, n_seg) + (2 * block + 3) * n_seg)
         terms["n_pulses"] += _PATTERN * n_seg + rows * _BLOCK_ROW + _BLOCK_MAP
         _within_budget(terms)
-        _scales_to(sq.cpmg(self.n_pulses, 1.0), self.times, "times")
+        # a block of times at a time, as the curve holds them
+        pattern = sq.cpmg(self.n_pulses, 1.0)
+        for start in range(0, self.times.size, PULSE_BLOCK):
+            _build("times", sq.on_grid, pattern, self.times[start:start + PULSE_BLOCK])
 
 
 @dataclass(frozen=True, kw_only=True)

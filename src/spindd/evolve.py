@@ -94,12 +94,11 @@ def _grid(total_times, shots):
     that is empty, not finite, not positive or not strictly increasing."""
     if not (isinstance(shots, (int, np.integer)) and shots >= 100):
         raise ValueError(f"need an integer of at least 100 shots, got {shots!r}")
-    total_times = np.asarray(total_times, dtype=float)
+    total_times = sq.checked_times(total_times)
     if total_times.size == 0:
         raise ValueError("empty time grid")
-    if not (np.all(np.isfinite(total_times)) and total_times[0] > 0
-            and np.all(np.diff(total_times) > 0)):
-        raise ValueError("total_times must be finite, positive and strictly increasing")
+    if not np.all(np.diff(total_times) > 0):
+        raise ValueError("total_times must be strictly increasing")
     return total_times
 
 

@@ -232,20 +232,25 @@ class OrnsteinUhlenbeck:
         """The adjoint of ``segment_integrals``: sum_i signs_i int_i X dt is
         xi0 s A_0 + sum_i xi1_i (signs_i c1_i + sx_i A_{i+1}) + xi2_i signs_i c2_i,
         where A_i = signs_i m_i + e_i A_{i+1} (A_n = 0) is that sum's
-        derivative by the X entering segment i.  Each step of the pass spans
-        the leading axes of ``a`` and ``b``."""
-        coefficients = self._coefficients(a, b)
+        derivative by the X entering segment i.  A is solved by doubling
+        (Hillis & Steele, CACM 29, 1170 (1986)): after the pass of stride k,
+        acc_i sums the first 2k terms of A_i and e_i is the product of their
+        e, so ceil(log2 n) passes over the whole arrays, leading axes and
+        all, give A.  The forward sampler keeps its block maps: a doubling
+        pass there re-reads every trajectory's row each pass, where a block
+        is one matrix product."""
+        e, m, c1, c2, sx = self._coefficients(a, b)
+        acc = signs * m
+        k = 1
+        while k < acc.shape[-1]:
+            acc[..., :-k] += e[..., :-k] * acc[..., k:]
+            e[..., :-k] *= e[..., k:]
+            k *= 2
         w = np.empty(a.shape[:-1] + (1 + 2 * a.shape[-1],))
-        w[..., 2::2] = signs * coefficients[3]
-        # per segment: Python floats for one row, arrays over the leading axes else
-        e, m, c1, _, sx = (v.tolist() if v.ndim == 1 else list(np.moveaxis(v, -1, 0))
-                           for v in coefficients)
-        s = signs.tolist()
-        acc = 0.0
-        for i in reversed(range(len(e))):
-            w[..., 1 + 2 * i] = s[i] * c1[i] + sx[i] * acc
-            acc = s[i] * m[i] + e[i] * acc
-        w[..., 0] = self.sigma_b * acc
+        w[..., 0] = self.sigma_b * acc[..., 0]
+        w[..., 1::2] = signs * c1
+        w[..., 1:-2:2] += sx[..., :-1] * acc[..., 1:]
+        w[..., 2::2] = signs * c2
         return w
 
     def to_dict(self):

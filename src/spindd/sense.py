@@ -144,7 +144,7 @@ def sensitivity_scan(
     ``ac_amplitude_jitter`` optionally inflates sigma_sn by a relative
     AC-amplitude fluctuation floor, mimicking an unstable test field.
     """
-    total_times = np.asarray(total_times, dtype=float)
+    total_times = sq.checked_times(total_times)
     if total_times.size < 4:
         raise ValueError("need at least 4 scan points")
     shot_duration = sequence.total_time + readout.overhead

@@ -27,18 +27,6 @@ class TogglingFunction:
         if len(self.breakpoints) < 2 or not _increasing(self.breakpoints):
             raise ValueError("breakpoints must be strictly increasing, length >= 2")
 
-    @property
-    def signs(self) -> tuple:
-        """``signs[i]``, the value on [breakpoints[i], breakpoints[i+1])."""
-        return tuple((-1) ** i for i in range(len(self.breakpoints) - 1))
-
-    def segments(self):
-        """(t_start, t_end, sign) triples."""
-        return zip(self.breakpoints[:-1], self.breakpoints[1:], self.signs)
-
-    def signed_area(self) -> float:
-        return float(np.dot(np.asarray(self.signs, dtype=float), np.diff(self.breakpoints)))
-
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -108,6 +96,16 @@ def custom(pi_pulse_times, total_time: float) -> PulseSequence:
 def toggling(sequence: PulseSequence) -> TogglingFunction:
     """Toggling sign function of an ideal pulse sequence."""
     return TogglingFunction((0.0, *sequence.pi_pulse_times, sequence.total_time))
+
+
+def checked_times(total_times) -> np.ndarray:
+    """``total_times`` as floats; a ValueError names the first that is not
+    finite and positive."""
+    t = np.asarray(total_times, dtype=float)
+    bad = ~(np.isfinite(t) & (t > 0))
+    if bad.any():
+        raise ValueError(f"total_times must be finite and positive, got {float(t[bad][0])!r} s")
+    return t
 
 
 def on_grid(sequence: PulseSequence, times) -> np.ndarray:

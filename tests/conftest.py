@@ -7,6 +7,17 @@ from spindd.field import GAMMA_E
 from spindd.sequence import TogglingFunction
 
 
+def signs(tog: TogglingFunction) -> list:
+    """The toggling function's value on each segment between its breakpoints:
+    +1 on the first, flipping at every interior breakpoint."""
+    return [(-1) ** i for i in range(len(tog.breakpoints) - 1)]
+
+
+def _segments(tog: TogglingFunction):
+    """(t_start, t_end, sign) triples."""
+    return zip(tog.breakpoints[:-1], tog.breakpoints[1:], signs(tog))
+
+
 def ou_chi_quadrature(tog: TogglingFunction, sigma_b: float, tau_c: float,
                       gamma_e: float = GAMMA_E) -> float:
     """Brute-force 2-D quadrature of the OU phase variance.
@@ -18,7 +29,7 @@ def ou_chi_quadrature(tog: TogglingFunction, sigma_b: float, tau_c: float,
     from scipy.integrate import dblquad
 
     total = 0.0
-    segs = list(tog.segments())
+    segs = list(_segments(tog))
     for a1, b1, s1 in segs:
         for a2, b2, s2 in segs:
             if (a1, b1) == (a2, b2):
@@ -54,11 +65,12 @@ def ou_chi_double_sum(tog: TogglingFunction, sigma_b: float, tau_c: float,
         bp = [Decimal(float(t)) for t in tog.breakpoints]
         tc = Decimal(tau_c)
         f = [1 - (-(b - a) / tc).exp() for a, b in zip(bp[:-1], bp[1:])]
+        s = signs(tog)
         total = Decimal(0)
-        for i, si in enumerate(tog.signs):
+        for i, si in enumerate(s):
             total += 2 * tc * (bp[i + 1] - bp[i]) - 2 * tc * tc * f[i]
             for j in range(i + 1, len(f)):
-                total += 2 * si * tog.signs[j] * tc * tc * f[i] * f[j] * (
+                total += 2 * si * s[j] * tc * tc * f[i] * f[j] * (
                     -(bp[j] - bp[i + 1]) / tc).exp()
         return float(total * (Decimal(gamma_e) * Decimal(sigma_b)) ** 2)
 
@@ -69,7 +81,7 @@ def toggled_sine_quadrature(tog: TogglingFunction, amplitude, frequency, phi0,
     from scipy.integrate import quad
 
     total = 0.0
-    for a, b, s in tog.segments():
+    for a, b, s in _segments(tog):
         val, _ = quad(
             lambda t: amplitude * np.sin(2 * np.pi * frequency * t + phi0),
             a, b, epsabs=1e-15, epsrel=1e-13, limit=200,

@@ -185,7 +185,7 @@ _MALFORMED = {
         "sequence at t = "),
     "pulse_error_pulses_collide_at_a_time": (
         dict(_PULSE_ERROR, times={"start": "1e-323 s", "stop": "1 us", "count": 2}),
-        "times at t = 1e-323 s"),
+        "times: pulses collide or reach an end of the sequence at t = 1e-323 s"),
     "decay_no_times": (_without(_decay_cfg(), "times"), "times"),
     "field_item_not_object": (_decay_cfg(field=[1]), "field"),
     "t1_envelope_string": (_decay_cfg(t1_envelope="false"), "t1_envelope"),

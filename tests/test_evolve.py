@@ -21,6 +21,7 @@ from spindd.field import (
     phase_map,
     segment_phases,
 )
+from conftest import signs
 
 NV_NO_T1 = NVParameters(t1=math.inf)
 
@@ -155,7 +156,7 @@ def test_std_error_is_centred_when_signal_is_near_one():
 def _segment_phases(model, tog, rng, shots, gamma_e=GAMMA_E):
     """The forward sampler's segment phases of trajectories 0..shots-1,
     drawn chunk by chunk: row i is trajectory i."""
-    n_seg = len(tog.signs)
+    n_seg = len(tog.breakpoints) - 1
     return np.concatenate([
         segment_phases(model, tog, draw_normals(model, n_seg, rng, chunk, rows), rows, gamma_e)
         for chunk, rows in enumerate(min(evolve.CHUNK, shots - start)
@@ -164,7 +165,7 @@ def _segment_phases(model, tog, rng, shots, gamma_e=GAMMA_E):
 
 def _signed_phases(model, tog, rng, shots, gamma_e=GAMMA_E):
     """Signed phases summed from the forward sampler's segment phases."""
-    return _segment_phases(model, tog, rng, shots, gamma_e) @ np.asarray(tog.signs, dtype=float)
+    return _segment_phases(model, tog, rng, shots, gamma_e) @ np.asarray(signs(tog), dtype=float)
 
 
 def _per_time_reference(model, make, times, shots, rng, gamma_e):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -25,6 +26,7 @@ from spindd.field import (
     segment_phases,
 )
 from spindd.sense import ReadoutModel
+from conftest import signs
 
 RNG = RngSpec(20240817)
 
@@ -40,14 +42,14 @@ def _draws(model, n_seg, shots):
 def _forward(model, tog, shots):
     """Signed phases of trajectories 0..shots-1 summed from the forward
     sampler's segment phases."""
-    draws = _draws(model, len(tog.signs), shots)
-    return segment_phases(model, tog, draws, shots) @ np.asarray(tog.signs, dtype=float)
+    draws = _draws(model, len(tog.breakpoints) - 1, shots)
+    return segment_phases(model, tog, draws, shots) @ np.asarray(signs(tog), dtype=float)
 
 
 def _mapped(model, tog, shots):
     """Signed phases of trajectories 0..shots-1 through ``phase_map``."""
     c, weights = phase_map(model, tog.breakpoints)
-    draws = _draws(model, len(tog.signs), shots)
+    draws = _draws(model, len(tog.breakpoints) - 1, shots)
     return c + sum(d @ w for d, w in zip(draws, weights) if d is not None)
 
 
@@ -55,7 +57,7 @@ def _trajectory(model, tog, i):
     """Segment phases of trajectory ``i`` on its own: the last row of its
     chunk drawn up to it."""
     c, r = divmod(i, CHUNK)
-    draws = draw_normals(model, len(tog.signs), RNG, c, r + 1)
+    draws = draw_normals(model, len(tog.breakpoints) - 1, RNG, c, r + 1)
     return segment_phases(model, tog, draws, r + 1)[r]
 
 
@@ -87,7 +89,7 @@ def test_trajectory_deterministic_per_index():
         Polynomial((1e-9, 2e-6)), SinusoidAC(3e-9, 1234.0, 0.3),
     )
     tog = sq.toggling(sq.cpmg(3, 1e-4))
-    block = segment_phases(mixed, tog, _draws(mixed, len(tog.signs), 50), 50)
+    block = segment_phases(mixed, tog, _draws(mixed, len(tog.breakpoints) - 1, 50), 50)
     for i in range(50):
         assert np.array_equal(_trajectory(mixed, tog, i), block[i])
     assert len({row.tobytes() for row in block}) == 50
@@ -196,7 +198,7 @@ def test_zero_area_toggling_annihilates_static_offset():
     m = FieldModel.of(StaticOffset(5e-8))
     for times in ([0.5], [0.25, 0.75], [0.2, 0.5, 0.7, 1.0 - 1e-9]):
         tog = sq.toggling(sq.custom(list(times), 1.0))
-        if abs(tog.signed_area()) < 1e-15:
+        if abs(np.dot(signs(tog), np.diff(tog.breakpoints))) < 1e-15:
             assert phase_map(m, tog.breakpoints)[0] == pytest.approx(0.0, abs=1e-20)
     # Hahn is exactly zero, not just approximately
     assert phase_map(m, sq.toggling(sq.hahn(1.0)).breakpoints)[0] == 0.0
@@ -291,6 +293,55 @@ def test_ou_block_map_matches_the_forward_loop(n):
         # segments of 1e-7 tau_c: the forward loop's own rounding, which
         # grows with the number of segments it chains
         assert np.max(np.abs(got - ref)) <= 1e-13 * rms, ratio
+
+
+def _ou_adjoint_loop(ou, a, b, signs):
+    """The OU phase weights of ``phase_weights`` by the backward recurrence
+    A_i = signs_i m_i + e_i A_{i+1}, one segment at a time over the leading
+    axes: the reference for the doubling pass."""
+    e, m, c1, c2, sx = ou._coefficients(a, b)
+    w = np.empty(a.shape[:-1] + (1 + 2 * a.shape[-1],))
+    w[..., 2::2] = signs * c2
+    acc = 0.0
+    for i in reversed(range(a.shape[-1])):
+        w[..., 1 + 2 * i] = signs[i] * c1[..., i] + sx[..., i] * acc
+        acc = signs[i] * m[..., i] + e[..., i] * acc
+    w[..., 0] = ou.sigma_b * acc
+    return w
+
+
+@pytest.mark.parametrize("tau_c", [20e-9, 25e-6, 1e-3])
+def test_ou_phase_weights_match_the_backward_loop(tau_c):
+    """The doubling pass gives every time of a CPMG-2e4 grid the variance
+    chi and the covariances w_T . w_T' of the backward loop, for segments of
+    7.5e-6 to 15 tau_c."""
+    ou = OrnsteinUhlenbeck(59.22345e-9, tau_c)
+    bp = sq.on_grid(sq.cpmg(20_000, 1.0), [0.3e-3, 2e-3, 6e-3])
+    a, b = bp[:, :-1], bp[:, 1:]
+    alternating = np.where(np.arange(a.shape[-1]) % 2, -1.0, 1.0)
+    got = phase_map(FieldModel.of(ou), bp)[1][0]
+    ref = GAMMA_E * _ou_adjoint_loop(ou, a, b, alternating)
+    # measured 2.2e-16 on chi and 0 on the Gram entries at most; a weight
+    # that cancels, such as w_0 = sigma A_0 at tau_c = 1 ms, moves by more of
+    # itself, far below chi's rounding
+    chi, chi_ref = np.sum(got * got, axis=1), np.sum(ref * ref, axis=1)
+    assert np.all(np.abs(chi - chi_ref) <= 1e-14 * chi_ref), chi / chi_ref - 1
+    gram, gram_ref = got @ got.T, ref @ ref.T
+    assert np.all(np.abs(gram - gram_ref) <= 1e-14 * np.abs(gram_ref)), gram / gram_ref - 1
+
+
+def test_ou_phase_weights_of_many_segments_take_one_pass():
+    """A CPMG-1e5 map on 2 times takes one vectorized pass, not a Python
+    step per segment (measured 0.057 s; the per-segment loop took 0.90 to
+    1.10 s on the same 2 vCPU host)."""
+    model = FieldModel.of(OrnsteinUhlenbeck(59.22345e-9, 25e-6))
+    bp = sq.on_grid(sq.cpmg(100_000, 1.0), [1e-3, 6e-3])
+    walls = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        phase_map(model, bp)
+        walls.append(time.perf_counter() - t0)
+    assert min(walls) < 0.25, walls
 
 
 def test_ou_exact_sampler_vs_dense_trapezoid():

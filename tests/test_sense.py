@@ -172,3 +172,12 @@ def test_amplitude_jitter_floors_sensitivity():
     clean = sense.sensitivity_scan(seq, ro, ts)
     noisy = sense.sensitivity_scan(seq, ro, ts, ac_amplitude_jitter=0.05)
     assert np.all(noisy.delta_b_min > clean.delta_b_min)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -2.0, 0.0])
+def test_sensitivity_scan_refuses_a_time_not_finite_and_positive(bad):
+    # a NaN time gave k = nan, a negative one a math domain error and zero a
+    # division warning before a fit failure
+    ts = [1.0, 2.0, bad, 8.0]
+    with pytest.raises(ValueError, match=rf"total_times .* got {bad!r} s"):
+        sense.sensitivity_scan(sq.hahn(2e-4), sense.ReadoutModel(), ts)

@@ -5,6 +5,8 @@ import pytest
 
 from spindd import sequence as sq
 from spindd.config import parse_times
+from spindd.field import FieldModel, StaticOffset, phase_map
+from conftest import signs
 
 
 def test_cpmg_times_examples():
@@ -26,32 +28,34 @@ def test_cpmg_times_symmetric_about_midpoint(n):
         assert t[j] + t[n - 1 - j] == pytest.approx(T, rel=1e-15)
 
 
+def _signed_area(tog):
+    return float(np.dot(np.asarray(signs(tog), dtype=float), np.diff(tog.breakpoints)))
+
+
 def test_toggling_hahn():
     tog = sq.toggling(sq.hahn(2.0))
     assert tog.breakpoints == (0.0, 1.0, 2.0)
-    assert tog.signs == (1, -1)
-    assert tog.signed_area() == 0.0
+    assert _signed_area(tog) == 0.0
 
 
 def test_toggling_cpmg2():
     tog = sq.toggling(sq.cpmg(2, 1.0))
     assert tog.breakpoints == (0.0, 0.25, 0.75, 1.0)
-    assert tog.signs == (1, -1, 1)
-    assert tog.signed_area() == 0.0
+    assert _signed_area(tog) == 0.0
 
 
 def test_toggling_fid():
     tog = sq.toggling(sq.fid(3.0))
-    assert tog.signs == (1,)
-    assert tog.signed_area() == 3.0
+    assert tog.breakpoints == (0.0, 3.0)
+    assert _signed_area(tog) == 3.0
 
 
 @pytest.mark.parametrize("n", range(1, 20))
 def test_cpmg_toggling_has_n_flips_and_zero_area(n):
     tog = sq.toggling(sq.cpmg(n, 1.0))
-    flips = sum(a != b for a, b in zip(tog.signs, tog.signs[1:]))
-    assert flips == n
-    assert abs(tog.signed_area()) < 1e-15
+    # the sign flips at every interior breakpoint
+    assert len(tog.breakpoints) - 2 == n
+    assert abs(_signed_area(tog)) < 1e-15
 
 
 # the decay, pulse-error and thread-check grids of the benchmark workloads
@@ -107,8 +111,11 @@ def test_on_grid_names_the_first_time_the_pulses_collide():
 
 
 def test_toggling_signs_alternate_from_plus_one():
-    assert sq.TogglingFunction((0.0, 1.0)).signs == (1,)
-    assert sq.TogglingFunction((0.0, 0.5, 1.5, 2.0, 3.0)).signs == (1, -1, 1, -1)
+    # the signed phase of a unit static field is the signed area, +1 on the
+    # first segment
+    unit = FieldModel.of(StaticOffset(1.0))
+    for bp, area in (((0.0, 1.0), 1.0), ((0.0, 0.5, 1.5, 2.0, 3.0), 0.5 - 1.0 + 0.5 - 1.0)):
+        assert phase_map(unit, sq.TogglingFunction(bp).breakpoints, 1.0)[0] == area
     for bad in ((0.0,), (0.0, 1.0, 1.0), (0.0, 2.0, 1.0), (0.0, math.nan, 1.0)):
         with pytest.raises(ValueError):
             sq.TogglingFunction(bad)
