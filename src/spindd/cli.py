@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -57,9 +58,19 @@ def _write_manifest(out_dir, cfg, artifacts, extra=None):
     return path
 
 
+def _write_csv(path, header, *columns):
+    """``header`` and a row per index of ``columns``, each value the repr of
+    the Python number it equals."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
+    return path
+
+
 def _curve_artifacts(curve, seed, out_dir):
-    path = os.path.join(out_dir, "curve.csv")
-    curve.to_csv(path)
+    path = _write_csv(os.path.join(out_dir, "curve.csv"), "total_time_s,signal,std_error,n_pulses",
+                      curve.times, curve.signal, curve.std_error, curve.n_pulses)
     return [path], {"seed": seed, "metadata": curve.metadata}
 
 
@@ -136,11 +147,12 @@ def _run_sense(spec, out_dir, threads):
         envelope=envelope,
         ac_amplitude_jitter=spec.ac_amplitude_jitter,
     )
-    csv_path = os.path.join(out_dir, "sensitivity.csv")
-    result.to_csv(csv_path)
+    csv_path = _write_csv(os.path.join(out_dir, "sensitivity.csv"),
+                          "total_time_s,delta_b_min_T,sigma_sn,slope_per_T", result.times,
+                          result.delta_b_min, result.sigma_sn, [result.slope] * result.times.size)
     report = {
         "k_nT_per_sqrt_Hz": result.k_nt_per_sqrt_hz,
-        "fit": result.fit.to_dict(),
+        "fit": dataclasses.asdict(result.fit),
         "slope_per_T": result.slope,
         "envelope": envelope,
         "overhead_note": "total time per shot = sequence time + overhead "
@@ -179,7 +191,7 @@ def _run_fit(spec, out_dir, threads):
     fit = fit_decay(curve, spec.model, spec.fixed_params)
     path = os.path.join(out_dir, "fit.json")
     with open(path, "w") as fh:
-        json.dump(fit.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(fit), fh, indent=2, sort_keys=True)
     if not fit.converged:
         raise FitError(f"fit did not converge (best candidate written to {path})")
     return [path], {}

@@ -125,6 +125,11 @@ _FINITE, _SHOTS, _SEED = _number(), _integer(100), _integer(0, 2**64)
 _TESLA, _SECONDS, _HERTZ, _RADIANS = map(_quantity, ("tesla", "second", "hertz", "radian"))
 
 
+def _non_negative(value, path):
+    x = _FINITE(value, path)
+    return _expect(x >= 0.0, x, path, "a finite number >= 0")
+
+
 def _numbers(value, path):
     _expect(isinstance(value, list), value, path, "a list of numbers")
     return tuple(_FINITE(x, f"{path}[{i}]") for i, x in enumerate(value))
@@ -203,8 +208,6 @@ def parse_field(spec, where="field") -> FieldModel:
 _NV_KEYS = {
     "gamma_e_rad_per_s_per_T": _key(_FINITE, NVParameters.gamma_e),
     "t1": _key(_SECONDS, NVParameters.t1),
-    "zero_field_splitting": _key(_HERTZ, NVParameters.zero_field_splitting),
-    "static_field": _key(_TESLA, NVParameters.static_field_b0),
 }
 
 
@@ -214,9 +217,12 @@ def parse_nv(spec, where="nv") -> NVParameters:
 
 #: the most float64 values a run may hold at once on one thread, 2^30 (8 GiB)
 WORK_BUDGET = 2**30
-# 8-byte words a pulse pattern takes per segment while its phases are mapped:
-# its tuples of Python floats and the arrays of the map (measured 42)
+# 8-byte words a pulse pattern built at each time, as the pulse-error train's are,
+# takes per segment: its tuples of Python floats and the map's arrays (measured 42)
 _PATTERN = 50
+# words a decay holds per segment of its pattern: the spec's tuple of Python
+# floats (4) and on_grid's array of the pattern and of its fractions
+_HELD_PATTERN = 6
 # words per time and segment of a decay's map on the whole grid, besides 3 per
 # normal (measured 4.1 static, 7.0 polynomial and AC, 12.1 with 2 OU normals),
 # the OU doubling pass's arrays among them; words at any size, numpy's ufunc
@@ -340,15 +346,15 @@ class DecaySpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
-        # one chunk's normals and phases, the map of the pattern on the whole
-        # grid with the weights of every time and QR's copies, and the pattern
+        # one chunk's normals and phases, the map of the pattern on the whole grid with
+        # the weights of every time and QR's copies, and the pattern with on_grid's copies
         n_seg, n_times = self.sequence.n_pulses + 1, self.times.size
         rows, normals = min(self.shots, CHUNK), _normals(self.field, n_seg)
         terms = _run_terms(self.shots, self.times)
         terms["times.count"] += rows * n_times
         key = "sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"
         terms[key] = (rows * min(normals, n_times) + 3 * n_times * normals + _DECAY_FIXED
-                      + (_ON_GRID * n_times + _PATTERN) * n_seg)
+                      + (_ON_GRID * n_times + _HELD_PATTERN) * n_seg)
         _within_budget(terms)
         _build("sequence", sq.on_grid, self.sequence, self.times)
 
@@ -419,7 +425,7 @@ class SenseSpec(_GridSpec):
     sequence: sq.PulseSequence = _key(partial(parse_sequence_spec, kinds=("hahn", "cpmg")))
     sequence_tau: Optional[float] = _key(_SECONDS, None)  # s; 115 us (hahn), 27 us (cpmg)
     envelope: Union[float, str] = _key(_envelope, 1.0)  # coherence factor or "auto"
-    ac_amplitude_jitter: float = _key(_FINITE, 0.0)
+    ac_amplitude_jitter: float = _key(_non_negative, 0.0)
 
     def __post_init__(self):
         tau = self.sequence_tau

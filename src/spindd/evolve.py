@@ -66,14 +66,6 @@ class CoherenceCurve:
         if np.any(self.std_error < 0):
             raise ValueError("std_error must be non-negative")
 
-    def to_csv(self, path):
-        header = "total_time_s,signal,std_error,n_pulses"
-        rows = np.column_stack([self.times, self.signal, self.std_error, self.n_pulses])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, s, e, n in rows:
-                fh.write(f"{float(t)!r},{float(s)!r},{float(e)!r},{int(n)}\n")
-
 
 def t1_envelope(t, nv: NVParameters) -> np.ndarray:
     """Spin-lattice ceiling exp(-t/T1)."""

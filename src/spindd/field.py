@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -43,16 +43,10 @@ OU_BLOCK = 64
 
 @dataclass(frozen=True)
 class NVParameters:
-    """Documentation-grade NV constants plus the two that enter dynamics.
-
-    Only gamma_e and t1 ever appear in the rotating-frame simulation;
-    zero_field_splitting and static_field_b0 are carried for provenance.
-    """
+    """The NV constants that enter the rotating-frame simulation."""
 
     gamma_e: float = GAMMA_E  # rad s^-1 T^-1
     t1: float = 5.93e-3  # s
-    zero_field_splitting: float = 2.88e9  # Hz
-    static_field_b0: float = 15e-4  # T (15 G)
 
     def __post_init__(self):
         if not self.gamma_e > 0:
@@ -133,9 +127,6 @@ class StaticOffset:
     def segment_integrals(self, a, b, draws):
         return self.b * (b - a)
 
-    def to_dict(self):
-        return {"type": "static_offset", "b_T": self.b}
-
 
 @dataclass(frozen=True)
 class QuasiStaticGaussian:
@@ -155,9 +146,6 @@ class QuasiStaticGaussian:
 
     def phase_weights(self, a, b, signs):
         return (self.sigma_b * np.sum(signs * (b - a), axis=-1))[..., None]
-
-    def to_dict(self):
-        return {"type": "quasi_static_gaussian", "sigma_b_T": self.sigma_b}
 
 
 @dataclass(frozen=True)
@@ -253,9 +241,6 @@ class OrnsteinUhlenbeck:
         w[..., 2::2] = signs * c2
         return w
 
-    def to_dict(self):
-        return {"type": "ornstein_uhlenbeck", "sigma_b_T": self.sigma_b, "tau_c_s": self.tau_c}
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -282,9 +267,6 @@ class Polynomial:
         poly = np.polynomial.polynomial.Polynomial(anti)
         return poly(b) - poly(a)
 
-    def to_dict(self):
-        return {"type": "polynomial", "coefficients": list(self.coefficients)}
-
 
 @dataclass(frozen=True)
 class SinusoidAC:
@@ -302,14 +284,6 @@ class SinusoidAC:
         if w == 0.0:
             return self.amplitude * np.sin(self.phi0) * (b - a)
         return self.amplitude * (np.cos(w * a + self.phi0) - np.cos(w * b + self.phi0)) / w
-
-    def to_dict(self):
-        return {
-            "type": "sinusoid_ac",
-            "amplitude_T": self.amplitude,
-            "frequency_Hz": self.frequency,
-            "phi0_rad": self.phi0,
-        }
 
 
 Component = Union[StaticOffset, QuasiStaticGaussian, OrnsteinUhlenbeck, Polynomial, SinusoidAC]
@@ -330,7 +304,10 @@ class FieldModel:
         return FieldModel(tuple(components))
 
     def digest(self) -> str:
-        blob = json.dumps([c.to_dict() for c in self.components], sort_keys=True)
+        """SHA-256 prefix of each component's class name and field values as
+        floats, in order, so that equal ints, floats and numpy scalars agree."""
+        blob = json.dumps([(type(c).__name__, np.hstack(astuple(c)).astype(float).tolist())
+                           for c in self.components])
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def is_stochastic(self) -> bool:

@@ -27,15 +27,6 @@ class DecayFit:
     residual_norm: float
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": self.params,
-            "uncertainties": self.uncertainties,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-        }
-
 
 class FitError(RuntimeError):
     pass

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sequence as sq
 from .field import FieldModel, NVParameters, SinusoidAC, phase_map
-from .fit import DecayFit, fit_power_law
+from .fit import DecayFit, FitError, fit_power_law
 
 #: laser polarization/readout dead time added to every shot, seconds
 DEFAULT_OVERHEAD = 2e-6
@@ -52,10 +52,10 @@ class ReadoutModel:
         """Expected photons per shot when the ideal signal is cos = signal."""
         return self.photons_per_shot * (1.0 - 0.5 * self.contrast * (1.0 - signal))
 
-    def sigma_sn(self, signal: float, shots: float) -> float:
-        """Shot-noise std-dev on the contrast-weighted signal scale."""
+    def sigma_sn(self, signal: float, shots):
+        """Shot-noise std-dev on the contrast-weighted scale at each shot count."""
         lam = self.mean_photons(signal)
-        return (2.0 / self.photons_per_shot) * math.sqrt(lam / shots)
+        return (2.0 / self.photons_per_shot) * np.sqrt(lam / shots)
 
 
 @dataclass
@@ -69,12 +69,6 @@ class SensitivityResult:
     @property
     def k_nt_per_sqrt_hz(self) -> float:
         return self.fit.params["coefficient"] * 1e9
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("total_time_s,delta_b_min_T,sigma_sn,slope_per_T\n")
-            for t, b, s in zip(self.times, self.delta_b_min, self.sigma_sn):
-                fh.write(f"{float(t)!r},{float(b)!r},{float(s)!r},{float(self.slope)!r}\n")
 
 
 def matched_ac(sequence: sq.PulseSequence, amplitude: float) -> SinusoidAC:
@@ -123,7 +117,7 @@ def signal_slope(
 
 def min_detectable_field(slope: float, sigma_sn: float) -> float:
     """dB_min = sigma_sn / dS."""
-    if slope <= 0:
+    if not slope > 0:  # NaN is not
         raise ValueError("signal slope must be positive")
     return sigma_sn / slope
 
@@ -141,21 +135,29 @@ def sensitivity_scan(
     Each point spends its whole budget on repeated shots of duration
     (sequence time + overhead), a fractional number of them, so the scan
     has an exact -1/2 exponent.
-    ``ac_amplitude_jitter`` optionally inflates sigma_sn by a relative
+    ``ac_amplitude_jitter`` (>= 0) inflates sigma_sn by a relative
     AC-amplitude fluctuation floor, mimicking an unstable test field.
+    A slope not finite and positive or a dB_min not finite raises
+    FloatingPointError, an unconverged k fit FitError; numpy stays silent.
     """
     total_times = sq.checked_times(total_times)
     if total_times.size < 4:
         raise ValueError("need at least 4 scan points")
-    shot_duration = sequence.total_time + readout.overhead
-    slope = signal_slope(sequence, readout, nv, envelope)
-    sigmas = np.empty_like(total_times)
-    dbs = np.empty_like(total_times)
-    for i, t in enumerate(total_times):
-        sigma = readout.sigma_sn(0.0, t / shot_duration)
-        if ac_amplitude_jitter > 0.0:
-            sigma = math.hypot(sigma, ac_amplitude_jitter * readout.contrast)
-        sigmas[i] = sigma
-        dbs[i] = min_detectable_field(slope, sigma)
-    fit = fit_power_law((total_times, dbs), fixed_exponent=-0.5)
+    if not ac_amplitude_jitter >= 0.0:
+        raise ValueError(f"ac_amplitude_jitter must be >= 0, got {ac_amplitude_jitter!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = signal_slope(sequence, readout, nv, envelope)
+        if not (math.isfinite(slope) and slope > 0.0):
+            raise FloatingPointError(f"signal slope {slope!r} per T is not finite and positive "
+                                     f"(envelope {envelope!r})")
+        shots = total_times / (sequence.total_time + readout.overhead)
+        # hypot(s, 0) is s exactly
+        sigmas = np.hypot(readout.sigma_sn(0.0, shots), ac_amplitude_jitter * readout.contrast)
+        dbs = min_detectable_field(slope, sigmas)
+        if not np.all(np.isfinite(dbs)):
+            raise FloatingPointError(f"delta_b_min is not finite at t = "
+                                     f"{float(total_times[~np.isfinite(dbs)][0])!r} s")
+        fit = fit_power_law((total_times, dbs), fixed_exponent=-0.5)
+    if not fit.converged:
+        raise FitError("k/sqrt(t) fit did not converge")
     return SensitivityResult(total_times, dbs, sigmas, slope, fit)

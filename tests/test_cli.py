@@ -159,6 +159,32 @@ def test_curve_that_is_not_finite_exits_3(tmp_path, capsys, cfg):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+# the first raised a traceback out of cli.run; the rest exited 0 with an
+# infinite, NaN or unconverged k in report.json
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg, cause", [
+    ({"experiment": "sense", "sequence": {"kind": "hahn"}, "envelope": "auto",
+      "field": [{"type": "ornstein_uhlenbeck", "sigma_b": "10 uT", "tau_c": "25 us"}],
+      "times": {"start": "1 s", "stop": "10 s", "count": 4}},
+     "signal slope 0.0 per T is not finite and positive"),
+    (_sense_cfg(envelope=1e-320), "delta_b_min is not finite"),
+    (_sense_cfg(envelope=1e-300), "fit did not converge"),
+    (_sense_cfg(sequence={"kind": "cpmg", "n_pulses": 3}, sequence_tau="1e-320 s",
+                envelope="auto"),
+     "signal slope nan per T is not finite and positive"),
+], ids=["auto_envelope_underflows", "envelope_denormal", "envelope_tiny", "cpmg_tau_denormal"])
+def test_sense_that_fails_numerically_exits_3(tmp_path, capsys, cfg, cause):
+    out = tmp_path / "out"
+    code, artifacts = cli.run(_write(tmp_path, "cfg.json", cfg), out_dir=str(out))
+    assert code == cli.EXIT_NUMERICAL
+    assert artifacts == []
+    for name in ("report.json", "sensitivity.csv", "manifest.json"):
+        assert not (out / name).exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and cause in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 # each of these raised a traceback, or ran with the value misread, ignored or
 # out of its range
 _MALFORMED = {
@@ -200,6 +226,7 @@ _MALFORMED = {
     "sense_envelope_bogus": (_sense_cfg(envelope="bogus"), "envelope"),
     "sense_envelope_zero": (_sense_cfg(envelope=0), "envelope"),
     "sense_jitter_not_number": (_sense_cfg(ac_amplitude_jitter="x"), "ac_amplitude_jitter"),
+    "sense_jitter_negative": (_sense_cfg(ac_amplitude_jitter=-1e308), "ac_amplitude_jitter"),
     "sense_tau_wrong_unit": (_sense_cfg(sequence_tau="5 nT"), "sequence_tau"),
     "sense_tau_negative": (_sense_cfg(sequence_tau="-5 us"), "sequence_tau"),
     "sense_overhead_negative": (_sense_cfg(readout={"overhead": "-1 us"}), "overhead"),

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pathlib
 import tracemalloc
 
@@ -23,8 +24,7 @@ BASES = [
         "shots": 100,
         "t1_envelope": True,
         "out": "out",
-        "nv": {"t1": "5.93 ms", "gamma_e_rad_per_s_per_T": 1.76e11,
-               "zero_field_splitting": "2.88 GHz", "static_field": "15 G"},
+        "nv": {"t1": "5.93 ms", "gamma_e_rad_per_s_per_T": 1.76e11},
         "field": [
             _OU,
             {"type": "static_offset", "b": "1 nT"},
@@ -137,6 +137,24 @@ def test_readme_config_table_lists_every_declared_key():
     assert documented == declared
 
 
+def test_readme_example_configs_are_valid():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in readme.split("```json\n")[1:]]
+    examples = [json.loads(b) for b in blocks if '"experiment"' in b]
+    assert examples
+    for cfg in examples:
+        assert dataclasses.is_dataclass(cfgmod.validate(cfg)["spec"])
+
+
+@pytest.mark.parametrize("key, value", [("zero_field_splitting", "2.88 GHz"),
+                                        ("static_field", "15 G")])
+def test_removed_nv_keys_are_unknown(key, value):
+    cfg = {"experiment": "decay", "preset": "bulk_cvd", "times": _TIMES,
+           "nv": {"t1": "5.93 ms", key: value}}
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in nv"):
+        cfgmod.validate(cfg)
+
+
 _SHORT = {"start": "50 us", "stop": "500 us", "count": 4}
 _DECAY = {"experiment": "decay", "preset": "bulk_cvd", "times": _SHORT,
           "sequence": {"kind": "cpmg", "n_pulses": 90}}
@@ -206,7 +224,9 @@ _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
     dict(_DECAY, times=dict(_SHORT, count=12), shots=1500),
     dict(_DECAY, field=_MULTI_SLOT, sequence={"kind": "cpmg", "n_pulses": 8},
          times=dict(_SHORT, count=12), shots=1000),
-], ids=["hahn_10_times", "hahn_1000_times", "cpmg_90", "multi_slot"])
+    dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**5}, times=dict(_SHORT, count=2),
+         shots=100),
+], ids=["hahn_10_times", "hahn_1000_times", "cpmg_90", "multi_slot", "cpmg_100000"])
 def test_decay_estimate_bounds_the_traced_peak(monkeypatch, cfg):
     terms = []
     monkeypatch.setattr(cfgmod, "_within_budget", terms.append)
@@ -226,6 +246,9 @@ def test_decay_estimate_bounds_the_traced_peak(monkeypatch, cfg):
     finally:
         tracemalloc.stop()
     assert estimate >= peak, (estimate, peak)
+    if spec.sequence.n_pulses > 10**4:
+        # a long pattern is charged for what the decay holds of it
+        assert estimate <= 2 * peak, (estimate, peak)
 
 
 def test_work_within_the_budget_is_valid():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -472,6 +473,40 @@ def test_segment_phases_scales_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * ph.nbytes, (peak, ph.nbytes)
+
+
+_EVERY_KIND = (StaticOffset(1e-9), QuasiStaticGaussian(2e-9), OrnsteinUhlenbeck(3e-9, 4e-5),
+               Polynomial((5e-9, 6e-6)), SinusoidAC(7e-9, 8e3, 0.9))
+
+
+def test_digest_changes_with_every_field_of_every_component():
+    base = FieldModel(_EVERY_KIND).digest()
+    seen = {base}
+    for i, comp in enumerate(_EVERY_KIND):
+        for f in dataclasses.fields(comp):
+            value = getattr(comp, f.name)
+            new = value[:-1] + (2 * value[-1],) if isinstance(value, tuple) else 2 * value
+            comps = list(_EVERY_KIND)
+            comps[i] = dataclasses.replace(comp, **{f.name: new})
+            seen.add(FieldModel(tuple(comps)).digest())
+    # one digest per changed field, none equal to the base
+    assert len(seen) == 1 + sum(len(dataclasses.fields(c)) for c in _EVERY_KIND)
+    # a component's class is part of it: equal field values, another kind
+    assert (FieldModel.of(StaticOffset(1e-9)).digest()
+            != FieldModel.of(QuasiStaticGaussian(1e-9)).digest())
+
+
+def test_digest_of_equal_models_is_equal_and_ordered():
+    f = np.float64
+    as_numpy = (StaticOffset(f(1e-9)), QuasiStaticGaussian(f(2e-9)),
+                OrnsteinUhlenbeck(f(3e-9), f(4e-5)), Polynomial((f(5e-9), f(6e-6))),
+                SinusoidAC(f(7e-9), f(8e3), f(0.9)))
+    assert FieldModel(as_numpy) == FieldModel(_EVERY_KIND)
+    assert FieldModel(as_numpy).digest() == FieldModel(_EVERY_KIND).digest()
+    # an np.int64 raised a TypeError, and an int hashed apart from its float
+    ints = {FieldModel.of(StaticOffset(b)).digest() for b in (1, 1.0, np.int64(1))}
+    assert len(ints) == 1
+    assert FieldModel(_EVERY_KIND[::-1]).digest() != FieldModel(_EVERY_KIND).digest()
 
 
 @pytest.mark.parametrize("make", [

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -122,11 +123,9 @@ def test_power_law_rejects_nonpositive():
 
 
 def test_to_dict_is_json_ready():
-    import json
-
     ts = np.linspace(1e-4, 3e-3, 10)
     res = fit_decay((ts, _stretched(ts, 1.0, 1e-3, 2.0)))
-    json.dumps(res.to_dict())
+    json.dumps(dataclasses.asdict(res))
 
 
 # --- the 9-start fit as a reference ------------------------------------------

@@ -174,6 +174,34 @@ def test_amplitude_jitter_floors_sensitivity():
     assert np.all(noisy.delta_b_min > clean.delta_b_min)
 
 
+@pytest.mark.parametrize("jitter", [0.0, 0.05])
+def test_sensitivity_scan_equals_the_per_point_loop(jitter):
+    seq, ro = sq.cpmg(10, 2 * 10 * 27e-6), sense.ReadoutModel()
+    ts = np.geomspace(0.5, 500, 12)
+    res = sense.sensitivity_scan(seq, ro, ts, envelope=0.7, ac_amplitude_jitter=jitter)
+    slope = sense.signal_slope(seq, ro, envelope=0.7)
+    for t, sigma, db in zip(ts, res.sigma_sn, res.delta_b_min):
+        lam = ro.mean_photons(0.0)
+        want = (2.0 / ro.photons_per_shot) * math.sqrt(lam / (t / (seq.total_time + ro.overhead)))
+        if jitter > 0.0:
+            want = math.hypot(want, jitter * ro.contrast)
+        assert (sigma, db) == (want, want / slope)
+
+
+@pytest.mark.parametrize("slope", [0.0, -1.0, math.nan])
+def test_min_detectable_field_refuses_a_slope_not_positive(slope):
+    # NaN passed the slope <= 0 check and gave dB_min = nan
+    with pytest.raises(ValueError, match="slope"):
+        sense.min_detectable_field(slope, 1e-3)
+
+
+def test_sensitivity_scan_refuses_a_negative_jitter():
+    # it was read as no jitter at all
+    with pytest.raises(ValueError, match="ac_amplitude_jitter"):
+        sense.sensitivity_scan(sq.hahn(2e-4), sense.ReadoutModel(), [1.0, 2.0, 4.0, 8.0],
+                               ac_amplitude_jitter=-1e308)
+
+
 @pytest.mark.parametrize("bad", [math.nan, -2.0, 0.0])
 def test_sensitivity_scan_refuses_a_time_not_finite_and_positive(bad):
     # a NaN time gave k = nan, a negative one a math domain error and zero a
