@@ -217,8 +217,7 @@ def parse_nv(spec, where="nv") -> NVParameters:
 
 #: the most float64 values a run may hold at once on one thread, 2^30 (8 GiB)
 WORK_BUDGET = 2**30
-# 8-byte words a pulse pattern built at each time, as the pulse-error train's are,
-# takes per segment: its tuples of Python floats and the map's arrays (measured 42)
+# 8-byte words per segment that bound a CPMG pattern built as it is read (measured 7)
 _PATTERN = 50
 # words a decay holds per segment of its pattern: the spec's tuple of Python
 # floats (4) and on_grid's array of the pattern and of its fractions
@@ -228,8 +227,8 @@ _HELD_PATTERN = 6
 # the OU doubling pass's arrays among them; words at any size, numpy's ufunc
 # buffer of 8192 values among them
 _ON_GRID, _DECAY_FIXED = 8, 2**14
-# an OU block map and the arrays that build it; per trajectory, a block's product
-_BLOCK_MAP, _BLOCK_ROW = 6 * (OU_BLOCK + 1) ** 2, 2 * (OU_BLOCK + 1)
+# two OU block maps and the arrays that build one; per trajectory, two blocks' products
+_BLOCK_MAP, _BLOCK_ROW = 8 * (OU_BLOCK + 1) ** 2, 2 * (OU_BLOCK + 1)
 
 _TIMES_KEYS = {
     "start": _key(_SECONDS),
@@ -387,19 +386,17 @@ class PulseErrorSpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, False)
 
     def __post_init__(self):
-        # one chunk's normals, one block's phases, cosines and sines, and one
-        # time's segment phases with one OU block's products
-        n_seg = self.n_pulses + 1
+        # one chunk's normals; a block's phases, OU block maps and products, then its
+        # segment-major copy and cosines; the pattern, as a decay's, and on_grid's copies
+        n_seg, n_times = self.n_pulses + 1, self.times.size
         rows = min(self.shots, CHUNK) if self.field.is_stochastic() else 1
-        block = min(PULSE_BLOCK, self.times.size)
+        block = min(PULSE_BLOCK, n_times)
         terms = _run_terms(self.shots, self.times)
-        terms["n_pulses"] = rows * (_normals(self.field, n_seg) + (2 * block + 3) * n_seg)
-        terms["n_pulses"] += _PATTERN * n_seg + rows * _BLOCK_ROW + _BLOCK_MAP
+        terms["n_pulses"] = (rows * (_normals(self.field, n_seg) + 2 * block * n_seg)
+                             + block * (rows * _BLOCK_ROW + _BLOCK_MAP)
+                             + (3 * n_times + _HELD_PATTERN) * n_seg)
         _within_budget(terms)
-        # a block of times at a time, as the curve holds them
-        pattern = sq.cpmg(self.n_pulses, 1.0)
-        for start in range(0, self.times.size, PULSE_BLOCK):
-            _build("times", sq.on_grid, pattern, self.times[start:start + PULSE_BLOCK])
+        _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -17,7 +17,8 @@ Over a step of constant Omega, dm/dt = m x Omega is a rotation, so the Bloch
 paths are exact: spin locking composes a sample interval's steps as SU(2)
 matrices, pairwise, and advances one spinor per interval; a finite-error
 pulse train turns (m_x, m_y) by each segment's phase and (m_y, m_z) at each
-pulse.  Both take their per-segment field phases from ``segment_phases``.
+pulse.  Both take their field phases from ``segment_phases``, the pulse train
+PULSE_BLOCK rows of ``sequence.on_grid`` a call, each row one time's segments.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ def spin_lock_curve(
         [[0.0]] + [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(knots[:-1], knots[1:], nsub)]
     )
     steps = np.diff(grid)
-    tog = sq.TogglingFunction(tuple(grid))
+    tog = sq.TogglingFunction(grid)
 
     def observe(chunk, rows):
         # mapped to phases as drawn, so the normals are freed before the
@@ -359,16 +360,14 @@ def pulse_error_curve(
     ca, sa = math.cos(angle), math.sin(angle)
     cp = phase_convention == "cp"
     axis_sign = (-1.0) ** n if cp else 1.0
+    bp = sq.on_grid(sq.cpmg(n, 1.0), total_times)
 
     def observe(chunk, rows):
         draws = draw_normals(model, n + 1, rng, chunk, rows)
         for start in range(0, total_times.size, PULSE_BLOCK):
-            ts = total_times[start:start + PULSE_BLOCK]
+            tog = sq.TogglingFunction(bp[start:start + PULSE_BLOCK])
             # segment-major: each segment's (block, trajectories) slice is contiguous
-            ph = np.empty((n + 1, ts.size, rows))
-            for j, T in enumerate(ts):
-                tog = sq.toggling(sq.cpmg(n, T))
-                ph[:, j] = segment_phases(model, tog, draws, rows, nv.gamma_e).T
+            ph = np.moveaxis(segment_phases(model, tog, draws, rows, nv.gamma_e), -1, 0).copy()
             c = np.cos(ph)
             s = np.sin(ph, out=ph)
             mx, my, mz = (0.0, 1.0, 0.0) if cp else (1.0, 0.0, 0.0)

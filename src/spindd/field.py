@@ -95,25 +95,27 @@ _C2_COEFS = tuple(
 def _ou_c2_sq(x):
     """2x - 4 tanh(x/2) for x >= 0: the OU segment integral's variance left
     after its covariance with the end value, in units of (sigma tau_c)^2."""
-    xs = np.minimum(x, _SERIES_BELOW)
-    small = np.zeros_like(xs)  # the series by Horner's rule
+    small, out = x < _SERIES_BELOW, np.empty_like(x)
+    xs, xl = x[small], x[~small]  # each x in one form, NaN in the closed one
+    series = np.zeros_like(xs)  # by Horner's rule
     for c in reversed(_C2_COEFS):
-        small = small * xs + c
-    small = small * xs**3 / (1.0 + np.exp(-xs))
-    return np.where(x < _SERIES_BELOW, small, 2.0 * x - 4.0 * np.tanh(0.5 * x))
+        series = series * xs + c
+    out[small] = series * xs**3 / (1.0 + np.exp(-xs))
+    out[~small] = 2.0 * xl - 4.0 * np.tanh(0.5 * xl)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Field components
 #
 # Each component draws n_normals_base + n_normals_per_segment * n_seg standard
-# normals per trajectory (none when n_normals_base is 0), and
-# segment_integrals(a, b, draws) returns its exact int_a^b B dt over the
-# segments [a, b] from them: shape (n_seg,) when it draws nothing (draws is
-# None), (n_traj, n_seg) otherwise.  A component that draws also has
-# phase_weights(a, b, signs), the weights w with
-# segment_integrals(a, b, draws) @ signs = draws @ w.  Without draws both take
-# a and b with leading axes, one set of segments along the last axis each.
+# normals per trajectory (none when n_normals_base is 0).  Its methods take a
+# and b with leading axes ..., segments [a, b] along the last axis, and equal
+# one call per set of segments bit for bit.  segment_integrals(a, b, draws) is
+# the exact int_a^b B dt: (..., n_seg) without draws (None), (..., n_traj,
+# n_seg) from (n_traj, count) draws.  A component that draws also has
+# phase_weights(a, b, signs), the weights w of shape (..., count) with
+# segment_integrals(a, b, draws) @ signs = draws @ w.
 # ---------------------------------------------------------------------------
 
 
@@ -142,7 +144,7 @@ class QuasiStaticGaussian:
             raise ValueError("sigma_b must be non-negative")
 
     def segment_integrals(self, a, b, draws):
-        return self.sigma_b * draws[:, :1] * (b - a)[None, :]
+        return self.sigma_b * draws[:, :1] * (b - a)[..., None, :]
 
     def phase_weights(self, a, b, signs):
         return (self.sigma_b * np.sum(signs * (b - a), axis=-1))[..., None]
@@ -195,25 +197,26 @@ class OrnsteinUhlenbeck:
         segment i is sum_{k<=i} g_k e^(S_k - S_i), g = (X, sx_0 xi1_0, ...), S
         summing x from 0 at the block's start, so no error grows in S past it."""
         _, m, c1, c2, sx = self._coefficients(a, b)
-        n, s = a.size, np.concatenate([[0.0], np.cumsum((b - a) / self.tau_c)])
-        lag = np.where(np.tri(n + 1, dtype=bool), s[:, None] - s, np.inf)
-        mb = np.zeros((1 + 2 * n, n + 1))
+        n, s = a.shape[-1], np.insert(np.cumsum((b - a) / self.tau_c, axis=-1), 0, 0.0, axis=-1)
+        lag = np.where(np.tri(n + 1, dtype=bool).T, s[..., None, :] - s[..., :, None], np.inf)
+        g, mx = np.insert(sx, 0, 1.0, axis=-1), np.insert(m, n, 1.0, axis=-1)
+        mb = np.zeros(a.shape[:-1] + (1 + 2 * n, n + 1))
         # integral i is m_i X_i + c1_i xi1_i + c2_i xi2_i; column n = B is X_B
-        mb[np.r_[0, 1:2 * n:2]] = np.exp(-lag).T * np.append(1.0, sx)[:, None] * np.append(m, 1.0)
-        mb[1::2, :n] += np.diag(c1)
-        mb[2::2, :n] = np.diag(c2)
+        mb[..., np.r_[0, 1:2 * n:2], :] = np.exp(-lag) * g[..., :, None] * mx[..., None, :]
+        i = np.arange(n)  # xi1_i's row is 0 at column i before c1_i
+        mb[..., 1 + 2 * i, i], mb[..., 2 + 2 * i, i] = c1, c2
         return mb
 
     def segment_integrals(self, a, b, draws):
-        out = np.empty((draws.shape[0], a.size))
+        out = np.empty(a.shape[:-1] + (draws.shape[0], a.shape[-1]))
         field = self.sigma_b * draws[:, 0]  # stationary start
-        for lo in range(0, a.size, OU_BLOCK):
-            hi = min(lo + OU_BLOCK, a.size)
-            mb = self._block_map(a[lo:hi], b[lo:hi])
-            block = draws[:, 1 + 2 * lo:1 + 2 * hi] @ mb[1:]
-            block += field[:, None] @ mb[:1]  # a broadcast product takes larger buffers
-            out[:, lo:hi] = block[:, :-1]
-            field = block[:, -1]
+        for lo in range(0, a.shape[-1], OU_BLOCK):
+            hi = lo + OU_BLOCK  # slices stop at the last segment
+            mb = self._block_map(a[..., lo:hi], b[..., lo:hi])
+            block = draws[:, 1 + 2 * lo:1 + 2 * hi] @ mb[..., 1:, :]
+            block += field[..., None] @ mb[..., :1, :]  # a broadcast product takes larger buffers
+            out[..., lo:hi] = block[..., :-1]
+            field = block[..., -1].copy()  # a view would hold the block to the next
         return out
 
     def phase_weights(self, a, b, signs):
@@ -358,18 +361,18 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], chunk: i
 
 def segment_phases(model: FieldModel, tog: TogglingFunction, draws: list, rows: int,
                    gamma_e: float = GAMMA_E) -> np.ndarray:
-    """Unsigned per-segment phases gamma_e * int_seg B dt, shape (rows, n_seg),
-    from the normals ``draws`` that ``draw_normals`` returns for ``rows``
-    trajectories and this segment count.
+    """Unsigned per-segment phases gamma_e * int_seg B dt, shape (..., rows,
+    n_seg) for breakpoints (..., n_seg + 1), from the normals ``draws`` that
+    ``draw_normals`` returns for ``rows`` trajectories and this segment count.
 
     Deterministic components contribute identically to every trajectory; the
     stochastic ones are sampled exactly from each trajectory's own normals.
     """
     bp = np.asarray(tog.breakpoints)
-    a, b = bp[:-1], bp[1:]
-    out = np.zeros((rows, a.size))
+    a, b = bp[..., :-1], bp[..., 1:]
+    out = np.zeros(a.shape[:-1] + (rows, a.shape[-1]))
     for comp, comp_draws in zip(model.components, draws):
-        out += comp.segment_integrals(a, b, comp_draws)
+        out += comp.segment_integrals(a, b, comp_draws).reshape(out.shape[:-2] + (-1, a.shape[-1]))
     out *= gamma_e
     return out
 

@@ -15,16 +15,16 @@ def _increasing(bp):
 
 @dataclass(frozen=True)
 class TogglingFunction:
-    """Piecewise-constant sign function s(t) on [0, T].
+    """Piecewise-constant sign function s(t) on [0, T], one per leading index.
 
-    ``breakpoints`` includes 0 and T; the sign is +1 on the first segment
-    and flips at every interior breakpoint, each a pi-pulse instant.
+    ``breakpoints`` (..., n_seg + 1) include 0 and T; the sign is +1 on the
+    first segment and flips at every interior breakpoint, each a pi pulse.
     """
 
     breakpoints: tuple
 
     def __post_init__(self):
-        if len(self.breakpoints) < 2 or not _increasing(self.breakpoints):
+        if np.shape(self.breakpoints)[-1] < 2 or not np.all(_increasing(self.breakpoints)):
             raise ValueError("breakpoints must be strictly increasing, length >= 2")
 
 

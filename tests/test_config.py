@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import pathlib
 import tracemalloc
 
@@ -218,6 +219,20 @@ _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
                {"type": "static_offset", "b": "1 nT"}]
 
 
+def _curve(spec):
+    """The Monte Carlo curve that the runner computes for ``spec``."""
+    rng = RngSpec(spec.seed)
+    if isinstance(spec, cfgmod.DecaySpec):
+        return evolve.coherence_curve(spec.field, spec.sequence, spec.times, spec.shots, rng,
+                                      spec.nv, spec.t1_envelope)
+    if isinstance(spec, cfgmod.SpinlockSpec):
+        return evolve.spin_lock_curve(spec.field, 2 * math.pi * spec.rabi_frequency, spec.times,
+                                      spec.shots, rng, spec.nv, spec.t1_envelope)
+    return evolve.pulse_error_curve(spec.field, spec.n_pulses, spec.flip_angle_error,
+                                    spec.phase_convention, spec.times, spec.shots, rng, spec.nv,
+                                    spec.t1_envelope)
+
+
 @pytest.mark.parametrize("cfg", [
     dict(_DECAY, sequence={"kind": "hahn"}, times=dict(_SHORT, count=10), shots=2000),
     dict(_DECAY, sequence={"kind": "hahn"}, times=dict(_SHORT, count=1000), shots=100),
@@ -226,28 +241,39 @@ _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
          times=dict(_SHORT, count=12), shots=1000),
     dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**5}, times=dict(_SHORT, count=2),
          shots=100),
-], ids=["hahn_10_times", "hahn_1000_times", "cpmg_90", "multi_slot", "cpmg_100000"])
+    _PULSE_ERROR,
+    dict(_PULSE_ERROR, n_pulses=50, phase_convention="cp",
+         times={"start": "0.1 ms", "stop": "1 ms", "count": 8}, shots=200),
+    dict(_PULSE_ERROR, field=_MULTI_SLOT, n_pulses=8, times=dict(_SHORT, count=7)),
+    dict(_PULSE_ERROR, n_pulses=200, times=dict(_SHORT, count=5), shots=100),
+    dict(_PULSE_ERROR, n_pulses=10**4, times=dict(_SHORT, count=2), shots=100),
+    dict(_SPINLOCK, preset="bulk_cvd", rabi_frequency="60 kHz",
+         times={"start": "0.02 ms", "stop": "0.16 ms", "count": 8}),
+    dict(_SPINLOCK, preset="bulk_cvd", field=_MULTI_SLOT,
+         times={"start": "0.02 ms", "stop": "0.16 ms", "count": 8}),
+], ids=["hahn_10_times", "hahn_1000_times", "cpmg_90", "multi_slot", "cpmg_100000",
+        "pulse_error_4", "pulse_error_cp_50", "pulse_error_multi_slot", "pulse_error_200",
+        "pulse_error_10000", "spinlock", "spinlock_multi_slot"])
 def test_decay_estimate_bounds_the_traced_peak(monkeypatch, cfg):
+    """Each Monte Carlo curve's estimate, the decay's, the pulse-error
+    train's and the spin lock's, bounds the peak the curve traces."""
     terms = []
     monkeypatch.setattr(cfgmod, "_within_budget", terms.append)
     spec = cfgmod.validate(cfg)["spec"]
     # in 8-byte words; the shots term bounds the run's length and holds no array
     estimate = 8 * sum(v for key, v in terms[0].items() if key != "shots")
 
-    def run():
-        evolve.coherence_curve(spec.field, spec.sequence, spec.times, spec.shots,
-                               RngSpec(spec.seed), spec.nv, spec.t1_envelope)
-
-    run()  # numpy's and the interpreter's first-call allocations
+    _curve(spec)  # numpy's and the interpreter's first-call allocations
     tracemalloc.start()
     try:
-        run()
+        _curve(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert estimate >= peak, (estimate, peak)
-    if spec.sequence.n_pulses > 10**4:
-        # a long pattern is charged for what the decay holds of it
+    n_pulses = spec.sequence.n_pulses if hasattr(spec, "sequence") else getattr(spec, "n_pulses", 0)
+    if n_pulses >= 10**4:
+        # a long pattern is charged for what the curve holds of it
         assert estimate <= 2 * peak, (estimate, peak)
 
 

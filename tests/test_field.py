@@ -21,6 +21,9 @@ from spindd.field import (
     RngSpec,
     SinusoidAC,
     StaticOffset,
+    _C2_COEFS,
+    _SERIES_BELOW,
+    _ou_c2_sq,
     draw_normals,
     ou_chi,
     phase_map,
@@ -259,6 +262,57 @@ def test_phase_map_over_a_grid_equals_each_row():
                 assert (w is None) == (w_row is None)
                 if w is not None:
                     assert np.array_equal(w[i], w_row), (pattern.kind, T)
+
+
+def test_segment_phases_over_a_grid_equals_each_row():
+    """A pattern's segment phases on a whole grid at once give every time
+    the phases of its own one-row call, bit for bit: the OU's end value
+    chains across blocks, and a deterministic model draws nothing."""
+    every_kind = FieldModel.of(
+        StaticOffset(1e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5),
+        Polynomial((1e-9, 2e-6, -3e-3)), SinusoidAC(3e-9, 1234.0, 0.3),
+        OrnsteinUhlenbeck(5e-8, 3e-3))
+    deterministic = FieldModel.of(StaticOffset(1e-8), Polynomial((1e-9, 2e-6)),
+                                  SinusoidAC(3e-9, 1234.0, 0.3))
+    times = np.geomspace(1e-9, 2.0, 12)
+    rows = 50
+    for model in (every_kind, deterministic):
+        for pattern in (sq.hahn(1.0), sq.cpmg(2 * OU_BLOCK + 5, 1.0),
+                        sq.custom([0.1, 0.35, 0.4, 0.9], 1.0)):
+            n_seg = pattern.n_pulses + 1
+            draws = draw_normals(model, n_seg, RNG, 0, rows)
+            assert model.is_stochastic() or draws == [None] * 3
+            bp = sq.on_grid(pattern, times)
+            grid = segment_phases(model, sq.TogglingFunction(bp), draws, rows)
+            assert grid.shape == (times.size, rows, n_seg)
+            for i, T in enumerate(times):
+                row = segment_phases(model, sq.toggling(pattern.scaled(T)), draws, rows)
+                assert np.array_equal(grid[i], row), (pattern.kind, T)
+            # any leading axes
+            lead = segment_phases(model, sq.TogglingFunction(bp.reshape(3, 4, -1)), draws, rows)
+            assert np.array_equal(lead, grid.reshape(3, 4, rows, n_seg))
+
+
+def test_ou_c2_sq_takes_each_form_where_the_select_took_it():
+    """Each x is summed in the one form it takes, bit for bit the select of
+    both forms over every x, on both sides of _SERIES_BELOW and with leading
+    axes."""
+
+    def select(x):
+        xs = np.minimum(x, _SERIES_BELOW)
+        small = np.zeros_like(xs)
+        for c in reversed(_C2_COEFS):
+            small = small * xs + c
+        small = small * xs**3 / (1.0 + np.exp(-xs))
+        return np.where(x < _SERIES_BELOW, small, 2.0 * x - 4.0 * np.tanh(0.5 * x))
+
+    edge = np.nextafter(_SERIES_BELOW, [0.0, 1.0])
+    x = np.concatenate([np.logspace(-12, 3, 400), edge, [0.0, _SERIES_BELOW, np.inf]])
+    for shaped in (x, x.reshape(3, 5, 27), x[:1].reshape(())):
+        got, want = _ou_c2_sq(shaped), select(shaped)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(_ou_c2_sq(np.array([np.nan, 0.05])))[0]
 
 
 def _ou_forward_loop(ou, a, b, draws):
