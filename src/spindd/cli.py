@@ -103,11 +103,14 @@ def _run_spinlock(spec, out_dir, threads):
 
 def _run_suppression(spec, out_dir, threads):
     path = os.path.join(out_dir, "suppression.csv")
+    table, orders = suppression_table(spec.n_max, spec.k_max), spec.k_max + 1
     with open(path, "w") as fh:
         fh.write("n,k,factor_exact_num,factor_exact_den,factor_float\n")
-        # integer true division is correctly rounded, as float(Fraction) is
-        for n, k, num, den in suppression_table(spec.n_max, spec.k_max):
-            fh.write(f"{n},{k},{num},{den},{num / den!r}\n")
+        # one write per n: the text of the whole table would outweigh the table
+        for i in range(0, len(table), orders):
+            # integer true division is correctly rounded, as float(Fraction) is
+            fh.write("".join([f"{n},{k},{num},{den},{num / den!r}\n"
+                              for n, k, num, den in table[i:i + orders]]))
     return [path], {}
 
 

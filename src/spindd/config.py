@@ -227,8 +227,20 @@ _HELD_PATTERN = 6
 # the OU doubling pass's arrays among them; words at any size, numpy's ufunc
 # buffer of 8192 values among them
 _ON_GRID, _DECAY_FIXED = 8, 2**14
-# two OU block maps and the arrays that build one; per trajectory, two blocks' products
-_BLOCK_MAP, _BLOCK_ROW = 8 * (OU_BLOCK + 1) ** 2, 2 * (OU_BLOCK + 1)
+
+
+def _ou_block(n_seg):
+    """Words of an OU block over the first min(n_seg, OU_BLOCK) segments: two
+    block maps and the arrays that build one; per trajectory, two blocks'
+    products."""
+    cols = min(n_seg, OU_BLOCK) + 1  # the block's segments and its end value
+    return 8 * cols**2, 2 * cols
+
+
+_BLOCK_MAP, _BLOCK_ROW = _ou_block(OU_BLOCK)
+# words per trajectory and time of a pulse-error block's turn loop: m_x, m_y,
+# m_z and the products that turn them (measured 7.1 to 7.5)
+_TURN = 8
 
 _TIMES_KEYS = {
     "start": _key(_SECONDS),
@@ -387,13 +399,15 @@ class PulseErrorSpec(_GridSpec):
 
     def __post_init__(self):
         # one chunk's normals; a block's phases, OU block maps and products, then its
-        # segment-major copy and cosines; the pattern, as a decay's, and on_grid's copies
+        # segment-major copy and cosines, and the turn loop's arrays; the pattern, as a
+        # decay's, and on_grid's copies
         n_seg, n_times = self.n_pulses + 1, self.times.size
         rows = min(self.shots, CHUNK) if self.field.is_stochastic() else 1
         block = min(PULSE_BLOCK, n_times)
+        block_map, block_row = _ou_block(n_seg)
         terms = _run_terms(self.shots, self.times)
         terms["n_pulses"] = (rows * (_normals(self.field, n_seg) + 2 * block * n_seg)
-                             + block * (rows * _BLOCK_ROW + _BLOCK_MAP)
+                             + block * (rows * (block_row + _TURN) + block_map)
                              + (3 * n_times + _HELD_PATTERN) * n_seg)
         _within_budget(terms)
         _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)

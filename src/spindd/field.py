@@ -370,9 +370,21 @@ def segment_phases(model: FieldModel, tog: TogglingFunction, draws: list, rows: 
     """
     bp = np.asarray(tog.breakpoints)
     a, b = bp[..., :-1], bp[..., 1:]
-    out = np.zeros(a.shape[:-1] + (rows, a.shape[-1]))
+    shape = a.shape[:-1] + (rows, a.shape[-1])
+    out = None
     for comp, comp_draws in zip(model.components, draws):
-        out += comp.segment_integrals(a, b, comp_draws).reshape(out.shape[:-2] + (-1, a.shape[-1]))
+        # a deterministic component's integrals have one row, a stochastic
+        # one's are a fresh full-shape array that the sum takes over
+        part = comp.segment_integrals(a, b, comp_draws).reshape(shape[:-2] + (-1, shape[-1]))
+        if out is None:
+            out = part
+        elif out.shape == shape:
+            out += part
+        else:  # the sum of two terms commutes exactly
+            out = np.add(part, out, out=part if part.shape == shape else None)
+        del part  # before the next component's integrals are computed
+    if out.shape != shape:  # deterministic components only
+        return np.broadcast_to(out, shape) * gamma_e
     out *= gamma_e
     return out
 

@@ -38,14 +38,9 @@ def cpmg_factor(n: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError("Taylor order k must be non-negative")
     p = k + 1
-    return Fraction(*_cpmg_terms(n, p, sum((-1) ** j * (2 * j + 1) ** p for j in range(1, n))))
-
-
-def _cpmg_terms(n: int, p: int, alt_sum: int) -> tuple:
-    """Unreduced (numerator, denominator > 0) of cpmg_factor(n, p - 1), from
-    alt_sum = sum_{j=1}^{n-1} (-1)^j (2j+1)^p."""
     den = (2 * n) ** p
-    return 2 + (-1) ** n * den + 2 * alt_sum, den
+    alt_sum = sum((-1) ** j * (2 * j + 1) ** p for j in range(1, n))
+    return Fraction(2 + (-1) ** n * den + 2 * alt_sum, den)
 
 
 def oracle_factor(pulse_times: Sequence[Fraction], k: int) -> Fraction:
@@ -77,14 +72,21 @@ def suppression_table(n_max: int, k_max: int) -> list:
     num / den is cpmg_factor(n, k) in lowest terms with den > 0, so the pair
     is that Fraction's numerator and denominator.  Each order's alternating
     sum is carried forward in n instead of summed afresh: O(n_max * k_max)
-    big-integer terms instead of O(n_max^2 * k_max).
+    big-integer terms instead of O(n_max^2 * k_max).  Within an n the powers
+    (2n)^p and (2n+1)^p, p = k + 1, are carried forward in p, one
+    small-integer multiplication each, and the sign (-1)^n comes from the
+    parity of n.
     """
-    alt_sums = [0] * (k_max + 1)  # sum_{j=1}^{n-1} (-1)^j (2j+1)^(k+1)
+    carried = [2] * (k_max + 1)  # 2 + 2 sum_{j=1}^{n-1} (-1)^j (2j+1)^(k+1)
     table = []
     for n in range(1, n_max + 1):
-        for k in range(0, k_max + 1):
-            num, den = _cpmg_terms(n, k + 1, alt_sums[k])
+        even, odd, odd_n = 2 * n, 2 * n + 1, n % 2
+        den, term = 1, -2 if odd_n else 2  # (2n)^(k+1); 2 (-1)^n (2n+1)^(k+1)
+        for k, c in enumerate(carried):
+            den *= even
+            term *= odd
+            num = c - den if odd_n else c + den
             g = math.gcd(num, den)
             table.append((n, k, num // g, den // g))
-            alt_sums[k] += (-1) ** n * (2 * n + 1) ** (k + 1)
+            carried[k] = c + term
     return table

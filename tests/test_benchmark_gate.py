@@ -1,9 +1,10 @@
-"""The benchmark's correctness gate on the decay and Bloch workloads, run
-against the package: its analytic decay calls ``config.parse_times``,
-``sequence.toggling`` and ``field.ou_chi`` by name, and its spin-lock and
-pulse-error curves must stay within their reference values, so a change that
-breaks them fails here as well as in the benchmark.  The benchmark's files are
-read, never written."""
+"""The benchmark's correctness gate on every workload, run against the
+package: its analytic decay calls ``config.parse_times``,
+``sequence.toggling`` and ``field.ou_chi`` by name, its spin-lock and
+pulse-error curves must stay within their reference values, and its
+suppression table and sensitivities must match the exact oracle and their
+windows, so a change that breaks them fails here as well as in the benchmark.
+The benchmark's files are read, never written."""
 
 import importlib.util
 import io
@@ -53,6 +54,18 @@ def test_benchmark_gate_passes_the_bloch_workload(tmp_path, workloads):
     workload = workloads.build("bloch", 3, str(tmp_path), 1)
     assert [s.experiment for s in workload.steps] == ["spinlock", "pulse_error", "pulse_error"]
     gate = workloads.Gate(workload)  # reads the reference curves
+    for step in workload.steps:
+        with redirect_stdout(io.StringIO()):
+            code, _ = cli.run(step.config_path, out_dir=step.out_dir,
+                              expected_experiment=step.experiment)
+        assert code == cli.EXIT_OK
+        assert gate.check(step) == [], step.name
+
+
+def test_benchmark_gate_passes_the_analysis_workload(tmp_path, workloads):
+    workload = workloads.build("analysis", 3, str(tmp_path), 1)
+    assert [s.experiment for s in workload.steps] == ["suppression_table", "sense", "sense"]
+    gate = workloads.Gate(workload)
     for step in workload.steps:
         with redirect_stdout(io.StringIO()):
             code, _ = cli.run(step.config_path, out_dir=step.out_dir,

@@ -79,18 +79,19 @@ def test_suppression_table_artifact(tmp_path):
 
 
 def test_suppression_csv_matches_the_fraction_reference(tmp_path):
-    n_max, k_max = 200, 12
-    cfg_path = _write(tmp_path, "cfg.json",
-                      {"experiment": "suppression_table", "n_max": n_max, "k_max": k_max})
-    code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
-    assert code == cli.EXIT_OK
-    want = ["n,k,factor_exact_num,factor_exact_den,factor_float\n"]
-    for n in range(1, n_max + 1):
-        for k in range(k_max + 1):
-            v = taylor.cpmg_factor(n, k)
-            want.append(f"{n},{k},{v.numerator},{v.denominator},{float(v)!r}\n")
-    csv_path = [p for p in artifacts if p.endswith("suppression.csv")][0]
-    assert pathlib.Path(csv_path).read_bytes() == "".join(want).encode()
+    # 256 x 12 is the benchmark's analysis table
+    for n_max, k_max in ((200, 12), (256, 12)):
+        cfg_path = _write(tmp_path, f"cfg_{n_max}.json",
+                          {"experiment": "suppression_table", "n_max": n_max, "k_max": k_max})
+        code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / f"out_{n_max}"))
+        assert code == cli.EXIT_OK
+        want = ["n,k,factor_exact_num,factor_exact_den,factor_float\n"]
+        for n in range(1, n_max + 1):
+            for k in range(k_max + 1):
+                v = taylor.cpmg_factor(n, k)
+                want.append(f"{n},{k},{v.numerator},{v.denominator},{float(v)!r}\n")
+        csv_path = [p for p in artifacts if p.endswith("suppression.csv")][0]
+        assert pathlib.Path(csv_path).read_bytes() == "".join(want).encode()
 
 
 _BLOCH_BASE = {

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindd import config as cfgmod, evolve
+from spindd import cli, config as cfgmod, evolve
 from spindd.config import ConfigError
 from spindd.field import RngSpec
 
@@ -233,48 +233,83 @@ def _curve(spec):
                                     spec.t1_envelope)
 
 
-@pytest.mark.parametrize("cfg", [
-    dict(_DECAY, sequence={"kind": "hahn"}, times=dict(_SHORT, count=10), shots=2000),
-    dict(_DECAY, sequence={"kind": "hahn"}, times=dict(_SHORT, count=1000), shots=100),
-    dict(_DECAY, times=dict(_SHORT, count=12), shots=1500),
-    dict(_DECAY, field=_MULTI_SLOT, sequence={"kind": "cpmg", "n_pulses": 8},
-         times=dict(_SHORT, count=12), shots=1000),
-    dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**5}, times=dict(_SHORT, count=2),
-         shots=100),
-    _PULSE_ERROR,
-    dict(_PULSE_ERROR, n_pulses=50, phase_convention="cp",
-         times={"start": "0.1 ms", "stop": "1 ms", "count": 8}, shots=200),
-    dict(_PULSE_ERROR, field=_MULTI_SLOT, n_pulses=8, times=dict(_SHORT, count=7)),
-    dict(_PULSE_ERROR, n_pulses=200, times=dict(_SHORT, count=5), shots=100),
-    dict(_PULSE_ERROR, n_pulses=10**4, times=dict(_SHORT, count=2), shots=100),
-    dict(_SPINLOCK, preset="bulk_cvd", rabi_frequency="60 kHz",
-         times={"start": "0.02 ms", "stop": "0.16 ms", "count": 8}),
-    dict(_SPINLOCK, preset="bulk_cvd", field=_MULTI_SLOT,
-         times={"start": "0.02 ms", "stop": "0.16 ms", "count": 8}),
-], ids=["hahn_10_times", "hahn_1000_times", "cpmg_90", "multi_slot", "cpmg_100000",
-        "pulse_error_4", "pulse_error_cp_50", "pulse_error_multi_slot", "pulse_error_200",
-        "pulse_error_10000", "spinlock", "spinlock_multi_slot"])
-def test_decay_estimate_bounds_the_traced_peak(monkeypatch, cfg):
-    """Each Monte Carlo curve's estimate, the decay's, the pulse-error
-    train's and the spin lock's, bounds the peak the curve traces."""
+def _estimate(monkeypatch, cfg):
+    """The spec of ``cfg`` and its work-budget estimate in bytes; the shots
+    term bounds the run's length and holds no array."""
     terms = []
     monkeypatch.setattr(cfgmod, "_within_budget", terms.append)
     spec = cfgmod.validate(cfg)["spec"]
-    # in 8-byte words; the shots term bounds the run's length and holds no array
-    estimate = 8 * sum(v for key, v in terms[0].items() if key != "shots")
+    return spec, 8 * sum(v for key, v in terms[0].items() if key != "shots")
 
-    _curve(spec)  # numpy's and the interpreter's first-call allocations
+
+def _traced_peak(run):
+    """The tracemalloc peak of ``run()``, after one untraced call for numpy's
+    and the interpreter's first-call allocations."""
+    run()
     tracemalloc.start()
     try:
-        _curve(spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# the bloch benchmark's pulse-error step
+_BLOCH_PULSE_ERROR = dict(_PULSE_ERROR, n_pulses=50, phase_convention="cp",
+                          times={"start": "0.1 ms", "stop": "1 ms", "count": 8}, shots=200)
+
+
+# (config, the most the estimate may read as a multiple of the peak, or None)
+@pytest.mark.parametrize("cfg, upper", [
+    (dict(_DECAY, sequence={"kind": "hahn"}, times=dict(_SHORT, count=10), shots=2000), None),
+    (dict(_DECAY, sequence={"kind": "hahn"}, times=dict(_SHORT, count=1000), shots=100), None),
+    (dict(_DECAY, times=dict(_SHORT, count=12), shots=1500), None),
+    (dict(_DECAY, field=_MULTI_SLOT, sequence={"kind": "cpmg", "n_pulses": 8},
+          times=dict(_SHORT, count=12), shots=1000), None),
+    # a long pattern is charged for what the curve holds of it
+    (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**5}, times=dict(_SHORT, count=2),
+          shots=100), 2),
+    # a short train is charged for blocks of its own segments, not of OU_BLOCK
+    (dict(_PULSE_ERROR, n_pulses=1, shots=2000), 3),
+    (_PULSE_ERROR, 3),
+    (_BLOCH_PULSE_ERROR, 3),
+    (dict(_PULSE_ERROR, field=_MULTI_SLOT, n_pulses=8, times=dict(_SHORT, count=7)), 3),
+    (dict(_PULSE_ERROR, n_pulses=200, times=dict(_SHORT, count=5), shots=100), 3),
+    (dict(_PULSE_ERROR, n_pulses=10**4, times=dict(_SHORT, count=2), shots=100), 2),
+    (dict(_SPINLOCK, preset="bulk_cvd", rabi_frequency="60 kHz",
+          times={"start": "0.02 ms", "stop": "0.16 ms", "count": 8}), None),
+    (dict(_SPINLOCK, preset="bulk_cvd", field=_MULTI_SLOT,
+          times={"start": "0.02 ms", "stop": "0.16 ms", "count": 8}), None),
+], ids=["hahn_10_times", "hahn_1000_times", "cpmg_90", "multi_slot", "cpmg_100000",
+        "pulse_error_1", "pulse_error_4", "pulse_error_cp_50", "pulse_error_multi_slot",
+        "pulse_error_200", "pulse_error_10000", "spinlock", "spinlock_multi_slot"])
+def test_decay_estimate_bounds_the_traced_peak(monkeypatch, cfg, upper):
+    """Each Monte Carlo curve's estimate, the decay's, the pulse-error
+    train's and the spin lock's, bounds the peak the curve traces."""
+    spec, estimate = _estimate(monkeypatch, cfg)
+    peak = _traced_peak(lambda: _curve(spec))
     assert estimate >= peak, (estimate, peak)
-    n_pulses = spec.sequence.n_pulses if hasattr(spec, "sequence") else getattr(spec, "n_pulses", 0)
-    if n_pulses >= 10**4:
-        # a long pattern is charged for what the curve holds of it
-        assert estimate <= 2 * peak, (estimate, peak)
+    if upper is not None:
+        assert estimate <= upper * peak, (estimate, peak)
+
+
+def test_pulse_error_block_holds_its_phases_once():
+    # a block's phases are 4 times x 200 rows x 51 segments, 0.33 MB; a
+    # zero-filled sum of the components, held beside the OU integrals, made
+    # the peak 1.69 MB
+    spec = cfgmod.validate(_BLOCH_PULSE_ERROR)["spec"]
+    peak = _traced_peak(lambda: _curve(spec))
+    assert peak <= 1.69e6 - 4 * 200 * 51 * 8 / 2, peak
+
+
+@pytest.mark.parametrize("n_max, k_max", [(256, 12), (2000, 0), (50, 40)])
+def test_suppression_estimate_bounds_the_writers_peak(monkeypatch, tmp_path, n_max, k_max):
+    """The table's estimate bounds what writing suppression.csv holds: the
+    whole table and one n's rows of text, never the whole file's text."""
+    spec, estimate = _estimate(monkeypatch, {"experiment": "suppression_table",
+                                             "n_max": n_max, "k_max": k_max})
+    peak = _traced_peak(lambda: cli._run_suppression(spec, str(tmp_path), 1))
+    assert estimate >= peak, (estimate, peak)
 
 
 def test_work_within_the_budget_is_valid():

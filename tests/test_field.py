@@ -293,6 +293,25 @@ def test_segment_phases_over_a_grid_equals_each_row():
             assert np.array_equal(lead, grid.reshape(3, 4, rows, n_seg))
 
 
+def test_segment_phases_sum_the_components_in_their_order():
+    """The sum starts from a component's own integrals, not from zeros, and
+    adds the components in the model's order, deterministic ones between
+    stochastic ones too: bit for bit the zero-filled sum."""
+    det, qs, ou = StaticOffset(-3e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5)
+    poly = Polynomial((1e-9, 2e-6, -3e-3))
+    bp = sq.on_grid(sq.cpmg(9, 1.0), np.geomspace(1e-6, 1e-3, 4))
+    rows = 30
+    for comps in ((det, ou, poly), (det, poly, qs, ou), (ou, det, qs, poly), (det, poly)):
+        model = FieldModel(comps)
+        draws = draw_normals(model, 10, RNG, 0, rows)
+        want = np.zeros(bp.shape[:-1] + (rows, 10))
+        for comp, d in zip(comps, draws):
+            want += comp.segment_integrals(bp[..., :-1], bp[..., 1:], d).reshape(4, -1, 10)
+        want *= GAMMA_E
+        got = segment_phases(model, sq.TogglingFunction(bp), draws, rows)
+        assert got.tobytes() == want.tobytes(), comps
+
+
 def test_ou_c2_sq_takes_each_form_where_the_select_took_it():
     """Each x is summed in the one form it takes, bit for bit the select of
     both forms over every x, on both sides of _SERIES_BELOW and with leading
