@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -167,31 +168,41 @@ def _run_sense(spec, out_dir, threads):
     return [csv_path, json_path], {}
 
 
+def _read_columns(path):
+    """A curve CSV's columns by header name in one pass, blank lines skipped;
+    a column with a non-numeric cell reads as all nan."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    if not rows:
+        raise ConfigError(f"input_csv {path!r} is empty")
+    header = [name.strip() for name in rows[0]]
+    if "total_time_s" not in header or "signal" not in header:
+        raise ConfigError(f"input_csv {path!r} needs total_time_s and signal columns")
+    if len(rows) == 1:
+        raise ConfigError(f"input_csv {path!r} has no data rows")
+    ragged = [i for i, row in enumerate(rows) if len(row) != len(header)]
+    if ragged:
+        raise ConfigError(f"input_csv {path!r}: data row {ragged[0]} does not have the "
+                          f"header's {len(header)} cells")
+    columns = {}
+    for name, cells in zip(header, zip(*rows[1:])):
+        try:
+            columns[name] = np.array([float(cell) for cell in cells])
+        except ValueError:
+            columns[name] = np.full(len(cells), math.nan)
+    return columns
+
+
 def _run_fit(spec, out_dir, threads):
-    # genfromtxt only warns on a file with nothing but whitespace
-    with open(spec.input_csv, "rb") as fh:
-        if not fh.read().strip():
-            raise ConfigError(f"input_csv {spec.input_csv!r} is empty")
-    try:
-        data = np.atleast_1d(np.genfromtxt(spec.input_csv, delimiter=",", names=True))
-        times = data["total_time_s"]
-        signal = data["signal"]
-    except (IndexError, ValueError) as exc:  # a missing column
-        raise ConfigError(
-            f"input_csv {spec.input_csv!r} needs total_time_s and signal columns ({exc})"
-        ) from None
-    if data.size == 0:
-        raise ConfigError(f"input_csv {spec.input_csv!r} has no data rows")
-    # genfromtxt reads a non-numeric cell as nan
+    data = _read_columns(spec.input_csv)
+    times, signal, sigma = data["total_time_s"], data["signal"], data.get("std_error")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(signal))):
         raise ConfigError(
             f"input_csv {spec.input_csv!r} has a non-finite or non-numeric "
             "total_time_s or signal")
-    sigma = data["std_error"] if "std_error" in data.dtype.names else None
     if sigma is not None and not np.all(sigma >= 0):
         raise ConfigError(f"input_csv {spec.input_csv!r} has a negative or missing std_error")
-    curve = (times, signal) if sigma is None else (times, signal, sigma)
-    fit = fit_decay(curve, spec.model, spec.fixed_params)
+    fit = fit_decay((times, signal, sigma), spec.model, spec.fixed_params)
     path = os.path.join(out_dir, "fit.json")
     with open(path, "w") as fh:
         json.dump(dataclasses.asdict(fit), fh, indent=2, sort_keys=True)

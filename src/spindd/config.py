@@ -421,10 +421,11 @@ class SuppressionSpec(_Spec):
     def __post_init__(self):
         # every row at once: a 4-tuple, its list slot and three integer headers
         # (19 words), and a reduced numerator and denominator of up to
-        # (k_max + 1) log2(2 n_max) bits each, 30 bits to a 4-byte digit
+        # (k_max + 1) log2(2 n_max) bits each, 30 bits to a 4-byte digit; at
+        # any size, the open file and its 8 KiB buffer (measured 5.7 kB)
         rows = self.n_max * (self.k_max + 1)
         bits = (self.k_max + 1) * math.log2(2 * self.n_max)
-        _within_budget({"n_max": 19 * rows, "k_max": rows * bits / 30})
+        _within_budget({"n_max": 19 * rows + 2**10, "k_max": rows * bits / 30})
 
 
 @dataclass(frozen=True, kw_only=True)

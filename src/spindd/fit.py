@@ -1,13 +1,16 @@
 """Weighted nonlinear least squares for decay curves and power laws.
 
-S(t) = A exp(-(t/T)^p) + c is linear in A and the offset c is pinned, so
-``fit_decay`` projects A out (variable projection: Golub and Pereyra, SIAM J.
-Numer. Anal. 10, 413 (1973)).  Each trial (log T, p) gets its weighted
-least-squares A in closed form, and a damped Gauss-Newton iteration moves the
-free nonlinear parameters alone, from the regression of log(-log(S/A)) on
-log t.  Parameter uncertainties come from the local quadratic model at the
-optimum, cov = (J^T W J)^-1 with W = diag(1/sigma^2), J over every free
-parameter.
+Both models are an amplitude times a shape: S(t) = A exp(-(t/T)^p) + c with
+the offset c pinned, and v = k t^q.  Each is linear in its amplitude, so one
+variable projection fits both (Golub and Pereyra, SIAM J. Numer. Anal. 10,
+413 (1973)).  Each trial of the free nonlinear parameters gets its weighted
+least-squares amplitude in closed form, and a damped Gauss-Newton iteration
+moves the nonlinear parameters alone, from a regression start: log(-log(S/A))
+on log t for the decay, log v on log t for the power law.  With no nonlinear
+parameter free, as for a pinned shape or the k/sqrt(t) of a sensitivity
+scan, the closed-form amplitude is the fit, with no iteration.  Parameter
+uncertainties come from the local quadratic model at the optimum,
+cov = (J^T W J)^-1 with W = diag(1/sigma^2), J over every free parameter.
 """
 
 from __future__ import annotations
@@ -64,39 +67,39 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
     return theta, r, J, cost, converged
 
 
-def _decay_projection(times, y, weights, fixed, names):
-    """project(theta) -> (r, J, p, e, de) at the free nonlinear ``names``.
+def _variable_projection(shape, y, weights, free, theta0, amplitude=None):
+    """Fit y = A e(theta) from ``theta0``, the nonlinear part of ``free``.
 
-    e = exp(-(t/T)^p) is the shape and de its derivatives, one per name.  The
-    amplitude p["amplitude"] is pinned, or the weighted least-squares value
-    for this shape, sum(w^2 e y) / sum(w^2 e^2); r is the weighted residual
-    and J its exact Jacobian in theta, through A as well.
+    shape(theta) -> (e, de, p): the shape, its derivatives, one per entry of
+    theta, and the parameters it evaluated.  A is ``amplitude``, or for each
+    trial theta the weighted least-squares sum(w^2 e y) / sum(w^2 e^2), and J
+    the residual's exact Jacobian in theta, through A as well.  Returns theta,
+    p with A, the residual norm, whether the fit converged to a finite
+    residual, and the standard deviation of each of ``free``.
     """
     w2 = weights**2
 
     def project(theta):
-        p = dict(fixed)
-        p.update(zip(names, theta))
-        # clamp so wild trial steps stay evaluable; p holds what the model used
-        p["log_t"] = min(max(p["log_t"], -300.0), 300.0)
-        stretch = p["stretch"] = min(max(p["stretch"], 0.05), 50.0)
-        x = np.maximum(times / math.exp(p["log_t"]), 1e-300)
-        with np.errstate(over="ignore", invalid="ignore"):
-            xp = np.minimum(x**stretch, 1e300)
-        e = np.exp(-xp)
-        # d/d log T and d/d p
-        de = [e * stretch * xp if nm == "log_t" else -e * xp * np.log(x) for nm in names]
-        dA = [0.0] * len(names)
-        if "amplitude" not in fixed:
+        e, de, p = shape(theta)
+        amp, dA = amplitude, [0.0] * len(de)
+        if amp is None:
             # floored: a shape that underflowed everywhere gives A = dA = 0
             norm = max(float(w2 * e @ e), 1e-300)
-            p["amplitude"] = float(w2 * e @ y) / norm
-            dA = [float(w2 * (y - 2.0 * p["amplitude"] * e) @ d) / norm for d in de]
-        A = p["amplitude"]
-        J = np.transpose([weights * (A * d + e * a) for d, a in zip(de, dA)])
-        return weights * (A * e - y), J, p, e, de
+            amp = float(w2 * e @ y) / norm
+            dA = [float(w2 * (y - 2.0 * amp * e) @ d) / norm for d in de]
+        p["amplitude"] = amp
+        J = np.transpose([weights * (amp * d + e * a) for d, a in zip(de, dA)])
+        return weights * (amp * e - y), J, p, e, de
 
-    return project
+    theta, conv = theta0, True  # nothing nonlinear free: A alone
+    if len(theta0):
+        theta, _, _, _, conv = _gauss_newton(lambda th: project(th)[:2], theta0)
+    r, _, p, e, de = project(theta)
+    norm = math.sqrt(float(r @ r))
+    cols = [weights * e] if "amplitude" in free else []
+    cols += [weights * p["amplitude"] * d for d in de]
+    unc = _uncertainties(np.column_stack(cols), free) if free else {}
+    return theta, p, norm, conv and math.isfinite(norm), unc
 
 
 def _regression_start(times, y, amp0, fixed, names):
@@ -117,6 +120,7 @@ def _regression_start(times, y, amp0, fixed, names):
     return [start[nm] for nm in names]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_decay(
     curve,
     model: str = "stretched_exp",
@@ -127,7 +131,7 @@ def fit_decay(
     ``model`` "exponential" fixes p = 1; "stretched_exp" leaves p free unless
     pinned through fixed_params (e.g. {"stretch": 4.0}).  std_errors on the
     curve act as weights when present.  Accepts a CoherenceCurve or a
-    (times, values[, std_errors]) tuple.
+    (times, values[, std_errors or None]) tuple.
     """
     times, values, sigmas = _unpack_curve(curve)
     if times.size < 5:
@@ -141,103 +145,81 @@ def fit_decay(
         fixed["stretch"] = 1.0
     elif model != "stretched_exp":
         raise ValueError(f"unknown decay model {model!r}")
-    if fixed_params:
-        for k, v in fixed_params.items():
-            if k == "decay_time":
-                fixed["log_t"] = math.log(v)
-            elif k in ("amplitude", "offset", "stretch"):
-                fixed[k] = float(v)
-            else:
-                raise ValueError(f"unknown parameter {k!r}")
+    for k, v in (fixed_params or {}).items():
+        if k == "decay_time":
+            fixed["log_t"] = math.log(v)
+        elif k in ("amplitude", "offset", "stretch"):
+            fixed[k] = float(v)
+        else:
+            raise ValueError(f"unknown parameter {k!r}")
     free = [n for n in ("amplitude", "log_t", "stretch") if n not in fixed]
     names = free[1:] if "amplitude" in free else free
     y = values - fixed["offset"]
-    project = _decay_projection(times, y, weights, fixed, names)
-    theta, conv = [], True  # every nonlinear parameter pinned: A alone
-    if names:
-        amp0 = fixed.get("amplitude", float(y[0]) or 1.0)
-        theta0 = _regression_start(times, y, amp0, fixed, names)
-        theta, _, _, _, conv = _gauss_newton(lambda th: project(th)[:2], theta0)
-    r, _, p, e, de = project(theta)
+
+    def shape(theta):
+        p = dict(fixed)
+        p.update(zip(names, theta))
+        # clamp so wild trial steps stay evaluable; p holds what the model used
+        p["log_t"] = min(max(p["log_t"], -300.0), 300.0)
+        stretch = p["stretch"] = min(max(p["stretch"], 0.05), 50.0)
+        x = np.maximum(times / math.exp(p["log_t"]), 1e-300)
+        xp = np.minimum(x**stretch, 1e300)
+        e = np.exp(-xp)
+        # d/d log T and d/d p
+        return e, [e * stretch * xp if nm == "log_t" else -e * xp * np.log(x)
+                   for nm in names], p
+
+    amp0 = fixed.get("amplitude", float(y[0]) or 1.0)
+    theta0 = _regression_start(times, y, amp0, fixed, names) if names else []
+    theta, p, norm, conv, unc_map = _variable_projection(shape, y, weights, free, theta0,
+                                                         fixed.get("amplitude"))
     # past the clamp the cost is flat in p, so an end there is not a minimum
     raw = dict(fixed, **dict(zip(names, theta)))["stretch"]
     conv = conv and 0.05 <= float(raw) <= 50.0
-    # uncertainties from the Jacobian over every free parameter, A included
-    cols = [weights * e] if "amplitude" in free else []
-    cols += [weights * p["amplitude"] * d for d in de]
-    unc_map = _uncertainties(np.column_stack(cols), free) if free else {}
 
-    params = {
-        "amplitude": p["amplitude"],
-        "decay_time": math.exp(p["log_t"]),
-        "stretch": p["stretch"],
-        "offset": p["offset"],
-    }
-    unc = {
-        "amplitude": unc_map.get("amplitude", 0.0),
-        "decay_time": unc_map.get("log_t", 0.0) * params["decay_time"],
-        "stretch": unc_map.get("stretch", 0.0),
-        "offset": 0.0,
-    }
-    return DecayFit(model, params, unc, math.sqrt(float(r @ r)), conv)
+    decay_time = math.exp(p["log_t"])
+    params = {"amplitude": p["amplitude"], "decay_time": decay_time,
+              "stretch": p["stretch"], "offset": p["offset"]}
+    unc = {"amplitude": unc_map.get("amplitude", 0.0),
+           "decay_time": unc_map.get("log_t", 0.0) * decay_time,
+           "stretch": unc_map.get("stretch", 0.0), "offset": 0.0}
+    return DecayFit(model, params, unc, norm, conv)
 
 
-def fit_power_law(
-    points,
-    fixed_exponent: Optional[float] = None,
-) -> DecayFit:
-    """Fit v = k * t^q to positive data; q may be pinned (e.g. -1/2)."""
+@np.errstate(over="ignore", invalid="ignore")
+def fit_power_law(points, fixed_exponent: Optional[float] = None) -> DecayFit:
+    """Fit v = k * t^q to positive data; q may be pinned (e.g. -1/2).
+
+    k is the projected amplitude of the shape t^q: a pinned q leaves it in
+    closed form, a free q is searched from the log-log regression slope.
+    """
     times, values, sigmas = _unpack_curve(points)
     if times.size < 4:
         raise FitError("need at least 4 points")
     if np.any(times <= 0) or np.any(values <= 0):
         raise FitError("power-law fit needs positive times and values")
     weights = _weights_from_sigmas(sigmas, times.size)
+    lt = np.log(times)
 
-    # log-log regression as the starting point
-    lt, lv = np.log(times), np.log(values)
-    if fixed_exponent is None:
-        q0, logk0 = np.polyfit(lt, lv, 1)
-    else:
-        q0 = fixed_exponent
-        logk0 = float(np.mean(lv - q0 * lt))
-    free = ["log_k"] + ([] if fixed_exponent is not None else ["q"])
+    def shape(theta):
+        q = float(theta[0]) if len(theta) else fixed_exponent
+        e = times**q
+        return e, [e * lt for _ in theta], {"exponent": q}
 
-    def rj(theta):
-        logk = theta[0]
-        q = fixed_exponent if fixed_exponent is not None else theta[1]
-        model = np.exp(logk) * times**q
-        r = (model - values) * weights
-        cols = [model * weights]
-        if fixed_exponent is None:
-            cols.append(model * np.log(times) * weights)
-        return r, np.column_stack(cols)
-
-    theta0 = [logk0] + ([] if fixed_exponent is not None else [q0])
-    theta, r, J, cost, conv = _gauss_newton(rj, theta0)
-    unc_map = _uncertainties(J, free)
-    k = math.exp(theta[0])
-    q = fixed_exponent if fixed_exponent is not None else float(theta[1])
-    params = {"coefficient": k, "exponent": q}
-    unc = {
-        "coefficient": unc_map.get("log_k", 0.0) * k,
-        "exponent": unc_map.get("q", 0.0),
-    }
-    return DecayFit("power_law", params, unc, math.sqrt(cost), conv)
+    theta0 = [] if fixed_exponent is not None else [float(np.polyfit(lt, np.log(values), 1)[0])]
+    free = ["amplitude"] + ["exponent"] * len(theta0)
+    _, p, norm, conv, unc = _variable_projection(shape, values, weights, free, theta0)
+    params = {"coefficient": p["amplitude"], "exponent": p["exponent"]}
+    uncs = {"coefficient": unc["amplitude"], "exponent": unc.get("exponent", 0.0)}
+    return DecayFit("power_law", params, uncs, norm, conv)
 
 
 def _unpack_curve(curve):
+    """(times, values, sigmas or None) of a CoherenceCurve or a tuple."""
     if hasattr(curve, "times"):
-        sig = getattr(curve, "std_error", None)
-        return (
-            np.asarray(curve.times, dtype=float),
-            np.asarray(curve.signal, dtype=float),
-            None if sig is None else np.asarray(sig, dtype=float),
-        )
-    parts = [np.asarray(p, dtype=float) for p in curve]
-    if len(parts) == 2:
-        return parts[0], parts[1], None
-    return parts[0], parts[1], parts[2]
+        curve = (curve.times, curve.signal, getattr(curve, "std_error", None))
+    parts = [None if p is None else np.asarray(p, dtype=float) for p in curve]
+    return parts[0], parts[1], parts[2] if len(parts) > 2 else None
 
 
 def _weights_from_sigmas(sigmas, n):

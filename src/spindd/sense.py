@@ -134,11 +134,12 @@ def sensitivity_scan(
 
     Each point spends its whole budget on repeated shots of duration
     (sequence time + overhead), a fractional number of them, so the scan
-    has an exact -1/2 exponent.
+    has an exact -1/2 exponent.  With the exponent pinned, k is the
+    closed-form least-squares amplitude of t^(-1/2); no iteration runs.
     ``ac_amplitude_jitter`` (>= 0) inflates sigma_sn by a relative
     AC-amplitude fluctuation floor, mimicking an unstable test field.
     A slope not finite and positive or a dB_min not finite raises
-    FloatingPointError, an unconverged k fit FitError; numpy stays silent.
+    FloatingPointError, a k residual not finite FitError; numpy stays silent.
     """
     total_times = sq.checked_times(total_times)
     if total_times.size < 4:

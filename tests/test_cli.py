@@ -272,6 +272,47 @@ def test_malformed_fit_input_exits_2(tmp_path, capsys, text):
     assert "input_csv" in capsys.readouterr().err
 
 
+def test_ragged_fit_input_exits_2_naming_the_row(tmp_path, capsys):
+    csv = tmp_path / "curve.csv"
+    csv.write_text("total_time_s,signal\n"
+                   + "".join(f"{t}e-4,{0.9 ** t}\n" for t in range(1, 4)) + "4e-4,0.6,0.1\n"
+                   + "".join(f"{t}e-4,{0.9 ** t}\n" for t in range(5, 8)))
+    code, _ = cli.run(_write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv))),
+                      out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "input_csv" in err and "data row 4 " in err
+
+
+def test_fit_input_reads_as_genfromtxt_reads_it(tmp_path):
+    # a decay's curve.csv, with blank lines put in, against numpy's own reader
+    code, artifacts = cli.run(_write(tmp_path, "cfg.json", _decay_cfg()),
+                              out_dir=str(tmp_path / "decay"))
+    assert code == cli.EXIT_OK
+    lines = pathlib.Path(artifacts[0]).read_text().splitlines(keepends=True)
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\n" + "".join(line + "\n" for line in lines) + " \n")
+    ref = np.genfromtxt(artifacts[0], delimiter=",", names=True)
+    columns = cli._read_columns(str(padded))
+    assert list(columns) == list(ref.dtype.names)
+    for name in ref.dtype.names:
+        assert columns[name].tobytes() == ref[name].tobytes(), name
+
+
+# numpy's overflow warnings in the fit reached stderr before the report
+@pytest.mark.filterwarnings("error")
+def test_fit_that_overflows_exits_3_with_one_line(tmp_path, capsys):
+    csv = tmp_path / "curve.csv"
+    csv.write_text("total_time_s,signal,std_error\n"
+                   + "".join(f"{t}e-4,{(-1) ** t * 1e300!r},1e-300\n" for t in range(1, 8)))
+    code, artifacts = cli.run(_write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv))),
+                              out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_NUMERICAL and artifacts == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "fit did not converge" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_unknown_key_is_rejected_by_name(tmp_path, capsys):
     cfg_path = _write(tmp_path, "cfg.json", _decay_cfg(tua_us=5))
     code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))

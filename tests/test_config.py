@@ -302,7 +302,7 @@ def test_pulse_error_block_holds_its_phases_once():
     assert peak <= 1.69e6 - 4 * 200 * 51 * 8 / 2, peak
 
 
-@pytest.mark.parametrize("n_max, k_max", [(256, 12), (2000, 0), (50, 40)])
+@pytest.mark.parametrize("n_max, k_max", [(256, 12), (2000, 0), (50, 40), (8, 5), (1, 0)])
 def test_suppression_estimate_bounds_the_writers_peak(monkeypatch, tmp_path, n_max, k_max):
     """The table's estimate bounds what writing suppression.csv holds: the
     whole table and one n's rows of text, never the whole file's text."""

@@ -122,6 +122,77 @@ def test_power_law_rejects_nonpositive():
         fit_power_law((ts, -np.ones(6)))
 
 
+# --- the power law by projection ---------------------------------------------
+
+
+def _reference_fit_power_law(points):
+    """The free-exponent power law before projection: damped Gauss-Newton
+    over (log k, q) from the log-log regression, J over both."""
+    times, values, sigmas = fit._unpack_curve(points)
+    weights = fit._weights_from_sigmas(sigmas, times.size)
+
+    def rj(theta):
+        model = np.exp(theta[0]) * times ** theta[1]
+        return (model - values) * weights, np.column_stack(
+            [model * weights, model * np.log(times) * weights])
+
+    q0, logk0 = np.polyfit(np.log(times), np.log(values), 1)
+    theta, _, J, cost, conv = fit._gauss_newton(rj, [logk0, q0])
+    sd = fit._uncertainties(J, ["log_k", "q"])
+    k = math.exp(theta[0])
+    return ({"coefficient": k, "exponent": float(theta[1])},
+            {"coefficient": sd["log_k"] * k, "exponent": sd["q"]}, conv)
+
+
+_TS = np.geomspace(0.5, 500, 12)
+_NOISY_V = 5e-9 * _TS**-0.5 * np.exp(np.random.default_rng(17).normal(0, 0.02, _TS.size))
+_POWER_LAWS = {
+    "exact": (_TS, 19.4e-9 * _TS**-0.5),
+    "noisy": (_TS, _NOISY_V),
+    "weighted": (_TS, _NOISY_V, 0.02 * _NOISY_V * np.linspace(1.0, 3.0, _TS.size)),
+}
+
+
+@pytest.mark.parametrize("name", list(_POWER_LAWS))
+def test_free_exponent_matches_the_two_parameter_fit(name):
+    res = fit_power_law(_POWER_LAWS[name])
+    params, uncs, conv = _reference_fit_power_law(_POWER_LAWS[name])
+    assert res.converged and conv
+    for key in ("coefficient", "exponent"):
+        assert res.params[key] == pytest.approx(params[key], rel=1e-9), key
+        assert res.uncertainties[key] == pytest.approx(uncs[key], rel=1e-9), key
+
+
+@pytest.mark.parametrize("name", list(_POWER_LAWS))
+def test_pinned_exponent_is_the_closed_form_coefficient(monkeypatch, name):
+    ts, vs, *sig = _POWER_LAWS[name]
+    w = 1.0 / sig[0] if sig else np.ones(ts.size)
+    e = ts**-0.5
+    calls = _count_evaluations(monkeypatch)
+    res = fit_power_law(_POWER_LAWS[name], fixed_exponent=-0.5)
+    assert calls == []
+    assert res.converged and res.params["exponent"] == -0.5
+    k = float(np.sum(w**2 * vs * e) / np.sum(w**2 * e * e))
+    assert res.params["coefficient"] == pytest.approx(k, rel=1e-15)
+    # one free parameter, the linear k: sd = (sum w^2 t^2q)^-1/2
+    sd = float(np.sum(w**2 * e * e)) ** -0.5
+    assert res.uncertainties["coefficient"] == pytest.approx(sd, rel=1e-15)
+    assert res.uncertainties["exponent"] == 0.0
+    assert res.residual_norm == pytest.approx(
+        float(np.linalg.norm(w * (k * e - vs))), rel=1e-6, abs=1e-22)
+
+
+def test_pinned_fit_with_an_overflowing_residual_is_unconverged():
+    # k is finite, but the squared residual overflows: no iteration judged it
+    ts = np.geomspace(0.5, 500, 12)
+    vs = 1e300 * ts**-0.5 * (1.0 + 0.1 * (-1.0) ** np.arange(ts.size))
+    res = fit_power_law((ts, vs), fixed_exponent=-0.5)
+    assert math.isfinite(res.params["coefficient"])
+    assert res.residual_norm == math.inf and not res.converged
+    res = fit_decay((ts, vs), fixed_params={"decay_time": 1e6, "stretch": 1.0})
+    assert res.residual_norm == math.inf and not res.converged
+
+
 def test_to_dict_is_json_ready():
     ts = np.linspace(1e-4, 3e-3, 10)
     res = fit_decay((ts, _stretched(ts, 1.0, 1e-3, 2.0)))
