@@ -4,6 +4,15 @@ Subcommands: decay, suppression, spinlock, pulse-error, sense, fit, validate.
 Every run writes its artifacts plus a manifest (config digest, seed,
 versions, artifact digests) sufficient to re-create the outputs bit-exactly.
 Exit codes: 0 success, 2 validation, 3 numerical failure, 4 I/O.
+
+Each artifact, the manifest last, is written once, to a new file, and hashed
+as it is written.  A stale manifest.json is unlinked before a run's first
+artifact byte, so a manifest present in a directory hashes exactly to the
+files beside it, and a run that fails before writing (validation, most
+numerical failures) leaves the previous run's files as they were.  Files
+are unlinked and created rather than truncated in place: on ext4
+(auto_da_alloc) closing a truncated file forces its writeback, about four
+times the cost of a new file, and a rename over a file flushes too.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -33,15 +43,51 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-
-def _sha256_file(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+MANIFEST = "manifest.json"
 
 
-def _write_manifest(out_dir, cfg, artifacts, extra=None):
+def _finite(obj):
+    """``obj`` with each non-finite float, which strict JSON cannot hold, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _json_text(obj):
+    """The text ``json.dump(obj, fh, indent=2, sort_keys=True)`` writes, with
+    a non-finite float as null rather than as NaN or Infinity."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True)
+
+
+def _write_artifact(path, chunks):
+    """Write the strings ``chunks`` to a new file at ``path``; returns the
+    SHA-256 of the bytes written.
+
+    The ``manifest.json`` beside ``path`` and whatever was at ``path`` are
+    unlinked first, so no byte lands beside a manifest that would no longer
+    describe it, a symlink at ``path`` is replaced rather than written
+    through, and no file is truncated in place (which on ext4 forces a
+    writeback when the file is closed)."""
+    # the manifest first, and once when it is ``path``
+    for stale in dict.fromkeys((os.path.join(os.path.dirname(path), MANIFEST), path)):
+        try:
+            os.unlink(stale)
+        except FileNotFoundError:
+            pass
+    digest = hashlib.sha256()
+    with open(path, "xb") as fh:
+        for chunk in chunks:
+            data = chunk.encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
+def _write_manifest(out_dir, cfg, digests, extra):
     manifest = {
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()
@@ -49,30 +95,27 @@ def _write_manifest(out_dir, cfg, artifacts, extra=None):
         "config": cfg,
         "spindd_version": __version__,
         "numpy_version": np.__version__,
-        "artifacts": {os.path.basename(p): _sha256_file(p) for p in artifacts},
+        "artifacts": {os.path.basename(p): d for p, d in digests.items()},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    path = os.path.join(out_dir, MANIFEST)
+    _write_artifact(path, [_json_text(manifest)])
     return path
 
 
 def _write_csv(path, header, *columns):
     """``header`` and a row per index of ``columns``, each value the repr of
-    the Python number it equals."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*(np.asarray(c).tolist() for c in columns)):
-            fh.write(",".join(map(repr, row)) + "\n")
-    return path
+    the Python number it equals; returns {path: digest}."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    text = "".join([header + "\n", *[",".join(map(repr, row)) + "\n" for row in rows]])
+    return {path: _write_artifact(path, [text])}
 
 
 def _curve_artifacts(curve, seed, out_dir):
-    path = _write_csv(os.path.join(out_dir, "curve.csv"), "total_time_s,signal,std_error,n_pulses",
-                      curve.times, curve.signal, curve.std_error, curve.n_pulses)
-    return [path], {"seed": seed, "metadata": curve.metadata}
+    digests = _write_csv(os.path.join(out_dir, "curve.csv"),
+                         "total_time_s,signal,std_error,n_pulses",
+                         curve.times, curve.signal, curve.std_error, curve.n_pulses)
+    return digests, {"seed": seed, "metadata": curve.metadata}
 
 
 def _run_decay(spec, out_dir, threads):
@@ -105,14 +148,13 @@ def _run_spinlock(spec, out_dir, threads):
 def _run_suppression(spec, out_dir, threads):
     path = os.path.join(out_dir, "suppression.csv")
     table, orders = suppression_table(spec.n_max, spec.k_max), spec.k_max + 1
-    with open(path, "w") as fh:
-        fh.write("n,k,factor_exact_num,factor_exact_den,factor_float\n")
-        # one write per n: the text of the whole table would outweigh the table
-        for i in range(0, len(table), orders):
-            # integer true division is correctly rounded, as float(Fraction) is
-            fh.write("".join([f"{n},{k},{num},{den},{num / den!r}\n"
-                              for n, k, num, den in table[i:i + orders]]))
-    return [path], {}
+    # one string per n: the text of the whole table would outweigh the table;
+    # integer true division is correctly rounded, as float(Fraction) is
+    rows = ("".join([f"{n},{k},{num},{den},{num / den!r}\n"
+                     for n, k, num, den in table[i:i + orders]])
+            for i in range(0, len(table), orders))
+    header = "n,k,factor_exact_num,factor_exact_den,factor_float\n"
+    return {path: _write_artifact(path, itertools.chain([header], rows))}, {}
 
 
 def _run_pulse_error(spec, out_dir, threads):
@@ -151,9 +193,9 @@ def _run_sense(spec, out_dir, threads):
         envelope=envelope,
         ac_amplitude_jitter=spec.ac_amplitude_jitter,
     )
-    csv_path = _write_csv(os.path.join(out_dir, "sensitivity.csv"),
-                          "total_time_s,delta_b_min_T,sigma_sn,slope_per_T", result.times,
-                          result.delta_b_min, result.sigma_sn, [result.slope] * result.times.size)
+    digests = _write_csv(os.path.join(out_dir, "sensitivity.csv"),
+                         "total_time_s,delta_b_min_T,sigma_sn,slope_per_T", result.times,
+                         result.delta_b_min, result.sigma_sn, [result.slope] * result.times.size)
     report = {
         "k_nT_per_sqrt_Hz": result.k_nt_per_sqrt_hz,
         "fit": dataclasses.asdict(result.fit),
@@ -162,10 +204,9 @@ def _run_sense(spec, out_dir, threads):
         "overhead_note": "total time per shot = sequence time + overhead "
                          "(wall-clock-equivalent budgets; overhead is an assumption)",
     }
-    json_path = os.path.join(out_dir, "report.json")
-    with open(json_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    return [csv_path, json_path], {}
+    path = os.path.join(out_dir, "report.json")
+    digests[path] = _write_artifact(path, [_json_text(report)])
+    return digests, {}
 
 
 def _read_columns(path):
@@ -204,11 +245,10 @@ def _run_fit(spec, out_dir, threads):
         raise ConfigError(f"input_csv {spec.input_csv!r} has a negative or missing std_error")
     fit = fit_decay((times, signal, sigma), spec.model, spec.fixed_params)
     path = os.path.join(out_dir, "fit.json")
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(fit), fh, indent=2, sort_keys=True)
+    digest = _write_artifact(path, [_json_text(dataclasses.asdict(fit))])
     if not fit.converged:
         raise FitError(f"fit did not converge (best candidate written to {path})")
-    return [path], {}
+    return {path: digest}, {}
 
 
 # subcommand -> (experiment, runner)
@@ -241,9 +281,8 @@ def run(config_path, out_dir=None, overrides=None, threads=1, expected_experimen
         os.makedirs(out, exist_ok=True)
         if not os.access(out, os.W_OK):
             raise OSError(f"output directory {out!r} not writable")
-        artifacts, extra = _RUNNERS[kind](report["spec"], out, threads)
-        manifest = _write_manifest(out, report["expanded"], artifacts, extra)
-        artifacts.append(manifest)
+        digests, extra = _RUNNERS[kind](report["spec"], out, threads)
+        artifacts = [*digests, _write_manifest(out, report["expanded"], digests, extra)]
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION, []

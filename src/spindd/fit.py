@@ -11,6 +11,8 @@ parameter free, as for a pinned shape or the k/sqrt(t) of a sensitivity
 scan, the closed-form amplitude is the fit, with no iteration.  Parameter
 uncertainties come from the local quadratic model at the optimum,
 cov = (J^T W J)^-1 with W = diag(1/sigma^2), J over every free parameter.
+Data with no std_error leave sigma to the residuals: W = 1 and the
+covariance scaled by RSS/(m - p), m points and p free parameters.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
     return theta, r, J, cost, converged
 
 
-def _variable_projection(shape, y, weights, free, theta0, amplitude=None):
-    """Fit y = A e(theta) from ``theta0``, the nonlinear part of ``free``.
+def _variable_projection(shape, y, sigmas, free, theta0, amplitude=None):
+    """Fit y = A e(theta), each point weighted by w = 1/sigma, from
+    ``theta0``, the nonlinear part of ``free``.
 
     shape(theta) -> (e, de, p): the shape, its derivatives, one per entry of
     theta, and the parameters it evaluated.  A is ``amplitude``, or for each
@@ -77,6 +80,7 @@ def _variable_projection(shape, y, weights, free, theta0, amplitude=None):
     p with A, the residual norm, whether the fit converged to a finite
     residual, and the standard deviation of each of ``free``.
     """
+    weights = _weights_from_sigmas(sigmas, y.size)
     w2 = weights**2
 
     def project(theta):
@@ -99,6 +103,10 @@ def _variable_projection(shape, y, weights, free, theta0, amplitude=None):
     cols = [weights * e] if "amplitude" in free else []
     cols += [weights * p["amplitude"] * d for d in de]
     unc = _uncertainties(np.column_stack(cols), free) if free else {}
+    if (sigmas is None or np.all(sigmas == 0)) and r.size > len(free):
+        # no std_error: sigma^2 is estimated as RSS / (m - p)
+        scale = norm / math.sqrt(r.size - len(free))
+        unc = {name: sd * scale for name, sd in unc.items()}
     return theta, p, norm, conv and math.isfinite(norm), unc
 
 
@@ -138,7 +146,6 @@ def fit_decay(
         raise FitError("need at least 5 points to fit a decay")
     if float(np.ptp(values)) == 0.0:
         raise FitError("degenerate curve: constant signal")
-    weights = _weights_from_sigmas(sigmas, times.size)
 
     fixed = {"offset": 0.0}
     if model == "exponential":
@@ -171,7 +178,7 @@ def fit_decay(
 
     amp0 = fixed.get("amplitude", float(y[0]) or 1.0)
     theta0 = _regression_start(times, y, amp0, fixed, names) if names else []
-    theta, p, norm, conv, unc_map = _variable_projection(shape, y, weights, free, theta0,
+    theta, p, norm, conv, unc_map = _variable_projection(shape, y, sigmas, free, theta0,
                                                          fixed.get("amplitude"))
     # past the clamp the cost is flat in p, so an end there is not a minimum
     raw = dict(fixed, **dict(zip(names, theta)))["stretch"]
@@ -198,7 +205,6 @@ def fit_power_law(points, fixed_exponent: Optional[float] = None) -> DecayFit:
         raise FitError("need at least 4 points")
     if np.any(times <= 0) or np.any(values <= 0):
         raise FitError("power-law fit needs positive times and values")
-    weights = _weights_from_sigmas(sigmas, times.size)
     lt = np.log(times)
 
     def shape(theta):
@@ -208,7 +214,7 @@ def fit_power_law(points, fixed_exponent: Optional[float] = None) -> DecayFit:
 
     theta0 = [] if fixed_exponent is not None else [float(np.polyfit(lt, np.log(values), 1)[0])]
     free = ["amplitude"] + ["exponent"] * len(theta0)
-    _, p, norm, conv, unc = _variable_projection(shape, values, weights, free, theta0)
+    _, p, norm, conv, unc = _variable_projection(shape, values, sigmas, free, theta0)
     params = {"coefficient": p["amplitude"], "exponent": p["exponent"]}
     uncs = {"coefficient": unc["amplitude"], "exponent": unc.get("exponent", 0.0)}
     return DecayFit("power_law", params, uncs, norm, conv)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import os
@@ -311,6 +312,107 @@ def test_fit_that_overflows_exits_3_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "fit did not converge" in err
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# --- the output directory: new files, a manifest that describes it ------------
+
+_OVERFLOWING_FIT = ("total_time_s,signal,std_error\n"
+                    + "".join(f"{t}e-4,{(-1) ** t * 1e300!r},1e-300\n" for t in range(1, 8)))
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+
+
+def _assert_manifest_describes(out):
+    """A manifest present hashes exactly to the files beside it."""
+    if (out / "manifest.json").exists():
+        digests = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert digests and digests == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+
+
+# a failed run left the previous run's manifest beside its own artifacts: after
+# an unconverged fit, manifest.json named the good fit's input_csv and a
+# fit.json digest the file no longer had
+@pytest.mark.filterwarnings("error")
+def test_failed_runs_leave_no_manifest_that_misdescribes_the_directory(tmp_path, fit_csv):
+    out = tmp_path / "out"
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text(_OVERFLOWING_FIT)
+
+    def run(name, cfg, code):
+        assert cli.run(_write(tmp_path, f"{name}.json", cfg), out_dir=str(out))[0] == code, name
+        _assert_manifest_describes(out)
+
+    run("fit", dict(_FIT, input_csv=fit_csv), cli.EXIT_OK)
+    run("fit_unconverged", dict(_FIT, input_csv=str(bad_csv)), cli.EXIT_NUMERICAL)
+    assert not (out / "manifest.json").exists() and (out / "fit.json").exists()
+    # each of these fails before its first byte: the good run stays as it was
+    for name, cfg, code in [
+        ("sense", _sense_cfg(), cli.EXIT_OK),
+        ("sense_tiny_envelope", _sense_cfg(envelope=1e-300), cli.EXIT_NUMERICAL),
+        ("decay", _decay_cfg(), cli.EXIT_OK),
+        ("decay_huge_field", _decay_cfg(field=[{"type": "static_offset", "b": "1e305 T"}],
+                                        sequence={"kind": "fid"}, times=_MS_TIMES),
+         cli.EXIT_NUMERICAL),
+        ("decay_invalid", _decay_cfg(shots="x"), cli.EXIT_VALIDATION),
+    ]:
+        before = _files(out)
+        run(name, cfg, code)
+        if code != cli.EXIT_OK:
+            assert _files(out) == before, name
+    # an artifact path that cannot be written, the first and then the second
+    for blocked, cfg in (("curve.csv", _decay_cfg()), ("report.json", _sense_cfg())):
+        run("good", cfg, cli.EXIT_OK)
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        run("blocked", cfg, cli.EXIT_IO)
+        assert not (out / "manifest.json").exists()
+        (out / blocked).rmdir()
+
+
+def test_an_artifact_is_a_new_file_not_the_old_one_rewritten(tmp_path):
+    out = tmp_path / "out"
+    assert cli.run(_write(tmp_path, "a.json", _decay_cfg()), out_dir=str(out))[0] == cli.EXIT_OK
+    old = (out / "curve.csv").read_bytes()
+    # a reader that opened the old curve keeps reading it
+    with open(out / "curve.csv", "rb") as fh:
+        cfg = _write(tmp_path, "b.json", _decay_cfg(seed=13))
+        assert cli.run(cfg, out_dir=str(out))[0] == cli.EXIT_OK
+        assert fh.read() == old
+    assert (out / "curve.csv").read_bytes() != old
+    # a symlink at an artifact path is replaced, not written through
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(b"kept\n")
+    (out / "curve.csv").unlink()
+    (out / "curve.csv").symlink_to(target)
+    assert cli.run(cfg, out_dir=str(out))[0] == cli.EXIT_OK
+    assert target.read_bytes() == b"kept\n"
+    assert not (out / "curve.csv").is_symlink()
+    _assert_manifest_describes(out)
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# the candidate fit.json of an overflowing fit held NaN, which strict parsers reject
+@pytest.mark.filterwarnings("error")
+def test_json_artifacts_are_strict_json(tmp_path):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(_OVERFLOWING_FIT)
+    out = tmp_path / "out"
+    code, _ = cli.run(_write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv))),
+                      out_dir=str(out))
+    assert code == cli.EXIT_NUMERICAL
+    fit = json.loads((out / "fit.json").read_text(), parse_constant=_strict)
+    assert fit["converged"] is False and None in fit["uncertainties"].values()
+    # finite values are written as json.dump writes them
+    assert cli._json_text({"a": [1.5, math.nan], "b": math.inf}) == json.dumps(
+        {"a": [1.5, None], "b": None}, indent=2, sort_keys=True)
+    report = {"k": 19.4, "fit": {"params": [1e-300, -0.5]}}
+    assert cli._json_text(report) == json.dumps(report, indent=2, sort_keys=True)
 
 
 def test_unknown_key_is_rejected_by_name(tmp_path, capsys):

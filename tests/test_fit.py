@@ -125,9 +125,10 @@ def test_power_law_rejects_nonpositive():
 # --- the power law by projection ---------------------------------------------
 
 
-def _reference_fit_power_law(points):
+def _reference_fit_power_law(points, rss=None):
     """The free-exponent power law before projection: damped Gauss-Newton
-    over (log k, q) from the log-log regression, J over both."""
+    over (log k, q) from the log-log regression, J over both; with no
+    std_error the sds scaled by sqrt(rss / (m - 2))."""
     times, values, sigmas = fit._unpack_curve(points)
     weights = fit._weights_from_sigmas(sigmas, times.size)
 
@@ -139,6 +140,8 @@ def _reference_fit_power_law(points):
     q0, logk0 = np.polyfit(np.log(times), np.log(values), 1)
     theta, _, J, cost, conv = fit._gauss_newton(rj, [logk0, q0])
     sd = fit._uncertainties(J, ["log_k", "q"])
+    if sigmas is None:
+        sd = {name: v * math.sqrt(rss / (times.size - 2)) for name, v in sd.items()}
     k = math.exp(theta[0])
     return ({"coefficient": k, "exponent": float(theta[1])},
             {"coefficient": sd["log_k"] * k, "exponent": sd["q"]}, conv)
@@ -156,7 +159,7 @@ _POWER_LAWS = {
 @pytest.mark.parametrize("name", list(_POWER_LAWS))
 def test_free_exponent_matches_the_two_parameter_fit(name):
     res = fit_power_law(_POWER_LAWS[name])
-    params, uncs, conv = _reference_fit_power_law(_POWER_LAWS[name])
+    params, uncs, conv = _reference_fit_power_law(_POWER_LAWS[name], res.residual_norm**2)
     assert res.converged and conv
     for key in ("coefficient", "exponent"):
         assert res.params[key] == pytest.approx(params[key], rel=1e-9), key
@@ -174,8 +177,11 @@ def test_pinned_exponent_is_the_closed_form_coefficient(monkeypatch, name):
     assert res.converged and res.params["exponent"] == -0.5
     k = float(np.sum(w**2 * vs * e) / np.sum(w**2 * e * e))
     assert res.params["coefficient"] == pytest.approx(k, rel=1e-15)
-    # one free parameter, the linear k: sd = (sum w^2 t^2q)^-1/2
+    # one free parameter, the linear k: sd = (sum w^2 t^2q)^-1/2, with no
+    # std_error times sigma's estimate sqrt(rss / (m - 1))
     sd = float(np.sum(w**2 * e * e)) ** -0.5
+    if not sig:
+        sd *= res.residual_norm / math.sqrt(ts.size - 1)
     assert res.uncertainties["coefficient"] == pytest.approx(sd, rel=1e-15)
     assert res.uncertainties["exponent"] == 0.0
     assert res.residual_norm == pytest.approx(
@@ -222,10 +228,11 @@ def _reference_residual_jac(times, values, weights, free, fixed):
     return rj
 
 
-def _reference_fit_decay(curve, model="stretched_exp", fixed_params=None):
+def _reference_fit_decay(curve, model="stretched_exp", fixed_params=None, rss=None):
     """The fit before variable projection: Gauss-Newton over the free
     (A, log T, p) from a 3 x 3 grid of starts in (T, p), pinned coordinates
-    ignored; the lowest residual wins, ties broken by the smallest T."""
+    ignored; the lowest residual wins, ties broken by the smallest T.  With
+    no std_error the sds are scaled by sqrt(rss / (m - p))."""
     times, values, sigmas = fit._unpack_curve(curve)
     weights = fit._weights_from_sigmas(sigmas, times.size)
     fixed = {"offset": 0.0}
@@ -250,6 +257,8 @@ def _reference_fit_decay(curve, model="stretched_exp", fixed_params=None):
             best = (cost, t_now, sol, J, conv)
     cost, t_now, sol, J, conv = best
     unc = fit._uncertainties(J, free)
+    if sigmas is None:
+        unc = {name: v * math.sqrt(rss / (times.size - len(free))) for name, v in unc.items()}
     params = {"amplitude": sol["amplitude"], "decay_time": t_now, "stretch": sol["stretch"]}
     uncs = {"amplitude": unc.get("amplitude", 0.0),
             "decay_time": unc.get("log_t", 0.0) * t_now, "stretch": unc.get("stretch", 0.0)}
@@ -292,7 +301,7 @@ _FIXTURES["doubled"] = tuple(np.concatenate([a, a]) for a in _FIXTURES["noise_40
 
 def _assert_matches_reference(curve, **kw):
     res = fit_decay(curve, **kw)
-    params, uncs, conv = _reference_fit_decay(curve, **kw)
+    params, uncs, conv = _reference_fit_decay(curve, rss=res.residual_norm**2, **kw)
     assert res.converged and conv
     for name in ("amplitude", "decay_time", "stretch"):
         assert res.params[name] == pytest.approx(params[name], rel=1e-6), name
@@ -340,6 +349,22 @@ def test_pinned_shape_is_the_closed_form_amplitude():
     assert res.converged and res.params["amplitude"] == 0.8
     assert res.residual_norm < 1e-12
     assert set(res.uncertainties.values()) == {0.0}
+
+
+# with no std_error the sds were those of sigma = 1 whatever the data's scale:
+# an exponent sd of 1.0e8 on the noisy power law
+@pytest.mark.parametrize("fitter, points, n_free", [
+    (fit_power_law, _POWER_LAWS["noisy"], 2),
+    (fit_decay, _FIXTURES["noise_40"][:2], 3),
+], ids=["power_law", "decay"])
+def test_unweighted_sds_take_sigma_from_the_residuals(fitter, points, n_free):
+    res = fitter(points)
+    assert 0 < max(res.uncertainties.values()) < 0.1
+    # the same fit with that estimate given as every point's std_error
+    sigma = res.residual_norm / math.sqrt(points[0].size - n_free)
+    weighted = fitter((*points, np.full(points[0].size, sigma)))
+    assert res.params == pytest.approx(weighted.params, rel=1e-9)
+    assert res.uncertainties == pytest.approx(weighted.uncertainties, rel=1e-9)
 
 
 def test_regression_start_is_exact_on_exact_data():
