@@ -24,10 +24,9 @@ from typing import Optional, Union
 import numpy as np
 
 from . import sequence as sq, units
-from .evolve import PULSE_BLOCK, bloch_steps
+from .evolve import TURN_WORDS, bloch_steps
 from .field import (
     CHUNK,
-    OU_BLOCK,
     FieldModel,
     NVParameters,
     OrnsteinUhlenbeck,
@@ -229,18 +228,13 @@ _HELD_PATTERN = 6
 _ON_GRID, _DECAY_FIXED = 8, 2**14
 
 
-def _ou_block(n_seg):
-    """Words of an OU block over the first min(n_seg, OU_BLOCK) segments: two
-    block maps and the arrays that build one; per trajectory, two blocks'
-    products."""
-    cols = min(n_seg, OU_BLOCK) + 1  # the block's segments and its end value
-    return 8 * cols**2, 2 * cols
-
-
-_BLOCK_MAP, _BLOCK_ROW = _ou_block(OU_BLOCK)
-# words per trajectory and time of a pulse-error block's turn loop: m_x, m_y,
-# m_z and the products that turn them (measured 7.1 to 7.5)
-_TURN = 8
+# words per trajectory and time of a pulse-error block: m_x, m_y, m_z, the
+# products that turn them, and the phases and OU state they are turned by
+# (measured 11.3 to 12.3 for one OU component, 16.5 for four components,
+# three of them stochastic), charged _TURN plus 2 a component; and words per
+# time and segment of a component while it is streamed: its coefficients,
+# their scaled copies and what builds them (measured 6.1 for the OU)
+_TURN, _COEF = 11, 8
 
 _TIMES_KEYS = {
     "start": _key(_SECONDS),
@@ -377,14 +371,15 @@ class SpinlockSpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
-        # the normals and phases of every step and one OU block's products, then
-        # the phases, m and one sample interval's SU(2) pairs (measured 9.0 a step)
+        # the normals, the phases of every step and the OU's terms beside them
+        # (measured 1.6 words a step), then the phases, m and one sample
+        # interval's SU(2) pairs (measured 9.0 a step)
         with np.errstate(over="ignore"):
             steps = bloch_steps(self.field, self.times)
         rows, n_steps = min(self.shots, CHUNK), float(np.sum(steps))
         terms = _run_terms(self.shots, self.times)
-        terms["times"] = _BLOCK_MAP + rows * max(
-            _normals(self.field, n_steps) + 3 * n_steps + _BLOCK_ROW,
+        terms["times"] = rows * max(
+            _normals(self.field, n_steps) + 2 * n_steps,
             n_steps + 3 * self.times.size + 10 * float(np.max(steps)))
         _within_budget(terms)
 
@@ -398,17 +393,15 @@ class PulseErrorSpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, False)
 
     def __post_init__(self):
-        # one chunk's normals; a block's phases, OU block maps and products, then its
-        # segment-major copy and cosines, and the turn loop's arrays; the pattern, as a
-        # decay's, and on_grid's copies
+        # one chunk's normals; a block of times' turn state, each component's
+        # coefficients over the block; the pattern, as a decay's, and
+        # on_grid's copies
         n_seg, n_times = self.n_pulses + 1, self.times.size
         rows = min(self.shots, CHUNK) if self.field.is_stochastic() else 1
-        block = min(PULSE_BLOCK, n_times)
-        block_map, block_row = _ou_block(n_seg)
+        block, parts = min(max(1, TURN_WORDS // rows), n_times), len(self.field.components)
         terms = _run_terms(self.shots, self.times)
-        terms["n_pulses"] = (rows * (_normals(self.field, n_seg) + 2 * block * n_seg)
-                             + block * (rows * (block_row + _TURN) + block_map)
-                             + (3 * n_times + _HELD_PATTERN) * n_seg)
+        terms["n_pulses"] = (rows * (_normals(self.field, n_seg) + block * (_TURN + 2 * parts))
+                             + (_COEF * block * parts + 3 * n_times + _HELD_PATTERN) * n_seg)
         _within_budget(terms)
         _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)
 

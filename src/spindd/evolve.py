@@ -15,10 +15,11 @@ min(normals, n_times) normals z per trajectory, W^T = Q R once per curve.
 
 Over a step of constant Omega, dm/dt = m x Omega is a rotation, so the Bloch
 paths are exact: spin locking composes a sample interval's steps as SU(2)
-matrices, pairwise, and advances one spinor per interval; a finite-error
-pulse train turns (m_x, m_y) by each segment's phase and (m_y, m_z) at each
-pulse.  Both take their field phases from ``segment_phases``, the pulse train
-PULSE_BLOCK rows of ``sequence.on_grid`` a call, each row one time's segments.
+matrices, pairwise, and advances one spinor per interval, its step phases
+from ``segment_phases``; a finite-error pulse train turns (m_x, m_y) by each
+segment's phase and (m_y, m_z) at each pulse, for a block of times of
+``sequence.on_grid`` at once, as ``phase_stream`` yields each segment's
+phases.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .field import (
     RngSpec,
     draw_normals,
     phase_map,
+    phase_stream,
     segment_phases,
 )
 
@@ -326,7 +328,9 @@ def spin_lock_curve(
 # Finite-error pulses (in-plane turns between fixed pulse rotations)
 # ---------------------------------------------------------------------------
 
-PULSE_BLOCK = 4  # time points per pulse-error block: vectorized, with bounded memory
+#: trajectory values per array of the pulse-error turn loop: a block of
+#: max(1, TURN_WORDS // rows) times is turned at once
+TURN_WORDS = 2**12
 
 
 def pulse_error_curve(
@@ -364,18 +368,17 @@ def pulse_error_curve(
 
     def observe(chunk, rows):
         draws = draw_normals(model, n + 1, rng, chunk, rows)
-        for start in range(0, total_times.size, PULSE_BLOCK):
-            tog = sq.TogglingFunction(bp[start:start + PULSE_BLOCK])
-            # segment-major: each segment's (block, trajectories) slice is contiguous
-            ph = np.moveaxis(segment_phases(model, tog, draws, rows, nv.gamma_e), -1, 0).copy()
-            c = np.cos(ph)
-            s = np.sin(ph, out=ph)
+        block = max(1, TURN_WORDS // rows)
+        for start in range(0, total_times.size, block):
             mx, my, mz = (0.0, 1.0, 0.0) if cp else (1.0, 0.0, 0.0)
-            for seg in range(n + 1):
+            # each segment's (block, rows) phases turned as they are made
+            for seg, ph in enumerate(phase_stream(model, bp[start:start + block], draws, rows,
+                                                  nv.gamma_e)):
                 if seg:
                     my, mz = ca * my - sa * mz, sa * my + ca * mz
-                mx, my = c[seg] * mx + s[seg] * my, c[seg] * my - s[seg] * mx
-            del ph, c, s  # before the next block is allocated
+                c = np.cos(ph)
+                s = np.sin(ph, out=ph)
+                mx, my = c * mx + s * my, c * my - s * mx
             yield from (my if cp else mx) * axis_sign
 
     return _monte_carlo(model, total_times, shots if model.is_stochastic() else 1, rng, nv,

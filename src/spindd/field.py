@@ -6,8 +6,10 @@ polynomial, or a synchronized AC sinusoid.  The quantity that matters for
 dephasing is the signed phase gamma_e * int s(t) B(t) dt against a toggling
 function s(t); deterministic components integrate in closed form per segment
 and the OU component is sampled with its running integral from their exact
-joint Gaussian update, one matrix product per OU_BLOCK segments, so no
-discretization bias enters.
+joint Gaussian update, carried forward one segment at a time, so no
+discretization bias enters.  ``phase_stream`` yields each segment's phases
+in turn, so that a caller can use and drop them while they are in cache;
+``segment_phases`` collects that stream.
 
 Randomness is counter-based: trajectories are grouped in chunks of CHUNK,
 and chunk c and component slot under ``master_seed`` map to a dedicated
@@ -37,8 +39,9 @@ GAMMA_E = 1.760859e11
 CHUNK = 4096
 #: the random-stream layouts of the Bloch paths and the decay, in curve metadata
 RNG_SCHEME, DECAY_RNG_SCHEME = f"philox-chunk{CHUNK}-v2", f"philox-chunk{CHUNK}-v3"
-#: segments per block of the OU forward map, one matrix product each
-OU_BLOCK = 64
+#: values per temporary array of the OU terms that ``segment_phases`` takes for
+#: a run of segments at once
+STREAM_WORDS = 2**13
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,15 @@ def _ou_c2_sq(x):
 # Each component draws n_normals_base + n_normals_per_segment * n_seg standard
 # normals per trajectory (none when n_normals_base is 0).  Its methods take a
 # and b with leading axes ..., segments [a, b] along the last axis, and equal
-# one call per set of segments bit for bit.  segment_integrals(a, b, draws) is
-# the exact int_a^b B dt: (..., n_seg) without draws (None), (..., n_traj,
-# n_seg) from (n_traj, count) draws.  A component that draws also has
-# phase_weights(a, b, signs), the weights w of shape (..., count) with
-# segment_integrals(a, b, draws) @ signs = draws @ w.
+# one call per set of segments bit for bit.  A deterministic component has
+# segment_integrals(a, b, None), the exact int_a^b B dt of shape (..., n_seg).
+# A component that draws has segment_stream(a, b, draws, scale, out), which
+# yields scale * int_a^b B dt of each segment in turn, shape (..., n_traj),
+# from (n_traj, count) draws, and phase_weights(a, b, signs), the weights w
+# of shape (..., count) with sum_i signs_i int_i B dt = draws @ w.  With
+# ``out`` of shape (n_seg, ..., n_traj), segment i's integrals are out[i],
+# the same values bit for bit, their terms in the draws taken in bulk before
+# the first.
 # ---------------------------------------------------------------------------
 
 
@@ -143,8 +150,11 @@ class QuasiStaticGaussian:
         if not self.sigma_b >= 0:
             raise ValueError("sigma_b must be non-negative")
 
-    def segment_integrals(self, a, b, draws):
-        return self.sigma_b * draws[:, :1] * (b - a)[..., None, :]
+    def segment_stream(self, a, b, draws, scale=1.0, out=None):
+        w = np.moveaxis(scale * self.sigma_b * (b - a), -1, 0)[..., None]
+        if out is None:
+            return (wi * draws[:, 0] for wi in w)
+        return iter(np.multiply(w, draws[:, 0], out=out))
 
     def phase_weights(self, a, b, signs):
         return (self.sigma_b * np.sum(signs * (b - a), axis=-1))[..., None]
@@ -191,45 +201,49 @@ class OrnsteinUhlenbeck:
         c2 = s * tc * np.sqrt(_ou_c2_sq(x))
         return np.exp(-x), tc * one_m_e, c1, c2, sx
 
-    def _block_map(self, a, b):
-        """M with (X, xi1_0, xi2_0, ..., xi2_{B-1}) @ M the integrals of the B
-        segments [a, b] and X at their end, from X at their start: X entering
-        segment i is sum_{k<=i} g_k e^(S_k - S_i), g = (X, sx_0 xi1_0, ...), S
-        summing x from 0 at the block's start, so no error grows in S past it."""
-        _, m, c1, c2, sx = self._coefficients(a, b)
-        n, s = a.shape[-1], np.insert(np.cumsum((b - a) / self.tau_c, axis=-1), 0, 0.0, axis=-1)
-        lag = np.where(np.tri(n + 1, dtype=bool).T, s[..., None, :] - s[..., :, None], np.inf)
-        g, mx = np.insert(sx, 0, 1.0, axis=-1), np.insert(m, n, 1.0, axis=-1)
-        mb = np.zeros(a.shape[:-1] + (1 + 2 * n, n + 1))
-        # integral i is m_i X_i + c1_i xi1_i + c2_i xi2_i; column n = B is X_B
-        mb[..., np.r_[0, 1:2 * n:2], :] = np.exp(-lag) * g[..., :, None] * mx[..., None, :]
-        i = np.arange(n)  # xi1_i's row is 0 at column i before c1_i
-        mb[..., 1 + 2 * i, i], mb[..., 2 + 2 * i, i] = c1, c2
-        return mb
-
-    def segment_integrals(self, a, b, draws):
-        out = np.empty(a.shape[:-1] + (draws.shape[0], a.shape[-1]))
-        field = self.sigma_b * draws[:, 0]  # stationary start
-        for lo in range(0, a.shape[-1], OU_BLOCK):
-            hi = lo + OU_BLOCK  # slices stop at the last segment
-            mb = self._block_map(a[..., lo:hi], b[..., lo:hi])
-            block = draws[:, 1 + 2 * lo:1 + 2 * hi] @ mb[..., 1:, :]
-            block += field[..., None] @ mb[..., :1, :]  # a broadcast product takes larger buffers
-            out[..., lo:hi] = block[..., :-1]
-            field = block[..., -1].copy()  # a view would hold the block to the next
-        return out
+    def segment_stream(self, a, b, draws, scale=1.0, out=None):
+        """scale * int X dt over each segment [a, b] in turn: m_i X + c1_i xi1_i
+        + c2_i xi2_i for segment i, after which X <- e_i X + sx_i xi1_i, from
+        X = sigma_b xi0 at the start (stationary).  Trajectory r's xi0, xi1_i
+        and xi2_i are draws[r, 0], draws[r, 1 + 2 i] and draws[r, 2 + 2 i].
+        With ``out``, c1 xi1 + c2 xi2 is taken for every segment before the
+        first, c2 xi2 in runs of at most STREAM_WORDS values: a temporary the
+        size of the phases, beside them and the draws, took glibc malloc's
+        heap past its trim threshold, so that each bloch spin lock faulted
+        1.1 MB of pages in again (x86-64 Linux)."""
+        e, m, c1, c2, sx = (np.moveaxis(c, -1, 0)[..., None] for c in self._coefficients(a, b))
+        m, c1, c2 = scale * m, scale * c1, scale * c2
+        lead = (slice(None),) + (None,) * (a.ndim - 1)  # segment, leading axes, trajectory
+        xi1, xi2 = draws[:, 1::2].T[lead], draws[:, 2::2].T[lead]
+        field = np.empty(a.shape[:-1] + draws.shape[:1])
+        field[...] = self.sigma_b * draws[:, 0]
+        if out is not None:
+            np.multiply(c1, xi1, out=out)
+            run = max(1, STREAM_WORDS // field.size)
+            for lo in range(0, a.shape[-1], run):
+                out[lo:lo + run] += c2[lo:lo + run] * xi2[lo:lo + run]
+        for i in range(a.shape[-1]):
+            if out is None:
+                part = c1[i] * xi1[i]
+                part += c2[i] * xi2[i]
+            else:
+                part = out[i]
+            part += m[i] * field
+            yield part
+            field *= e[i]
+            field += sx[i] * xi1[i]
 
     def phase_weights(self, a, b, signs):
-        """The adjoint of ``segment_integrals``: sum_i signs_i int_i X dt is
+        """The adjoint of ``segment_stream``: sum_i signs_i int_i X dt is
         xi0 s A_0 + sum_i xi1_i (signs_i c1_i + sx_i A_{i+1}) + xi2_i signs_i c2_i,
         where A_i = signs_i m_i + e_i A_{i+1} (A_n = 0) is that sum's
         derivative by the X entering segment i.  A is solved by doubling
         (Hillis & Steele, CACM 29, 1170 (1986)): after the pass of stride k,
         acc_i sums the first 2k terms of A_i and e_i is the product of their
         e, so ceil(log2 n) passes over the whole arrays, leading axes and
-        all, give A.  The forward sampler keeps its block maps: a doubling
-        pass there re-reads every trajectory's row each pass, where a block
-        is one matrix product."""
+        all, give A.  The forward sampler carries its recurrence one segment
+        at a time instead: a doubling pass there would re-read every
+        trajectory's row each pass."""
         e, m, c1, c2, sx = self._coefficients(a, b)
         acc = signs * m
         k = 1
@@ -359,34 +373,58 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], chunk: i
     return out
 
 
+def phase_stream(model: FieldModel, breakpoints, draws: list, rows: int,
+                 gamma_e: float = GAMMA_E, out: Optional[np.ndarray] = None):
+    """Each segment's phases gamma_e * int_seg B dt in turn, for breakpoints
+    (..., n_seg + 1) and the normals ``draws`` that ``draw_normals`` returns
+    for ``rows`` trajectories and this segment count: shape (..., rows), or
+    (..., 1) for a deterministic model, which is the same in every row.
+
+    The components' phases are summed in the model's order.  Deterministic
+    ones are integrated over every segment at once; stochastic ones are
+    streamed, the first into ``out``, of shape (n_seg, ..., rows), when it
+    is given, so that segment i's phases are out[i].  A yielded array is the
+    caller's to overwrite.
+    """
+    bp = np.asarray(breakpoints, dtype=float)
+    a, b = bp[..., :-1], bp[..., 1:]
+    parts, det = [], None  # det: the phases of a run of deterministic components
+    for comp, comp_draws in zip(model.components, draws):
+        if comp_draws is None:
+            ph = gamma_e * comp.segment_integrals(a, b, None)
+            det = ph if det is None else np.add(det, ph, out=det)
+            continue
+        if det is not None:
+            parts.append(np.moveaxis(det, -1, 0)[..., None])
+            det = None
+        parts.append(comp.segment_stream(a, b, comp_draws, gamma_e, out))
+        out = None
+    if det is not None:
+        det = np.moveaxis(det, -1, 0)[..., None]
+        if out is not None:  # deterministic components only
+            out[...] = det
+            det = out
+        parts.append(det)
+    # the sum of two terms commutes exactly, so each segment's is taken into
+    # its first stochastic term, which holds every row
+    first = int(len(parts) > 1 and isinstance(parts[0], np.ndarray))
+    for terms in zip(*parts):
+        ph = terms[first]
+        for i, term in enumerate(terms):
+            if i != first:
+                ph += term
+        yield ph
+
+
 def segment_phases(model: FieldModel, tog: TogglingFunction, draws: list, rows: int,
                    gamma_e: float = GAMMA_E) -> np.ndarray:
     """Unsigned per-segment phases gamma_e * int_seg B dt, shape (..., rows,
-    n_seg) for breakpoints (..., n_seg + 1), from the normals ``draws`` that
-    ``draw_normals`` returns for ``rows`` trajectories and this segment count.
-
-    Deterministic components contribute identically to every trajectory; the
-    stochastic ones are sampled exactly from each trajectory's own normals.
-    """
-    bp = np.asarray(tog.breakpoints)
-    a, b = bp[..., :-1], bp[..., 1:]
-    shape = a.shape[:-1] + (rows, a.shape[-1])
-    out = None
-    for comp, comp_draws in zip(model.components, draws):
-        # a deterministic component's integrals have one row, a stochastic
-        # one's are a fresh full-shape array that the sum takes over
-        part = comp.segment_integrals(a, b, comp_draws).reshape(shape[:-2] + (-1, shape[-1]))
-        if out is None:
-            out = part
-        elif out.shape == shape:
-            out += part
-        else:  # the sum of two terms commutes exactly
-            out = np.add(part, out, out=part if part.shape == shape else None)
-        del part  # before the next component's integrals are computed
-    if out.shape != shape:  # deterministic components only
-        return np.broadcast_to(out, shape) * gamma_e
-    out *= gamma_e
-    return out
+    n_seg) for breakpoints (..., n_seg + 1): ``phase_stream`` collected."""
+    bp = np.asarray(tog.breakpoints, dtype=float)
+    out = np.empty((bp.shape[-1] - 1,) + bp.shape[:-1] + (rows,))
+    for _ in phase_stream(model, bp, draws, rows, gamma_e, out):
+        pass  # each segment's phases land in out
+    return np.moveaxis(out, 0, -1)
 
 
 def phase_map(model: FieldModel, breakpoints, gamma_e: float = GAMMA_E):

@@ -38,7 +38,11 @@ class FitError(RuntimeError):
 
 
 def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
-    """Damped Gauss-Newton; residual_jac(theta) -> (r, J) with weights folded in."""
+    """Damped Gauss-Newton; residual_jac(theta) -> (r, J) with weights folded in.
+
+    A step whose local model predicts a relative decrease below ``tol`` is
+    the last one evaluated: past it, accepting or rejecting steps turns on
+    rounding, not on the cost.  It is kept unless the cost rises."""
     theta = np.asarray(theta0, dtype=float)
     r, J = residual_jac(theta)
     cost = float(r @ r)
@@ -52,6 +56,12 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
         except np.linalg.LinAlgError:
             lam *= 10
             continue
+        # the decrease the local model predicts, |r|^2 - |r + J step|^2 =
+        # -(2 g.step + step.A.step), is at least -g.step, as the damping makes
+        # g.step + step.A.step = -lam step.D.step; that bound screens it
+        gs = float(g @ step)
+        predicted = -gs if -gs >= tol * cost else -(2.0 * gs + float(step @ A @ step))
+        last = math.isfinite(predicted) and predicted < tol * cost
         new = theta + step
         r_new, J_new = residual_jac(new)
         cost_new = float(r_new @ r_new)
@@ -59,9 +69,12 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
             rel = abs(cost - cost_new) / max(cost, 1e-300)
             theta, r, J, cost = new, r_new, J_new, cost_new
             lam = max(lam * 0.3, 1e-12)
-            if rel < tol or float(np.max(np.abs(step))) < 1e-15:
+            if last or rel < tol or float(np.max(np.abs(step))) < 1e-15:
                 converged = True
                 break
+        elif last:
+            converged = True
+            break
         else:
             lam *= 10
             if lam > 1e12:

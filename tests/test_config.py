@@ -269,7 +269,7 @@ _BLOCH_PULSE_ERROR = dict(_PULSE_ERROR, n_pulses=50, phase_convention="cp",
     # a long pattern is charged for what the curve holds of it
     (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**5}, times=dict(_SHORT, count=2),
           shots=100), 2),
-    # a short train is charged for blocks of its own segments, not of OU_BLOCK
+    # a short train of 2000 rows: two times to a block of the turn loop
     (dict(_PULSE_ERROR, n_pulses=1, shots=2000), 3),
     (_PULSE_ERROR, 3),
     (_BLOCH_PULSE_ERROR, 3),
@@ -300,6 +300,16 @@ def test_pulse_error_block_holds_its_phases_once():
     spec = cfgmod.validate(_BLOCH_PULSE_ERROR)["spec"]
     peak = _traced_peak(lambda: _curve(spec))
     assert peak <= 1.69e6 - 4 * 200 * 51 * 8 / 2, peak
+
+
+def test_pulse_error_phases_are_turned_as_they_are_made():
+    # each segment's phases are made, turned and dropped in turn: the 8 times
+    # x 200 rows x 51 segments of the bloch step's phases, 0.65 MB, are never
+    # held at once (measured 0.33 MB; 1.37 MB with block maps and a phase
+    # array per block of 4 times)
+    spec = cfgmod.validate(_BLOCH_PULSE_ERROR)["spec"]
+    peak = _traced_peak(lambda: _curve(spec))
+    assert peak <= 0.5e6, peak
 
 
 @pytest.mark.parametrize("n_max, k_max", [(256, 12), (2000, 0), (50, 40), (8, 5), (1, 0)])

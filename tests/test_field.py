@@ -12,7 +12,6 @@ from spindd import sequence as sq
 from spindd.field import (
     CHUNK,
     GAMMA_E,
-    OU_BLOCK,
     FieldModel,
     NVParameters,
     OrnsteinUhlenbeck,
@@ -27,6 +26,7 @@ from spindd.field import (
     draw_normals,
     ou_chi,
     phase_map,
+    phase_stream,
     segment_phases,
 )
 from spindd.sense import ReadoutModel
@@ -266,8 +266,8 @@ def test_phase_map_over_a_grid_equals_each_row():
 
 def test_segment_phases_over_a_grid_equals_each_row():
     """A pattern's segment phases on a whole grid at once give every time
-    the phases of its own one-row call, bit for bit: the OU's end value
-    chains across blocks, and a deterministic model draws nothing."""
+    the phases of its own one-row call, bit for bit: the OU's state is
+    carried per time, and a deterministic model draws nothing."""
     every_kind = FieldModel.of(
         StaticOffset(1e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5),
         Polynomial((1e-9, 2e-6, -3e-3)), SinusoidAC(3e-9, 1234.0, 0.3),
@@ -277,7 +277,7 @@ def test_segment_phases_over_a_grid_equals_each_row():
     times = np.geomspace(1e-9, 2.0, 12)
     rows = 50
     for model in (every_kind, deterministic):
-        for pattern in (sq.hahn(1.0), sq.cpmg(2 * OU_BLOCK + 5, 1.0),
+        for pattern in (sq.hahn(1.0), sq.cpmg(133, 1.0),
                         sq.custom([0.1, 0.35, 0.4, 0.9], 1.0)):
             n_seg = pattern.n_pulses + 1
             draws = draw_normals(model, n_seg, RNG, 0, rows)
@@ -294,9 +294,10 @@ def test_segment_phases_over_a_grid_equals_each_row():
 
 
 def test_segment_phases_sum_the_components_in_their_order():
-    """The sum starts from a component's own integrals, not from zeros, and
+    """The sum starts from a component's own phases, not from zeros, and
     adds the components in the model's order, deterministic ones between
-    stochastic ones too: bit for bit the zero-filled sum."""
+    stochastic ones too: bit for bit the zero-filled sum of each
+    component's phases alone."""
     det, qs, ou = StaticOffset(-3e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5)
     poly = Polynomial((1e-9, 2e-6, -3e-3))
     bp = sq.on_grid(sq.cpmg(9, 1.0), np.geomspace(1e-6, 1e-3, 4))
@@ -306,10 +307,29 @@ def test_segment_phases_sum_the_components_in_their_order():
         draws = draw_normals(model, 10, RNG, 0, rows)
         want = np.zeros(bp.shape[:-1] + (rows, 10))
         for comp, d in zip(comps, draws):
-            want += comp.segment_integrals(bp[..., :-1], bp[..., 1:], d).reshape(4, -1, 10)
-        want *= GAMMA_E
+            want += segment_phases(FieldModel.of(comp), sq.TogglingFunction(bp), [d], rows)
         got = segment_phases(model, sq.TogglingFunction(bp), draws, rows)
         assert got.tobytes() == want.tobytes(), comps
+
+
+def test_phase_stream_yields_the_collected_phases():
+    """Each segment's phases as the stream yields them, with no array for
+    every segment, are segment_phases' columns bit for bit, for each kind of
+    component in any order and with leading axes; a deterministic model's
+    are one row for all."""
+    det, qs, ou = StaticOffset(-3e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5)
+    poly, ac = Polynomial((1e-9, 2e-6, -3e-3)), SinusoidAC(3e-9, 1234.0, 0.3)
+    bp = sq.on_grid(sq.cpmg(9, 1.0), np.geomspace(1e-6, 1e-3, 4))
+    rows = 30
+    for comps in ((ou,), (det, ou, poly), (det, poly, qs, ou, ac), (ou, det, qs, poly),
+                  (qs, ou, OrnsteinUhlenbeck(5e-8, 3e-3)), (det, poly, ac)):
+        model = FieldModel(comps)
+        draws = draw_normals(model, 10, RNG, 0, rows)
+        stream = list(phase_stream(model, bp, draws, rows))
+        assert all(ph.shape == (4, rows if model.is_stochastic() else 1) for ph in stream)
+        collected = segment_phases(model, sq.TogglingFunction(bp), draws, rows)
+        assert np.array_equal(np.broadcast_to(np.stack(stream, axis=-1), collected.shape),
+                              collected), comps
 
 
 def test_ou_c2_sq_takes_each_form_where_the_select_took_it():
@@ -334,25 +354,44 @@ def test_ou_c2_sq_takes_each_form_where_the_select_took_it():
     assert np.isnan(_ou_c2_sq(np.array([np.nan, 0.05])))[0]
 
 
-def _ou_forward_loop(ou, a, b, draws):
-    """The OU segment integrals of ``segment_integrals`` by the forward
-    update, one segment at a time: the reference for the block map."""
-    e, m, c1, c2, sx = ou._coefficients(a, b)
-    out = np.empty((draws.shape[0], e.size))
+def _ou_block_map(ou, a, b):
+    """M with (X, xi1_0, xi2_0, ..., xi2_{B-1}) @ M the integrals of the B
+    segments [a, b] and X at their end, from X at their start: X entering
+    segment i is sum_{k<=i} g_k e^(S_k - S_i), g = (X, sx_0 xi1_0, ...), S
+    summing x from 0 at the block's start, so no error grows in S past it."""
+    _, m, c1, c2, sx = ou._coefficients(a, b)
+    n, s = a.shape[-1], np.insert(np.cumsum((b - a) / ou.tau_c, axis=-1), 0, 0.0, axis=-1)
+    lag = np.where(np.tri(n + 1, dtype=bool).T, s[..., None, :] - s[..., :, None], np.inf)
+    g, mx = np.insert(sx, 0, 1.0, axis=-1), np.insert(m, n, 1.0, axis=-1)
+    mb = np.zeros(a.shape[:-1] + (1 + 2 * n, n + 1))
+    # integral i is m_i X_i + c1_i xi1_i + c2_i xi2_i; column n = B is X_B
+    mb[..., np.r_[0, 1:2 * n:2], :] = np.exp(-lag) * g[..., :, None] * mx[..., None, :]
+    i = np.arange(n)  # xi1_i's row is 0 at column i before c1_i
+    mb[..., 1 + 2 * i, i], mb[..., 2 + 2 * i, i] = c1, c2
+    return mb
+
+
+def _ou_block_integrals(ou, a, b, draws, block=64):
+    """The OU segment integrals by one matrix product per block of
+    ``block`` segments, each block's end value chained into the next: a
+    reference for the forward recurrence that shares only its
+    coefficients."""
+    out = np.empty((draws.shape[0], a.size))
     field = ou.sigma_b * draws[:, 0]  # stationary start
-    for i in range(e.size):
-        xi1 = draws[:, 1 + 2 * i]
-        xi2 = draws[:, 2 + 2 * i]
-        out[:, i] = field * m[i] + c1[i] * xi1 + c2[i] * xi2
-        field = field * e[i] + sx[i] * xi1
+    for lo in range(0, a.size, block):
+        hi = lo + block
+        mb = _ou_block_map(ou, a[lo:hi], b[lo:hi])
+        part = draws[:, 1 + 2 * lo:1 + 2 * hi] @ mb[1:] + field[:, None] * mb[0]
+        out[:, lo:hi], field = part[:, :-1], part[:, -1]
     return out
 
 
-@pytest.mark.parametrize("n", [OU_BLOCK - 1, OU_BLOCK, OU_BLOCK + 1, 2 * OU_BLOCK + 1])
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
 def test_ou_block_map_matches_the_forward_loop(n):
-    """Segment phases from one matrix product per block of OU_BLOCK segments
-    equal the forward loop's, for segments from 1e-9 to 1e3 tau_c (where
-    e^-x underflows), on either side of a block boundary."""
+    """Segment phases from the forward recurrence, one segment at a time,
+    equal those of one matrix product per block of 64 segments, for
+    segments from 1e-9 to 1e3 tau_c (where e^-x underflows), on either side
+    of a block boundary."""
     ou = OrnsteinUhlenbeck(2e-7, 2e-5)
     draws = np.random.default_rng(n).standard_normal((200, 1 + 2 * n))
     for ratio in np.logspace(-9, 3, 25):
@@ -360,12 +399,12 @@ def test_ou_block_map_matches_the_forward_loop(n):
         lengths = np.full(n, ratio * ou.tau_c)
         lengths[[0, -1]] *= 0.5
         bp = np.concatenate([[0.0], np.cumsum(lengths)])
-        ref = GAMMA_E * _ou_forward_loop(ou, bp[:-1], bp[1:], draws)
-        got = GAMMA_E * ou.segment_integrals(bp[:-1], bp[1:], draws)
+        ref = GAMMA_E * _ou_block_integrals(ou, bp[:-1], bp[1:], draws)
+        got = segment_phases(FieldModel.of(ou), sq.TogglingFunction(bp), [draws], 200)
         rms = math.sqrt(np.mean(ref**2))
-        # measured 3.3e-14 of the RMS phase at most, at 2 OU_BLOCK + 1
-        # segments of 1e-7 tau_c: the forward loop's own rounding, which
-        # grows with the number of segments it chains
+        # measured 3.2e-14 of the RMS phase at most, at 129 segments of
+        # 1e-7 tau_c: the rounding of either side, which grows with the
+        # number of segments the recurrence chains
         assert np.max(np.abs(got - ref)) <= 1e-13 * rms, ratio
 
 
@@ -484,7 +523,8 @@ def test_ou_coefficients_match_50_digit_closed_forms():
     for x in np.concatenate([np.logspace(-9, 1, 101), [0.0999, 0.1, 0.1001]]):
         # two segments of length x; the rows of the identity pick out each
         # coefficient: [m, e m], [c1, sx m], [c2, 0], ...
-        out = ou.segment_integrals(np.array([0.0, x]), np.array([x, 2 * x]), np.eye(5))
+        out = segment_phases(FieldModel.of(ou), sq.TogglingFunction([0.0, x, 2 * x]),
+                             [np.eye(5)], 5, 1.0)
         # a single segment's ou_chi is 2 g(x), g(x) = x - 1 + e^-x
         got = [out[0, 0], out[1, 0], out[2, 0], out[1, 1], out[0, 1],
                ou_chi(sq.toggling(sq.fid(x)), 1.0, 1.0, 1.0) / 2]
