@@ -1,6 +1,8 @@
 """Experiment runner.
 
 Subcommands: decay, suppression, spinlock, pulse-error, sense, fit, validate.
+Each offers --seed and --shots where its config has the key, and --threads
+(worker threads, which never change a byte) where it runs a Monte Carlo curve.
 Every run writes its artifacts plus a manifest (config digest, seed,
 versions, artifact digests) sufficient to re-create the outputs bit-exactly.
 Exit codes: 0 success, 2 validation, 3 numerical failure, 4 I/O.
@@ -29,10 +31,10 @@ import sys
 
 import numpy as np
 
-from . import __version__, config as cfgmod, evolve, field as _field, sense as sensemod
+from . import __version__, config as cfgmod, field as _field, sense as sensemod
 from . import sequence as sq
 from .config import ConfigError
-from .field import RngSpec, phase_map
+from .field import phase_map
 from .fit import FitError, fit_decay
 from .taylor import suppression_table
 
@@ -111,38 +113,13 @@ def _write_csv(path, header, *columns):
     return {path: _write_artifact(path, [text])}
 
 
-def _curve_artifacts(curve, seed, out_dir):
+def _run_curve(spec, out_dir, threads):
+    """A Monte Carlo spec's curve on ``threads`` workers, as curve.csv."""
+    curve = spec.curve(threads)
     digests = _write_csv(os.path.join(out_dir, "curve.csv"),
                          "total_time_s,signal,std_error,n_pulses",
                          curve.times, curve.signal, curve.std_error, curve.n_pulses)
-    return digests, {"seed": seed, "metadata": curve.metadata}
-
-
-def _run_decay(spec, out_dir, threads):
-    curve = evolve.coherence_curve(
-        spec.field,
-        spec.sequence,
-        spec.times,
-        spec.shots,
-        RngSpec(spec.seed),
-        spec.nv,
-        apply_t1=spec.t1_envelope,
-        n_workers=threads,
-    )
-    return _curve_artifacts(curve, spec.seed, out_dir)
-
-
-def _run_spinlock(spec, out_dir, threads):
-    curve = evolve.spin_lock_curve(
-        spec.field,
-        2 * math.pi * spec.rabi_frequency,
-        spec.times,
-        spec.shots,
-        RngSpec(spec.seed),
-        spec.nv,
-        apply_t1=spec.t1_envelope,
-    )
-    return _curve_artifacts(curve, spec.seed, out_dir)
+    return digests, {"seed": spec.seed, "metadata": curve.metadata}
 
 
 def _run_suppression(spec, out_dir, threads):
@@ -155,21 +132,6 @@ def _run_suppression(spec, out_dir, threads):
             for i in range(0, len(table), orders))
     header = "n,k,factor_exact_num,factor_exact_den,factor_float\n"
     return {path: _write_artifact(path, itertools.chain([header], rows))}, {}
-
-
-def _run_pulse_error(spec, out_dir, threads):
-    curve = evolve.pulse_error_curve(
-        spec.field,
-        spec.n_pulses,
-        spec.flip_angle_error,
-        spec.phase_convention,
-        spec.times,
-        spec.shots,
-        RngSpec(spec.seed),
-        spec.nv,
-        apply_t1=spec.t1_envelope,
-    )
-    return _curve_artifacts(curve, spec.seed, out_dir)
 
 
 def _sense_envelope(spec):
@@ -253,10 +215,10 @@ def _run_fit(spec, out_dir, threads):
 
 # subcommand -> (experiment, runner)
 _SUBCOMMANDS = {
-    "decay": ("decay", _run_decay),
+    "decay": ("decay", _run_curve),
     "suppression": ("suppression_table", _run_suppression),
-    "spinlock": ("spinlock", _run_spinlock),
-    "pulse-error": ("pulse_error", _run_pulse_error),
+    "spinlock": ("spinlock", _run_curve),
+    "pulse-error": ("pulse_error", _run_curve),
     "sense": ("sense", _run_sense),
     "fit": ("fit", _run_fit),
 }
@@ -297,19 +259,31 @@ def run(config_path, out_dir=None, overrides=None, threads=1, expected_experimen
     return EXIT_OK, artifacts
 
 
-def main(argv=None):
+# config keys a flag may override, where the experiment's spec declares them
+_OVERRIDES = ("seed", "shots")
+
+
+def _parser():
+    """Each subcommand takes --config and --out, a flag for each of _OVERRIDES
+    that its spec declares, and --threads if the spec has a curve."""
     parser = argparse.ArgumentParser(prog="spindd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_SUBCOMMANDS) + ["validate"]:
+    for name, (kind, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        if name != "validate":
-            p.add_argument("--out", default=None)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--shots", type=int, default=None)
+        p.add_argument("--out", default=None)
+        spec = cfgmod._EXPERIMENTS[kind]
+        for key in [f.name for f in dataclasses.fields(spec) if f.name in _OVERRIDES]:
+            p.add_argument(f"--{key}", type=int, default=None)
+        if hasattr(spec, "curve"):
             p.add_argument("--threads", type=int, default=1,
                            help="worker threads; must not affect results")
-    args = parser.parse_args(argv)
+    sub.add_parser("validate").add_argument("--config", required=True)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     if args.command == "validate":
         try:
@@ -320,16 +294,12 @@ def main(argv=None):
         print(json.dumps({"valid": True, "warnings": report["warnings"]}, indent=2))
         return EXIT_OK
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.shots is not None:
-        overrides["shots"] = args.shots
+    overrides = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k, None) is not None}
     code, _ = run(
         args.config,
         out_dir=args.out,
         overrides=overrides,
-        threads=args.threads,
+        threads=getattr(args, "threads", 1),
         expected_experiment=_SUBCOMMANDS[args.command][0],
     )
     return code

@@ -7,7 +7,8 @@ an expanded config has no hidden state.
 
 ``validate`` is the only reader of a config.  Each experiment's keys are the
 fields of its frozen spec, each declared with the reader of its value, so a
-key is accepted exactly when it is read; the runner consumes the spec.
+key is accepted exactly when it is read; the runner consumes the spec, and a
+Monte Carlo spec (decay, spin lock, pulse-error train) runs its own ``curve``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import sequence as sq, units
-from .evolve import TURN_WORDS, bloch_steps
+from . import evolve, sequence as sq, units
 from .field import (
     CHUNK,
     FieldModel,
@@ -32,6 +32,7 @@ from .field import (
     OrnsteinUhlenbeck,
     Polynomial,
     QuasiStaticGaussian,
+    RngSpec,
     SinusoidAC,
     StaticOffset,
 )
@@ -127,6 +128,11 @@ _TESLA, _SECONDS, _HERTZ, _RADIANS = map(_quantity, ("tesla", "second", "hertz",
 def _non_negative(value, path):
     x = _FINITE(value, path)
     return _expect(x >= 0.0, x, path, "a finite number >= 0")
+
+
+def _non_zero(value, path):
+    x = _FINITE(value, path)
+    return _expect(x != 0.0, x, path, "a finite number other than 0")
 
 
 def _numbers(value, path):
@@ -296,7 +302,7 @@ def _envelope(value, path):
 
 
 _FIXED_PARAM_KEYS = {
-    "amplitude": _key(_FINITE, None),
+    "amplitude": _key(_non_zero, None),  # a pinned 0 leaves nothing to fit
     "decay_time": _key(_number(0.0), None),
     "offset": _key(_FINITE, None),
     "stretch": _key(_FINITE, None),
@@ -363,6 +369,10 @@ class DecaySpec(_GridSpec):
         _within_budget(terms)
         _build("sequence", sq.on_grid, self.sequence, self.times)
 
+    def curve(self, n_workers=1):
+        return evolve.coherence_curve(self.field, self.sequence, self.times, self.shots,
+                                      RngSpec(self.seed), self.nv, self.t1_envelope, n_workers)
+
 
 @dataclass(frozen=True, kw_only=True)
 class SpinlockSpec(_GridSpec):
@@ -371,17 +381,25 @@ class SpinlockSpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
+        if not math.isfinite(2 * math.pi * self.rabi_frequency):
+            raise ConfigError(f"rabi_frequency: {self.rabi_frequency!r} Hz overflows the "
+                              "angular frequency 2 pi f")
         # the normals, the phases of every step and the OU's terms beside them
         # (measured 1.6 words a step), then the phases, m and one sample
         # interval's SU(2) pairs (measured 9.0 a step)
         with np.errstate(over="ignore"):
-            steps = bloch_steps(self.field, self.times)
+            steps = evolve.bloch_steps(self.field, self.times)
         rows, n_steps = min(self.shots, CHUNK), float(np.sum(steps))
         terms = _run_terms(self.shots, self.times)
         terms["times"] = rows * max(
             _normals(self.field, n_steps) + 2 * n_steps,
             n_steps + 3 * self.times.size + 10 * float(np.max(steps)))
         _within_budget(terms)
+
+    def curve(self, n_workers=1):
+        return evolve.spin_lock_curve(self.field, 2 * math.pi * self.rabi_frequency, self.times,
+                                      self.shots, RngSpec(self.seed), self.nv, self.t1_envelope,
+                                      n_workers)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -398,12 +416,17 @@ class PulseErrorSpec(_GridSpec):
         # on_grid's copies
         n_seg, n_times = self.n_pulses + 1, self.times.size
         rows = min(self.shots, CHUNK) if self.field.is_stochastic() else 1
-        block, parts = min(max(1, TURN_WORDS // rows), n_times), len(self.field.components)
+        block, parts = min(max(1, evolve.TURN_WORDS // rows), n_times), len(self.field.components)
         terms = _run_terms(self.shots, self.times)
         terms["n_pulses"] = (rows * (_normals(self.field, n_seg) + block * (_TURN + 2 * parts))
                              + (_COEF * block * parts + 3 * n_times + _HELD_PATTERN) * n_seg)
         _within_budget(terms)
         _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)
+
+    def curve(self, n_workers=1):
+        return evolve.pulse_error_curve(self.field, self.n_pulses, self.flip_angle_error,
+                                        self.phase_convention, self.times, self.shots,
+                                        RngSpec(self.seed), self.nv, self.t1_envelope, n_workers)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -288,6 +288,7 @@ def spin_lock_curve(
     rng: RngSpec,
     nv: NVParameters = NVParameters(),
     apply_t1: bool = True,
+    n_workers: int = 1,
 ) -> CoherenceCurve:
     """Locked magnetization m_x(t) under continuous drive Omega = (w1, 0, g B(t)).
 
@@ -321,7 +322,7 @@ def spin_lock_curve(
         return _bloch_run(omega1, steps, nsub, phases)[:, :, 0]
 
     return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, 0,
-                        {"sequence": "spinlock", "omega1": omega1})
+                        {"sequence": "spinlock", "omega1": omega1}, n_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +344,7 @@ def pulse_error_curve(
     rng: Optional[RngSpec],
     nv: NVParameters = NVParameters(),
     apply_t1: bool = False,
+    n_workers: int = 1,
 ) -> CoherenceCurve:
     """CPMG-timed echo train with pi pulses of angle pi(1 + flip_angle_error).
 
@@ -384,4 +386,4 @@ def pulse_error_curve(
     return _monte_carlo(model, total_times, shots if model.is_stochastic() else 1, rng, nv,
                         apply_t1, observe, n,
                         {"sequence": f"cpmg-{n}", "phase_convention": phase_convention,
-                         "flip_angle_error": flip_angle_error})
+                         "flip_angle_error": flip_angle_error}, n_workers)

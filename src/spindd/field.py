@@ -388,31 +388,32 @@ def phase_stream(model: FieldModel, breakpoints, draws: list, rows: int,
     """
     bp = np.asarray(breakpoints, dtype=float)
     a, b = bp[..., :-1], bp[..., 1:]
-    parts, det = [], None  # det: the phases of a run of deterministic components
+    # each segment's terms in the model's order, but that the deterministic
+    # components before the first stochastic one are summed first (lead) and
+    # taken in after it, which holds every row: two terms commute exactly
+    parts, lead = [], None
     for comp, comp_draws in zip(model.components, draws):
         if comp_draws is None:
-            ph = gamma_e * comp.segment_integrals(a, b, None)
-            det = ph if det is None else np.add(det, ph, out=det)
+            ph = np.moveaxis(gamma_e * comp.segment_integrals(a, b, None), -1, 0)[..., None]
+            if parts:
+                parts.append(ph)
+            else:
+                lead = ph if lead is None else np.add(lead, ph, out=lead)
             continue
-        if det is not None:
-            parts.append(np.moveaxis(det, -1, 0)[..., None])
-            det = None
         parts.append(comp.segment_stream(a, b, comp_draws, gamma_e, out))
         out = None
-    if det is not None:
-        det = np.moveaxis(det, -1, 0)[..., None]
-        if out is not None:  # deterministic components only
-            out[...] = det
-            det = out
-        parts.append(det)
-    # the sum of two terms commutes exactly, so each segment's is taken into
-    # its first stochastic term, which holds every row
-    first = int(len(parts) > 1 and isinstance(parts[0], np.ndarray))
+        if lead is not None:
+            parts.append(lead)
+            lead = None
+    if lead is not None:  # deterministic components only
+        if out is not None:
+            out[...] = lead
+            lead = out
+        parts.append(lead)
     for terms in zip(*parts):
-        ph = terms[first]
-        for i, term in enumerate(terms):
-            if i != first:
-                ph += term
+        ph = terms[0]
+        for term in terms[1:]:
+            ph += term
         yield ph
 
 

@@ -168,6 +168,8 @@ def fit_decay(
     for k, v in (fixed_params or {}).items():
         if k == "decay_time":
             fixed["log_t"] = math.log(v)
+        elif k == "amplitude" and v == 0:
+            raise ValueError("a pinned amplitude of 0 leaves nothing to fit")
         elif k in ("amplitude", "offset", "stretch"):
             fixed[k] = float(v)
         else:

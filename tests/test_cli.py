@@ -1,4 +1,6 @@
+import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindd import cli, config as cfgmod, taylor
+from spindd import cli, config as cfgmod, evolve, taylor
 from spindd.config import ConfigError
 from spindd.field import DECAY_RNG_SCHEME, RNG_SCHEME
 
@@ -237,6 +239,19 @@ _MALFORMED = {
     "fit_fixed_unknown": (dict(_FIT, fixed_params={"nope": 1}), "nope"),
     "fit_fixed_not_object": (dict(_FIT, fixed_params=[1]), "fixed_params"),
     "fit_fixed_negative_time": (dict(_FIT, fixed_params={"decay_time": -1}), "decay_time"),
+    # 2 pi f is inf: spin_lock_curve raised a ValueError out of cli.run
+    "spinlock_rabi_overflows": (dict(_SPINLOCK, rabi_frequency="1e308 Hz"), "rabi_frequency"),
+    # fitted nothing: exited 0, "converged", with the start value as decay_time
+    "fit_fixed_amplitude_zero": (dict(_FIT, fixed_params={"amplitude": 0}),
+                                 "fixed_params.amplitude"),
+    "fit_fixed_pins_every_free": (dict(_FIT, model="exponential",
+                                       fixed_params={"amplitude": 1.0, "decay_time": 1e-3}),
+                                  "fixed_params pins every free parameter"),
+    "times_start_not_below_stop": (
+        _decay_cfg(times={"start": "500 us", "stop": "50 us", "count": 4}),
+        "times must satisfy 0 < start < stop"),
+    "sense_three_times": (_sense_cfg(times={"start": "0.5 s", "stop": "50 s", "count": 3}),
+                          "at least 4 time points in times"),
 }
 
 
@@ -248,6 +263,14 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, cfg, name):
     assert code == cli.EXIT_VALIDATION
     assert artifacts == [] and not out.exists()
     assert name in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, artifacts = cli.run(str(path), out_dir=str(tmp_path / "out"))
+        assert (code, artifacts) == (cli.EXIT_VALIDATION, [])
+        assert capsys.readouterr().err.startswith("validation error: cannot read config: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -546,6 +569,46 @@ def test_main_dispatch_with_overrides(tmp_path):
     assert cli.main(["spinlock", "--config", cfg_path]) == cli.EXIT_VALIDATION
 
 
+def test_override_flags_are_the_spec_keys_they_set():
+    """A subcommand offers --seed and --shots where its spec declares the key,
+    and --threads where the spec runs a curve: no flag is ignored, and none
+    can only ever be refused as an unknown config key."""
+    (subparsers,) = [a for a in cli._parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    offered = {}
+    for name, (kind, _) in cli._SUBCOMMANDS.items():
+        spec = cfgmod._EXPERIMENTS[kind]
+        flags = {a.dest for a in subparsers.choices[name]._actions} - {"help", "config", "out"}
+        assert flags - {"threads"} <= {f.name for f in dataclasses.fields(spec)}, name
+        assert ("threads" in flags) == hasattr(spec, "curve"), name
+        offered[name] = flags
+    curve = {"seed", "shots", "threads"}
+    assert offered == {"decay": curve, "spinlock": curve, "pulse-error": curve,
+                       "sense": {"seed"}, "suppression": set(), "fit": set()}
+
+
+@pytest.mark.parametrize("command, cfg", [("spinlock", _SPINLOCK), ("pulse-error", _PULSE_ERROR),
+                                          ("sense", _sense_cfg(seed=1))],
+                         ids=["spinlock", "pulse_error", "sense"])
+def test_override_flags_set_their_keys(tmp_path, command, cfg):
+    cfg_path, out = _write(tmp_path, "cfg.json", cfg), tmp_path / "out"
+    flags = ["--seed", "99"] + (["--shots", "300"] if "shots" in cfg else [])
+    assert cli.main([command, "--config", cfg_path, "--out", str(out), *flags]) == cli.EXIT_OK
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["seed"] == 99
+    assert man["config"].get("shots") == (300 if "shots" in cfg else None)
+
+
+def test_a_flag_the_spec_does_not_read_is_a_usage_error(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "cfg.json", {"experiment": "suppression_table", "n_max": 4,
+                                             "k_max": 3})
+    for flag in ("--seed", "--shots", "--threads"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["suppression", "--config", cfg_path, flag, "2"])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
 # the decay draws its phases' own normals; the Bloch paths draw the field's
 @pytest.mark.parametrize("cfg, scheme", [(_decay_cfg(), DECAY_RNG_SCHEME),
                                          (_SPINLOCK, RNG_SCHEME), (_PULSE_ERROR, RNG_SCHEME)],
@@ -662,3 +725,29 @@ def test_decay_bytes_do_not_depend_on_worker_or_blas_threads(tmp_path):
                            env=env, check=True, capture_output=True)
             curves[blas, workers] = (out / "curve.csv").read_bytes()
     assert len(set(curves.values())) == 1
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("spinlock", dict(_SPINLOCK, shots=2 * evolve.CHUNK + 1)),
+    ("pulse-error", dict(_PULSE_ERROR, shots=2 * evolve.CHUNK + 1)),
+], ids=["spinlock", "pulse_error"])
+def test_bloch_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, command, cfg):
+    # three chunks: --threads reaches the Monte Carlo driver, whose pool
+    # reduces the chunks in chunk order whatever the worker count
+    pools = []
+
+    class Pool(evolve.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(evolve, "ThreadPoolExecutor", Pool)
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    curves = set()
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers{workers}"
+        assert cli.main([command, "--config", cfg_path, "--out", str(out),
+                         "--threads", str(workers)]) == cli.EXIT_OK
+        curves.add((out / "curve.csv").read_bytes())
+    assert pools == [2, 3]
+    assert len(curves) == 1

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import json
-import math
 import pathlib
 import tracemalloc
 
@@ -9,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindd import cli, config as cfgmod, evolve
+from spindd import cli, config as cfgmod
 from spindd.config import ConfigError
-from spindd.field import RngSpec
 
 _OU = {"type": "ornstein_uhlenbeck", "sigma_b": "59.22345 nT", "tau_c": "25 us"}
 _TIMES = {"start": "50 us", "stop": "500 us", "count": 4, "spacing": "linear"}
@@ -219,20 +217,6 @@ _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
                {"type": "static_offset", "b": "1 nT"}]
 
 
-def _curve(spec):
-    """The Monte Carlo curve that the runner computes for ``spec``."""
-    rng = RngSpec(spec.seed)
-    if isinstance(spec, cfgmod.DecaySpec):
-        return evolve.coherence_curve(spec.field, spec.sequence, spec.times, spec.shots, rng,
-                                      spec.nv, spec.t1_envelope)
-    if isinstance(spec, cfgmod.SpinlockSpec):
-        return evolve.spin_lock_curve(spec.field, 2 * math.pi * spec.rabi_frequency, spec.times,
-                                      spec.shots, rng, spec.nv, spec.t1_envelope)
-    return evolve.pulse_error_curve(spec.field, spec.n_pulses, spec.flip_angle_error,
-                                    spec.phase_convention, spec.times, spec.shots, rng, spec.nv,
-                                    spec.t1_envelope)
-
-
 def _estimate(monkeypatch, cfg):
     """The spec of ``cfg`` and its work-budget estimate in bytes; the shots
     term bounds the run's length and holds no array."""
@@ -287,7 +271,7 @@ def test_decay_estimate_bounds_the_traced_peak(monkeypatch, cfg, upper):
     """Each Monte Carlo curve's estimate, the decay's, the pulse-error
     train's and the spin lock's, bounds the peak the curve traces."""
     spec, estimate = _estimate(monkeypatch, cfg)
-    peak = _traced_peak(lambda: _curve(spec))
+    peak = _traced_peak(spec.curve)
     assert estimate >= peak, (estimate, peak)
     if upper is not None:
         assert estimate <= upper * peak, (estimate, peak)
@@ -298,7 +282,7 @@ def test_pulse_error_block_holds_its_phases_once():
     # zero-filled sum of the components, held beside the OU integrals, made
     # the peak 1.69 MB
     spec = cfgmod.validate(_BLOCH_PULSE_ERROR)["spec"]
-    peak = _traced_peak(lambda: _curve(spec))
+    peak = _traced_peak(spec.curve)
     assert peak <= 1.69e6 - 4 * 200 * 51 * 8 / 2, peak
 
 
@@ -308,7 +292,7 @@ def test_pulse_error_phases_are_turned_as_they_are_made():
     # held at once (measured 0.33 MB; 1.37 MB with block maps and a phase
     # array per block of 4 times)
     spec = cfgmod.validate(_BLOCH_PULSE_ERROR)["spec"]
-    peak = _traced_peak(lambda: _curve(spec))
+    peak = _traced_peak(spec.curve)
     assert peak <= 0.5e6, peak
 
 

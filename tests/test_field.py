@@ -302,7 +302,8 @@ def test_segment_phases_sum_the_components_in_their_order():
     poly = Polynomial((1e-9, 2e-6, -3e-3))
     bp = sq.on_grid(sq.cpmg(9, 1.0), np.geomspace(1e-6, 1e-3, 4))
     rows = 30
-    for comps in ((det, ou, poly), (det, poly, qs, ou), (ou, det, qs, poly), (det, poly)):
+    for comps in ((det, ou, poly), (det, poly, qs, ou), (ou, det, qs, poly), (det, poly),
+                  (qs, det, poly), (ou, poly, det, qs)):
         model = FieldModel(comps)
         draws = draw_normals(model, 10, RNG, 0, rows)
         want = np.zeros(bp.shape[:-1] + (rows, 10))

@@ -35,6 +35,14 @@ def test_exponential_round_trip():
     assert res.params["amplitude"] == pytest.approx(0.8, rel=1e-6)
 
 
+def test_a_pinned_amplitude_of_zero_is_refused():
+    # it fitted nothing: "converged", the start value as decay_time, and a
+    # divide-by-zero warning from the regression start
+    ts = np.linspace(1e-4, 3e-3, 15)
+    with pytest.raises(ValueError, match="amplitude of 0"):
+        fit_decay((ts, _stretched(ts, 1.0, 1e-3, 2.0)), fixed_params={"amplitude": 0.0})
+
+
 def test_fixed_params_respected():
     T, p = 1e-3, 2.0
     ts = np.linspace(1e-4, 3e-3, 15)
