@@ -1,8 +1,8 @@
 """Experiment runner.
 
 Subcommands: decay, suppression, spinlock, pulse-error, sense, fit, validate.
-Each offers --seed and --shots where its config has the key, and --threads
-(worker threads, which never change a byte) where it runs a Monte Carlo curve.
+The three that run a Monte Carlo curve (decay, spinlock, pulse-error) also
+take --seed, --shots and --threads (worker threads, which never change a byte).
 Every run writes its artifacts plus a manifest (config digest, seed,
 versions, artifact digests) sufficient to re-create the outputs bit-exactly.
 Exit codes: 0 success, 2 validation, 3 numerical failure, 4 I/O.
@@ -259,23 +259,19 @@ def run(config_path, out_dir=None, overrides=None, threads=1, expected_experimen
     return EXIT_OK, artifacts
 
 
-# config keys a flag may override, where the experiment's spec declares them
-_OVERRIDES = ("seed", "shots")
-
-
 def _parser():
-    """Each subcommand takes --config and --out, a flag for each of _OVERRIDES
-    that its spec declares, and --threads if the spec has a curve."""
+    """Each subcommand takes --config and --out; one whose spec runs a curve
+    also takes --seed and --shots, which override its config's keys, and
+    --threads."""
     parser = argparse.ArgumentParser(prog="spindd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (kind, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        spec = cfgmod._EXPERIMENTS[kind]
-        for key in [f.name for f in dataclasses.fields(spec) if f.name in _OVERRIDES]:
-            p.add_argument(f"--{key}", type=int, default=None)
-        if hasattr(spec, "curve"):
+        if hasattr(cfgmod._EXPERIMENTS[kind], "curve"):
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--shots", type=int, default=None)
             p.add_argument("--threads", type=int, default=1,
                            help="worker threads; must not affect results")
     sub.add_parser("validate").add_argument("--config", required=True)
@@ -294,7 +290,7 @@ def main(argv=None):
         print(json.dumps({"valid": True, "warnings": report["warnings"]}, indent=2))
         return EXIT_OK
 
-    overrides = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k, None) is not None}
+    overrides = {k: v for k in ("seed", "shots") if (v := getattr(args, k, None)) is not None}
     code, _ = run(
         args.config,
         out_dir=args.out,

@@ -130,11 +130,6 @@ def _non_negative(value, path):
     return _expect(x >= 0.0, x, path, "a finite number >= 0")
 
 
-def _non_zero(value, path):
-    x = _FINITE(value, path)
-    return _expect(x != 0.0, x, path, "a finite number other than 0")
-
-
 def _numbers(value, path):
     _expect(isinstance(value, list), value, path, "a list of numbers")
     return tuple(_FINITE(x, f"{path}[{i}]") for i, x in enumerate(value))
@@ -220,7 +215,7 @@ def parse_nv(spec, where="nv") -> NVParameters:
     return _build(where, NVParameters, *_read(_NV_KEYS, spec, where).values())
 
 
-#: the most float64 values a run may hold at once on one thread, 2^30 (8 GiB)
+#: the most float64 values a run may hold at once, 2^30 (8 GiB)
 WORK_BUDGET = 2**30
 # 8-byte words per segment that bound a CPMG pattern built as it is read (measured 7)
 _PATTERN = 50
@@ -302,7 +297,7 @@ def _envelope(value, path):
 
 
 _FIXED_PARAM_KEYS = {
-    "amplitude": _key(_non_zero, None),  # a pinned 0 leaves nothing to fit
+    "amplitude": _key(_FINITE, None),
     "decay_time": _key(_number(0.0), None),
     "offset": _key(_FINITE, None),
     "stretch": _key(_FINITE, None),
@@ -315,14 +310,14 @@ def _normals(model, n_seg):
                for c in model.components if c.n_normals_base > 0)
 
 
-def _within_budget(terms):
+def _within_budget(terms, key=None):
     """A ConfigError if a run would hold more than WORK_BUDGET float64 values
     at once; ``terms`` maps each key to the values that grow with it, and the
-    message names the key of the largest.  Each term is estimated before
-    anything of that size is built."""
+    message names ``key``, or else the key of the largest.  Each term is
+    estimated before anything of that size is built."""
     total = sum(terms.values())
     if total > WORK_BUDGET:
-        key = max(terms, key=terms.get)
+        key = key or max(terms, key=terms.get)
         raise ConfigError(f"{key}: this run would hold {total:.3g} float64 values at once, "
                           f"above the budget of 2^30 (8 GiB)")
 
@@ -333,6 +328,15 @@ def _run_terms(shots, times):
     of the run, so that more than 2^30 shots are refused whatever else the
     run holds."""
     return {"shots": shots, "times.count": 2 * times.size * math.ceil(shots / CHUNK)}
+
+
+def _workers(spec, n_workers):
+    """``n_workers``, or a ConfigError naming --threads if the whole chunks
+    that many threads draw at once, min(shots, n_workers CHUNK) rows, would
+    hold more than the budget; the spec's own check counts one thread."""
+    if n_workers > 1:
+        _within_budget(spec._terms(n_workers), f"--threads {n_workers}")
+    return n_workers
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -357,21 +361,26 @@ class DecaySpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
-        # one chunk's normals and phases, the map of the pattern on the whole grid with
-        # the weights of every time and QR's copies, and the pattern with on_grid's copies
+        _within_budget(self._terms(1))
+        _build("sequence", sq.on_grid, self.sequence, self.times)
+
+    def _terms(self, workers):
+        # the normals and phases of each chunk drawn at once, the map of the pattern on the
+        # whole grid with the weights of every time and QR's copies, and the pattern with
+        # on_grid's copies
         n_seg, n_times = self.sequence.n_pulses + 1, self.times.size
-        rows, normals = min(self.shots, CHUNK), _normals(self.field, n_seg)
+        rows, normals = min(self.shots, workers * CHUNK), _normals(self.field, n_seg)
         terms = _run_terms(self.shots, self.times)
         terms["times.count"] += rows * n_times
         key = "sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"
         terms[key] = (rows * min(normals, n_times) + 3 * n_times * normals + _DECAY_FIXED
                       + (_ON_GRID * n_times + _HELD_PATTERN) * n_seg)
-        _within_budget(terms)
-        _build("sequence", sq.on_grid, self.sequence, self.times)
+        return terms
 
     def curve(self, n_workers=1):
         return evolve.coherence_curve(self.field, self.sequence, self.times, self.shots,
-                                      RngSpec(self.seed), self.nv, self.t1_envelope, n_workers)
+                                      RngSpec(self.seed), self.nv, self.t1_envelope,
+                                      _workers(self, n_workers))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -384,22 +393,25 @@ class SpinlockSpec(_GridSpec):
         if not math.isfinite(2 * math.pi * self.rabi_frequency):
             raise ConfigError(f"rabi_frequency: {self.rabi_frequency!r} Hz overflows the "
                               "angular frequency 2 pi f")
-        # the normals, the phases of every step and the OU's terms beside them
-        # (measured 1.6 words a step), then the phases, m and one sample
-        # interval's SU(2) pairs (measured 9.0 a step)
+        _within_budget(self._terms(1))
+
+    def _terms(self, workers):
+        # for each chunk drawn at once, the normals, the phases of every step and the
+        # OU's terms beside them (measured 1.6 words a step), then the phases, m and
+        # one sample interval's SU(2) pairs (measured 9.0 a step)
         with np.errstate(over="ignore"):
             steps = evolve.bloch_steps(self.field, self.times)
-        rows, n_steps = min(self.shots, CHUNK), float(np.sum(steps))
+        rows, n_steps = min(self.shots, workers * CHUNK), float(np.sum(steps))
         terms = _run_terms(self.shots, self.times)
         terms["times"] = rows * max(
             _normals(self.field, n_steps) + 2 * n_steps,
             n_steps + 3 * self.times.size + 10 * float(np.max(steps)))
-        _within_budget(terms)
+        return terms
 
     def curve(self, n_workers=1):
         return evolve.spin_lock_curve(self.field, 2 * math.pi * self.rabi_frequency, self.times,
                                       self.shots, RngSpec(self.seed), self.nv, self.t1_envelope,
-                                      n_workers)
+                                      _workers(self, n_workers))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -411,22 +423,28 @@ class PulseErrorSpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, False)
 
     def __post_init__(self):
-        # one chunk's normals; a block of times' turn state, each component's
-        # coefficients over the block; the pattern, as a decay's, and
-        # on_grid's copies
+        _within_budget(self._terms(1))
+        _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)
+
+    def _terms(self, workers):
+        # for each chunk drawn at once, its normals, a block of times' turn state
+        # and each component's coefficients over the block; the pattern, as a
+        # decay's, and on_grid's copies
         n_seg, n_times = self.n_pulses + 1, self.times.size
-        rows = min(self.shots, CHUNK) if self.field.is_stochastic() else 1
+        shots = self.shots if self.field.is_stochastic() else 1
+        rows, held = min(shots, CHUNK), min(shots, workers * CHUNK)
         block, parts = min(max(1, evolve.TURN_WORDS // rows), n_times), len(self.field.components)
         terms = _run_terms(self.shots, self.times)
-        terms["n_pulses"] = (rows * (_normals(self.field, n_seg) + block * (_TURN + 2 * parts))
-                             + (_COEF * block * parts + 3 * n_times + _HELD_PATTERN) * n_seg)
-        _within_budget(terms)
-        _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)
+        terms["n_pulses"] = (held * (_normals(self.field, n_seg) + block * (_TURN + 2 * parts))
+                             + (_COEF * block * parts * -(-held // rows) + 3 * n_times
+                                + _HELD_PATTERN) * n_seg)
+        return terms
 
     def curve(self, n_workers=1):
         return evolve.pulse_error_curve(self.field, self.n_pulses, self.flip_angle_error,
                                         self.phase_convention, self.times, self.shots,
-                                        RngSpec(self.seed), self.nv, self.t1_envelope, n_workers)
+                                        RngSpec(self.seed), self.nv, self.t1_envelope,
+                                        _workers(self, n_workers))
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -91,7 +91,8 @@ def _variable_projection(shape, y, sigmas, free, theta0, amplitude=None):
     trial theta the weighted least-squares sum(w^2 e y) / sum(w^2 e^2), and J
     the residual's exact Jacobian in theta, through A as well.  Returns theta,
     p with A, the residual norm, whether the fit converged to a finite
-    residual, and the standard deviation of each of ``free``.
+    residual with a finite standard deviation of each of ``free``, and
+    those deviations: a free parameter the model does not move is not fitted.
     """
     weights = _weights_from_sigmas(sigmas, y.size)
     w2 = weights**2
@@ -120,7 +121,8 @@ def _variable_projection(shape, y, sigmas, free, theta0, amplitude=None):
         # no std_error: sigma^2 is estimated as RSS / (m - p)
         scale = norm / math.sqrt(r.size - len(free))
         unc = {name: sd * scale for name, sd in unc.items()}
-    return theta, p, norm, conv and math.isfinite(norm), unc
+    conv = conv and math.isfinite(norm) and all(map(math.isfinite, unc.values()))
+    return theta, p, norm, conv, unc
 
 
 def _regression_start(times, y, amp0, fixed, names):
@@ -141,7 +143,7 @@ def _regression_start(times, y, amp0, fixed, names):
     return [start[nm] for nm in names]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_decay(
     curve,
     model: str = "stretched_exp",
@@ -168,8 +170,6 @@ def fit_decay(
     for k, v in (fixed_params or {}).items():
         if k == "decay_time":
             fixed["log_t"] = math.log(v)
-        elif k == "amplitude" and v == 0:
-            raise ValueError("a pinned amplitude of 0 leaves nothing to fit")
         elif k in ("amplitude", "offset", "stretch"):
             fixed[k] = float(v)
         else:

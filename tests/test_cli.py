@@ -241,9 +241,6 @@ _MALFORMED = {
     "fit_fixed_negative_time": (dict(_FIT, fixed_params={"decay_time": -1}), "decay_time"),
     # 2 pi f is inf: spin_lock_curve raised a ValueError out of cli.run
     "spinlock_rabi_overflows": (dict(_SPINLOCK, rabi_frequency="1e308 Hz"), "rabi_frequency"),
-    # fitted nothing: exited 0, "converged", with the start value as decay_time
-    "fit_fixed_amplitude_zero": (dict(_FIT, fixed_params={"amplitude": 0}),
-                                 "fixed_params.amplitude"),
     "fit_fixed_pins_every_free": (dict(_FIT, model="exponential",
                                        fixed_params={"amplitude": 1.0, "decay_time": 1e-3}),
                                   "fixed_params pins every free parameter"),
@@ -335,6 +332,17 @@ def test_fit_that_overflows_exits_3_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "fit did not converge" in err
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# a pinned amplitude of 0 fitted nothing: it exited 0, "converged", with the
+# start value as decay_time, after numpy's divide-by-zero warning
+@pytest.mark.filterwarnings("error")
+def test_fit_of_a_pinned_zero_amplitude_exits_3_with_one_line(tmp_path, capsys, fit_csv):
+    cfg = dict(_FIT, input_csv=fit_csv, fixed_params={"amplitude": 0})
+    code, _ = cli.run(_write(tmp_path, "fit.json", cfg), out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: fit did not converge") and err.count("\n") == 1
 
 
 # --- the output directory: new files, a manifest that describes it ------------
@@ -570,9 +578,10 @@ def test_main_dispatch_with_overrides(tmp_path):
 
 
 def test_override_flags_are_the_spec_keys_they_set():
-    """A subcommand offers --seed and --shots where its spec declares the key,
-    and --threads where the spec runs a curve: no flag is ignored, and none
-    can only ever be refused as an unknown config key."""
+    """--seed, --shots and --threads are offered exactly where the spec runs
+    a curve, which reads all three: a flag is never ignored, as --seed would
+    be by the analytic sense scan, and never only refused as an unknown
+    config key."""
     (subparsers,) = [a for a in cli._parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     offered = {}
@@ -584,29 +593,44 @@ def test_override_flags_are_the_spec_keys_they_set():
         offered[name] = flags
     curve = {"seed", "shots", "threads"}
     assert offered == {"decay": curve, "spinlock": curve, "pulse-error": curve,
-                       "sense": {"seed"}, "suppression": set(), "fit": set()}
+                       "sense": set(), "suppression": set(), "fit": set()}
 
 
-@pytest.mark.parametrize("command, cfg", [("spinlock", _SPINLOCK), ("pulse-error", _PULSE_ERROR),
-                                          ("sense", _sense_cfg(seed=1))],
-                         ids=["spinlock", "pulse_error", "sense"])
+@pytest.mark.parametrize("command, cfg", [("spinlock", _SPINLOCK), ("pulse-error", _PULSE_ERROR)],
+                         ids=["spinlock", "pulse_error"])
 def test_override_flags_set_their_keys(tmp_path, command, cfg):
     cfg_path, out = _write(tmp_path, "cfg.json", cfg), tmp_path / "out"
-    flags = ["--seed", "99"] + (["--shots", "300"] if "shots" in cfg else [])
+    flags = ["--seed", "99", "--shots", "300"]
     assert cli.main([command, "--config", cfg_path, "--out", str(out), *flags]) == cli.EXIT_OK
     man = json.loads((out / "manifest.json").read_text())
-    assert man["config"]["seed"] == 99
-    assert man["config"].get("shots") == (300 if "shots" in cfg else None)
+    assert (man["config"]["seed"], man["config"]["shots"]) == (99, 300)
 
 
-def test_a_flag_the_spec_does_not_read_is_a_usage_error(tmp_path, capsys):
-    cfg_path = _write(tmp_path, "cfg.json", {"experiment": "suppression_table", "n_max": 4,
-                                             "k_max": 3})
+@pytest.mark.parametrize("command, cfg", [
+    ("suppression", {"experiment": "suppression_table", "n_max": 4, "k_max": 3}),
+    ("sense", _sense_cfg()),
+], ids=["suppression", "sense"])
+def test_a_flag_the_spec_does_not_read_is_a_usage_error(tmp_path, capsys, command, cfg):
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
     for flag in ("--seed", "--shots", "--threads"):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["suppression", "--config", cfg_path, flag, "2"])
+            cli.main([command, "--config", cfg_path, flag, "2"])
         assert exc.value.code == cli.EXIT_VALIDATION
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def test_the_work_budget_counts_the_worker_threads(tmp_path, capsys):
+    # 50 000 one-step sample intervals of two chunks: one chunk of it holds
+    # about 0.8 of the budget, two held at once by two threads about 1.5
+    cfg = dict(_SPINLOCK, shots=2 * evolve.CHUNK,
+               times={"start": "1 us", "stop": "50 ms", "count": 50_000})
+    cfg_path, out = _write(tmp_path, "cfg.json", cfg), tmp_path / "out"
+    assert cli.main(["validate", "--config", cfg_path]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["spinlock", "--config", cfg_path, "--out", str(out),
+                     "--threads", "2"]) == cli.EXIT_VALIDATION
+    assert "--threads 2: this run would hold" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # the decay draws its phases' own normals; the Bloch paths draw the field's
