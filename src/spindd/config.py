@@ -331,9 +331,12 @@ def _run_terms(shots, times):
 
 
 def _workers(spec, n_workers):
-    """``n_workers``, or a ConfigError naming --threads if the whole chunks
-    that many threads draw at once, min(shots, n_workers CHUNK) rows, would
-    hold more than the budget; the spec's own check counts one thread."""
+    """``n_workers``, or a ConfigError naming --threads if it is below 1 or
+    if the whole chunks that many threads draw at once, min(shots, n_workers
+    CHUNK) rows, would hold more than the budget; the spec's own check counts
+    one thread."""
+    if n_workers < 1:
+        raise ConfigError(f"--threads must be at least 1, got {n_workers}")
     if n_workers > 1:
         _within_budget(spec._terms(n_workers), f"--threads {n_workers}")
     return n_workers

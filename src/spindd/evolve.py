@@ -7,7 +7,10 @@ per-trajectory observable, and one driver (``_monte_carlo``) computes it:
 trajectories are drawn and reduced in chunks of the fixed chunk size of the
 random streams (``field.CHUNK``), in index order, so results are
 bit-identical for any worker count.  The driver hands each observer a chunk
-ordinal and a row count, and the observer draws that whole chunk at once.
+ordinal and a row count, and the observer draws that whole chunk at once and
+yields its values as (times, rows) blocks.  The driver overwrites each block
+as it reduces it in place to each time's sum and centred sum of squares, and
+merges the chunks for the whole grid at once.
 
 The decay's phases over its grid are one Gaussian vector c + W xi
 (``field.phase_map`` on ``sequence.on_grid``), drawn as c + R^T z from
@@ -25,6 +28,7 @@ phases.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -99,21 +103,23 @@ def _grid(total_times, shots):
 
 def _mean_and_error(sizes, partials):
     """Mean and standard error of the mean from each chunk's size and its
-    (sum, centred sum of squares), merged in chunk order.
+    (sum, centred sum of squares), merged in chunk order; a sum and its
+    square sum are each a number or an array over the time grid.
 
-    The mean is the 1-D sum of the chunk sums.  The centred sums of squares
-    are merged by Chan, Golub and LeVeque's pairwise update, which unlike
-    sum(c^2)/n - mean^2 does not cancel when every c is close to 1.
+    The mean is each time's 1-D sum of the chunk sums.  The centred sums of
+    squares are merged by Chan, Golub and LeVeque's pairwise update, which
+    unlike sum(c^2)/n - mean^2 does not cancel when every c is close to 1.
     """
     shots = sum(sizes)
-    mean = float(np.sum(np.array([p[0] for p in partials]))) / shots
+    # one contiguous row of chunk sums a time, summed as np.sum sums a 1-D row
+    mean = np.stack([p[0] for p in partials], axis=-1).sum(axis=-1) / shots
     n, run_mean, m2 = 0, 0.0, 0.0
     for nb, (s, m2b) in zip(sizes, partials):
         delta = s / nb - run_mean
         n += nb
         run_mean += delta * nb / n
         m2 += m2b + delta * delta * (n - nb) * nb / n
-    return mean, math.sqrt(m2 / shots / shots)
+    return mean, np.sqrt(m2 / shots / shots)
 
 
 def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, metadata,
@@ -122,11 +128,14 @@ def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, meta
     each of ``times``, times the T1 envelope when ``apply_t1``.
 
     ``observe(chunk, rows)`` draws what rows 0..rows-1 of chunk ``chunk``
-    need (``RngSpec.generator``) and yields one row of per-trajectory
-    values per time point.  A row is reduced to its (sum, centred sum of
-    squares) as it comes, so no chunk outlives its reduction.  A mean or
-    standard error that is not finite raises FloatingPointError.
-    ``metadata`` adds to, or overrides, what every Monte Carlo curve records.
+    need (``RngSpec.generator``) and yields its per-trajectory values as
+    blocks of shape (times, rows), the blocks' times in grid order.  The
+    driver reduces each block in place to its (sum, centred sum of squares)
+    per time as it comes, overwriting it, so no chunk outlives its
+    reduction.  Chunks run on at most min(``n_workers``, chunks, cores)
+    threads.  A mean or standard error that is not finite raises
+    FloatingPointError.  ``metadata`` adds to, or overrides, what every
+    Monte Carlo curve records.
     """
 
     # every chunk is whole but the last
@@ -135,28 +144,35 @@ def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, meta
     def work(chunk):
         # an overflow ends as a value that is not finite, which the check
         # below reports; the error state is per thread, so it is set here
+        out, i = np.empty((2, times.size)), 0
         with np.errstate(over="ignore", invalid="ignore"):
-            partials = []
             for c in observe(chunk, sizes[chunk]):
-                s = np.sum(c)
-                partials.append((s, np.sum((c - s / c.size) ** 2)))
-        return partials
+                j = i + c.shape[0]
+                s = c.sum(axis=1, out=out[0, i:j])
+                c -= s[:, None] / c.shape[1]
+                c *= c
+                c.sum(axis=1, out=out[1, i:j])
+                i = j
+        return out
 
-    # a pool for a single chunk only adds its start-up to the curve
-    if n_workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
+    # a pool for a single chunk or core only adds its start-up to the curve
+    workers = min(n_workers, len(sizes), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             by_chunk = list(ex.map(work, range(len(sizes))))
     else:
         by_chunk = [work(c) for c in range(len(sizes))]
-    sig, err = np.empty((2,) + times.shape)
-    for i, T in enumerate(times):
-        # each time's chunk partials reduced in chunk order, whatever the
-        # worker count
-        mean, se = _mean_and_error(sizes, [p[i] for p in by_chunk])
-        if not (math.isfinite(mean) and math.isfinite(se)):
-            raise FloatingPointError(f"signal or std_error is not finite at t = {float(T)!r} s")
-        env = float(t1_envelope(T, nv)) if apply_t1 else 1.0
-        sig[i], err[i] = mean * env, se * env
+    # the chunks merged in chunk order, whatever the worker count
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig, err = _mean_and_error(sizes, by_chunk)
+    bad = ~(np.isfinite(sig) & np.isfinite(err))
+    if bad.any():
+        T = times[np.argmax(bad)]
+        raise FloatingPointError(f"signal or std_error is not finite at t = {float(T)!r} s")
+    if apply_t1:
+        env = t1_envelope(times, nv)
+        sig *= env
+        err *= env
     return CoherenceCurve(
         times=times,
         signal=sig,
@@ -207,7 +223,7 @@ def coherence_curve(
         z = rng.generator(chunk, 0).standard_normal((rows, k)) if k else np.empty((rows, 0))
         ph = r.T @ z.T
         ph += const[:, None]
-        yield from np.cos(ph, out=ph)
+        yield np.cos(ph, out=ph)
 
     n = sequence.n_pulses
     label = f"cpmg-{n}" if sequence.kind == "cpmg" else sequence.kind
@@ -319,7 +335,7 @@ def spin_lock_curve(
         # rotations run
         phases = segment_phases(model, tog, draw_normals(model, steps.size, rng, chunk, rows),
                                 rows, nv.gamma_e)
-        return _bloch_run(omega1, steps, nsub, phases)[:, :, 0]
+        yield _bloch_run(omega1, steps, nsub, phases)[:, :, 0]
 
     return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, 0,
                         {"sequence": "spinlock", "omega1": omega1}, n_workers)
@@ -381,7 +397,7 @@ def pulse_error_curve(
                 c = np.cos(ph)
                 s = np.sin(ph, out=ph)
                 mx, my = c * mx + s * my, c * my - s * mx
-            yield from (my if cp else mx) * axis_sign
+            yield (my if cp else mx) * axis_sign
 
     return _monte_carlo(model, total_times, shots if model.is_stochastic() else 1, rng, nv,
                         apply_t1, observe, n,

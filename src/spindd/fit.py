@@ -37,12 +37,53 @@ class FitError(RuntimeError):
     pass
 
 
+def _damped_step(A, g, lam):
+    """The step x of (A + lam D) x = -g, D = diag(max(diag A, 1e-300)), or
+    None where that system is singular or x is not finite.
+
+    A system of one or two unknowns, all that a projected fit builds, is
+    solved in closed form by elimination with partial pivoting, singular
+    where a pivot is exactly 0 as in LAPACK's LU; a 2 x 2 elimination is
+    forward stable (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 1.10.1).  A larger one goes to ``np.linalg.solve``."""
+    n = g.size
+    M = A.copy()
+    M.flat[::n + 1] += lam * np.maximum(A.diagonal(), 1e-300)
+    if n > 2:
+        try:
+            x = np.linalg.solve(M, -g)
+        except np.linalg.LinAlgError:
+            return None
+        return x if np.all(np.isfinite(x)) else None
+    if n == 1:
+        a = float(M[0, 0])
+        if a == 0.0:
+            return None
+        x = [-float(g[0]) / a]
+    else:
+        (a, b), (c, d) = M.tolist()
+        r0, r1 = -float(g[0]), -float(g[1])
+        if abs(c) > abs(a):
+            a, b, c, d, r0, r1 = c, d, a, b, r1, r0
+        if a == 0.0:
+            return None
+        lower = c / a
+        u = d - lower * b
+        if u == 0.0:
+            return None
+        x1 = (r1 - lower * r0) / u
+        x = [(r0 - b * x1) / a, x1]
+    return np.array(x) if all(map(math.isfinite, x)) else None
+
+
 def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
     """Damped Gauss-Newton; residual_jac(theta) -> (r, J) with weights folded in.
 
     A step whose local model predicts a relative decrease below ``tol`` is
     the last one evaluated: past it, accepting or rejecting steps turns on
-    rounding, not on the cost.  It is kept unless the cost rises."""
+    rounding, not on the cost.  It is kept unless the cost rises.  Where
+    the damped system is singular or its step not finite, the damping rises
+    tenfold and the step is tried again."""
     theta = np.asarray(theta0, dtype=float)
     r, J = residual_jac(theta)
     cost = float(r @ r)
@@ -51,9 +92,8 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
     for _ in range(max_iter):
         A = J.T @ J
         g = J.T @ r
-        try:
-            step = np.linalg.solve(A + lam * np.diag(np.maximum(np.diag(A), 1e-300)), -g)
-        except np.linalg.LinAlgError:
+        step = _damped_step(A, g, lam)
+        if step is None:
             lam *= 10
             continue
         # the decrease the local model predicts, |r|^2 - |r + J step|^2 =
@@ -86,37 +126,43 @@ def _variable_projection(shape, y, sigmas, free, theta0, amplitude=None):
     """Fit y = A e(theta), each point weighted by w = 1/sigma, from
     ``theta0``, the nonlinear part of ``free``.
 
-    shape(theta) -> (e, de, p): the shape, its derivatives, one per entry of
-    theta, and the parameters it evaluated.  A is ``amplitude``, or for each
-    trial theta the weighted least-squares sum(w^2 e y) / sum(w^2 e^2), and J
-    the residual's exact Jacobian in theta, through A as well.  Returns theta,
-    p with A, the residual norm, whether the fit converged to a finite
-    residual with a finite standard deviation of each of ``free``, and
-    those deviations: a free parameter the model does not move is not fitted.
+    shape(theta) -> (E, p): the shape e and its derivatives, one per entry of
+    theta, stacked as the rows of E, and the parameters it evaluated.  A is
+    ``amplitude``, or for each trial theta the weighted least-squares
+    sum(w^2 e y) / sum(w^2 e^2), and J the residual's exact Jacobian in
+    theta, through A as well.  Returns theta, p with A, the residual norm,
+    whether the fit converged to a finite residual with a finite standard
+    deviation of each of ``free``, and those deviations: a free parameter the
+    model does not move is not fitted.
     """
     weights = _weights_from_sigmas(sigmas, y.size)
     w2 = weights**2
+    w2y = w2 * y
 
     def project(theta):
-        e, de, p = shape(theta)
-        amp, dA = amplitude, [0.0] * len(de)
+        E, p = shape(theta)
+        e, de = E[0], E[1:]
+        amp, dA = amplitude, np.zeros(len(de))
         if amp is None:
-            # floored: a shape that underflowed everywhere gives A = dA = 0
-            norm = max(float(w2 * e @ e), 1e-300)
-            amp = float(w2 * e @ y) / norm
-            dA = [float(w2 * (y - 2.0 * amp * e) @ d) / norm for d in de]
+            # (e, de) . w^2 y and (e, de) . w^2 e; floored: a shape that
+            # underflowed everywhere gives A = dA = 0
+            ey, ee = E @ w2y, E @ (w2 * e)
+            norm = max(float(ee[0]), 1e-300)
+            amp = float(ey[0]) / norm
+            dA = (ey[1:] - 2.0 * amp * ee[1:]) / norm
         p["amplitude"] = amp
-        J = np.transpose([weights * (amp * d + e * a) for d, a in zip(de, dA)])
-        return weights * (amp * e - y), J, p, e, de
+        J = (amp * de + dA[:, None] * e) * weights
+        return weights * (amp * e - y), J.T, p, E
 
     theta, conv = theta0, True  # nothing nonlinear free: A alone
     if len(theta0):
         theta, _, _, _, conv = _gauss_newton(lambda th: project(th)[:2], theta0)
-    r, _, p, e, de = project(theta)
+    r, _, p, E = project(theta)
     norm = math.sqrt(float(r @ r))
-    cols = [weights * e] if "amplitude" in free else []
-    cols += [weights * p["amplitude"] * d for d in de]
-    unc = _uncertainties(np.column_stack(cols), free) if free else {}
+    # d r / d A is w e, d r / d theta with A held is w A de
+    cols = E * weights
+    cols[1:] *= p["amplitude"]
+    unc = _uncertainties((cols if "amplitude" in free else cols[1:]).T, free) if free else {}
     if (sigmas is None or np.all(sigmas == 0)) and r.size > len(free):
         # no std_error: sigma^2 is estimated as RSS / (m - p)
         scale = norm / math.sqrt(r.size - len(free))
@@ -186,10 +232,12 @@ def fit_decay(
         stretch = p["stretch"] = min(max(p["stretch"], 0.05), 50.0)
         x = np.maximum(times / math.exp(p["log_t"]), 1e-300)
         xp = np.minimum(x**stretch, 1e300)
-        e = np.exp(-xp)
+        E = np.empty((1 + len(names), times.size))
+        e = np.exp(-xp, out=E[0])
         # d/d log T and d/d p
-        return e, [e * stretch * xp if nm == "log_t" else -e * xp * np.log(x)
-                   for nm in names], p
+        for row, nm in zip(E[1:], names):
+            np.multiply(e, stretch * xp if nm == "log_t" else -xp * np.log(x), out=row)
+        return E, p
 
     amp0 = fixed.get("amplitude", float(y[0]) or 1.0)
     theta0 = _regression_start(times, y, amp0, fixed, names) if names else []
@@ -225,7 +273,7 @@ def fit_power_law(points, fixed_exponent: Optional[float] = None) -> DecayFit:
     def shape(theta):
         q = float(theta[0]) if len(theta) else fixed_exponent
         e = times**q
-        return e, [e * lt for _ in theta], {"exponent": q}
+        return (np.array([e, e * lt]) if len(theta) else e[None]), {"exponent": q}
 
     theta0 = [] if fixed_exponent is not None else [float(np.polyfit(lt, np.log(values), 1)[0])]
     free = ["amplitude"] + ["exponent"] * len(theta0)

@@ -633,6 +633,19 @@ def test_the_work_budget_counts_the_worker_threads(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command, cfg", [("decay", _decay_cfg()), ("spinlock", _SPINLOCK),
+                                          ("pulse-error", _PULSE_ERROR)],
+                         ids=["decay", "spinlock", "pulse_error"])
+def test_threads_below_one_exit_2_naming_the_flag(tmp_path, capsys, command, cfg, threads):
+    # they ran on one thread, without a word
+    cfg_path, out = _write(tmp_path, "cfg.json", cfg), tmp_path / "out"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out),
+                     "--threads", threads]) == cli.EXIT_VALIDATION
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # the decay draws its phases' own normals; the Bloch paths draw the field's
 @pytest.mark.parametrize("cfg, scheme", [(_decay_cfg(), DECAY_RNG_SCHEME),
                                          (_SPINLOCK, RNG_SCHEME), (_PULSE_ERROR, RNG_SCHEME)],
@@ -757,7 +770,8 @@ def test_decay_bytes_do_not_depend_on_worker_or_blas_threads(tmp_path):
 ], ids=["spinlock", "pulse_error"])
 def test_bloch_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, command, cfg):
     # three chunks: --threads reaches the Monte Carlo driver, whose pool
-    # reduces the chunks in chunk order whatever the worker count
+    # reduces the chunks in chunk order whatever the worker count; three
+    # cores, so that the pool is not capped below three workers on any host
     pools = []
 
     class Pool(evolve.ThreadPoolExecutor):
@@ -766,6 +780,7 @@ def test_bloch_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, co
             super().__init__(max_workers)
 
     monkeypatch.setattr(evolve, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(evolve.os, "cpu_count", lambda: 3)
     cfg_path = _write(tmp_path, "cfg.json", cfg)
     curves = set()
     for workers in (1, 2, 3):

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -623,3 +625,118 @@ def test_pulse_error_rejects_bad_arguments():
         with pytest.raises(ValueError):
             evolve.pulse_error_curve(FieldModel.of(StaticOffset(0.0)), 1, 0.1, "cpmg", ts,
                                      shots, None)
+
+
+# --- the driver: blocks reduced in place, chunks merged over the grid ---------
+
+
+def _recording_driver(monkeypatch):
+    """Wrap the Monte Carlo driver of every curve: a copy of each block an
+    observer yields, by chunk, taken before the driver overwrites it; the
+    threads the observers ran on; and the chunk partials the driver merges."""
+    blocks, threads, merged = {}, set(), []
+    drive, merge = evolve._monte_carlo, evolve._mean_and_error
+
+    def driver(model, times, shots, rng, nv, apply_t1, observe, *args):
+        def observed(chunk, rows):
+            threads.add(threading.get_ident())
+            for block in observe(chunk, rows):
+                blocks.setdefault(chunk, []).append(block.copy())
+                yield block
+        return drive(model, times, shots, rng, nv, apply_t1, observed, *args)
+
+    def merging(sizes, partials):
+        merged.append(partials)
+        return merge(sizes, partials)
+
+    monkeypatch.setattr(evolve, "_monte_carlo", driver)
+    monkeypatch.setattr(evolve, "_mean_and_error", merging)
+    return blocks, threads, merged
+
+
+def _merged_per_time(sizes, partials):
+    """One time's (mean, standard error) from its scalar chunk partials, in
+    plain floats: the 1-D sum of the chunk sums and Chan, Golub and
+    LeVeque's update in chunk order."""
+    shots = sum(sizes)
+    mean = float(np.sum(np.array([s for s, _ in partials]))) / shots
+    n, run_mean, m2 = 0, 0.0, 0.0
+    for nb, (s, m2b) in zip(sizes, partials):
+        delta = float(s) / nb - run_mean
+        n += nb
+        run_mean += delta * nb / n
+        m2 += float(m2b) + delta * delta * (n - nb) * nb / n
+    return mean, math.sqrt(m2 / shots / shots)
+
+
+_THREE_CHUNKS = 2 * evolve.CHUNK + 1
+_NV_T1 = NVParameters(t1=5.93e-3)
+
+# three chunks of each curve; at CHUNK rows the pulse-error train turns one
+# time a block (TURN_WORDS // rows = 1), so a whole chunk yields three blocks
+_DRIVER_CURVES = {
+    "decay": (lambda: evolve.coherence_curve(
+        FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5), QuasiStaticGaussian(3e-8)),
+        sq.cpmg(2, 1.0), [1e-4, 3e-4, 6e-4], _THREE_CHUNKS, RngSpec(5), nv=_NV_T1), True, 1),
+    "spinlock": (lambda: evolve.spin_lock_curve(
+        FieldModel.of(OrnsteinUhlenbeck(sigma_b=5.9e-8, tau_c=2.5e-5)), 2 * math.pi * 6e4,
+        [2e-5, 6e-5], _THREE_CHUNKS, RngSpec(5), nv=_NV_T1), True, 1),
+    "pulse_error": (lambda: evolve.pulse_error_curve(
+        FieldModel.of(OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=2e-5)), 4, 0.05, "cp",
+        [1e-4, 4e-4, 1e-3], _THREE_CHUNKS, RngSpec(5)), False, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRIVER_CURVES))
+def test_the_driver_reduces_each_block_as_its_rows_would_be(monkeypatch, name):
+    make, apply_t1, blocks_per_chunk = _DRIVER_CURVES[name]
+    blocks, _, merged = _recording_driver(monkeypatch)
+    curve = make()
+    sizes = [evolve.CHUNK, evolve.CHUNK, 1]
+    (partials,) = merged
+    assert sorted(blocks) == [0, 1, 2] and len(partials) == 3
+    assert [len(blocks[c]) for c in (0, 1, 2)] == [blocks_per_chunk, blocks_per_chunk, 1]
+    reference = []
+    for chunk, rows in enumerate(sizes):
+        values = np.concatenate(blocks[chunk])
+        assert values.shape == (curve.times.size, rows)
+        # each time's row summed on its own, then its centred squares
+        rowwise = [(np.sum(row), np.sum((row - np.sum(row) / row.size) ** 2))
+                   for row in values]
+        assert partials[chunk].tobytes() == np.array(rowwise).T.tobytes()
+        reference.append(rowwise)
+    # the merge over the grid is each time's scalar merge, then its envelope
+    for i, T in enumerate(curve.times):
+        mean, se = _merged_per_time(sizes, [r[i] for r in reference])
+        env = float(evolve.t1_envelope(T, _NV_T1)) if apply_t1 else 1.0
+        assert (curve.signal[i], curve.std_error[i]) == (mean * env, se * env)
+
+
+@pytest.mark.parametrize("cores", [None, 2], ids=["host", "two_cores"])
+def test_the_pool_is_capped_at_the_chunks_and_the_cores(monkeypatch, cores):
+    # 64 requested workers for 3 chunks start no more threads than the host
+    # has cores, and no byte changes
+    if cores:
+        monkeypatch.setattr(evolve.os, "cpu_count", lambda: cores)
+    cap = min(3, cores or os.cpu_count() or 1)
+    pools = []
+
+    class Pool(evolve.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(evolve, "ThreadPoolExecutor", Pool)
+    _, threads, _ = _recording_driver(monkeypatch)
+
+    def curve(n_workers):
+        return evolve.pulse_error_curve(FieldModel.of(_OU_BATH), 2, 0.05, "cpmg", [1e-4, 5e-4],
+                                        _THREE_CHUNKS, RngSpec(3), n_workers=n_workers)
+
+    inline = curve(1)
+    threads.clear()
+    pooled = curve(64)
+    assert 1 <= len(threads) <= cap
+    assert pools == ([cap] if cap > 1 else [])
+    assert pooled.signal.tobytes() == inline.signal.tobytes()
+    assert pooled.std_error.tobytes() == inline.std_error.tobytes()

@@ -463,3 +463,82 @@ def test_fit_ending_on_the_stretch_clamp_reports_it_unconverged(tmp_path):
     assert code == cli.EXIT_NUMERICAL
     written = json.loads((tmp_path / "out" / "fit.json").read_text())
     assert written["params"]["stretch"] == 0.05 and written["converged"] is False
+
+
+# --- the damped Gauss-Newton step ---------------------------------------------
+
+
+def _damped(A, lam):
+    return A + lam * np.diag(np.maximum(np.diag(A), 1e-300))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_damped_step_agrees_with_linalg_solve(n):
+    # one or two unknowns in closed form, within 2 cond(M) ulps of the
+    # largest component; three go to np.linalg.solve itself
+    rng = np.random.default_rng(n)
+    eps, checked = np.finfo(float).eps, 0
+    while checked < 500:
+        J = rng.standard_normal((8, n))
+        A, g, lam = J.T @ J, J.T @ rng.standard_normal(8), 10.0 ** rng.uniform(-12, 2)
+        M = _damped(A, lam)
+        cond = np.linalg.cond(M)
+        if cond > 10:
+            continue
+        checked += 1
+        ref, step = np.linalg.solve(M, -g), fit._damped_step(A, g, lam)
+        if n > 2:
+            assert step.tobytes() == ref.tobytes()
+        else:
+            assert np.max(np.abs(step - ref)) <= 2 * cond * eps * np.max(np.abs(ref))
+
+
+def test_a_singular_or_non_finite_damped_system_has_no_step():
+    # exactly singular where LAPACK's LU finds a zero pivot: 1e-30 x 1e-300
+    # underflows, and 1 + 1e-17 rounds to 1
+    for A, lam in ((np.zeros((1, 1)), 1e-30), (np.ones((2, 2)), 1e-17),
+                   (np.ones((3, 3)), 1e-17)):
+        g = np.ones(len(A))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(_damped(A, lam), -g)
+        assert fit._damped_step(A, g, lam) is None
+    for n in (1, 2, 3):
+        eye, g = np.eye(n), np.ones(n)
+        assert fit._damped_step(np.full((n, n), np.nan), g, 1e-3) is None
+        assert fit._damped_step(eye, np.full(n, np.inf), 1e-3) is None
+        # a step that overflows
+        assert fit._damped_step(eye * 1e-300, g * 1e300, 1e-3) is None
+
+
+def test_no_step_raises_the_damping_tenfold_and_evaluates_nothing(monkeypatch):
+    lams, evaluations = [], []
+    solve = fit._damped_step
+
+    def failing_thrice(A, g, lam):
+        lams.append(lam)
+        return None if len(lams) <= 3 else solve(A, g, lam)
+
+    monkeypatch.setattr(fit, "_damped_step", failing_thrice)
+    ts = np.linspace(0.5, 5.0, 12)
+
+    def rj(theta):
+        evaluations.append(len(lams))
+        model = np.exp(theta[0]) * ts ** theta[1]
+        return model - 2.0 * ts**-0.5, np.column_stack([model, model * np.log(ts)])
+
+    theta, _, _, _, conv = fit._gauss_newton(rj, [0.0, 0.0])
+    assert conv and theta == pytest.approx([math.log(2.0), -0.5], rel=1e-9)
+    assert lams[:4] == pytest.approx([1e-3, 1e-2, 1e-1, 1.0], rel=1e-12)
+    # the start, then the step of the fourth system
+    assert evaluations[:2] == [0, 4]
+    # a Jacobian that is not finite gives no step at any damping: the start
+    # is all that is evaluated
+    monkeypatch.setattr(fit, "_damped_step", solve)
+    evaluations.clear()
+
+    def nan_jacobian(theta):
+        evaluations.append(1)
+        return np.ones(3), np.full((3, 2), np.nan)
+
+    theta, _, _, _, conv = fit._gauss_newton(nan_jacobian, [1.0, 2.0])
+    assert not conv and theta.tolist() == [1.0, 2.0] and len(evaluations) == 1
