@@ -9,6 +9,10 @@ an expanded config has no hidden state.
 fields of its frozen spec, each declared with the reader of its value, so a
 key is accepted exactly when it is read; the runner consumes the spec, and a
 Monte Carlo spec (decay, spin lock, pulse-error train) runs its own ``curve``.
+Each such spec checks its run against the work budget (``_within_budget``)
+before it builds anything of that size, its pattern included; what each curve
+holds is counted in ``evolve``, beside the curve (``coherence_words``,
+``spin_lock_words``, ``pulse_error_words``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass
 from functools import partial
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -217,25 +221,6 @@ def parse_nv(spec, where="nv") -> NVParameters:
 
 #: the most float64 values a run may hold at once, 2^30 (8 GiB)
 WORK_BUDGET = 2**30
-# 8-byte words per segment that bound a CPMG pattern built as it is read (measured 7)
-_PATTERN = 50
-# words a decay holds per segment of its pattern: the spec's tuple of Python
-# floats (4) and on_grid's array of the pattern and of its fractions
-_HELD_PATTERN = 6
-# words per time and segment of a decay's map on the whole grid, besides 3 per
-# normal (measured 4.1 static, 7.0 polynomial and AC, 12.1 with 2 OU normals),
-# the OU doubling pass's arrays among them; words at any size, numpy's ufunc
-# buffer of 8192 values among them
-_ON_GRID, _DECAY_FIXED = 8, 2**14
-
-
-# words per trajectory and time of a pulse-error block: m_x, m_y, m_z, the
-# products that turn them, and the phases and OU state they are turned by
-# (measured 11.3 to 12.3 for one OU component, 16.5 for four components,
-# three of them stochastic), charged _TURN plus 2 a component; and words per
-# time and segment of a component while it is streamed: its coefficients,
-# their scaled copies and what builds them (measured 6.1 for the OU)
-_TURN, _COEF = 11, 8
 
 _TIMES_KEYS = {
     "start": _key(_SECONDS),
@@ -264,21 +249,26 @@ def _fractions(value, path):
     return fr
 
 
-# kind -> (sequence constructor, its keys in argument order before the total time)
+# a sequence as read: a decay builds its pattern, a PulseSequence of total time
+# 1 rescaled to each time of the grid, once the run's estimate passes
+_Pattern = NamedTuple("_Pattern", [("kind", str), ("n_pulses", int), ("build", partial)])
+
+# kind -> (sequence constructor, its keys in argument order before the total
+# time, the pulse count of their values)
 _SEQ_KEYS = {
-    "fid": (sq.fid, {}),
-    "hahn": (sq.hahn, {}),
-    # the pattern is built while it is read
-    "cpmg": (sq.cpmg, {"n_pulses": _key(_integer(1, WORK_BUDGET // _PATTERN))}),
-    "custom": (sq.custom, {"pulse_time_fractions": _key(_fractions)}),
+    "fid": (sq.fid, {}, lambda: 0),
+    "hahn": (sq.hahn, {}, lambda: 1),
+    # bounded as it is read: sense builds its pattern then and estimates no work
+    "cpmg": (sq.cpmg, {"n_pulses": _key(_integer(1, WORK_BUDGET // 50))}, lambda n: n),
+    "custom": (sq.custom, {"pulse_time_fractions": _key(_fractions)}, len),
 }
 
 
-def parse_sequence_spec(spec, where="sequence", kinds=tuple(_SEQ_KEYS)):
-    """The sequence's pulse pattern, a PulseSequence of total time 1 that the
-    runner rescales to each total time."""
-    make, keys = _SEQ_KEYS[_kind(spec, "kind", kinds, where)]
-    return make(*_read(keys, spec, where, tag="kind").values(), 1.0)
+def parse_sequence_spec(spec, where="sequence", kinds=tuple(_SEQ_KEYS)) -> _Pattern:
+    kind = _kind(spec, "kind", kinds, where)
+    make, keys, count = _SEQ_KEYS[kind]
+    values = _read(keys, spec, where, tag="kind").values()
+    return _Pattern(kind, count(*values), partial(make, *values, 1.0))
 
 
 _READOUT_KEYS = {
@@ -304,12 +294,6 @@ _FIXED_PARAM_KEYS = {
 }
 
 
-def _normals(model, n_seg):
-    """Standard normals one trajectory draws over ``n_seg`` segments."""
-    return sum(c.n_normals_base + c.n_normals_per_segment * n_seg
-               for c in model.components if c.n_normals_base > 0)
-
-
 def _within_budget(terms, key=None):
     """A ConfigError if a run would hold more than WORK_BUDGET float64 values
     at once; ``terms`` maps each key to the values that grow with it, and the
@@ -331,10 +315,9 @@ def _run_terms(shots, times):
 
 
 def _workers(spec, n_workers):
-    """``n_workers``, or a ConfigError naming --threads if it is below 1 or
-    if the whole chunks that many threads draw at once, min(shots, n_workers
-    CHUNK) rows, would hold more than the budget; the spec's own check counts
-    one thread."""
+    """``n_workers``, or a ConfigError naming --threads if it is below 1 or if
+    the chunks that many threads draw at once would hold more than the
+    budget; the spec's own check counts one thread."""
     if n_workers < 1:
         raise ConfigError(f"--threads must be at least 1, got {n_workers}")
     if n_workers > 1:
@@ -359,25 +342,22 @@ class _GridSpec(_Spec):
 
 @dataclass(frozen=True, kw_only=True)
 class DecaySpec(_GridSpec):
-    sequence: sq.PulseSequence = _key(parse_sequence_spec, sq.hahn(1.0))  # at total time 1
+    # read as a _Pattern, which __post_init__ replaces by the pattern it builds
+    sequence: sq.PulseSequence = _key(parse_sequence_spec, parse_sequence_spec({"kind": "hahn"}))
     shots: int = _key(_SHOTS, 10_000)
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
         _within_budget(self._terms(1))
+        object.__setattr__(self, "sequence", self.sequence.build())
         _build("sequence", sq.on_grid, self.sequence, self.times)
 
     def _terms(self, workers):
-        # the normals and phases of each chunk drawn at once, the map of the pattern on the
-        # whole grid with the weights of every time and QR's copies, and the pattern with
-        # on_grid's copies
-        n_seg, n_times = self.sequence.n_pulses + 1, self.times.size
-        rows, normals = min(self.shots, workers * CHUNK), _normals(self.field, n_seg)
+        held, whole = evolve.coherence_words(self.field, self.sequence.n_pulses, self.times.size,
+                                             self.shots, workers)
         terms = _run_terms(self.shots, self.times)
-        terms["times.count"] += rows * n_times
-        key = "sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"
-        terms[key] = (rows * min(normals, n_times) + 3 * n_times * normals + _DECAY_FIXED
-                      + (_ON_GRID * n_times + _HELD_PATTERN) * n_seg)
+        terms["times.count"] += held
+        terms["sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"] = whole
         return terms
 
     def curve(self, n_workers=1):
@@ -399,17 +379,8 @@ class SpinlockSpec(_GridSpec):
         _within_budget(self._terms(1))
 
     def _terms(self, workers):
-        # for each chunk drawn at once, the normals, the phases of every step and the
-        # OU's terms beside them (measured 1.6 words a step), then the phases, m and
-        # one sample interval's SU(2) pairs (measured 9.0 a step)
-        with np.errstate(over="ignore"):
-            steps = evolve.bloch_steps(self.field, self.times)
-        rows, n_steps = min(self.shots, workers * CHUNK), float(np.sum(steps))
-        terms = _run_terms(self.shots, self.times)
-        terms["times"] = rows * max(
-            _normals(self.field, n_steps) + 2 * n_steps,
-            n_steps + 3 * self.times.size + 10 * float(np.max(steps)))
-        return terms
+        return {**_run_terms(self.shots, self.times), "times": sum(
+            evolve.spin_lock_words(self.field, self.times, self.shots, workers))}
 
     def curve(self, n_workers=1):
         return evolve.spin_lock_curve(self.field, 2 * math.pi * self.rabi_frequency, self.times,
@@ -430,18 +401,9 @@ class PulseErrorSpec(_GridSpec):
         _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)
 
     def _terms(self, workers):
-        # for each chunk drawn at once, its normals, a block of times' turn state
-        # and each component's coefficients over the block; the pattern, as a
-        # decay's, and on_grid's copies
-        n_seg, n_times = self.n_pulses + 1, self.times.size
-        shots = self.shots if self.field.is_stochastic() else 1
-        rows, held = min(shots, CHUNK), min(shots, workers * CHUNK)
-        block, parts = min(max(1, evolve.TURN_WORDS // rows), n_times), len(self.field.components)
-        terms = _run_terms(self.shots, self.times)
-        terms["n_pulses"] = (held * (_normals(self.field, n_seg) + block * (_TURN + 2 * parts))
-                             + (_COEF * block * parts * -(-held // rows) + 3 * n_times
-                                + _HELD_PATTERN) * n_seg)
-        return terms
+        return {**_run_terms(self.shots, self.times), "n_pulses": sum(
+            evolve.pulse_error_words(self.field, self.n_pulses, self.times.size, self.shots,
+                                     workers))}
 
     def curve(self, n_workers=1):
         return evolve.pulse_error_curve(self.field, self.n_pulses, self.flip_angle_error,
@@ -469,8 +431,7 @@ class SuppressionSpec(_Spec):
 class SenseSpec(_GridSpec):
     field: Optional[FieldModel] = _key(parse_field, None)  # needed by envelope "auto"
     readout: ReadoutModel = _key(parse_readout, SENSE_READOUT)
-    # read at total time 1; __post_init__ rescales it to base interval
-    # sequence_tau
+    # read as a _Pattern, which __post_init__ builds at base interval sequence_tau
     sequence: sq.PulseSequence = _key(partial(parse_sequence_spec, kinds=("hahn", "cpmg")))
     sequence_tau: Optional[float] = _key(_SECONDS, None)  # s; 115 us (hahn), 27 us (cpmg)
     envelope: Union[float, str] = _key(_envelope, 1.0)  # coherence factor or "auto"
@@ -481,7 +442,7 @@ class SenseSpec(_GridSpec):
         if tau is None:
             tau = 115e-6 if self.sequence.kind == "hahn" else 27e-6
         object.__setattr__(self, "sequence", _build(
-            "sequence_tau", self.sequence.scaled, 2 * self.sequence.n_pulses * tau))
+            "sequence_tau", self.sequence.build().scaled, 2 * self.sequence.n_pulses * tau))
         if self.times.size < 4:
             raise ConfigError("sense needs at least 4 time points in times")
         if self.envelope == "auto" and self.field is None:

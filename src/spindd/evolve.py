@@ -45,9 +45,11 @@ from .field import (
     OrnsteinUhlenbeck,
     RngSpec,
     draw_normals,
+    normal_counts,
     phase_map,
     phase_stream,
     segment_phases,
+    stream_run,
 )
 
 ou_chi = _field.ou_chi  # not called here: the benchmark's tracer patches it
@@ -120,6 +122,27 @@ def _mean_and_error(sizes, partials):
         run_mean += delta * nb / n
         m2 += m2b + delta * delta * (n - nb) * nb / n
     return mean, np.sqrt(m2 / shots / shots)
+
+
+# Float64 words the curves hold besides their draws and phases, as traced
+# (tracemalloc) on tests/test_config.py's configs and rounded up, for:
+#: any size: numpy's ufunc buffers of 8192 values, headers and objects
+_ANY_SIZE = 2**15
+#: a segment of the pattern: the spec's floats and on_grid's pattern
+_SEGMENT = 6
+#: a time and segment of the decay's map: breakpoints and phase_map's arrays
+#: (4.1 to 12.1, besides 3 a normal)
+_ON_GRID = 8
+#: a time and segment of a streamed component: its coefficients and their
+#: scaled copies (6.1 for the OU)
+_COEF = 8
+#: a row and time of a pulse-error block: m, the products that turn it and
+#: its phases and OU state (11.3 to 16.5), besides 2 a component
+_TURN = 11
+#: a sample time of a spin lock: the array of its steps that builds the grid
+_SAMPLE = 16
+#: a row and step of a spin lock's sample interval: its SU(2) pairs (9.0)
+_SU2 = 10
 
 
 def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, metadata,
@@ -229,6 +252,15 @@ def coherence_curve(
     label = f"cpmg-{n}" if sequence.kind == "cpmg" else sequence.kind
     return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, n,
                         {"sequence": label, "rng_scheme": DECAY_RNG_SCHEME}, n_workers)
+
+
+def coherence_words(model: FieldModel, n_pulses: int, n_times: int, shots: int, n_workers: int):
+    """Float64 words ``coherence_curve`` holds at once: (its threads' chunks'
+    normals z and phases, the map of the pattern on the grid)."""
+    normals = sum(normal_counts(model, n_pulses + 1))
+    # a time's weights and their scaled and stacked copies; the map; the pattern
+    return (min(shots, n_workers * CHUNK) * (min(normals, n_times) + n_times),
+            3 * n_times * normals + (_ON_GRID * n_times + _SEGMENT) * (n_pulses + 1) + _ANY_SIZE)
 
 
 def gaussian_coherence(model: FieldModel, sequence: sq.PulseSequence, total_times,
@@ -341,13 +373,35 @@ def spin_lock_curve(
                         {"sequence": "spinlock", "omega1": omega1}, n_workers)
 
 
+def spin_lock_words(model: FieldModel, total_times, shots: int, n_workers: int):
+    """Float64 words ``spin_lock_curve`` holds at once, infinite past the
+    largest float: (its threads' chunks, the step grid and what builds it)."""
+    with np.errstate(over="ignore"):
+        steps = bloch_steps(model, total_times)
+    n_steps = float(np.sum(steps))
+    if not math.isfinite(n_steps):  # 0 normals a step times inf steps is nan
+        return math.inf, math.inf
+    rows, held = min(shots, CHUNK), min(shots, n_workers * CHUNK)
+    # the normals, the phases and the OU terms (measured 1.6 a step) of each
+    # row, and each chunk's OU run
+    made = (held * (sum(normal_counts(model, n_steps)) + 2 * n_steps) + -(-held // rows)
+            * min(n_steps, stream_run(rows)) * rows)
+    # the phases, m and a sample interval's SU(2) pairs
+    turned = held * (n_steps + 3 * steps.size + _SU2 * float(np.max(steps)))
+    return max(made, turned), 3 * n_steps + _SAMPLE * steps.size + _ANY_SIZE
+
+
 # ---------------------------------------------------------------------------
 # Finite-error pulses (in-plane turns between fixed pulse rotations)
 # ---------------------------------------------------------------------------
 
-#: trajectory values per array of the pulse-error turn loop: a block of
-#: max(1, TURN_WORDS // rows) times is turned at once
+#: trajectory values per array of the pulse-error turn loop (``_turn_block``)
 TURN_WORDS = 2**12
+
+
+def _turn_block(rows, n_times):
+    """Times turned at once for ``rows`` trajectories, of ``n_times``."""
+    return min(max(1, TURN_WORDS // rows), n_times)
 
 
 def pulse_error_curve(
@@ -386,7 +440,7 @@ def pulse_error_curve(
 
     def observe(chunk, rows):
         draws = draw_normals(model, n + 1, rng, chunk, rows)
-        block = max(1, TURN_WORDS // rows)
+        block = _turn_block(rows, total_times.size)
         for start in range(0, total_times.size, block):
             mx, my, mz = (0.0, 1.0, 0.0) if cp else (1.0, 0.0, 0.0)
             # each segment's (block, rows) phases turned as they are made
@@ -403,3 +457,15 @@ def pulse_error_curve(
                         apply_t1, observe, n,
                         {"sequence": f"cpmg-{n}", "phase_convention": phase_convention,
                          "flip_angle_error": flip_angle_error}, n_workers)
+
+
+def pulse_error_words(model: FieldModel, n: int, n_times: int, shots: int, n_workers: int):
+    """Float64 words ``pulse_error_curve`` holds at once: (its threads' chunks,
+    the pattern on the grid)."""
+    shots = shots if model.is_stochastic() else 1
+    rows, held, parts = min(shots, CHUNK), min(shots, n_workers * CHUNK), len(model.components)
+    block = _turn_block(rows, n_times)
+    # the normals and a block's turn state; each component's coefficients
+    return (held * (sum(normal_counts(model, n + 1)) + block * (_TURN + 2 * parts))
+            + _COEF * block * parts * (n + 1) * -(-held // rows),
+            (3 * n_times + _SEGMENT) * (n + 1) + _ANY_SIZE)

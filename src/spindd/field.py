@@ -219,7 +219,7 @@ class OrnsteinUhlenbeck:
         field[...] = self.sigma_b * draws[:, 0]
         if out is not None:
             np.multiply(c1, xi1, out=out)
-            run = max(1, STREAM_WORDS // field.size)
+            run = stream_run(field.size)
             for lo in range(0, a.shape[-1], run):
                 out[lo:lo + run] += c2[lo:lo + run] * xi2[lo:lo + run]
         for i in range(a.shape[-1]):
@@ -349,6 +349,18 @@ class FieldModel:
 # ---------------------------------------------------------------------------
 
 
+def stream_run(size: int) -> int:
+    """Segments of OU noise terms that ``segment_stream`` takes at once into
+    ``out``, for ``size`` values a segment: STREAM_WORDS values, or one."""
+    return max(1, STREAM_WORDS // size)
+
+
+def normal_counts(model: FieldModel, n_seg) -> list:
+    """The standard normals a trajectory draws in each component slot over
+    ``n_seg`` segments, 0 in a deterministic one."""
+    return [c.n_normals_base + c.n_normals_per_segment * n_seg for c in model.components]
+
+
 def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], chunk: int,
                  rows: int) -> list:
     """Each component slot's standard normals for rows 0..rows-1 of chunk
@@ -361,16 +373,10 @@ def draw_normals(model: FieldModel, n_seg: int, rng: Optional[RngSpec], chunk: i
     count) alone, not on how many rows are drawn, and draws made once serve
     every toggling function with ``n_seg`` segments.
     """
-    out = []
-    for slot, comp in enumerate(model.components):
-        draws = None
-        if comp.n_normals_base > 0:
-            if rng is None:
-                raise ValueError("stochastic field model requires an RngSpec")
-            count = comp.n_normals_base + comp.n_normals_per_segment * n_seg
-            draws = rng.generator(chunk, slot).standard_normal((rows, count))
-        out.append(draws)
-    return out
+    if rng is None and model.is_stochastic():
+        raise ValueError("stochastic field model requires an RngSpec")
+    return [rng.generator(chunk, slot).standard_normal((rows, count)) if count else None
+            for slot, count in enumerate(normal_counts(model, n_seg))]
 
 
 def phase_stream(model: FieldModel, breakpoints, draws: list, rows: int,

@@ -2,13 +2,14 @@ import copy
 import dataclasses
 import json
 import pathlib
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindd import cli, config as cfgmod
+from spindd import cli, config as cfgmod, evolve, field
 from spindd.config import ConfigError
 
 _OU = {"type": "ornstein_uhlenbeck", "sigma_b": "59.22345 nT", "tau_c": "25 us"}
@@ -162,6 +163,9 @@ _SPINLOCK = {"experiment": "spinlock", "preset": "nanodiamond", "rabi_frequency"
 _PULSE_ERROR = {"experiment": "pulse_error", "preset": "bulk_cvd", "n_pulses": 4,
                 "times": _SHORT}
 
+_CPMG_2E7 = dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 2 * 10**7},
+                 times=dict(_SHORT, count=1000))
+
 # each of these asks a run to hold more than the work budget: a traceback or
 # an out-of-memory kill when run, so they are only validated here
 _OVER_BUDGET = {
@@ -169,6 +173,8 @@ _OVER_BUDGET = {
     "decay_n_pulses": (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**6},
                             times=dict(_SHORT, count=1000)),
                        "sequence.n_pulses"),
+    # within the reader's bound, so refused by the estimate, before it is built
+    "decay_n_pulses_unbuilt": (_CPMG_2E7, "sequence.n_pulses"),
     # past what one pattern can hold: refused before it is built
     "decay_n_pulses_pattern": (dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 10**9}),
                                "sequence.n_pulses"),
@@ -183,6 +189,16 @@ _OVER_BUDGET = {
     # steps of tau_c/20 = 1 ns to 5 ms
     "spinlock_steps": (dict(_SPINLOCK, times=dict(_SHORT, stop="5 ms")), "times"),
     "spinlock_steps_overflow": (dict(_SPINLOCK, times=dict(_SHORT, stop="1e300 s")), "times"),
+    # a component of no normals a step beside it: 0 times inf steps
+    "spinlock_steps_overflow_static": (
+        dict(_SPINLOCK, times=dict(_SHORT, stop="1e300 s"), field=[
+            *cfgmod.PRESETS["nanodiamond"]["field"], {"type": "static_offset", "b": "1 nT"}]),
+        "times"),
+    "spinlock_steps_overflow_quasi_static": (
+        dict(_SPINLOCK, times=dict(_SHORT, stop="1e300 s"), field=[
+            *cfgmod.PRESETS["nanodiamond"]["field"],
+            {"type": "quasi_static_gaussian", "sigma_b": "5 nT"}]),
+        "times"),
     "spinlock_shots": (dict(_SPINLOCK, preset="bulk_cvd", shots=10**10), "shots"),
     "pulse_error_n_pulses": (dict(_PULSE_ERROR, n_pulses=10**6), "n_pulses"),
     "pulse_error_shots": (dict(_PULSE_ERROR, shots=10**12), "shots"),
@@ -210,6 +226,28 @@ def test_work_over_the_budget_is_refused_naming_the_field(cfg, key):
     with pytest.raises(ConfigError) as exc:
         cfgmod.validate(cfg)
     assert str(exc.value).startswith(f"{key}:") or str(exc.value).startswith(f"{key} must")
+
+
+def test_a_decay_is_refused_before_its_pattern_is_built():
+    # the 2 10^7 pulses built first took 5 to 7 s and 1.26 GB of RSS
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ConfigError, match="^sequence.n_pulses: this run would hold"):
+            cfgmod.validate(_CPMG_2E7)
+        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.1 and peak < 1e6, (seconds, peak)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "fid"}, {"kind": "hahn"}, {"kind": "cpmg", "n_pulses": 7},
+                                  {"kind": "custom", "pulse_time_fractions": [0.1, 0.5, 0.7]}])
+def test_a_pattern_counts_the_pulses_it_builds(spec):
+    # the estimate reads the count before the pattern is built
+    pattern = cfgmod.parse_sequence_spec(spec)
+    assert pattern.n_pulses == pattern.build().n_pulses
+    assert pattern.kind == pattern.build().kind
 
 
 _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
@@ -241,6 +279,8 @@ def _traced_peak(run):
 # the bloch benchmark's pulse-error step
 _BLOCH_PULSE_ERROR = dict(_PULSE_ERROR, n_pulses=50, phase_convention="cp",
                           times={"start": "0.1 ms", "stop": "1 ms", "count": 8}, shots=200)
+_BULK_SPINLOCK = dict(_SPINLOCK, preset="bulk_cvd", rabi_frequency="60 kHz",
+                      times={"start": "0.02 ms", "stop": "0.16 ms", "count": 8})
 
 
 # (config, the most the estimate may read as a multiple of the peak, or None)
@@ -260,8 +300,7 @@ _BLOCH_PULSE_ERROR = dict(_PULSE_ERROR, n_pulses=50, phase_convention="cp",
     (dict(_PULSE_ERROR, field=_MULTI_SLOT, n_pulses=8, times=dict(_SHORT, count=7)), 3),
     (dict(_PULSE_ERROR, n_pulses=200, times=dict(_SHORT, count=5), shots=100), 3),
     (dict(_PULSE_ERROR, n_pulses=10**4, times=dict(_SHORT, count=2), shots=100), 2),
-    (dict(_SPINLOCK, preset="bulk_cvd", rabi_frequency="60 kHz",
-          times={"start": "0.02 ms", "stop": "0.16 ms", "count": 8}), None),
+    (_BULK_SPINLOCK, None),
     (dict(_SPINLOCK, preset="bulk_cvd", field=_MULTI_SLOT,
           times={"start": "0.02 ms", "stop": "0.16 ms", "count": 8}), None),
 ], ids=["hahn_10_times", "hahn_1000_times", "cpmg_90", "multi_slot", "cpmg_100000",
@@ -275,6 +314,19 @@ def test_decay_estimate_bounds_the_traced_peak(monkeypatch, cfg, upper):
     assert estimate >= peak, (estimate, peak)
     if upper is not None:
         assert estimate <= upper * peak, (estimate, peak)
+
+
+@pytest.mark.parametrize("turn_words", [2**10, 2**12, 2**14])
+@pytest.mark.parametrize("stream_words", [2**11, 2**13, 2**15])
+@pytest.mark.parametrize("cfg", [_BULK_SPINLOCK, _PULSE_ERROR, _BLOCH_PULSE_ERROR],
+                         ids=["spinlock", "pulse_error_4", "pulse_error_cp_50"])
+def test_estimates_follow_the_block_constants(monkeypatch, cfg, stream_words, turn_words):
+    # the curves' blocks grow with these, and their estimates with them
+    monkeypatch.setattr(field, "STREAM_WORDS", stream_words)
+    monkeypatch.setattr(evolve, "TURN_WORDS", turn_words)
+    spec, estimate = _estimate(monkeypatch, cfg)
+    peak = _traced_peak(spec.curve)
+    assert estimate >= peak, (estimate, peak)
 
 
 def test_pulse_error_block_holds_its_phases_once():

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used, and every definition is
-referenced: stdlib ``ast`` stand-ins for a linter's unused-import and
-dead-code rules; and every name the benchmark's tracer patches exists."""
+"""Every name a package module imports is used, every definition is
+referenced and every private module constant is read: stdlib ``ast``
+stand-ins for a linter's unused-import and dead-code rules; and every name
+the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -34,12 +35,12 @@ def test_no_unused_imports_in_package_modules():
 
 
 def _referenced(paths, strings=False):
-    """Names used as a name or an attribute, and with ``strings`` the dotted
-    parts of string constants."""
+    """Names used as a name or an attribute, not assigned to, and with
+    ``strings`` the dotted parts of string constants."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -73,6 +74,24 @@ def _unreferenced(private, referenced):
 
 def test_no_unreferenced_private_definitions():
     assert _unreferenced(True, _referenced(SRC.glob("*.py"))) == {}
+
+
+def _private_constants(path):
+    """Each name a module's top-level assignments bind that starts with one
+    underscore."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                            and n.id.startswith("_") and not n.id.startswith("__"))
+
+
+def test_no_unread_private_constants():
+    # a constant left behind when the code that read it moved or went
+    read = _referenced(SRC.glob("*.py"))
+    unread = {path.name: names for path in sorted(SRC.glob("*.py"))
+              if (names := sorted(set(_private_constants(path)) - read))}
+    assert unread == {}
 
 
 def test_no_unreferenced_public_definitions():
