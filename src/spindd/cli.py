@@ -147,14 +147,9 @@ def _sense_envelope(spec):
 
 def _run_sense(spec, out_dir, threads):
     envelope = _sense_envelope(spec)
-    result = sensemod.sensitivity_scan(
-        spec.sequence,
-        spec.readout,
-        spec.times,
-        nv=spec.nv,
-        envelope=envelope,
-        ac_amplitude_jitter=spec.ac_amplitude_jitter,
-    )
+    result = sensemod.sensitivity_scan(spec.sequence, spec.readout, spec.times, nv=spec.nv,
+                                       envelope=envelope,
+                                       ac_amplitude_jitter=spec.ac_amplitude_jitter)
     digests = _write_csv(os.path.join(out_dir, "sensitivity.csv"),
                          "total_time_s,delta_b_min_T,sigma_sn,slope_per_T", result.times,
                          result.delta_b_min, result.sigma_sn, [result.slope] * result.times.size)

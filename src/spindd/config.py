@@ -9,10 +9,11 @@ an expanded config has no hidden state.
 fields of its frozen spec, each declared with the reader of its value, so a
 key is accepted exactly when it is read; the runner consumes the spec, and a
 Monte Carlo spec (decay, spin lock, pulse-error train) runs its own ``curve``.
-Each such spec checks its run against the work budget (``_within_budget``)
-before it builds anything of that size, its pattern included; what each curve
-holds is counted in ``evolve``, beside the curve (``coherence_words``,
-``spin_lock_words``, ``pulse_error_words``).
+A reader bounds an integer only so that a float holds it (2^30; 2^64 for the
+seed), and every array a config asks for is counted against the work budget
+(``_within_budget``) before it is built: the grid as it is read, then each
+spec's run, its pattern included.  What each curve holds is counted in
+``evolve`` (``coherence_words``, ``spin_lock_words``, ``pulse_error_words``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .field import (
     RngSpec,
     SinusoidAC,
     StaticOffset,
+    normal_counts,
 )
 from .sense import ReadoutModel
 
@@ -68,6 +70,10 @@ PRESETS = {
 SENSE_READOUT = ReadoutModel(photons_per_shot=0.08841940036389989, contrast=0.3)
 
 
+#: the most float64 values a run may hold at once (8 GiB), and the most a count may be
+WORK_BUDGET = 2**30
+
+
 # Readers: read(value, path) returns the parsed value or raises a ConfigError
 # naming path.
 
@@ -87,7 +93,7 @@ def _path_string(value, path):
     return _expect(isinstance(value, str) and "\0" not in value, value, path, "a path string")
 
 
-def _integer(lo, hi=math.inf):
+def _integer(lo, hi=WORK_BUDGET + 1):
     def read(value, path):
         # true/false are Python ints but not JSON integers
         ok = isinstance(value, int) and not isinstance(value, bool) and lo <= value < hi
@@ -219,14 +225,10 @@ def parse_nv(spec, where="nv") -> NVParameters:
     return _build(where, NVParameters, *_read(_NV_KEYS, spec, where).values())
 
 
-#: the most float64 values a run may hold at once, 2^30 (8 GiB)
-WORK_BUDGET = 2**30
-
 _TIMES_KEYS = {
     "start": _key(_SECONDS),
     "stop": _key(_SECONDS),
-    # the grid and its differences are built while it is read
-    "count": _key(_integer(2, WORK_BUDGET // 2)),
+    "count": _key(_integer(2)),
     "spacing": _key(_choice("linear", "geometric"), "linear"),
 }
 
@@ -235,6 +237,8 @@ def parse_times(spec, where="times") -> np.ndarray:
     t = _read(_TIMES_KEYS, spec, where)
     if not 0 < t["start"] < t["stop"]:
         raise ConfigError(f"{where} must satisfy 0 < start < stop")
+    # the grid, its differences and their mask, traced at 2.125 words a point
+    _within_budget({f"{where}.count": 2.125 * t["count"]})
     make = np.linspace if t["spacing"] == "linear" else np.geomspace
     grid = make(t["start"], t["stop"], t["count"])
     if np.any(np.diff(grid) <= 0):
@@ -249,8 +253,7 @@ def _fractions(value, path):
     return fr
 
 
-# a sequence as read: a decay builds its pattern, a PulseSequence of total time
-# 1 rescaled to each time of the grid, once the run's estimate passes
+# a sequence as read: its kind, pulse count and build(total_time), once the estimate passes
 _Pattern = NamedTuple("_Pattern", [("kind", str), ("n_pulses", int), ("build", partial)])
 
 # kind -> (sequence constructor, its keys in argument order before the total
@@ -258,8 +261,7 @@ _Pattern = NamedTuple("_Pattern", [("kind", str), ("n_pulses", int), ("build", p
 _SEQ_KEYS = {
     "fid": (sq.fid, {}, lambda: 0),
     "hahn": (sq.hahn, {}, lambda: 1),
-    # bounded as it is read: sense builds its pattern then and estimates no work
-    "cpmg": (sq.cpmg, {"n_pulses": _key(_integer(1, WORK_BUDGET // 50))}, lambda n: n),
+    "cpmg": (sq.cpmg, {"n_pulses": _key(_integer(1))}, lambda n: n),
     "custom": (sq.custom, {"pulse_time_fractions": _key(_fractions)}, len),
 }
 
@@ -268,7 +270,7 @@ def parse_sequence_spec(spec, where="sequence", kinds=tuple(_SEQ_KEYS)) -> _Patt
     kind = _kind(spec, "kind", kinds, where)
     make, keys, count = _SEQ_KEYS[kind]
     values = _read(keys, spec, where, tag="kind").values()
-    return _Pattern(kind, count(*values), partial(make, *values, 1.0))
+    return _Pattern(kind, count(*values), partial(make, *values))
 
 
 _READOUT_KEYS = {
@@ -308,10 +310,8 @@ def _within_budget(terms, key=None):
 
 def _run_terms(shots, times):
     """What a Monte Carlo run keeps across its chunks: two partial sums per
-    chunk and time.  The ``shots`` term holds no array; it bounds the length
-    of the run, so that more than 2^30 shots are refused whatever else the
-    run holds."""
-    return {"shots": shots, "times.count": 2 * times.size * math.ceil(shots / CHUNK)}
+    chunk and time, under ``times.count``."""
+    return 2 * times.size * math.ceil(shots / CHUNK)
 
 
 def _workers(spec, n_workers):
@@ -342,23 +342,21 @@ class _GridSpec(_Spec):
 
 @dataclass(frozen=True, kw_only=True)
 class DecaySpec(_GridSpec):
-    # read as a _Pattern, which __post_init__ replaces by the pattern it builds
+    # read as a _Pattern, which __post_init__ builds at total time 1
     sequence: sq.PulseSequence = _key(parse_sequence_spec, parse_sequence_spec({"kind": "hahn"}))
     shots: int = _key(_SHOTS, 10_000)
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
         _within_budget(self._terms(1))
-        object.__setattr__(self, "sequence", self.sequence.build())
+        object.__setattr__(self, "sequence", self.sequence.build(1.0))
         _build("sequence", sq.on_grid, self.sequence, self.times)
 
     def _terms(self, workers):
         held, whole = evolve.coherence_words(self.field, self.sequence.n_pulses, self.times.size,
                                              self.shots, workers)
-        terms = _run_terms(self.shots, self.times)
-        terms["times.count"] += held
-        terms["sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"] = whole
-        return terms
+        key = "sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"
+        return {"times.count": _run_terms(self.shots, self.times) + held, key: whole}
 
     def curve(self, n_workers=1):
         return evolve.coherence_curve(self.field, self.sequence, self.times, self.shots,
@@ -379,7 +377,7 @@ class SpinlockSpec(_GridSpec):
         _within_budget(self._terms(1))
 
     def _terms(self, workers):
-        return {**_run_terms(self.shots, self.times), "times": sum(
+        return {"times.count": _run_terms(self.shots, self.times), "times": sum(
             evolve.spin_lock_words(self.field, self.times, self.shots, workers))}
 
     def curve(self, n_workers=1):
@@ -401,7 +399,7 @@ class PulseErrorSpec(_GridSpec):
         _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)
 
     def _terms(self, workers):
-        return {**_run_terms(self.shots, self.times), "n_pulses": sum(
+        return {"times.count": _run_terms(self.shots, self.times), "n_pulses": sum(
             evolve.pulse_error_words(self.field, self.n_pulses, self.times.size, self.shots,
                                      workers))}
 
@@ -414,8 +412,8 @@ class PulseErrorSpec(_GridSpec):
 
 @dataclass(frozen=True, kw_only=True)
 class SuppressionSpec(_Spec):
-    n_max: int = _key(_integer(1, WORK_BUDGET))  # a row holds more than one value
-    k_max: int = _key(_integer(0, WORK_BUDGET))
+    n_max: int = _key(_integer(1))
+    k_max: int = _key(_integer(0))
 
     def __post_init__(self):
         # every row at once: a 4-tuple, its list slot and three integer headers
@@ -425,34 +423,46 @@ class SuppressionSpec(_Spec):
         rows = self.n_max * (self.k_max + 1)
         bits = (self.k_max + 1) * math.log2(2 * self.n_max)
         _within_budget({"n_max": 19 * rows + 2**10, "k_max": rows * bits / 30})
+        limit = sys.get_int_max_str_digits()  # str() of a longer integer raises; 0: none
+        if limit and bits * math.log10(2) > limit:
+            raise ConfigError(f"k_max: the table's integers would exceed the {limit} decimal "
+                              "digits that str() of an int may have")
+
+
+# words a sense scan holds, as traced through validate and its run: a time point's
+# grid, scan, fit and sensitivity.csv text (up to 45.2); a pulse's pattern and
+# breakpoints (11) and envelope "auto"'s phase_map (7, besides 1 a normal)
+_SENSE_POINT, _SENSE_PULSE = 48, 18
 
 
 @dataclass(frozen=True, kw_only=True)
 class SenseSpec(_GridSpec):
     field: Optional[FieldModel] = _key(parse_field, None)  # needed by envelope "auto"
     readout: ReadoutModel = _key(parse_readout, SENSE_READOUT)
-    # read as a _Pattern, which __post_init__ builds at base interval sequence_tau
+    # read as a _Pattern, which __post_init__ builds at 2n sequence_tau
     sequence: sq.PulseSequence = _key(partial(parse_sequence_spec, kinds=("hahn", "cpmg")))
     sequence_tau: Optional[float] = _key(_SECONDS, None)  # s; 115 us (hahn), 27 us (cpmg)
     envelope: Union[float, str] = _key(_envelope, 1.0)  # coherence factor or "auto"
     ac_amplitude_jitter: float = _key(_non_negative, 0.0)
 
     def __post_init__(self):
-        tau = self.sequence_tau
-        if tau is None:
-            tau = 115e-6 if self.sequence.kind == "hahn" else 27e-6
-        object.__setattr__(self, "sequence", _build(
-            "sequence_tau", self.sequence.build().scaled, 2 * self.sequence.n_pulses * tau))
         if self.times.size < 4:
             raise ConfigError("sense needs at least 4 time points in times")
         if self.envelope == "auto" and self.field is None:
             raise ConfigError("envelope 'auto' needs a field model")
-        with np.errstate(over="ignore"):
-            shots = self.times / (self.sequence.total_time + self.readout.overhead)
-        if not np.all(np.isfinite(shots)):
-            raise ConfigError(
-                f"times.stop: {self.times[-1]!r} s overflows the shot count "
-                "t / (sequence time + readout.overhead)")
+        n = self.sequence.n_pulses
+        weights = sum(normal_counts(self.field, n + 1)) if self.envelope == "auto" else 0
+        _within_budget({"times.count": _SENSE_POINT * self.times.size,
+                        "sequence.n_pulses": _SENSE_PULSE * n + weights})
+        tau = self.sequence_tau
+        if tau is None:
+            tau = 115e-6 if self.sequence.kind == "hahn" else 27e-6
+        object.__setattr__(self, "sequence", _build("sequence_tau", self.sequence.build,
+                                                    2 * n * tau))
+        stop = self.times[-1]  # the most shots of the increasing grid
+        if not math.isfinite(float(stop) / (self.sequence.total_time + self.readout.overhead)):
+            raise ConfigError(f"times.stop: {stop!r} s overflows the shot count "
+                              "t / (sequence time + readout.overhead)")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -522,17 +532,12 @@ def validate(raw):
         base_tau = float(spec.times[-1]) / (2 * spec.sequence.n_pulses)
         for comp in spec.field.components:
             if isinstance(comp, OrnsteinUhlenbeck) and comp.tau_c < base_tau / 10:
-                warnings.append(
-                    "motional-narrowing regime: OU tau_c "
-                    f"{comp.tau_c:.3g} s << CPMG base tau {base_tau:.3g} s; "
-                    "decoupling will be ineffective"
-                )
+                warnings.append(f"motional-narrowing regime: OU tau_c {comp.tau_c:.3g} s << CPMG "
+                                f"base tau {base_tau:.3g} s; decoupling will be ineffective")
     model = getattr(spec, "field", None)
     if model is not None:
         ratio = model.quasi_static_ratio()
         if math.isfinite(ratio) and ratio < 1e-3:
-            warnings.append(
-                f"slow-fluctuation diagnostic gamma*sigma*tau_c = {ratio:.3g}; "
-                "the bath is deep in the motional regime"
-            )
+            warnings.append(f"slow-fluctuation diagnostic gamma*sigma*tau_c = {ratio:.3g}; "
+                            "the bath is deep in the motional regime")
     return {"experiment": kind, "valid": True, "warnings": warnings, "expanded": cfg, "spec": spec}

@@ -262,6 +262,66 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, cfg, name):
     assert name in capsys.readouterr().err
 
 
+_HUGE = 10**400
+
+# 10^400 as a JSON integer in each integer key; every shots and the
+# pulse-error n_pulses raised an OverflowError traceback and exited 1
+_HUGE_INTEGERS = {
+    "decay_shots": (_decay_cfg(shots=_HUGE), "shots"),
+    "decay_seed": (_decay_cfg(seed=_HUGE), "seed"),
+    "decay_times_count": (
+        _decay_cfg(times={"start": "50 us", "stop": "500 us", "count": _HUGE}), "times.count"),
+    "decay_n_pulses": (_decay_cfg(sequence={"kind": "cpmg", "n_pulses": _HUGE}),
+                       "sequence.n_pulses"),
+    "spinlock_shots": (dict(_SPINLOCK, shots=_HUGE), "shots"),
+    "pulse_error_shots": (dict(_PULSE_ERROR, shots=_HUGE), "shots"),
+    "pulse_error_n_pulses": (dict(_PULSE_ERROR, n_pulses=_HUGE), "n_pulses"),
+    "n_max": ({"experiment": "suppression_table", "n_max": _HUGE, "k_max": 3}, "n_max"),
+    "k_max": ({"experiment": "suppression_table", "n_max": 4, "k_max": _HUGE}, "k_max"),
+    "sense_n_pulses": (_sense_cfg(sequence={"kind": "cpmg", "n_pulses": _HUGE}),
+                       "sequence.n_pulses"),
+    "sense_times_count": (
+        _sense_cfg(times={"start": "0.5 s", "stop": "500 s", "count": _HUGE}), "times.count"),
+}
+
+
+@pytest.mark.parametrize("cfg, key", list(_HUGE_INTEGERS.values()), ids=list(_HUGE_INTEGERS))
+def test_a_huge_integer_exits_2_naming_its_key(tmp_path, capsys, cfg, key):
+    cfg_path, out = _write(tmp_path, "cfg.json", cfg), tmp_path / "out"
+    assert str(_HUGE) in pathlib.Path(cfg_path).read_text()
+    code, artifacts = cli.run(cfg_path, out_dir=str(out))
+    assert code == cli.EXIT_VALIDATION and artifacts == []
+    assert capsys.readouterr().err.startswith(f"validation error: {key} must be an integer")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_huge_shots_flag_exits_2_naming_it(tmp_path, capsys):
+    cfg_path, out = _write(tmp_path, "cfg.json", _decay_cfg()), tmp_path / "out"
+    assert cli.main(["decay", "--config", cfg_path, "--out", str(out),
+                     "--shots", str(_HUGE)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: shots must be an integer")
+    assert not out.exists()
+
+
+def test_a_table_past_the_int_string_limit_exits_2_leaving_the_directory(tmp_path, capsys):
+    # integers of up to 7226 digits: str() raised a ValueError out of cli.run
+    # midway through suppression.csv, which was left without a manifest
+    out, limit = tmp_path / "out", sys.get_int_max_str_digits()
+    table = {"experiment": "suppression_table", "n_max": 4}
+    good = _write(tmp_path, "good.json", dict(table, k_max=3))
+    bad = _write(tmp_path, "bad.json", dict(table, k_max=8000))
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert cli.main(["suppression", "--config", good, "--out", str(out)]) == cli.EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert cli.main(["suppression", "--config", bad, "--out", str(out)]) == cli.EXIT_VALIDATION
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().err.startswith("validation error: k_max: ")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_unreadable_config_exits_2(tmp_path, capsys):
     for path in (tmp_path / "missing.json", tmp_path):
         code, artifacts = cli.run(str(path), out_dir=str(tmp_path / "out"))
@@ -673,11 +733,12 @@ _SMALL_BASES = [
 ]
 
 # integers stay at most 300 so that a mutation which still validates asks
-# for a small run
+# for a small run; from 2**64 up they are past every reader's bound
 _PROPERTY_SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(-300, 300)
+    | st.integers(2**64, 10**400)
     | st.floats()
     | st.text(max_size=6)
     | st.sampled_from(["1 us", "-5 us", "0 s", "5 nT", "1e300 T", "1e999 s", "40 kHz",

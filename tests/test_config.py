@@ -65,10 +65,13 @@ BASES = [
 
 # Integers are bounded to |n| <= 10**6: a valid but huge grid or pulse count
 # is a resource request, not malformed input, and would only time allocation.
+# Integers from 2**64 up are past every reader's bound, and refused before
+# anything is built.
 _SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(-10**6, 10**6)
+    | st.integers(2**64, 10**400)
     | st.floats()
     | st.text(max_size=6)
     | st.sampled_from(["1 us", "-5 us", "0 s", "5 nT", "1e999 s", "40 kHz", "auto",
@@ -163,6 +166,9 @@ _SPINLOCK = {"experiment": "spinlock", "preset": "nanodiamond", "rabi_frequency"
 _PULSE_ERROR = {"experiment": "pulse_error", "preset": "bulk_cvd", "n_pulses": 4,
                 "times": _SHORT}
 
+_SENSE = {"experiment": "sense", "preset": "bulk_cvd", "sequence": {"kind": "hahn"},
+          "times": {"start": "0.5 s", "stop": "500 s", "count": 8}}
+
 _CPMG_2E7 = dict(_DECAY, sequence={"kind": "cpmg", "n_pulses": 2 * 10**7},
                  times=dict(_SHORT, count=1000))
 
@@ -202,10 +208,16 @@ _OVER_BUDGET = {
     "spinlock_shots": (dict(_SPINLOCK, preset="bulk_cvd", shots=10**10), "shots"),
     "pulse_error_n_pulses": (dict(_PULSE_ERROR, n_pulses=10**6), "n_pulses"),
     "pulse_error_shots": (dict(_PULSE_ERROR, shots=10**12), "shots"),
-    "sense_n_pulses": (
-        {"experiment": "sense", "preset": "bulk_cvd", "sequence": {"kind": "cpmg", "n_pulses": 10**8},
-         "times": {"start": "0.5 s", "stop": "500 s", "count": 8}},
-        "sequence.n_pulses"),
+    "sense_n_pulses": (dict(_SENSE, sequence={"kind": "cpmg", "n_pulses": 10**8}),
+                       "sequence.n_pulses"),
+    # the most pulses a reader takes: refused by the scan's estimate, unbuilt
+    "sense_n_pulses_unbuilt": (dict(_SENSE, sequence={"kind": "cpmg", "n_pulses": 2**30}),
+                               "sequence.n_pulses"),
+    # a grid past the budget is refused as it is read, before it is built
+    "sense_times_count_grid": (dict(_SENSE, times=dict(_SENSE["times"], count=6 * 10**8)),
+                               "times.count"),
+    "sense_times_count_most": (dict(_SENSE, times=dict(_SENSE["times"], count=2**30)),
+                               "times.count"),
     # 10^8 rows of the table
     "suppression_n_max": ({"experiment": "suppression_table", "n_max": 10**8, "k_max": 0},
                           "n_max"),
@@ -228,16 +240,31 @@ def test_work_over_the_budget_is_refused_naming_the_field(cfg, key):
     assert str(exc.value).startswith(f"{key}:") or str(exc.value).startswith(f"{key} must")
 
 
-def test_a_decay_is_refused_before_its_pattern_is_built():
-    # the 2 10^7 pulses built first took 5 to 7 s and 1.26 GB of RSS
+def _refusal_cost(cfg, key):
+    """Seconds and traced peak bytes of ``validate(cfg)`` refusing it, naming
+    ``key``, for the work budget."""
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(ConfigError, match="^sequence.n_pulses: this run would hold"):
-            cfgmod.validate(_CPMG_2E7)
-        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        with pytest.raises(ConfigError, match=f"^{key}: this run would hold"):
+            cfgmod.validate(cfg)
+        return time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_decay_is_refused_before_its_pattern_is_built():
+    # the 2 10^7 pulses built first took 5 to 7 s and 1.26 GB of RSS
+    seconds, peak = _refusal_cost(_CPMG_2E7, "sequence.n_pulses")
+    assert seconds < 0.1 and peak < 1e6, (seconds, peak)
+
+
+@pytest.mark.parametrize("case", ["sense_n_pulses", "sense_n_pulses_unbuilt",
+                                  "sense_times_count_grid", "sense_times_count_most"])
+def test_a_sense_scan_is_refused_before_it_is_built(case):
+    # the pattern was built as it was read, bounded only by 2^30/50 pulses
+    # (2 10^6 pulses: 0.9 s and 232 MB), and the grid below 2^29 points
+    seconds, peak = _refusal_cost(*_OVER_BUDGET[case])
     assert seconds < 0.1 and peak < 1e6, (seconds, peak)
 
 
@@ -246,8 +273,8 @@ def test_a_decay_is_refused_before_its_pattern_is_built():
 def test_a_pattern_counts_the_pulses_it_builds(spec):
     # the estimate reads the count before the pattern is built
     pattern = cfgmod.parse_sequence_spec(spec)
-    assert pattern.n_pulses == pattern.build().n_pulses
-    assert pattern.kind == pattern.build().kind
+    assert pattern.n_pulses == pattern.build(1.0).n_pulses
+    assert pattern.kind == pattern.build(1.0).kind
 
 
 _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
@@ -256,12 +283,12 @@ _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
 
 
 def _estimate(monkeypatch, cfg):
-    """The spec of ``cfg`` and its work-budget estimate in bytes; the shots
-    term bounds the run's length and holds no array."""
+    """The spec of ``cfg`` and its work-budget estimate in bytes: the spec's
+    own check, the last, after the time grid's as it is read."""
     terms = []
     monkeypatch.setattr(cfgmod, "_within_budget", terms.append)
     spec = cfgmod.validate(cfg)["spec"]
-    return spec, 8 * sum(v for key, v in terms[0].items() if key != "shots")
+    return spec, 8 * sum(terms[-1].values())
 
 
 def _traced_peak(run):
@@ -346,6 +373,30 @@ def test_pulse_error_phases_are_turned_as_they_are_made():
     spec = cfgmod.validate(_BLOCH_PULSE_ERROR)["spec"]
     peak = _traced_peak(spec.curve)
     assert peak <= 0.5e6, peak
+
+
+# a sense scan of 10^5 times or pulses, run from the spec validate returns
+_AUTO = dict(_SENSE, envelope="auto")
+_SENSE_RUNS = {
+    "hahn_times": dict(_AUTO, times=dict(_SENSE["times"], count=10**5)),
+    "cpmg_times": dict(_AUTO, sequence={"kind": "cpmg", "n_pulses": 10}, sequence_tau="27 us",
+                       times=dict(_SENSE["times"], count=10**5, spacing="geometric")),
+    "cpmg_pulses": dict(_AUTO, sequence={"kind": "cpmg", "n_pulses": 10**5},
+                        sequence_tau="10 ns"),
+    "cpmg_pulses_multi_slot": dict(_AUTO, field=_MULTI_SLOT, sequence_tau="10 ns",
+                                   sequence={"kind": "cpmg", "n_pulses": 10**5}),
+}
+
+
+@pytest.mark.parametrize("cfg", list(_SENSE_RUNS.values()), ids=list(_SENSE_RUNS))
+def test_sense_estimate_bounds_the_traced_peak(monkeypatch, tmp_path, cfg):
+    """A sense scan's estimate bounds the peak of validate and the run
+    together, which hold its grid, scan, pattern and envelope, and reads at
+    most 3 times that peak."""
+    _, estimate = _estimate(monkeypatch, cfg)
+    monkeypatch.undo()
+    peak = _traced_peak(lambda: cli._run_sense(cfgmod.validate(cfg)["spec"], str(tmp_path), 1))
+    assert peak <= estimate <= 3 * peak, (estimate, peak)
 
 
 @pytest.mark.parametrize("n_max, k_max", [(256, 12), (2000, 0), (50, 40), (8, 5), (1, 0)])
