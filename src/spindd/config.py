@@ -10,14 +10,15 @@ fields of its frozen spec, each declared with the reader of its value, so a
 key is accepted exactly when it is read; the runner consumes the spec, and a
 Monte Carlo spec (decay, spin lock, pulse-error train) runs its own ``curve``.
 A reader bounds an integer only so that a float holds it (2^30; 2^64 for the
-seed), and every array a config asks for is counted against the work budget
-(``_within_budget``) before it is built: the grid as it is read, then each
-spec's run, its pattern included.  What each curve holds is counted in
-``evolve`` (``coherence_words``, ``spin_lock_words``, ``pulse_error_words``).
+seed), and every array a config asks for is counted once against the work
+budget (``evolve.WORK_BUDGET``) before it is built: the grid as it is read,
+then each spec's run, its pattern included.  A curve's chunk is counted in
+``evolve``, whose driver runs no more threads than the budget has chunks for.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import evolve, sequence as sq, units
 from .field import (
-    CHUNK,
     FieldModel,
     NVParameters,
     OrnsteinUhlenbeck,
@@ -70,10 +70,6 @@ PRESETS = {
 SENSE_READOUT = ReadoutModel(photons_per_shot=0.08841940036389989, contrast=0.3)
 
 
-#: the most float64 values a run may hold at once (8 GiB), and the most a count may be
-WORK_BUDGET = 2**30
-
-
 # Readers: read(value, path) returns the parsed value or raises a ConfigError
 # naming path.
 
@@ -93,7 +89,7 @@ def _path_string(value, path):
     return _expect(isinstance(value, str) and "\0" not in value, value, path, "a path string")
 
 
-def _integer(lo, hi=WORK_BUDGET + 1):
+def _integer(lo, hi=evolve.WORK_BUDGET + 1):
     def read(value, path):
         # true/false are Python ints but not JSON integers
         ok = isinstance(value, int) and not isinstance(value, bool) and lo <= value < hi
@@ -141,7 +137,12 @@ def _non_negative(value, path):
 
 
 def _numbers(value, path):
+    """A list of finite numbers as floats: a list of JSON numbers (not bool) in
+    one pass, any other element by element, up to the first refused."""
     _expect(isinstance(value, list), value, path, "a list of numbers")
+    with contextlib.suppress(OverflowError):  # an integer past the largest float
+        if set(map(type, value)) <= {int, float} and all(map(math.isfinite, map(float, value))):
+            return tuple(map(float, value))
     return tuple(_FINITE(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
@@ -296,32 +297,22 @@ _FIXED_PARAM_KEYS = {
 }
 
 
-def _within_budget(terms, key=None):
-    """A ConfigError if a run would hold more than WORK_BUDGET float64 values
-    at once; ``terms`` maps each key to the values that grow with it, and the
-    message names ``key``, or else the key of the largest.  Each term is
+def _within_budget(terms):
+    """A ConfigError if a run would hold more than ``evolve.WORK_BUDGET``
+    float64 values at once; ``terms`` maps each key to the values that grow
+    with it, and the message names the key of the largest.  Each term is
     estimated before anything of that size is built."""
     total = sum(terms.values())
-    if total > WORK_BUDGET:
-        key = key or max(terms, key=terms.get)
+    if total > evolve.WORK_BUDGET:
+        key = max(terms, key=terms.get)
         raise ConfigError(f"{key}: this run would hold {total:.3g} float64 values at once, "
                           f"above the budget of 2^30 (8 GiB)")
 
 
-def _run_terms(shots, times):
-    """What a Monte Carlo run keeps across its chunks: two partial sums per
-    chunk and time, under ``times.count``."""
-    return 2 * times.size * math.ceil(shots / CHUNK)
-
-
-def _workers(spec, n_workers):
-    """``n_workers``, or a ConfigError naming --threads if it is below 1 or if
-    the chunks that many threads draw at once would hold more than the
-    budget; the spec's own check counts one thread."""
+def _workers(n_workers):
+    """``n_workers``, or a ConfigError naming --threads if it is below 1."""
     if n_workers < 1:
         raise ConfigError(f"--threads must be at least 1, got {n_workers}")
-    if n_workers > 1:
-        _within_budget(spec._terms(n_workers), f"--threads {n_workers}")
     return n_workers
 
 
@@ -348,20 +339,20 @@ class DecaySpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
-        _within_budget(self._terms(1))
+        _within_budget(self._terms())
         object.__setattr__(self, "sequence", self.sequence.build(1.0))
         _build("sequence", sq.on_grid, self.sequence, self.times)
 
-    def _terms(self, workers):
-        held, whole = evolve.coherence_words(self.field, self.sequence.n_pulses, self.times.size,
-                                             self.shots, workers)
+    def _terms(self):
+        held, rest = evolve.coherence_words(self.field, self.sequence.n_pulses, self.times.size,
+                                            self.shots)
         key = "sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"
-        return {"times.count": _run_terms(self.shots, self.times) + held, key: whole}
+        return {"times.count": evolve.partial_words(self.shots, self.times.size) + held, key: rest}
 
     def curve(self, n_workers=1):
         return evolve.coherence_curve(self.field, self.sequence, self.times, self.shots,
                                       RngSpec(self.seed), self.nv, self.t1_envelope,
-                                      _workers(self, n_workers))
+                                      _workers(n_workers))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -374,16 +365,16 @@ class SpinlockSpec(_GridSpec):
         if not math.isfinite(2 * math.pi * self.rabi_frequency):
             raise ConfigError(f"rabi_frequency: {self.rabi_frequency!r} Hz overflows the "
                               "angular frequency 2 pi f")
-        _within_budget(self._terms(1))
+        _within_budget(self._terms())
 
-    def _terms(self, workers):
-        return {"times.count": _run_terms(self.shots, self.times), "times": sum(
-            evolve.spin_lock_words(self.field, self.times, self.shots, workers))}
+    def _terms(self):
+        return {"times.count": evolve.partial_words(self.shots, self.times.size),
+                "times": sum(evolve.spin_lock_words(self.field, self.times, self.shots))}
 
     def curve(self, n_workers=1):
         return evolve.spin_lock_curve(self.field, 2 * math.pi * self.rabi_frequency, self.times,
                                       self.shots, RngSpec(self.seed), self.nv, self.t1_envelope,
-                                      _workers(self, n_workers))
+                                      _workers(n_workers))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -395,19 +386,19 @@ class PulseErrorSpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, False)
 
     def __post_init__(self):
-        _within_budget(self._terms(1))
+        _within_budget(self._terms())
         _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)
 
-    def _terms(self, workers):
-        return {"times.count": _run_terms(self.shots, self.times), "n_pulses": sum(
-            evolve.pulse_error_words(self.field, self.n_pulses, self.times.size, self.shots,
-                                     workers))}
+    def _terms(self):
+        return {"times.count": evolve.partial_words(self.shots, self.times.size),
+                "n_pulses": sum(evolve.pulse_error_words(self.field, self.n_pulses,
+                                                         self.times.size, self.shots))}
 
     def curve(self, n_workers=1):
         return evolve.pulse_error_curve(self.field, self.n_pulses, self.flip_angle_error,
                                         self.phase_convention, self.times, self.shots,
                                         RngSpec(self.seed), self.nv, self.t1_envelope,
-                                        _workers(self, n_workers))
+                                        _workers(n_workers))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -500,7 +491,7 @@ def load_config(path):
 
 
 def expand_preset(raw: dict) -> dict:
-    cfg = copy.deepcopy(raw)
+    cfg = dict(raw)  # one level deep: no nested value is changed
     name = cfg.pop("preset", None)
     if name is None:
         return cfg

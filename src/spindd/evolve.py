@@ -54,6 +54,9 @@ from .field import (
 
 ou_chi = _field.ou_chi  # not called here: the benchmark's tracer patches it
 
+#: the most float64 values a run may hold at once (8 GiB), and the most a count may be
+WORK_BUDGET = 2**30
+
 
 @dataclass
 class CoherenceCurve:
@@ -124,6 +127,11 @@ def _mean_and_error(sizes, partials):
     return mean, np.sqrt(m2 / shots / shots)
 
 
+def partial_words(shots, n_times):
+    """Float64 words a Monte Carlo run keeps across its chunks: two per chunk and time."""
+    return 2 * n_times * math.ceil(shots / CHUNK)
+
+
 # Float64 words the curves hold besides their draws and phases, as traced
 # (tracemalloc) on tests/test_config.py's configs and rounded up, for:
 #: any size: numpy's ufunc buffers of 8192 values, headers and objects
@@ -145,7 +153,7 @@ _SAMPLE = 16
 _SU2 = 10
 
 
-def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, metadata,
+def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, words, n_pulses, metadata,
                  n_workers=1):
     """The curve of a per-trajectory observable: its mean and standard error at
     each of ``times``, times the T1 envelope when ``apply_t1``.
@@ -155,9 +163,12 @@ def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, meta
     blocks of shape (times, rows), the blocks' times in grid order.  The
     driver reduces each block in place to its (sum, centred sum of squares)
     per time as it comes, overwriting it, so no chunk outlives its
-    reduction.  Chunks run on at most min(``n_workers``, chunks, cores)
-    threads.  A mean or standard error that is not finite raises
-    FloatingPointError.  ``metadata`` adds to, or overrides, what every
+    reduction.  ``words`` is the curve's estimate, (the float64 words a chunk
+    holds, the rest's), and a thread holds one chunk: chunks run on min
+    (``n_workers``, chunks, cores, k) threads, where k chunks fit in
+    ``WORK_BUDGET`` beside the rest and the partial sums, and on one for an
+    estimate that is not finite.  A mean or standard error that is not finite
+    raises FloatingPointError.  ``metadata`` adds to, or overrides, what every
     Monte Carlo curve records.
     """
 
@@ -179,7 +190,9 @@ def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, n_pulses, meta
         return out
 
     # a pool for a single chunk or core only adds its start-up to the curve
-    workers = min(n_workers, len(sizes), os.cpu_count() or 1)
+    room = (WORK_BUDGET - words[1] - partial_words(shots, times.size)) / words[0]
+    workers = min(n_workers, len(sizes), os.cpu_count() or 1,
+                  int(room) if math.isfinite(room) else 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             by_chunk = list(ex.map(work, range(len(sizes))))
@@ -250,16 +263,17 @@ def coherence_curve(
 
     n = sequence.n_pulses
     label = f"cpmg-{n}" if sequence.kind == "cpmg" else sequence.kind
-    return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, n,
+    return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe,
+                        coherence_words(model, n, total_times.size, shots), n,
                         {"sequence": label, "rng_scheme": DECAY_RNG_SCHEME}, n_workers)
 
 
-def coherence_words(model: FieldModel, n_pulses: int, n_times: int, shots: int, n_workers: int):
-    """Float64 words ``coherence_curve`` holds at once: (its threads' chunks'
-    normals z and phases, the map of the pattern on the grid)."""
+def coherence_words(model: FieldModel, n_pulses: int, n_times: int, shots: int):
+    """Float64 words ``coherence_curve`` holds at once: (a chunk's normals z
+    and phases, the map of the pattern on the grid)."""
     normals = sum(normal_counts(model, n_pulses + 1))
     # a time's weights and their scaled and stacked copies; the map; the pattern
-    return (min(shots, n_workers * CHUNK) * (min(normals, n_times) + n_times),
+    return (min(shots, CHUNK) * (min(normals, n_times) + n_times),
             3 * n_times * normals + (_ON_GRID * n_times + _SEGMENT) * (n_pulses + 1) + _ANY_SIZE)
 
 
@@ -369,25 +383,26 @@ def spin_lock_curve(
                                 rows, nv.gamma_e)
         yield _bloch_run(omega1, steps, nsub, phases)[:, :, 0]
 
-    return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe, 0,
+    return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe,
+                        spin_lock_words(model, total_times, shots), 0,
                         {"sequence": "spinlock", "omega1": omega1}, n_workers)
 
 
-def spin_lock_words(model: FieldModel, total_times, shots: int, n_workers: int):
+def spin_lock_words(model: FieldModel, total_times, shots: int):
     """Float64 words ``spin_lock_curve`` holds at once, infinite past the
-    largest float: (its threads' chunks, the step grid and what builds it)."""
+    largest float: (a chunk, the step grid and what builds it)."""
     with np.errstate(over="ignore"):
         steps = bloch_steps(model, total_times)
     n_steps = float(np.sum(steps))
     if not math.isfinite(n_steps):  # 0 normals a step times inf steps is nan
         return math.inf, math.inf
-    rows, held = min(shots, CHUNK), min(shots, n_workers * CHUNK)
+    rows = min(shots, CHUNK)
     # the normals, the phases and the OU terms (measured 1.6 a step) of each
-    # row, and each chunk's OU run
-    made = (held * (sum(normal_counts(model, n_steps)) + 2 * n_steps) + -(-held // rows)
-            * min(n_steps, stream_run(rows)) * rows)
+    # row, and the chunk's OU run
+    made = (rows * (sum(normal_counts(model, n_steps)) + 2 * n_steps)
+            + min(n_steps, stream_run(rows)) * rows)
     # the phases, m and a sample interval's SU(2) pairs
-    turned = held * (n_steps + 3 * steps.size + _SU2 * float(np.max(steps)))
+    turned = rows * (n_steps + 3 * steps.size + _SU2 * float(np.max(steps)))
     return max(made, turned), 3 * n_steps + _SAMPLE * steps.size + _ANY_SIZE
 
 
@@ -454,18 +469,17 @@ def pulse_error_curve(
             yield (my if cp else mx) * axis_sign
 
     return _monte_carlo(model, total_times, shots if model.is_stochastic() else 1, rng, nv,
-                        apply_t1, observe, n,
+                        apply_t1, observe, pulse_error_words(model, n, total_times.size, shots), n,
                         {"sequence": f"cpmg-{n}", "phase_convention": phase_convention,
                          "flip_angle_error": flip_angle_error}, n_workers)
 
 
-def pulse_error_words(model: FieldModel, n: int, n_times: int, shots: int, n_workers: int):
-    """Float64 words ``pulse_error_curve`` holds at once: (its threads' chunks,
-    the pattern on the grid)."""
-    shots = shots if model.is_stochastic() else 1
-    rows, held, parts = min(shots, CHUNK), min(shots, n_workers * CHUNK), len(model.components)
-    block = _turn_block(rows, n_times)
+def pulse_error_words(model: FieldModel, n: int, n_times: int, shots: int):
+    """Float64 words ``pulse_error_curve`` holds at once: (a chunk, the
+    pattern on the grid)."""
+    rows = min(shots if model.is_stochastic() else 1, CHUNK)
+    parts, block = len(model.components), _turn_block(rows, n_times)
     # the normals and a block's turn state; each component's coefficients
-    return (held * (sum(normal_counts(model, n + 1)) + block * (_TURN + 2 * parts))
-            + _COEF * block * parts * (n + 1) * -(-held // rows),
+    return (rows * (sum(normal_counts(model, n + 1)) + block * (_TURN + 2 * parts))
+            + _COEF * block * parts * (n + 1),
             (3 * n_times + _SEGMENT) * (n + 1) + _ANY_SIZE)

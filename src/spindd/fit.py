@@ -45,16 +45,10 @@ def _damped_step(A, g, lam):
     solved in closed form by elimination with partial pivoting, singular
     where a pivot is exactly 0 as in LAPACK's LU; a 2 x 2 elimination is
     forward stable (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., sec. 1.10.1).  A larger one goes to ``np.linalg.solve``."""
+    2nd ed., sec. 1.10.1)."""
     n = g.size
     M = A.copy()
     M.flat[::n + 1] += lam * np.maximum(A.diagonal(), 1e-300)
-    if n > 2:
-        try:
-            x = np.linalg.solve(M, -g)
-        except np.linalg.LinAlgError:
-            return None
-        return x if np.all(np.isfinite(x)) else None
     if n == 1:
         a = float(M[0, 0])
         if a == 0.0:

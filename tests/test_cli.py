@@ -679,18 +679,40 @@ def test_a_flag_the_spec_does_not_read_is_a_usage_error(tmp_path, capsys, comman
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
-def test_the_work_budget_counts_the_worker_threads(tmp_path, capsys):
-    # 50 000 one-step sample intervals of two chunks: one chunk of it holds
-    # about 0.8 of the budget, two held at once by two threads about 1.5
-    cfg = dict(_SPINLOCK, shots=2 * evolve.CHUNK,
-               times={"start": "1 us", "stop": "50 ms", "count": 50_000})
-    cfg_path, out = _write(tmp_path, "cfg.json", cfg), tmp_path / "out"
+# (--threads, the chunks the budget holds beside the rest of the run, cores,
+# the pool started)
+@pytest.mark.parametrize("threads, chunks, cores, pools", [
+    (2, 1.5, 2, []), (3, 2.5, 2, [2]), (3, 2.5, 3, [2]), (64, 2.5, 64, [2]),
+], ids=["one_chunk_fits", "two_cores", "two_chunks_fit", "64_threads"])
+def test_the_driver_fits_its_threads_to_the_work_budget(tmp_path, monkeypatch, threads, chunks,
+                                                        cores, pools):
+    # a spin lock of three chunks that validates never exits 2 for --threads:
+    # the run starts no more threads than the budget has chunks for, where it
+    # exited 2 once two chunks were past the budget
+    cfg = dict(_SPINLOCK, shots=2 * evolve.CHUNK + 1)
+    spec = cfgmod.validate(cfg)["spec"]
+    held, rest = evolve.spin_lock_words(spec.field, spec.times, spec.shots)
+    monkeypatch.setattr(evolve, "WORK_BUDGET", chunks * held + rest
+                        + evolve.partial_words(spec.shots, spec.times.size))
+    monkeypatch.setattr(evolve.os, "cpu_count", lambda: cores)
+    started = []
+
+    class Pool(evolve.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(evolve, "ThreadPoolExecutor", Pool)
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
     assert cli.main(["validate", "--config", cfg_path]) == cli.EXIT_OK
-    capsys.readouterr()
-    assert cli.main(["spinlock", "--config", cfg_path, "--out", str(out),
-                     "--threads", "2"]) == cli.EXIT_VALIDATION
-    assert "--threads 2: this run would hold" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    curves = set()
+    for workers in (1, threads):
+        out = tmp_path / f"threads{workers}"
+        assert cli.main(["spinlock", "--config", cfg_path, "--out", str(out),
+                         "--threads", str(workers)]) == cli.EXIT_OK
+        curves.add((out / "curve.csv").read_bytes())
+    assert started == pools
+    assert len(curves) == 1
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -277,6 +277,42 @@ def test_a_pattern_counts_the_pulses_it_builds(spec):
     assert pattern.kind == pattern.build(1.0).kind
 
 
+# 3 10^5 pulses: each fraction's path was formatted as it was read, 0.5 to
+# 0.9 s of validate
+_LONG = [i / 300_001 for i in range(1, 300_001)]
+
+
+def _custom(fractions):
+    return dict(_DECAY, sequence={"kind": "custom", "pulse_time_fractions": fractions},
+                times=dict(_SHORT, count=10))
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "must be a finite number in (-inf, inf), got True"),
+    ("0.5", "must be a finite number in (-inf, inf), got '0.5'"),
+    (10**400, "must be a finite number in (-inf, inf), got 1000"),
+    (float("nan"), "must be a finite number in (-inf, inf), got nan"),
+    (1.5, "must be strictly increasing in (0, 1)"),
+    (0.1, "must be strictly increasing in (0, 1)"),
+], ids=["bool", "string", "10^400", "nan", "outside", "not_increasing"])
+def test_a_list_refuses_its_first_bad_element_by_index(value, message):
+    # read through JSON text, as a config file is: NaN is JSON's NaN
+    fractions = [*_LONG[-10_000:-2], value, _LONG[-1]]
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.validate(json.loads(json.dumps(_custom(fractions))))
+    element = "[9998]" if "number" in message else ""
+    assert str(exc.value).startswith(f"sequence.pulse_time_fractions{element} {message}")
+
+
+def test_a_long_list_is_read_in_one_pass():
+    cfg = _custom(_LONG)
+    cfgmod.validate(cfg)  # numpy's and the interpreter's first calls
+    start = time.perf_counter()
+    spec = cfgmod.validate(cfg)["spec"]
+    assert time.perf_counter() - start < 0.5
+    assert spec.sequence.n_pulses == len(_LONG)
+
+
 _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
                {"type": "ornstein_uhlenbeck", "sigma_b": "20 nT", "tau_c": "2 us"},
                {"type": "static_offset", "b": "1 nT"}]
