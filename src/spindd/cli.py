@@ -114,7 +114,10 @@ def _write_csv(path, header, *columns):
 
 
 def _run_curve(spec, out_dir, threads):
-    """A Monte Carlo spec's curve on ``threads`` workers, as curve.csv."""
+    """A Monte Carlo spec's curve on ``threads`` workers, as curve.csv; a
+    ConfigError if ``threads`` is below 1."""
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
     curve = spec.curve(threads)
     digests = _write_csv(os.path.join(out_dir, "curve.csv"),
                          "total_time_s,signal,std_error,n_pulses",

@@ -309,13 +309,6 @@ def _within_budget(terms):
                           f"above the budget of 2^30 (8 GiB)")
 
 
-def _workers(n_workers):
-    """``n_workers``, or a ConfigError naming --threads if it is below 1."""
-    if n_workers < 1:
-        raise ConfigError(f"--threads must be at least 1, got {n_workers}")
-    return n_workers
-
-
 @dataclass(frozen=True, kw_only=True)
 class _Spec:
     out: str = _key(_path_string, ".")
@@ -351,8 +344,7 @@ class DecaySpec(_GridSpec):
 
     def curve(self, n_workers=1):
         return evolve.coherence_curve(self.field, self.sequence, self.times, self.shots,
-                                      RngSpec(self.seed), self.nv, self.t1_envelope,
-                                      _workers(n_workers))
+                                      RngSpec(self.seed), self.nv, self.t1_envelope, n_workers)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -374,7 +366,7 @@ class SpinlockSpec(_GridSpec):
     def curve(self, n_workers=1):
         return evolve.spin_lock_curve(self.field, 2 * math.pi * self.rabi_frequency, self.times,
                                       self.shots, RngSpec(self.seed), self.nv, self.t1_envelope,
-                                      _workers(n_workers))
+                                      n_workers)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -397,8 +389,7 @@ class PulseErrorSpec(_GridSpec):
     def curve(self, n_workers=1):
         return evolve.pulse_error_curve(self.field, self.n_pulses, self.flip_angle_error,
                                         self.phase_convention, self.times, self.shots,
-                                        RngSpec(self.seed), self.nv, self.t1_envelope,
-                                        _workers(n_workers))
+                                        RngSpec(self.seed), self.nv, self.t1_envelope, n_workers)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -531,4 +522,4 @@ def validate(raw):
         if math.isfinite(ratio) and ratio < 1e-3:
             warnings.append(f"slow-fluctuation diagnostic gamma*sigma*tau_c = {ratio:.3g}; "
                             "the bath is deep in the motional regime")
-    return {"experiment": kind, "valid": True, "warnings": warnings, "expanded": cfg, "spec": spec}
+    return {"experiment": kind, "warnings": warnings, "expanded": cfg, "spec": spec}

@@ -60,23 +60,14 @@ WORK_BUDGET = 2**30
 
 @dataclass
 class CoherenceCurve:
-    """Sampled coherence signal versus total evolution time."""
+    """Sampled coherence signal versus total evolution time: a plain record,
+    built by ``_monte_carlo`` from a checked grid and finite float arrays."""
 
     times: np.ndarray  # s
     signal: np.ndarray  # dimensionless in [-1, 1]
     std_error: np.ndarray
     n_pulses: np.ndarray
     metadata: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.signal = np.asarray(self.signal, dtype=float)
-        self.std_error = np.asarray(self.std_error, dtype=float)
-        self.n_pulses = np.asarray(self.n_pulses, dtype=int)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("curve times must be strictly increasing")
-        if np.any(self.std_error < 0):
-            raise ValueError("std_error must be non-negative")
 
 
 def t1_envelope(t, nv: NVParameters) -> np.ndarray:
@@ -94,16 +85,11 @@ def t1_envelope(t, nv: NVParameters) -> np.ndarray:
 
 def _grid(total_times, shots):
     """``total_times`` as floats, after the checks every curve shares: a
-    ValueError for shots that are not an integer of at least 100 or a grid
-    that is empty, not finite, not positive or not strictly increasing."""
+    ValueError for shots that are not an integer of at least 100, or from
+    ``sequence.checked_times`` for the grid."""
     if not (isinstance(shots, (int, np.integer)) and shots >= 100):
         raise ValueError(f"need an integer of at least 100 shots, got {shots!r}")
-    total_times = sq.checked_times(total_times)
-    if total_times.size == 0:
-        raise ValueError("empty time grid")
-    if not np.all(np.diff(total_times) > 0):
-        raise ValueError("total_times must be strictly increasing")
-    return total_times
+    return sq.checked_times(total_times)
 
 
 def _mean_and_error(sizes, partials):
@@ -167,9 +153,10 @@ def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, words, n_pulse
     holds, the rest's), and a thread holds one chunk: chunks run on min
     (``n_workers``, chunks, cores, k) threads, where k chunks fit in
     ``WORK_BUDGET`` beside the rest and the partial sums, and on one for an
-    estimate that is not finite.  A mean or standard error that is not finite
-    raises FloatingPointError.  ``metadata`` adds to, or overrides, what every
-    Monte Carlo curve records.
+    estimate that is not finite.  ``times`` is a grid ``_grid`` has checked;
+    a mean or standard error that is not finite raises FloatingPointError, so
+    the curve holds finite floats and a non-negative error.  ``metadata`` adds
+    to, or overrides, what every Monte Carlo curve records.
     """
 
     # every chunk is whole but the last

@@ -78,8 +78,6 @@ def matched_ac(sequence: sq.PulseSequence, amplitude: float) -> SinusoidAC:
     interval tau: f = 1/(4 tau), cosine phase, so the zeros fall on the pulse
     instants and every inter-pulse window accumulates with the same sign.
     """
-    if sequence.kind == "fid":
-        return SinusoidAC(amplitude, 1.0 / (2.0 * sequence.total_time), 0.0)
     if sequence.kind == "hahn" or (sequence.kind == "cpmg" and sequence.n_pulses == 1):
         tau = sequence.total_time / 2.0
         return SinusoidAC(amplitude, 1.0 / (2.0 * tau), 0.0)

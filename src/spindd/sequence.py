@@ -99,12 +99,15 @@ def toggling(sequence: PulseSequence) -> TogglingFunction:
 
 
 def checked_times(total_times) -> np.ndarray:
-    """``total_times`` as floats; a ValueError names the first that is not
-    finite and positive."""
+    """``total_times`` as floats, the one check of a time grid: a ValueError
+    names the first time that is not finite and positive, or refuses a grid
+    that is not a non-empty, strictly increasing 1-D array."""
     t = np.asarray(total_times, dtype=float)
     bad = ~(np.isfinite(t) & (t > 0))
     if bad.any():
         raise ValueError(f"total_times must be finite and positive, got {float(t[bad][0])!r} s")
+    if t.ndim != 1 or t.size == 0 or not _increasing(t):
+        raise ValueError("total_times must be a non-empty, strictly increasing 1-D grid")
     return t
 
 

@@ -218,6 +218,15 @@ _MALFORMED = {
         "times: pulses collide or reach an end of the sequence at t = 1e-323 s"),
     "decay_no_times": (_without(_decay_cfg(), "times"), "times"),
     "field_item_not_object": (_decay_cfg(field=[1]), "field"),
+    "tau_c_bad_number": (
+        _decay_cfg(field=[{"type": "ornstein_uhlenbeck", "sigma_b": "59.22345 nT",
+                           "tau_c": "1.2.3 us"}]),
+        "field[0].tau_c: bad numeric value in '1.2.3 us'"),
+    "nv_gamma_zero": (_decay_cfg(nv={"gamma_e_rad_per_s_per_T": 0}),
+                      "nv: gamma_e must be positive"),
+    "polynomial_no_coefficients": (
+        _decay_cfg(field=[{"type": "polynomial", "coefficients": []}]),
+        "field[0]: polynomial needs at least one coefficient"),
     "t1_envelope_string": (_decay_cfg(t1_envelope="false"), "t1_envelope"),
     "decay_threads": (_decay_cfg(threads=2), "threads"),
     "spinlock_threads": (dict(_SPINLOCK, threads=2), "threads"),
@@ -229,6 +238,8 @@ _MALFORMED = {
     "sense_no_sequence": (_without(_sense_cfg(), "sequence"), "sequence"),
     "sense_envelope_bogus": (_sense_cfg(envelope="bogus"), "envelope"),
     "sense_envelope_zero": (_sense_cfg(envelope=0), "envelope"),
+    "sense_auto_envelope_without_field": (_without(_sense_cfg(envelope="auto"), "preset"),
+                                          "envelope 'auto' needs a field model"),
     "sense_jitter_not_number": (_sense_cfg(ac_amplitude_jitter="x"), "ac_amplitude_jitter"),
     "sense_jitter_negative": (_sense_cfg(ac_amplitude_jitter=-1e308), "ac_amplitude_jitter"),
     "sense_tau_wrong_unit": (_sense_cfg(sequence_tau="5 nT"), "sequence_tau"),

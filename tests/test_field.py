@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from spindd import sequence as sq
+from spindd import evolve, sequence as sq
 from spindd.field import (
     CHUNK,
     GAMMA_E,
@@ -572,6 +572,24 @@ def test_model_validation():
         Polynomial(tuple([0.0] * 14))
     with pytest.raises(ValueError):
         NVParameters(t1=-1.0)
+    with pytest.raises(ValueError, match="64 bits"):
+        RngSpec(2**64)
+    with pytest.raises(ValueError, match="requires an RngSpec"):
+        draw_normals(FieldModel.of(QuasiStaticGaussian(1e-9)), 1, None, 0, 10)
+
+
+def test_a_zero_frequency_sinusoid_is_the_static_field_b_sin_phi0():
+    b, phi0 = 3e-9, 0.7
+    ac = SinusoidAC(b, 0.0, phi0)
+    a, t = np.array([0.0, 0.3, 0.5]), np.array([0.3, 0.5, 1.0])
+    assert ac.segment_integrals(a, t, None).tolist() == (b * math.sin(phi0) * (t - a)).tolist()
+    # a decay under it runs, deterministic, as under the equal static offset
+    times = np.linspace(1e-4, 1e-3, 5)
+    got = evolve.coherence_curve(FieldModel.of(ac), sq.fid(1.0), times, 100, None,
+                                 apply_t1=False)
+    want = evolve.coherence_curve(FieldModel.of(StaticOffset(b * math.sin(phi0))), sq.fid(1.0),
+                                  times, 100, None, apply_t1=False)
+    assert got.signal == pytest.approx(want.signal, rel=1e-12, abs=1e-15)
 
 
 def test_segment_phases_scales_in_place():

@@ -102,6 +102,12 @@ def test_fit_rejects_degenerate_input():
         fit_decay((ts, np.ones(10)))
     with pytest.raises(FitError):
         fit_decay((ts[:3], np.exp(-ts[:3] / 1e-3)))
+    with pytest.raises(ValueError, match="unknown decay model 'gaussian'"):
+        fit_decay((ts, np.exp(-ts / 1e-3)), "gaussian")
+    with pytest.raises(ValueError, match="unknown parameter 'tau'"):
+        fit_decay((ts, np.exp(-ts / 1e-3)), fixed_params={"tau": 1e-3})
+    with pytest.raises(FitError, match="at least 4 points"):
+        fit_power_law((ts[:3], ts[:3] ** -0.5))
 
 
 def test_power_law_round_trip():
@@ -507,7 +513,9 @@ def test_damped_step_agrees_with_linalg_solve(n):
 def test_a_singular_or_non_finite_damped_system_has_no_step():
     # exactly singular where LAPACK's LU finds a zero pivot: 1e-30 x 1e-300
     # underflows, and 1 + 1e-17 rounds to 1
-    for A, lam in ((np.zeros((1, 1)), 1e-30), (np.ones((2, 2)), 1e-17)):
+    # and a first column that is zero at no damping, where pivoting finds no pivot
+    for A, lam in ((np.zeros((1, 1)), 1e-30), (np.ones((2, 2)), 1e-17),
+                   (np.array([[0.0, 1.0], [0.0, 1.0]]), 0.0)):
         g = np.ones(len(A))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(_damped(A, lam), -g)

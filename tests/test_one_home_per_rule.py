@@ -1,0 +1,64 @@
+"""Each rule on a run's inputs has one home: a stdlib ``ast`` check that
+``evolve.py`` and ``sense.py`` compare no ``np.diff`` of a grid (the grid
+rule is ``sequence.checked_times``), and that ``config.py`` holds no
+``--threads`` text (the flag's rule is in ``cli``, which reads it)."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spindd"
+
+
+def _is_diff(node):
+    """A call of ``diff`` or ``<module>.diff``."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "diff"
+        or isinstance(node.func, ast.Name) and node.func.id == "diff")
+
+
+def _diff_compares(tree):
+    """Line numbers of the comparisons in ``tree`` with a ``diff(...)`` operand."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(map(_is_diff, [node.left, *node.comparators])))
+
+
+def _threads_text(tree):
+    """Line numbers of the string constants in ``tree`` that hold ``--threads``."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and "--threads" in node.value)
+
+
+def _check(trees):
+    """What breaks the rule, as {module: line numbers}."""
+    found = {m: _diff_compares(trees[m]) for m in ("evolve", "sense")}
+    found["config"] = _threads_text(trees["config"])
+    return {m: lines for m, lines in found.items() if lines}
+
+
+def test_each_input_rule_has_one_home():
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in ("evolve", "sense", "config")}
+    assert _check(trees) == {}
+
+
+def test_the_check_sees_a_grid_re_check_and_a_thread_rule_in_config():
+    evolve = """
+import numpy as np
+def _grid(t):
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("total_times must be strictly increasing")
+    return np.diff(t, prepend=0.0) / 2
+"""
+    sense = "from numpy import diff\nok = all(diff(t) != 0)"
+    config = """
+def _workers(n):
+    if n < 1:
+        raise ConfigError(f"--threads must be at least 1, got {n}")
+    return n
+"""
+    trees = {"evolve": ast.parse(evolve), "sense": ast.parse(sense),
+             "config": ast.parse(config)}
+    assert _check(trees) == {"evolve": [4], "sense": [2], "config": [4]}
+    trees = {"evolve": ast.parse("steps = np.diff(grid)\nh = np.ceil(np.diff(t) / 2)"),
+             "sense": ast.parse("ok = t.size >= 4"),
+             "config": ast.parse("def curve(self, n_workers=1):\n    return n_workers")}
+    assert _check(trees) == {}

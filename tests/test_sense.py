@@ -195,6 +195,25 @@ def test_min_detectable_field_refuses_a_slope_not_positive(slope):
         sense.min_detectable_field(slope, 1e-3)
 
 
+@pytest.mark.parametrize("ts, message", [
+    ([1.0, 2.0, 4.0], "at least 4 scan points"),
+    ([], "non-empty, strictly increasing"),
+    ([1.0, 4.0, 2.0, 8.0], "non-empty, strictly increasing"),
+    ([1.0, 2.0, 2.0, 8.0], "non-empty, strictly increasing"),
+    (5.0, "1-D grid"),
+], ids=["three_points", "empty", "not_increasing", "repeated", "scalar"])
+def test_sensitivity_scan_refuses_a_grid_it_cannot_fit(ts, message):
+    with pytest.raises(ValueError, match=message):
+        sense.sensitivity_scan(sq.hahn(2e-4), sense.ReadoutModel(), ts)
+
+
+@pytest.mark.parametrize("seq", [sq.fid(1e-4), sq.custom([2e-5, 5e-5], 1e-4)],
+                         ids=["fid", "custom"])
+def test_only_hahn_and_cpmg_have_a_matched_field(seq):
+    with pytest.raises(ValueError, match=f"no matched AC field for sequence kind '{seq.kind}'"):
+        sense.matched_ac(seq, 1e-7)
+
+
 def test_sensitivity_scan_refuses_a_negative_jitter():
     # it was read as no jitter at all
     with pytest.raises(ValueError, match="ac_amplitude_jitter"):

@@ -18,6 +18,8 @@ def test_cpmg_times_examples():
 def test_cpmg_times_rejects_zero_pulses():
     with pytest.raises(ValueError):
         sq.cpmg_times(0, 1.0)
+    with pytest.raises(ValueError, match="total_time must be positive"):
+        sq.cpmg_times(2, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
@@ -124,5 +126,7 @@ def test_toggling_signs_alternate_from_plus_one():
 def test_custom_sequence_validation():
     with pytest.raises(ValueError):
         sq.custom([0.5, 0.2], 1.0)
+    with pytest.raises(ValueError, match="unknown sequence kind 'xy8'"):
+        sq.PulseSequence("xy8", 1.0)
     with pytest.raises(ValueError):
         sq.custom([1.5], 1.0)

@@ -22,6 +22,8 @@ def test_cpmg_factor_values():
     assert taylor.cpmg_factor(2, 2) == Fraction(3, 16)
     with pytest.raises(ValueError):
         taylor.cpmg_factor(0, 1)
+    with pytest.raises(ValueError, match="order k"):
+        taylor.cpmg_factor(2, -1)
 
 
 def test_oracle_factor_values():
@@ -38,6 +40,8 @@ def test_oracle_rejects_bad_times():
         taylor.oracle_factor([Fraction(1, 2), Fraction(1, 3)], 1)
     with pytest.raises(ValueError):
         taylor.oracle_factor([Fraction(3, 2)], 1)
+    with pytest.raises(ValueError, match="order k"):
+        taylor.oracle_factor([Fraction(1, 2)], -1)
 
 
 def test_oracle_equivalence_grid():
