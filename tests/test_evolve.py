@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,26 @@ def _so3(a, b):
                      for si in paulis])
 
 
+def test_cos_sin_from_the_half_angle_tangent():
+    # both Bloch paths take cos x and sin x from tan(x/2): within 4.5e-16 of
+    # numpy's over the magnitudes they meet, both signs, and at the points
+    # where tan(x/2) is 0, near 1 and near its largest
+    mag = np.logspace(-12, 9, 4001)
+    x = np.concatenate([mag, -mag, [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]])
+    half = 0.5 * x
+    out = np.empty_like(half)
+    c, s = evolve._cos_sin(half, out)
+    assert c is out and s is half  # in place, as the pulse-error loop needs
+    assert np.max(np.abs(c - np.cos(x))) <= 4.5e-16
+    assert np.max(np.abs(s - np.sin(x))) <= 4.5e-16
+    assert (c[-5], s[-5]) == (1.0, 0.0)
+    # a phase that is not finite gives nan, as cos(inf) does, so such a curve
+    # is reported as not finite
+    with np.errstate(invalid="ignore"):
+        c, s = evolve._cos_sin(np.array([np.nan, np.inf, -np.inf]))
+    assert np.all(np.isnan(c)) and np.all(np.isnan(s))
+
+
 def test_rotation_kernel_solves_bloch_equation():
     # dm/dt = m x Omega = -[Omega]_x m, so one step is m -> expm(-[v]_x) m.
     # m_x read out from m = x cannot tell the sense of rotation; R can
@@ -362,7 +383,12 @@ def test_rotation_kernel_solves_bloch_equation():
     a, b = evolve._su2_turn(v[:, :1], v[:, 2:])
     for vi, ai, bi in zip(v, a, b):
         assert np.max(np.abs(_so3(ai, bi) - step(vi))) <= 1e-12
-    assert evolve._su2_turn(np.zeros(1), np.zeros(1)) == (1.0, 0.0)
+    # null steps are exactly the identity, with no 0/0 warned on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((1,), (3, 4)):
+            a, b = evolve._su2_turn(np.zeros(shape), np.zeros(shape))
+            assert np.all(a == 1.0) and np.all(b == 0.0)
     # consecutive steps compose in order, an odd count included
     for n in (2, 5, 8):
         a, b = evolve._su2_turn(v[:n, 0], v[:n, 2])
@@ -397,6 +423,10 @@ def test_spin_lock_noiseless_stays_locked():
         nv=NV_NO_T1, apply_t1=False,
     )
     assert curve.signal == pytest.approx(np.ones(2), abs=1e-7)
+    # with no drive either, every step is null and m stays exactly at x
+    curve = evolve.spin_lock_curve(model, 0.0, [1e-4, 5e-4], shots=100, rng=None,
+                                   nv=NV_NO_T1, apply_t1=False)
+    assert np.all(curve.signal == 1.0)
 
 
 def test_spin_lock_static_detuning_precesses():
@@ -536,8 +566,9 @@ def test_pulse_error_matches_reference_composition(convention):
                                          rng=RngSpec(21), nv=nv, apply_t1=apply_t1)
         sig, err = _reference_pulse_error(model, n, 0.07, convention, ts, shots, RngSpec(21),
                                           nv, apply_t1)
-        assert np.max(np.abs(curve.signal - sig)) <= 1e-12, case
-        assert np.max(np.abs(curve.std_error - err)) <= 1e-12, case
+        # the reference turns by np.cos and np.sin, the train by tan(phase/2)
+        assert np.max(np.abs(curve.signal - sig)) <= 1e-14, case
+        assert np.max(np.abs(curve.std_error - err)) <= 1e-14, case
         assert curve.metadata["shots"] == (1 if case == "static" else shots), case
 
 
@@ -558,9 +589,11 @@ def test_pulse_error_peak_memory_does_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
 
+    # one block of times at 500 rows against four
+    block = evolve._turn_block(500, 10**6)
     # untraced, for numpy's and the interpreter's first-call allocations
-    curve(8)
-    assert peak(32) <= 1.1 * peak(8)
+    curve(block)
+    assert peak(4 * block) <= 1.1 * peak(block)
 
 
 def test_pulse_error_peak_memory_is_flat_past_one_chunk():
@@ -672,8 +705,8 @@ def _merged_per_time(sizes, partials):
 _THREE_CHUNKS = 2 * evolve.CHUNK + 1
 _NV_T1 = NVParameters(t1=5.93e-3)
 
-# three chunks of each curve; at CHUNK rows the pulse-error train turns one
-# time a block (TURN_WORDS // rows = 1), so a whole chunk yields three blocks
+# three chunks of each curve; a whole chunk of the pulse-error train yields
+# its three times in blocks of _turn_block(CHUNK, 3)
 _DRIVER_CURVES = {
     "decay": (lambda: evolve.coherence_curve(
         FieldModel.of(OrnsteinUhlenbeck(sigma_b=2e-7, tau_c=2e-5), QuasiStaticGaussian(3e-8)),
@@ -683,7 +716,8 @@ _DRIVER_CURVES = {
         [2e-5, 6e-5], _THREE_CHUNKS, RngSpec(5), nv=_NV_T1), True, 1),
     "pulse_error": (lambda: evolve.pulse_error_curve(
         FieldModel.of(OrnsteinUhlenbeck(sigma_b=1e-7, tau_c=2e-5)), 4, 0.05, "cp",
-        [1e-4, 4e-4, 1e-3], _THREE_CHUNKS, RngSpec(5)), False, 3),
+        [1e-4, 4e-4, 1e-3], _THREE_CHUNKS, RngSpec(5)), False,
+        math.ceil(3 / evolve._turn_block(evolve.CHUNK, 3))),
 }
 
 
