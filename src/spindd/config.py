@@ -249,7 +249,8 @@ def parse_times(spec, where="times") -> np.ndarray:
 
 def _fractions(value, path):
     fr = _numbers(value, path)
-    if not fr or any(not 0 < x < 1 for x in fr) or any(b <= a for a, b in zip(fr, fr[1:])):
+    # range and order in one array pass: 0 < fr[0] < ... < fr[-1] < 1
+    if not fr or not sq._increasing((0.0, *fr, 1.0)):
         raise ConfigError(f"{path} must be strictly increasing in (0, 1)")
     return fr
 

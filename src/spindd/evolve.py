@@ -24,12 +24,11 @@ segment's phase and (m_y, m_z) at each pulse, for a block of times of
 ``sequence.on_grid`` at once, as ``phase_stream`` yields each segment's
 phases.
 
-Both Bloch paths take a turn's cosine and sine from one tangent of its half
-angle (``_cos_sin``), as numpy 2.4's float64 tan is vectorised and its sin
-and cos are not: on one core of an AVX-512 Xeon, tan takes 2.2 ns an
-element, sin 8.1 and cos 7.9, and the pair formed from tan 6.1, within
-4.5e-16 of numpy's.  The decay keeps np.cos, one call a chunk, so that its
-curves keep their bytes.
+Every curve takes its cosines (the Bloch paths their sines too) from one
+tangent of the half angle (``_cos_sin``), as numpy 2.4's float64 tan is
+vectorised and its sin and cos are not: on one core of an AVX-512 Xeon, tan
+takes 2.2 ns an element, sin 8.1 and cos 7.9, and the pair formed from tan
+6.1, within 4.5e-16 of numpy's.
 """
 
 from __future__ import annotations
@@ -234,6 +233,8 @@ def coherence_curve(
     ``sequence`` is a pulse pattern, rescaled to each total time of the grid.
     Deterministic given (model, seed, shots, grid); row r of chunk c's
     (rows, k) draw from slot 0 is trajectory c * CHUNK + r (DECAY_RNG_SCHEME).
+    c and R are halved once, exactly: a chunk's cosine comes in place from
+    the tangent of its half phases (``_cos_sin``).
     """
     total_times = _grid(total_times, shots)
     # an overflow ends as a curve that is not finite, which the driver reports
@@ -243,6 +244,8 @@ def coherence_curve(
         # as near times make W W^T nearly singular (Golub & Van Loan, ch. 5)
         w = [x for x in weights if x is not None]
         r = np.linalg.qr(np.hstack(w).T, mode="r") if w else np.empty((0, const.size))
+        const *= 0.5
+        r *= 0.5
     if w and rng is None:
         raise ValueError("stochastic field model requires an RngSpec")
     del weights, w  # the chunks need R alone
@@ -251,9 +254,9 @@ def coherence_curve(
         # k = 0 normals for a deterministic model, which draws nothing
         k = r.shape[0]
         z = rng.generator(chunk, 0).standard_normal((rows, k)) if k else np.empty((rows, 0))
-        ph = r.T @ z.T
-        ph += const[:, None]
-        yield np.cos(ph, out=ph)
+        half = r.T @ z.T
+        half += const[:, None]
+        yield _cos_sin(half, half)[0]
 
     n = sequence.n_pulses
     label = f"cpmg-{n}" if sequence.kind == "cpmg" else sequence.kind
@@ -299,18 +302,20 @@ def bloch_steps(model: FieldModel, sample_times) -> np.ndarray:
 
 def _cos_sin(half, out=None):
     """(cos x, sin x) of x = 2 ``half``, from t = tan(half) as 2/(1 + t^2) - 1
-    and 2t/(1 + t^2): sin x overwrites ``half``, and cos x goes to ``out``, a
-    new array when None.  Within 4.5e-16 of np.cos and np.sin; a value that
-    is not finite gives nan, as cos(inf) does.  t^2 cannot overflow, as no
-    double lies within 1e-154 of an odd multiple of pi/2.
+    and 2t/(1 + t^2): sin x overwrites ``half``, and cos x goes to ``out``
+    (the Bloch turns), a new array when None; with ``out`` = ``half`` (the
+    decay) cos x overwrites ``half`` and the sine is None.  Within 4.5e-16
+    of np.cos and np.sin; a value that is not finite gives nan, as cos(inf)
+    does.  t^2 cannot overflow, as no double lies within 1e-154 of an odd
+    multiple of pi/2.
     """
     t = np.tan(half, out=half)
     w = np.multiply(t, t, out=out)
     w += 1.0
     np.divide(2.0, w, out=w)
-    t *= w
+    s = None if w is t else np.multiply(t, w, out=t)
     w -= 1.0
-    return w, t
+    return w, s
 
 
 def _su2_turn(vx, vz):

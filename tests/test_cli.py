@@ -551,6 +551,24 @@ def test_unwritable_output_is_io_error(tmp_path):
     assert code == cli.EXIT_IO
 
 
+def test_output_directory_without_write_access_is_io_error(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert cli.run(_write(tmp_path, "a.json", _decay_cfg()), out_dir=str(out))[0] == cli.EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    # write access denied as a read-only mount denies it (root passes every
+    # permission check)
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw: not mode & os.W_OK
+                        and access(path, mode, **kw))
+    code, artifacts = cli.run(_write(tmp_path, "b.json", _decay_cfg(seed=13)), out_dir=str(out))
+    assert code == cli.EXIT_IO and artifacts == []
+    assert capsys.readouterr().err == f"i/o error: output directory {str(out)!r} not writable\n"
+    # nothing written: the previous run's curve and manifest are as they were
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert "manifest.json" in before
+
+
 def test_motional_narrowing_warning():
     report = cfgmod.validate(_decay_cfg(
         field=[{"type": "ornstein_uhlenbeck", "sigma_b": "1 uT",

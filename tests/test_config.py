@@ -313,6 +313,15 @@ def test_a_long_list_is_read_in_one_pass():
     assert spec.sequence.n_pulses == len(_LONG)
 
 
+@pytest.mark.parametrize("fractions", [[], [0.0, 0.5], [0.5, 1.0], [0.3, 0.3], [0.5, 0.2],
+                                       [*_LONG[:-1], _LONG[-2]]],
+                         ids=["empty", "zero", "one", "repeated", "decreasing", "long_repeated"])
+def test_a_custom_pattern_refuses_each_fraction_out_of_range_or_order(fractions):
+    with pytest.raises(ConfigError, match=r"^sequence\.pulse_time_fractions must be strictly "
+                                          r"increasing in \(0, 1\)$"):
+        cfgmod.validate(_custom(fractions))
+
+
 _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
                {"type": "ornstein_uhlenbeck", "sigma_b": "20 nT", "tau_c": "2 us"},
                {"type": "static_offset", "b": "1 nT"}]

@@ -225,6 +225,29 @@ def test_coherence_curve_matches_per_time_draws():
     assert np.max(np.abs(curve.std_error / err - 1.0)) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b", [1e-6, -1e-6], ids=["positive", "negative"])
+def test_decay_cosine_is_numpys_to_rounding(b):
+    # a deterministic model draws nothing, so every trajectory's phase is the
+    # FID's gamma_e b T: here about +-pi/2, +-pi and +-1e3 rad
+    model = FieldModel.of(StaticOffset(b))
+    times = np.array([np.pi / 2, np.pi, 1e3]) / (GAMMA_E * abs(b))
+    kw = dict(total_times=times, shots=100, rng=None, nv=NV_NO_T1, apply_t1=False)
+    curve = evolve.coherence_curve(model, sq.fid(1.0), **kw)
+    const, _ = phase_map(model, sq.on_grid(sq.fid(1.0), times), GAMMA_E)
+    assert np.allclose(np.abs(const), [np.pi / 2, np.pi, 1e3], rtol=1e-12)
+    assert np.max(np.abs(curve.signal - np.cos(const))) <= 1e-15
+    # the echo of a static offset is a phase of exactly 0 at every time: the
+    # signal is exactly 1 and its error exactly 0
+    echo = evolve.coherence_curve(model, sq.hahn(1.0), **kw)
+    assert np.all(echo.signal == 1.0) and np.all(echo.std_error == 0.0)
+    # a phase that is not finite ends as the driver's FloatingPointError,
+    # which the CLI reports with exit 3 (tests/test_cli.py)
+    with pytest.raises(FloatingPointError, match="not finite at t = "):
+        evolve.coherence_curve(FieldModel.of(StaticOffset(1e300 * np.sign(b))), sq.fid(1.0),
+                               **dict(kw, total_times=[1e-3, 2e-3]))
+
+
 def test_generator_built_once_per_chunk_and_slot(monkeypatch):
     calls = []
     make = RngSpec.generator
@@ -349,9 +372,9 @@ def _so3(a, b):
 
 
 def test_cos_sin_from_the_half_angle_tangent():
-    # both Bloch paths take cos x and sin x from tan(x/2): within 4.5e-16 of
-    # numpy's over the magnitudes they meet, both signs, and at the points
-    # where tan(x/2) is 0, near 1 and near its largest
+    # both Bloch paths take cos x and sin x, and the decay cos x alone, from
+    # tan(x/2): within 4.5e-16 of numpy's over the magnitudes they meet, both
+    # signs, and at the points where tan(x/2) is 0, near 1 and near its largest
     mag = np.logspace(-12, 9, 4001)
     x = np.concatenate([mag, -mag, [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]])
     half = 0.5 * x
@@ -361,6 +384,11 @@ def test_cos_sin_from_the_half_angle_tangent():
     assert np.max(np.abs(c - np.cos(x))) <= 4.5e-16
     assert np.max(np.abs(s - np.sin(x))) <= 4.5e-16
     assert (c[-5], s[-5]) == (1.0, 0.0)
+    # the decay's cosine alone, in place: the pair's cosine, bit for bit
+    alone = 0.5 * x
+    c_alone, s_alone = evolve._cos_sin(alone, alone)
+    assert c_alone is alone and s_alone is None
+    assert np.array_equal(c_alone, c)
     # a phase that is not finite gives nan, as cos(inf) does, so such a curve
     # is reported as not finite
     with np.errstate(invalid="ignore"):
