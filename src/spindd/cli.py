@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -48,21 +49,25 @@ EXIT_IO = 4
 MANIFEST = "manifest.json"
 
 
-def _finite(obj):
-    """``obj`` with each non-finite float, which strict JSON cannot hold, as None."""
+def _json_text(obj, indent="\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)``'s text in one pass, a non-finite
+    float as null; what json cannot write, or a key that is not a str, is a TypeError."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
+        items = [_escape(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
-
-
-def _json_text(obj):
-    """The text ``json.dump(obj, fh, indent=2, sort_keys=True)`` writes, with
-    a non-finite float as null rather than as NaN or Infinity."""
-    return json.dumps(_finite(obj), indent=2, sort_keys=True)
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_artifact(path, chunks):
@@ -158,7 +163,7 @@ def _run_sense(spec, out_dir, threads):
                          result.delta_b_min, result.sigma_sn, [result.slope] * result.times.size)
     report = {
         "k_nT_per_sqrt_Hz": result.k_nt_per_sqrt_hz,
-        "fit": dataclasses.asdict(result.fit),
+        "fit": vars(result.fit),
         "slope_per_T": result.slope,
         "envelope": envelope,
         "overhead_note": "total time per shot = sequence time + overhead "
@@ -172,8 +177,13 @@ def _run_sense(spec, out_dir, threads):
 def _read_columns(path):
     """A curve CSV's columns by header name in one pass, blank lines skipped;
     a column with a non-numeric cell reads as all nan."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    cfgmod._within_budget({"input_csv": 9 * os.path.getsize(path)})  # 8.8 words a byte traced
+    try:
+        with open(path, "rb") as fh:
+            lines = io.StringIO(fh.read().decode(), newline="")
+        rows = [row for row in csv.reader(lines) if "".join(row).strip()]
+    except (csv.Error, UnicodeDecodeError) as exc:  # a cell past csv's limit, or not UTF-8
+        raise ConfigError(f"input_csv {path!r} is not a readable CSV: {exc}") from None
     if not rows:
         raise ConfigError(f"input_csv {path!r} is empty")
     header = [name.strip() for name in rows[0]]
@@ -188,7 +198,7 @@ def _read_columns(path):
     columns = {}
     for name, cells in zip(header, zip(*rows[1:])):
         try:
-            columns[name] = np.array([float(cell) for cell in cells])
+            columns[name] = np.fromiter(map(float, cells), float, len(cells))
         except ValueError:
             columns[name] = np.full(len(cells), math.nan)
     return columns
@@ -205,7 +215,7 @@ def _run_fit(spec, out_dir, threads):
         raise ConfigError(f"input_csv {spec.input_csv!r} has a negative or missing std_error")
     fit = fit_decay((times, signal, sigma), spec.model, spec.fixed_params)
     path = os.path.join(out_dir, "fit.json")
-    digest = _write_artifact(path, [_json_text(dataclasses.asdict(fit))])
+    digest = _write_artifact(path, [_json_text(vars(fit))])
     if not fit.converged:
         raise FitError(f"fit did not converge (best candidate written to {path})")
     return {path: digest}, {}
@@ -238,7 +248,8 @@ def run(config_path, out_dir=None, overrides=None, threads=1, expected_experimen
         for w in report["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
         out = out_dir or report["spec"].out
-        os.makedirs(out, exist_ok=True)
+        if not os.path.isdir(out):  # cheaper than makedirs' FileExistsError
+            os.makedirs(out, exist_ok=True)
         if not os.access(out, os.W_OK):
             raise OSError(f"output directory {out!r} not writable")
         digests, extra = _RUNNERS[kind](report["spec"], out, threads)

@@ -184,9 +184,8 @@ def _monte_carlo(model, times, shots, rng, nv, apply_t1, observe, words, n_pulse
 
     # a pool for a single chunk or core only adds its start-up to the curve
     room = (WORK_BUDGET - words[1] - partial_words(shots, times.size)) / words[0]
-    workers = min(n_workers, len(sizes), os.cpu_count() or 1,
-                  int(room) if math.isfinite(room) else 1)
-    if workers > 1:
+    workers = min(n_workers, len(sizes), int(room) if math.isfinite(room) else 1)
+    if workers > 1 and (workers := min(workers, os.cpu_count() or 1)) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             by_chunk = list(ex.map(work, range(len(sizes))))
     else:

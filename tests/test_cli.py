@@ -8,6 +8,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -350,11 +352,14 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     "total_time_s,signal,std_error\n" + "".join(f"{t}e-4,0.5,x\n" for t in range(1, 7)),
     "total_time_s,signal\n" + "".join(f"{t}e-4,{0.9 ** t}\n" for t in range(1, 7)) + "7e-4,x\n",
     "total_time_s,signal\n" + "".join(f"{t}e-4,{0.9 ** t}\n" for t in range(1, 7)) + "nan,0.4\n",
+    # csv's field limit is 131072 characters; both ended in a traceback
+    "total_time_s,signal\n1e-4," + "9" * 200_000 + "\n",
+    b"total_time_s,signal\n" + b"".join(b"%de-4,0.5\n" % t for t in range(1, 7)) + b"7e-4,\xe9\n",
 ], ids=["empty", "blank", "no_columns", "no_rows", "negative_std_error",
-        "missing_std_error", "non_numeric_signal", "nan_time"])
+        "missing_std_error", "non_numeric_signal", "nan_time", "past_field_limit", "not_utf8"])
 def test_malformed_fit_input_exits_2(tmp_path, capsys, text):
     csv = tmp_path / "curve.csv"
-    csv.write_text(text)
+    csv.write_bytes(text if isinstance(text, bytes) else text.encode())
     cfg_path = _write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's warning is not the report
@@ -362,6 +367,33 @@ def test_malformed_fit_input_exits_2(tmp_path, capsys, text):
     assert code == cli.EXIT_VALIDATION
     assert artifacts == []
     assert "input_csv" in capsys.readouterr().err
+
+
+def test_a_fit_input_past_the_budget_is_refused_before_it_is_read(tmp_path, capsys):
+    # 64 GiB of holes, which take no disk: the read was bounded by nothing
+    csv = tmp_path / "curve.csv"
+    csv.write_bytes(b"")
+    os.truncate(csv, 64 * 2**30)
+    cfg_path = _write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv)))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
+        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, artifacts) == (cli.EXIT_VALIDATION, [])
+    assert capsys.readouterr().err.startswith("validation error: input_csv: this run would hold")
+    assert seconds < 0.1 and peak < 1e6, (seconds, peak)
+
+
+def test_a_column_the_fit_does_not_read_may_hold_text(tmp_path):
+    csv = tmp_path / "curve.csv"
+    csv.write_text("total_time_s,signal,note\n"
+                   + "".join(f"{t}e-4,{0.9 ** t},run {t}\n" for t in range(1, 8)))
+    code, _ = cli.run(_write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv))),
+                      out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_OK
 
 
 def test_ragged_fit_input_exits_2_naming_the_row(tmp_path, capsys):
@@ -515,6 +547,33 @@ def test_json_artifacts_are_strict_json(tmp_path):
         {"a": [1.5, None], "b": None}, indent=2, sort_keys=True)
     report = {"k": 19.4, "fit": {"params": [1e-300, -0.5]}}
     assert cli._json_text(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": [{}, [[]]]}, {"z": {"y": [1, [2.5, ["x"]]]}, "a": 0},
+    "na\u00efve \u2603 \U0001f600", "\x00\x1f\t\n\r\"\\/\x7f",
+    -0.0, 5e-324, 1e300, 2**70, -(2**70), True, False, 1, None,
+    (1, "two", (3.0,)), np.float64(0.1), {"k": [np.float64(-1e-7), False, None]},
+], ids=lambda obj: type(obj).__name__)
+def test_json_text_writes_the_bytes_json_dumps_writes(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_text_writes_a_non_finite_float_as_null_at_any_depth(bad):
+    for obj, finite in [(bad, None), ([bad], [None]), ({"a": (1.0, {"b": [bad]})},
+                                                      {"a": [1.0, {"b": [None]}]})]:
+        assert cli._json_text(obj) == json.dumps(finite, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [np.int64(1), {1, 2}, b"x", {1: "a"}, {"a": [{2: 0}]},
+                                 {"a": 0, 2: 0}, {(1,): 0}],
+                         ids=["int64", "set", "bytes", "int_key", "nested_int_key",
+                              "mixed_keys", "tuple_key"])
+def test_json_text_refuses_what_json_cannot_write(obj):
+    # json would write an int key as a string; the writer writes no other text
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
 
 
 def test_unknown_key_is_rejected_by_name(tmp_path, capsys):

@@ -774,6 +774,16 @@ def test_the_driver_reduces_each_block_as_its_rows_would_be(monkeypatch, name):
         assert (curve.signal[i], curve.std_error[i]) == (mean * env, se * env)
 
 
+def test_a_curve_of_one_chunk_does_not_count_the_cores(monkeypatch):
+    # it starts no pool at any worker count, so it pays no sysconf read
+    def cpu_count():
+        raise AssertionError("the cores of a one-chunk curve were counted")
+
+    monkeypatch.setattr(evolve.os, "cpu_count", cpu_count)
+    evolve.pulse_error_curve(FieldModel.of(_OU_BATH), 2, 0.05, "cpmg", [1e-4, 5e-4],
+                             evolve.CHUNK, RngSpec(3), n_workers=64)
+
+
 @pytest.mark.parametrize("cores", [None, 2], ids=["host", "two_cores"])
 def test_the_pool_is_capped_at_the_chunks_and_the_cores(monkeypatch, cores):
     # 64 requested workers for 3 chunks start no more threads than the host
