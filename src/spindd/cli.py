@@ -177,10 +177,9 @@ def _run_sense(spec, out_dir, threads):
 def _read_columns(path):
     """A curve CSV's columns by header name in one pass, blank lines skipped;
     a column with a non-numeric cell reads as all nan."""
-    cfgmod._within_budget({"input_csv": 9 * os.path.getsize(path)})  # 8.8 words a byte traced
+    # the read is charged at 9 words a byte: it holds 8.8 as traced
     try:
-        with open(path, "rb") as fh:
-            lines = io.StringIO(fh.read().decode(), newline="")
+        lines = io.StringIO(cfgmod.read_bounded(path, "input_csv", 9).decode(), newline="")
         rows = [row for row in csv.reader(lines) if "".join(row).strip()]
     except (csv.Error, UnicodeDecodeError) as exc:  # a cell past csv's limit, or not UTF-8
         raise ConfigError(f"input_csv {path!r} is not a readable CSV: {exc}") from None

@@ -10,10 +10,10 @@ fields of its frozen spec, each declared with the reader of its value, so a
 key is accepted exactly when it is read; the runner consumes the spec, and a
 Monte Carlo spec (decay, spin lock, pulse-error train) runs its own ``curve``.
 A reader bounds an integer only so that a float holds it (2^30; 2^64 for the
-seed), and every array a config asks for is counted once against the work
-budget (``evolve.WORK_BUDGET``) before it is built: the grid as it is read,
-then each spec's run, its pattern included.  A curve's chunk is counted in
-``evolve``, whose driver runs no more threads than the budget has chunks for.
+seed) and charges nothing: every array a config asks for is counted once
+against the work budget (``evolve.WORK_BUDGET``) by its spec before it is
+built, grid and pattern included.  A curve's chunk is counted in ``evolve``,
+whose driver runs no more threads than the budget has chunks for.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass
 from functools import partial
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -234,17 +235,21 @@ _TIMES_KEYS = {
 }
 
 
-def parse_times(spec, where="times") -> np.ndarray:
+# a time grid as read: its point count and build(), once the estimate passes
+_Grid = NamedTuple("_Grid", [("count", int), ("build", Callable[[], np.ndarray])])
+
+
+def _grid(spec, where="times") -> _Grid:
     t = _read(_TIMES_KEYS, spec, where)
     if not 0 < t["start"] < t["stop"]:
         raise ConfigError(f"{where} must satisfy 0 < start < stop")
-    # the grid, its differences and their mask, traced at 2.125 words a point
-    _within_budget({f"{where}.count": 2.125 * t["count"]})
     make = np.linspace if t["spacing"] == "linear" else np.geomspace
-    grid = make(t["start"], t["stop"], t["count"])
-    if np.any(np.diff(grid) <= 0):
-        raise ConfigError(f"{where}: start and stop too close for {t['count']} distinct points")
-    return grid
+    return _Grid(t["count"], lambda: _build(where, sq.checked_times,
+                                            make(t["start"], t["stop"], t["count"])))
+
+
+def parse_times(spec, where="times") -> np.ndarray:
+    return _grid(spec, where).build()
 
 
 def _fractions(value, path):
@@ -317,12 +322,17 @@ class _Spec:
 
 @dataclass(frozen=True, kw_only=True)
 class _GridSpec(_Spec):
-    """An experiment on a field model over a grid of total times."""
+    """An experiment on a field model over a grid of total times, read as a
+    _Grid, which __post_init__ builds once the spec's estimate passes."""
 
     field: FieldModel = _key(parse_field)
     nv: NVParameters = _key(parse_nv, NVParameters())
-    times: np.ndarray = _key(parse_times)  # s
+    times: np.ndarray = _key(_grid)  # s
     seed: int = _key(_SEED, 0)
+
+    def __post_init__(self):
+        _within_budget(self._terms())
+        object.__setattr__(self, "times", self.times.build())
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -333,15 +343,15 @@ class DecaySpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
-        _within_budget(self._terms())
+        super().__post_init__()
         object.__setattr__(self, "sequence", self.sequence.build(1.0))
         _build("sequence", sq.on_grid, self.sequence, self.times)
 
     def _terms(self):
-        held, rest = evolve.coherence_words(self.field, self.sequence.n_pulses, self.times.size,
+        held, rest = evolve.coherence_words(self.field, self.sequence.n_pulses, self.times.count,
                                             self.shots)
         key = "sequence.n_pulses" if self.sequence.kind == "cpmg" else "sequence"
-        return {"times.count": evolve.partial_words(self.shots, self.times.size) + held, key: rest}
+        return {"times.count": evolve.partial_words(self.shots, self.times.count) + held, key: rest}
 
     def curve(self, n_workers=1):
         return evolve.coherence_curve(self.field, self.sequence, self.times, self.shots,
@@ -355,14 +365,17 @@ class SpinlockSpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, True)
 
     def __post_init__(self):
+        super().__post_init__()
         if not math.isfinite(2 * math.pi * self.rabi_frequency):
             raise ConfigError(f"rabi_frequency: {self.rabi_frequency!r} Hz overflows the "
                               "angular frequency 2 pi f")
-        _within_budget(self._terms())
+        # the steps are a sum over the built grid's intervals
+        _within_budget({"times.count": evolve.partial_words(self.shots, self.times.size),
+                        "times": sum(evolve.spin_lock_words(self.field, self.times, self.shots))})
 
     def _terms(self):
-        return {"times.count": evolve.partial_words(self.shots, self.times.size),
-                "times": sum(evolve.spin_lock_words(self.field, self.times, self.shots))}
+        # the grid, its differences and their mask, traced at 2.125 words a point
+        return {"times.count": 2.125 * self.times.count}
 
     def curve(self, n_workers=1):
         return evolve.spin_lock_curve(self.field, 2 * math.pi * self.rabi_frequency, self.times,
@@ -379,13 +392,13 @@ class PulseErrorSpec(_GridSpec):
     t1_envelope: bool = _key(_boolean, False)
 
     def __post_init__(self):
-        _within_budget(self._terms())
+        super().__post_init__()
         _build("times", sq.on_grid, sq.cpmg(self.n_pulses, 1.0), self.times)
 
     def _terms(self):
-        return {"times.count": evolve.partial_words(self.shots, self.times.size),
+        return {"times.count": evolve.partial_words(self.shots, self.times.count),
                 "n_pulses": sum(evolve.pulse_error_words(self.field, self.n_pulses,
-                                                         self.times.size, self.shots))}
+                                                         self.times.count, self.shots))}
 
     def curve(self, n_workers=1):
         return evolve.pulse_error_curve(self.field, self.n_pulses, self.flip_angle_error,
@@ -429,23 +442,26 @@ class SenseSpec(_GridSpec):
     ac_amplitude_jitter: float = _key(_non_negative, 0.0)
 
     def __post_init__(self):
-        if self.times.size < 4:
+        if self.times.count < 4:
             raise ConfigError("sense needs at least 4 time points in times")
         if self.envelope == "auto" and self.field is None:
             raise ConfigError("envelope 'auto' needs a field model")
-        n = self.sequence.n_pulses
-        weights = sum(normal_counts(self.field, n + 1)) if self.envelope == "auto" else 0
-        _within_budget({"times.count": _SENSE_POINT * self.times.size,
-                        "sequence.n_pulses": _SENSE_PULSE * n + weights})
+        super().__post_init__()
         tau = self.sequence_tau
         if tau is None:
             tau = 115e-6 if self.sequence.kind == "hahn" else 27e-6
         object.__setattr__(self, "sequence", _build("sequence_tau", self.sequence.build,
-                                                    2 * n * tau))
+                                                    2 * self.sequence.n_pulses * tau))
         stop = self.times[-1]  # the most shots of the increasing grid
         if not math.isfinite(float(stop) / (self.sequence.total_time + self.readout.overhead)):
             raise ConfigError(f"times.stop: {stop!r} s overflows the shot count "
                               "t / (sequence time + readout.overhead)")
+
+    def _terms(self):
+        n = self.sequence.n_pulses
+        weights = sum(normal_counts(self.field, n + 1)) if self.envelope == "auto" else 0
+        return {"times.count": _SENSE_POINT * self.times.count,
+                "sequence.n_pulses": _SENSE_PULSE * n + weights}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -472,13 +488,28 @@ _EXPERIMENTS = {
 }
 
 
+def read_bounded(path, key, words_per_byte):
+    """The bytes of the file at ``path``, charged to the budget under ``key``
+    at ``words_per_byte``: by its size before it is opened, then by what is
+    read, read no further than the budget (a device or pipe has size 0)."""
+    size = os.path.getsize(path)
+    _within_budget({key: words_per_byte * size})
+    with open(path, "rb") as fh:
+        data = fh.read(size + 1)
+        if len(data) > size:  # not a regular file, or one that grew
+            data += fh.read(evolve.WORK_BUDGET // words_per_byte - size)
+    _within_budget({key: words_per_byte * len(data)})
+    return data
+
+
 def load_config(path):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        data = read_bounded(path, "config", 4)  # with its parse, 3.28 words a byte traced
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
+    try:
+        return json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, or past a limit
         raise ConfigError(f"config parse failure: {exc}")
 
 

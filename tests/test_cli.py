@@ -343,6 +343,43 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_deeply_nested_config_exits_2(tmp_path, capsys):
+    # 2 KB of nested lists: json's RecursionError ended in a traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_VALIDATION
+    assert cli.main(["decay", "--config", str(path), "--out", str(out)]) == cli.EXIT_VALIDATION
+    for line in capsys.readouterr().err.splitlines():
+        assert line.startswith("validation error: config parse failure: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["config", "input_csv"])
+def test_an_input_of_no_size_is_read_no_further_than_the_budget(tmp_path, capsys, monkeypatch,
+                                                               key):
+    # /dev/zero's size reads 0, and its read ran until memory ran out
+    monkeypatch.setattr(evolve, "WORK_BUDGET", 2**20)
+    cfg_path = "/dev/zero" if key == "config" else _write(
+        tmp_path, "fit.json", dict(_FIT, input_csv="/dev/zero"))
+    code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
+    assert (code, artifacts) == (cli.EXIT_VALIDATION, [])
+    assert capsys.readouterr().err.startswith(f"validation error: {key}: this run would hold")
+
+
+def test_a_config_past_the_budget_is_refused_before_it_is_read(tmp_path, capsys):
+    # 64 GiB of holes, which take no disk: the read was bounded by nothing
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"")
+    os.truncate(path, 64 * 2**30)
+    start = time.perf_counter()
+    code, artifacts = cli.run(str(path), out_dir=str(tmp_path / "out"))
+    assert time.perf_counter() - start < 0.1
+    assert (code, artifacts) == (cli.EXIT_VALIDATION, [])
+    assert capsys.readouterr().err.startswith("validation error: config: this run would hold")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", [
     "",
     " \n\n",

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import pathlib
 import time
 import tracemalloc
@@ -208,12 +209,15 @@ _OVER_BUDGET = {
     "spinlock_shots": (dict(_SPINLOCK, preset="bulk_cvd", shots=10**10), "shots"),
     "pulse_error_n_pulses": (dict(_PULSE_ERROR, n_pulses=10**6), "n_pulses"),
     "pulse_error_shots": (dict(_PULSE_ERROR, shots=10**12), "shots"),
+    # two partial sums for each of 245 chunks and 10^7 times
+    "pulse_error_times_count": (dict(_PULSE_ERROR, times=dict(_SHORT, count=10**7), shots=10**6),
+                                "times.count"),
     "sense_n_pulses": (dict(_SENSE, sequence={"kind": "cpmg", "n_pulses": 10**8}),
                        "sequence.n_pulses"),
     # the most pulses a reader takes: refused by the scan's estimate, unbuilt
     "sense_n_pulses_unbuilt": (dict(_SENSE, sequence={"kind": "cpmg", "n_pulses": 2**30}),
                                "sequence.n_pulses"),
-    # a grid past the budget is refused as it is read, before it is built
+    # a grid past the budget is refused by the scan's estimate, before it is built
     "sense_times_count_grid": (dict(_SENSE, times=dict(_SENSE["times"], count=6 * 10**8)),
                                "times.count"),
     "sense_times_count_most": (dict(_SENSE, times=dict(_SENSE["times"], count=2**30)),
@@ -251,6 +255,24 @@ def _refusal_cost(cfg, key):
         return time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["decay_times_count", "pulse_error_times_count"])
+def test_a_run_is_refused_before_its_grid_is_built(case):
+    # the 10^7 times were built as they were read: 0.17 s and 170 MB traced
+    seconds, peak = _refusal_cost(*_OVER_BUDGET[case])
+    assert seconds < 0.1 and peak < 1e6, (seconds, peak)
+
+
+@pytest.mark.parametrize("spacing", ["linear", "geometric"])
+def test_a_grid_of_repeated_times_exits_2_naming_times(tmp_path, capsys, spacing):
+    # start and stop one ulp apart: 3 points repeat one of them
+    times = {"start": "5e-05 s", "stop": f"{math.nextafter(5e-05, 1)!r} s", "count": 3,
+             "spacing": spacing}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_DECAY, times=times)))
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: times: ")
 
 
 def test_a_decay_is_refused_before_its_pattern_is_built():
@@ -329,7 +351,8 @@ _MULTI_SLOT = [_OU, {"type": "quasi_static_gaussian", "sigma_b": "5 nT"},
 
 def _estimate(monkeypatch, cfg):
     """The spec of ``cfg`` and its work-budget estimate in bytes: the spec's
-    own check, the last, after the time grid's as it is read."""
+    last check, its one estimate, or a spin lock's steps once its grid is
+    built."""
     terms = []
     monkeypatch.setattr(cfgmod, "_within_budget", terms.append)
     spec = cfgmod.validate(cfg)["spec"]

@@ -1,6 +1,6 @@
 """Each rule on a run's inputs has one home: a stdlib ``ast`` check that
-``evolve.py`` and ``sense.py`` compare no ``np.diff`` of a grid (the grid
-rule is ``sequence.checked_times``), and that ``config.py`` holds no
+``evolve.py``, ``sense.py`` and ``config.py`` compare no ``np.diff`` of a grid
+(the grid rule is ``sequence.checked_times``), and that ``config.py`` holds no
 ``--threads`` text (the flag's rule is in ``cli``, which reads it)."""
 
 import ast
@@ -30,8 +30,8 @@ def _threads_text(tree):
 
 def _check(trees):
     """What breaks the rule, as {module: line numbers}."""
-    found = {m: _diff_compares(trees[m]) for m in ("evolve", "sense")}
-    found["config"] = _threads_text(trees["config"])
+    found = {m: _diff_compares(trees[m]) for m in ("evolve", "sense", "config")}
+    found["config"] = sorted(found["config"] + _threads_text(trees["config"]))
     return {m: lines for m, lines in found.items() if lines}
 
 
@@ -54,10 +54,14 @@ def _workers(n):
     if n < 1:
         raise ConfigError(f"--threads must be at least 1, got {n}")
     return n
+def parse_times(spec):
+    grid = np.linspace(spec["start"], spec["stop"], spec["count"])
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError("times: start and stop too close")
 """
     trees = {"evolve": ast.parse(evolve), "sense": ast.parse(sense),
              "config": ast.parse(config)}
-    assert _check(trees) == {"evolve": [4], "sense": [2], "config": [4]}
+    assert _check(trees) == {"evolve": [4], "sense": [2], "config": [4, 8]}
     trees = {"evolve": ast.parse("steps = np.diff(grid)\nh = np.ceil(np.diff(t) / 2)"),
              "sense": ast.parse("ok = t.size >= 4"),
              "config": ast.parse("def curve(self, n_workers=1):\n    return n_workers")}

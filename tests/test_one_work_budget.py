@@ -1,6 +1,9 @@
 """The Monte Carlo driver alone decides how many chunks a run holds at once: a
 stdlib ``ast`` check that ``config.py`` names neither the chunk size nor the
-core count, and that one module assigns the work budget."""
+core count, and that one module assigns the work budget.  No reader of a
+config value charges the budget: ``config.py`` calls ``_within_budget`` only
+in a spec's ``__post_init__``, which charges its run before it builds it, and
+in ``read_bounded``, which charges an input file before it reads it."""
 
 import ast
 import pathlib
@@ -64,3 +67,36 @@ def _run_terms(shots, times):
     assert _check(trees) == (["CHUNK", "cpu_count"], ["config", "evolve"])
     trees["config"] = ast.parse("from . import evolve\nLIMIT = evolve.WORK_BUDGET + 1")
     assert _check(trees) == ([], None)
+
+
+def _charges(tree):
+    """Line numbers of the ``_within_budget`` calls in ``tree`` outside a
+    class's ``__post_init__`` and a module function ``read_bounded``."""
+    homes = [f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+             if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+    homes += [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "read_bounded"]
+    inside = {id(node) for home in homes for node in ast.walk(home)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and "_within_budget" in _names(node.func))
+
+
+def test_no_reader_charges_the_budget():
+    assert _charges(ast.parse((SRC / "config.py").read_text())) == []
+
+
+def test_the_check_sees_a_reader_that_charges():
+    config = """
+def parse_times(spec, where="times"):
+    t = _read(_TIMES_KEYS, spec, where)
+    _within_budget({f"{where}.count": 2.125 * t["count"]})
+    return np.linspace(t["start"], t["stop"], t["count"])
+class DecaySpec(_GridSpec):
+    def __post_init__(self):
+        _within_budget(self._terms())
+    def _terms(self):
+        return config._within_budget({})
+def read_bounded(path, key, words_per_byte):
+    _within_budget({key: words_per_byte * os.path.getsize(path)})
+"""
+    assert _charges(ast.parse(config)) == [4, 10]
