@@ -308,11 +308,11 @@ def _within_budget(terms):
     float64 values at once; ``terms`` maps each key to the values that grow
     with it, and the message names the key of the largest.  Each term is
     estimated before anything of that size is built."""
-    total = sum(terms.values())
-    if total > evolve.WORK_BUDGET:
+    total, budget = sum(terms.values()), evolve.WORK_BUDGET
+    if total > budget:
         key = max(terms, key=terms.get)
-        raise ConfigError(f"{key}: this run would hold {total:.3g} float64 values at once, "
-                          f"above the budget of 2^30 (8 GiB)")
+        raise ConfigError(f"{key}: this run would hold {total:.3g} float64 values at once, above "
+                          f"the budget of 2^{math.log2(budget):.3g} ({8 * budget / 2**30:.3g} GiB)")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -417,9 +417,9 @@ def spin_lock_words(model: FieldModel, total_times, shots: int):
         return math.inf, math.inf
     rows = min(shots, CHUNK)
     # the normals, the phases and the OU terms (measured 1.6 a step) of each
-    # row, and the chunk's OU run
+    # row, and the chunk's OU run: its carried X and its kicks
     made = (rows * (sum(normal_counts(model, n_steps)) + 2 * n_steps)
-            + min(n_steps, stream_run(rows)) * rows)
+            + 2 * min(n_steps, stream_run(rows)) * rows)
     # the phases, m and a sample interval's SU(2) pairs
     turned = rows * (n_steps + 3 * steps.size + _SU2 * float(np.max(steps)))
     return max(made, turned), 3 * n_steps + _SAMPLE * steps.size + _ANY_SIZE

@@ -98,13 +98,17 @@ _C2_COEFS = tuple(
 def _ou_c2_sq(x):
     """2x - 4 tanh(x/2) for x >= 0: the OU segment integral's variance left
     after its covariance with the end value, in units of (sigma tau_c)^2."""
+    # each x in one form, NaN in the closed one; a form only where an x takes it
     small, out = x < _SERIES_BELOW, np.empty_like(x)
-    xs, xl = x[small], x[~small]  # each x in one form, NaN in the closed one
-    series = np.zeros_like(xs)  # by Horner's rule
-    for c in reversed(_C2_COEFS):
-        series = series * xs + c
-    out[small] = series * xs**3 / (1.0 + np.exp(-xs))
-    out[~small] = 2.0 * xl - 4.0 * np.tanh(0.5 * xl)
+    if small.any():
+        xs = x[small]
+        series = np.zeros_like(xs)  # by Horner's rule
+        for c in reversed(_C2_COEFS):
+            series = series * xs + c
+        out[small] = series * xs**3 / (1.0 + np.exp(-xs))
+    if not small.all():
+        xl = x[~small]
+        out[~small] = 2.0 * xl - 4.0 * np.tanh(0.5 * xl)
     return out
 
 
@@ -210,28 +214,43 @@ class OrnsteinUhlenbeck:
         first, c2 xi2 in runs of at most STREAM_WORDS values: a temporary the
         size of the phases, beside them and the draws, took glibc malloc's
         heap past its trim threshold, so that each bloch spin lock faulted
-        1.1 MB of pages in again (x86-64 Linux)."""
+        1.1 MB of pages in again (x86-64 Linux).  X is then carried through
+        each run in a buffer, and m X added to the run's out at once."""
         e, m, c1, c2, sx = (np.moveaxis(c, -1, 0)[..., None] for c in self._coefficients(a, b))
         m, c1, c2 = scale * m, scale * c1, scale * c2
         lead = (slice(None),) + (None,) * (a.ndim - 1)  # segment, leading axes, trajectory
         xi1, xi2 = draws[:, 1::2].T[lead], draws[:, 2::2].T[lead]
-        field = np.empty(a.shape[:-1] + draws.shape[:1])
-        field[...] = self.sigma_b * draws[:, 0]
-        if out is not None:
-            np.multiply(c1, xi1, out=out)
-            run = stream_run(field.size)
-            for lo in range(0, a.shape[-1], run):
-                out[lo:lo + run] += c2[lo:lo + run] * xi2[lo:lo + run]
-        for i in range(a.shape[-1]):
-            if out is None:
+        n, shape = a.shape[-1], a.shape[:-1] + draws.shape[:1]
+        if out is None:
+            field = np.empty(shape)
+            field[...] = self.sigma_b * draws[:, 0]
+            for i in range(n):
                 part = c1[i] * xi1[i]
                 part += c2[i] * xi2[i]
-            else:
-                part = out[i]
-            part += m[i] * field
-            yield part
-            field *= e[i]
-            field += sx[i] * xi1[i]
+                part += m[i] * field
+                yield part
+                field *= e[i]
+                field += sx[i] * xi1[i]
+            return
+        np.multiply(c1, xi1, out=out)
+        run = stream_run(math.prod(shape))
+        for lo in range(0, n, run):
+            out[lo:lo + run] += c2[lo:lo + run] * xi2[lo:lo + run]
+        # X entering each segment of a run and the next run, and the run's
+        # kicks sx xi1: X <- e X + kick
+        x = np.empty((min(run, n) + 1,) + shape)
+        kick = np.empty((min(run, n),) + shape)
+        x[0] = self.sigma_b * draws[:, 0]
+        for lo in range(0, n, run):
+            k = min(run, n - lo)
+            np.multiply(sx[lo:lo + k], xi1[lo:lo + k], out=kick[:k])
+            for j in range(k):
+                np.multiply(x[j], e[lo + j], out=x[j + 1])
+                x[j + 1] += kick[j]
+            x[:k] *= m[lo:lo + k]
+            out[lo:lo + k] += x[:k]
+            x[0] = x[k]
+            yield from out[lo:lo + k]
 
     def phase_weights(self, a, b, signs):
         """The adjoint of ``segment_stream``: sum_i signs_i int_i X dt is

@@ -37,6 +37,9 @@ class FitError(RuntimeError):
     pass
 
 
+_LOG_1E299 = math.log(1e299)
+
+
 def _damped_step(A, g, lam):
     """The step x of (A + lam D) x = -g, D = diag(max(diag A, 1e-300)), or
     None where that system is singular or x is not finite.
@@ -46,17 +49,18 @@ def _damped_step(A, g, lam):
     where a pivot is exactly 0 as in LAPACK's LU; a 2 x 2 elimination is
     forward stable (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., sec. 1.10.1)."""
-    n = g.size
-    M = A.copy()
-    M.flat[::n + 1] += lam * np.maximum(A.diagonal(), 1e-300)
-    if n == 1:
-        a = float(M[0, 0])
+    M = A.tolist()
+    for i, row in enumerate(M):
+        row[i] += lam * max(row[i], 1e-300)
+    r = [-v for v in g.tolist()]
+    if len(r) == 1:
+        a = M[0][0]
         if a == 0.0:
             return None
-        x = [-float(g[0]) / a]
+        x = [r[0] / a]
     else:
-        (a, b), (c, d) = M.tolist()
-        r0, r1 = -float(g[0]), -float(g[1])
+        (a, b), (c, d) = M
+        r0, r1 = r
         if abs(c) > abs(a):
             a, b, c, d, r0, r1 = c, d, a, b, r1, r0
         if a == 0.0:
@@ -71,7 +75,9 @@ def _damped_step(A, g, lam):
 
 
 def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
-    """Damped Gauss-Newton; residual_jac(theta) -> (r, J) with weights folded in.
+    """Damped Gauss-Newton; residual_jac(theta) -> (r, J, ...) with weights
+    folded in.  Returns theta, what residual_jac returned there, its cost
+    |r|^2 and whether the iteration converged.
 
     A step whose local model predicts a relative decrease below ``tol`` is
     the last one evaluated: past it, accepting or rejecting steps turns on
@@ -79,13 +85,13 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
     the damped system is singular or its step not finite, the damping rises
     tenfold and the step is tried again."""
     theta = np.asarray(theta0, dtype=float)
-    r, J = residual_jac(theta)
+    evaluation = residual_jac(theta)
+    r, J = evaluation[:2]
     cost = float(r @ r)
     lam = 1e-3
     converged = False
+    A, g = J.T @ J, J.T @ r
     for _ in range(max_iter):
-        A = J.T @ J
-        g = J.T @ r
         step = _damped_step(A, g, lam)
         if step is None:
             lam *= 10
@@ -97,15 +103,17 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
         predicted = -gs if -gs >= tol * cost else -(2.0 * gs + float(step @ A @ step))
         last = math.isfinite(predicted) and predicted < tol * cost
         new = theta + step
-        r_new, J_new = residual_jac(new)
-        cost_new = float(r_new @ r_new)
+        trial = residual_jac(new)
+        cost_new = float(trial[0] @ trial[0])
         if math.isfinite(cost_new) and cost_new <= cost:
             rel = abs(cost - cost_new) / max(cost, 1e-300)
-            theta, r, J, cost = new, r_new, J_new, cost_new
+            theta, evaluation, cost = new, trial, cost_new
             lam = max(lam * 0.3, 1e-12)
-            if last or rel < tol or float(np.max(np.abs(step))) < 1e-15:
+            if last or rel < tol or max(map(abs, step.tolist())) < 1e-15:
                 converged = True
                 break
+            r, J = evaluation[:2]
+            A, g = J.T @ J, J.T @ r
         elif last:
             converged = True
             break
@@ -113,7 +121,7 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
             lam *= 10
             if lam > 1e12:
                 break
-    return theta, r, J, cost, converged
+    return theta, evaluation, cost, converged
 
 
 def _variable_projection(shape, y, sigmas, free, theta0, amplitude=None):
@@ -136,22 +144,26 @@ def _variable_projection(shape, y, sigmas, free, theta0, amplitude=None):
     def project(theta):
         E, p = shape(theta)
         e, de = E[0], E[1:]
-        amp, dA = amplitude, np.zeros(len(de))
+        amp = amplitude
         if amp is None:
             # (e, de) . w^2 y and (e, de) . w^2 e; floored: a shape that
             # underflowed everywhere gives A = dA = 0
-            ey, ee = E @ w2y, E @ (w2 * e)
-            norm = max(float(ee[0]), 1e-300)
-            amp = float(ey[0]) / norm
-            dA = (ey[1:] - 2.0 * amp * ee[1:]) / norm
+            ey, ee = (E @ w2y).tolist(), (E @ (w2 * e)).tolist()
+            norm = max(ee[0], 1e-300)
+            amp = ey[0] / norm
+            dA = [(a - 2.0 * amp * b) / norm for a, b in zip(ey[1:], ee[1:])]
         p["amplitude"] = amp
-        J = (amp * de + dA[:, None] * e) * weights
+        J = amp * de
+        if amplitude is None:
+            J += np.multiply.outer(dA, e)
+        J *= weights
         return weights * (amp * e - y), J.T, p, E
 
-    theta, conv = theta0, True  # nothing nonlinear free: A alone
     if len(theta0):
-        theta, _, _, _, conv = _gauss_newton(lambda th: project(th)[:2], theta0)
-    r, _, p, E = project(theta)
+        theta, (r, _, p, E), _, conv = _gauss_newton(project, theta0)
+    else:  # nothing nonlinear free: A alone
+        theta, conv = theta0, True
+        r, _, p, E = project(theta)
     norm = math.sqrt(float(r @ r))
     # d r / d A is w e, d r / d theta with A held is w A de
     cols = E * weights
@@ -173,13 +185,16 @@ def _regression_start(times, y, amp0, fixed, names):
     keep = (times > 0) & (ratio > 0) & (ratio < 1)
     lt, z = np.log(times[keep]), np.log(-np.log(ratio[keep]))
     start = {"log_t": math.log(max(float(times.max()), 1e-300)), "stretch": 2.0}
-    if "stretch" in fixed and lt.size:
-        start["log_t"] = float(np.mean(lt - z / min(max(fixed["stretch"], 0.05), 50.0)))
-    elif "stretch" not in fixed and lt.size >= (1 if "log_t" in fixed else 2):
-        u = lt - fixed.get("log_t", lt.mean())
+    n = lt.size  # each mean as np.mean takes it: np.add.reduce(v) / n
+    if "stretch" in fixed and n:
+        v = lt - z / min(max(fixed["stretch"], 0.05), 50.0)
+        start["log_t"] = float(np.add.reduce(v) / n)
+    elif "stretch" not in fixed and n >= (1 if "log_t" in fixed else 2):
+        mean_lt = np.add.reduce(lt) / n
+        u = lt - fixed.get("log_t", mean_lt)
         slope = float(u @ z) / float(u @ u) if u @ u > 0 else 0.0
         if slope > 0:
-            start = {"log_t": float(lt.mean() - z.mean() / slope), "stretch": slope}
+            start = {"log_t": float(mean_lt - np.add.reduce(z) / n / slope), "stretch": slope}
     return [start[nm] for nm in names]
 
 
@@ -217,15 +232,24 @@ def fit_decay(
     free = [n for n in ("amplitude", "log_t", "stretch") if n not in fixed]
     names = free[1:] if "amplitude" in free else free
     y = values - fixed["offset"]
+    t_min, t_max = float(times.min()), float(times.max())
 
     def shape(theta):
         p = dict(fixed)
-        p.update(zip(names, theta))
+        p.update(zip(names, map(float, theta)))
         # clamp so wild trial steps stay evaluable; p holds what the model used
         p["log_t"] = min(max(p["log_t"], -300.0), 300.0)
         stretch = p["stretch"] = min(max(p["stretch"], 0.05), 50.0)
-        x = np.maximum(times / math.exp(p["log_t"]), 1e-300)
-        xp = np.minimum(x**stretch, 1e300)
+        T = math.exp(p["log_t"])
+        x = times / T
+        # each clamp only where it can bind, x^p's with a margin of 10 for
+        # rounding; a NaN or a time <= 0 takes both
+        if not t_min / T >= 1e-300:
+            x = np.maximum(x, 1e-300)
+        xp = x**stretch
+        hi = t_max / T
+        if not (hi > 0.0 and stretch * math.log(hi) < _LOG_1E299):
+            xp = np.minimum(xp, 1e300)
         E = np.empty((1 + len(names), times.size))
         e = np.exp(-xp, out=E[0])
         # d/d log T and d/d p

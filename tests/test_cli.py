@@ -364,7 +364,10 @@ def test_an_input_of_no_size_is_read_no_further_than_the_budget(tmp_path, capsys
         tmp_path, "fit.json", dict(_FIT, input_csv="/dev/zero"))
     code, artifacts = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
     assert (code, artifacts) == (cli.EXIT_VALIDATION, [])
-    assert capsys.readouterr().err.startswith(f"validation error: {key}: this run would hold")
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {key}: this run would hold")
+    # the budget the refusal states is the one it applied
+    assert err.rstrip().endswith("above the budget of 2^20 (0.00781 GiB)")
 
 
 def test_a_config_past_the_budget_is_refused_before_it_is_read(tmp_path, capsys):

@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from spindd import evolve, sequence as sq
+from spindd import evolve, field as field_module, sequence as sq
 from spindd.field import (
     CHUNK,
     GAMMA_E,
@@ -313,24 +313,28 @@ def test_segment_phases_sum_the_components_in_their_order():
         assert got.tobytes() == want.tobytes(), comps
 
 
-def test_phase_stream_yields_the_collected_phases():
+def test_phase_stream_yields_the_collected_phases(monkeypatch):
     """Each segment's phases as the stream yields them, with no array for
     every segment, are segment_phases' columns bit for bit, for each kind of
     component in any order and with leading axes; a deterministic model's
-    are one row for all."""
+    are one row for all.  segment_phases carries the OU state through runs
+    of one segment, of 4 with a shorter last, and of all 10."""
     det, qs, ou = StaticOffset(-3e-8), QuasiStaticGaussian(1e-8), OrnsteinUhlenbeck(2e-7, 2e-5)
     poly, ac = Polynomial((1e-9, 2e-6, -3e-3)), SinusoidAC(3e-9, 1234.0, 0.3)
     bp = sq.on_grid(sq.cpmg(9, 1.0), np.geomspace(1e-6, 1e-3, 4))
     rows = 30
-    for comps in ((ou,), (det, ou, poly), (det, poly, qs, ou, ac), (ou, det, qs, poly),
-                  (qs, ou, OrnsteinUhlenbeck(5e-8, 3e-3)), (det, poly, ac)):
+    for stream_words, comps in itertools.product(
+            [2**7, 2**9, 2**13],
+            [(ou,), (det, ou, poly), (det, poly, qs, ou, ac), (ou, det, qs, poly),
+             (qs, ou, OrnsteinUhlenbeck(5e-8, 3e-3)), (det, poly, ac)]):
+        monkeypatch.setattr(field_module, "STREAM_WORDS", stream_words)
         model = FieldModel(comps)
         draws = draw_normals(model, 10, RNG, 0, rows)
         stream = list(phase_stream(model, bp, draws, rows))
         assert all(ph.shape == (4, rows if model.is_stochastic() else 1) for ph in stream)
         collected = segment_phases(model, sq.TogglingFunction(bp), draws, rows)
         assert np.array_equal(np.broadcast_to(np.stack(stream, axis=-1), collected.shape),
-                              collected), comps
+                              collected), (stream_words, comps)
 
 
 def test_ou_c2_sq_takes_each_form_where_the_select_took_it():
@@ -353,6 +357,27 @@ def test_ou_c2_sq_takes_each_form_where_the_select_took_it():
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert np.isnan(_ou_c2_sq(np.array([np.nan, 0.05])))[0]
+
+
+@pytest.mark.parametrize("x", [np.logspace(-12, -1.5, 50), np.logspace(-0.9, 3, 50),
+                               np.logspace(-12, 3, 50), np.array([]),
+                               np.logspace(-12, 3, 50).reshape(5, 10)],
+                         ids=["all_small", "all_large", "mixed", "empty", "leading_axes"])
+def test_ou_c2_sq_takes_only_the_forms_its_x_need(x):
+    # each form was taken on an empty array where no x needed it: the series
+    # on every decay_hahn segment, the closed form on every spin-lock step
+    def both_forms(x):
+        small, out = x < _SERIES_BELOW, np.empty_like(x)
+        xs, xl = x[small], x[~small]
+        series = np.zeros_like(xs)
+        for c in reversed(_C2_COEFS):
+            series = series * xs + c
+        out[small] = series * xs**3 / (1.0 + np.exp(-xs))
+        out[~small] = 2.0 * xl - 4.0 * np.tanh(0.5 * xl)
+        return out
+
+    got, want = _ou_c2_sq(x), both_forms(x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _ou_block_map(ou, a, b):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -155,7 +156,7 @@ def _reference_fit_power_law(points, rss=None):
             [model * weights, model * np.log(times) * weights])
 
     q0, logk0 = np.polyfit(np.log(times), np.log(values), 1)
-    theta, _, J, cost, conv = fit._gauss_newton(rj, [logk0, q0])
+    theta, (_, J), cost, conv = fit._gauss_newton(rj, [logk0, q0])
     sd = fit._uncertainties(J, ["log_k", "q"])
     if sigmas is None:
         sd = {name: v * math.sqrt(rss / (times.size - 2)) for name, v in sd.items()}
@@ -276,7 +277,7 @@ def _reference_fit_decay(curve, model="stretched_exp", fixed_params=None, rss=No
     for T0, p0 in itertools.product([0.1 * span, span, 10.0 * span], [1.0, 2.0, 3.0]):
         start = {"amplitude": float(values[0]) or 1.0, "log_t": math.log(T0), "stretch": p0}
         with mock.patch.object(fit, "_damped_step", _reference_step):
-            theta, _, J, cost, conv = fit._gauss_newton(rj, [start[nm] for nm in free])
+            theta, (_, J), cost, conv = fit._gauss_newton(rj, [start[nm] for nm in free])
         sol = dict(fixed)
         sol.update(zip(free, theta))
         sol["log_t"] = min(max(sol["log_t"], -300.0), 300.0)
@@ -435,6 +436,70 @@ def test_hahn_fit_evaluation_budget(monkeypatch, seed):
     assert 0 < len(calls) <= 60
 
 
+@pytest.mark.parametrize("kind", ["hahn", "cpmg"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_trial_evaluates_the_shape_once(monkeypatch, kind, seed):
+    # the projection evaluated the shape once more at the final theta, where
+    # Gauss-Newton had already evaluated it
+    curve = _bulk_curve(kind, seed)
+    trials, shapes = _count_evaluations(monkeypatch), []
+    project = fit._variable_projection
+
+    def counting(shape, *args):
+        def counted(theta):
+            shapes.append(1)
+            return shape(theta)
+        return project(counted, *args)
+
+    monkeypatch.setattr(fit, "_variable_projection", counting)
+    assert fit_decay(curve).converged
+    assert len(shapes) == len(trials) > 0
+
+
+class _Captured(Exception):
+    pass
+
+
+def _shape_of(monkeypatch, times):
+    """fit_decay's shape(theta) over ``times``, log T and p free."""
+    def capture(shape, *args):
+        raise _Captured(shape)
+
+    monkeypatch.setattr(fit, "_variable_projection", capture)
+    with pytest.raises(_Captured) as info:
+        fit_decay((times, np.linspace(1.0, 0.5, times.size)))
+    return info.value.args[0]
+
+
+_CLAMP_TIMES = {
+    "zero": [0.0, 1e-4, 2e-4, 3e-4, 4e-4],
+    "negative": [-1e-4, 1e-4, 2e-4, 3e-4, 4e-4],
+    "all_negative": [-5e-4, -4e-4, -3e-4, -2e-4, -1e-4],
+    "nan": [np.nan, 1e-4, 2e-4, 3e-4, 4e-4],
+    "tiny": [5e-324, 1e-200, 1e-100, 1e-4, 1.0],
+    "huge": [1.0, 1e3, 9.9e5, 1e6, 1.1e6, 1e100, 1e200, np.inf],
+}
+
+
+@pytest.mark.parametrize("times", list(_CLAMP_TIMES))
+def test_the_shape_clamps_bit_for_bit_as_where_it_always_clamped(monkeypatch, times):
+    # each clamp is now taken only where it can bind; on either side of both,
+    # the rows are those of the formula that always took them
+    ts = np.array(_CLAMP_TIMES[times])
+    shape = _shape_of(monkeypatch, ts)
+    for log_t, stretch in itertools.product([-400.0, -300.0, -20.0, -8.0, 0.0, 300.0, 400.0],
+                                            [0.01, 0.05, 1.0, 2.0, 50.0, 60.0]):
+        log_t_used, p = min(max(log_t, -300.0), 300.0), min(max(stretch, 0.05), 50.0)
+        with np.errstate(all="ignore"):
+            E, params = shape(np.array([log_t, stretch]))
+            x = np.maximum(ts / math.exp(log_t_used), 1e-300)
+            xp = np.minimum(x**p, 1e300)
+            e = np.exp(-xp)
+            want = np.array([e, e * (p * xp), e * (-xp * np.log(x))])
+        assert (params["log_t"], params["stretch"]) == (log_t_used, p)
+        assert E.tobytes() == want.tobytes(), (log_t, stretch)
+
+
 def test_pinned_shape_evaluates_no_residual(monkeypatch):
     ts = np.linspace(1e-4, 3e-3, 15)
     calls = _count_evaluations(monkeypatch)
@@ -528,6 +593,61 @@ def test_a_singular_or_non_finite_damped_system_has_no_step():
         assert fit._damped_step(eye * 1e-300, g * 1e300, 1e-3) is None
 
 
+def _array_step(A, g, lam):
+    """The damped step as it was taken on arrays: A copied and its diagonal
+    damped in place."""
+    n = g.size
+    M = A.copy()
+    M.flat[::n + 1] += lam * np.maximum(A.diagonal(), 1e-300)
+    if n == 1:
+        a = float(M[0, 0])
+        if a == 0.0:
+            return None
+        x = [-float(g[0]) / a]
+    else:
+        (a, b), (c, d) = M.tolist()
+        r0, r1 = -float(g[0]), -float(g[1])
+        if abs(c) > abs(a):
+            a, b, c, d, r0, r1 = c, d, a, b, r1, r0
+        if a == 0.0:
+            return None
+        lower = c / a
+        u = d - lower * b
+        if u == 0.0:
+            return None
+        x1 = (r1 - lower * r0) / u
+        x = [(r0 - b * x1) / a, x1]
+    return np.array(x) if all(map(math.isfinite, x)) else None
+
+
+def test_damped_step_on_floats_is_the_array_arithmetic():
+    rng = np.random.default_rng(5)
+    systems = []
+    for n in (1, 2):
+        for _ in range(40):
+            J = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-150, 150)
+            systems.append((J.T @ J, J.T @ rng.standard_normal(6)))
+            # not symmetric, a diagonal at or below zero
+            A = rng.standard_normal((n, n))
+            A.flat[::n + 1] *= rng.choice([0.0, -0.0, -1.0, 1e-310])
+            systems.append((A, rng.standard_normal(n)))
+    # singular, and not finite
+    systems += [(np.zeros((1, 1)), np.ones(1)), (np.ones((2, 2)), np.ones(2)),
+                (np.array([[0.0, 1.0], [0.0, 1.0]]), np.ones(2))]
+    for n in (1, 2):
+        eye, g = np.eye(n), np.ones(n)
+        systems += [(np.full((n, n), np.nan), g), (eye, np.full(n, np.inf)),
+                    (eye * 1e-300, g * 1e300), (np.full((n, n), np.inf), g),
+                    (np.diag(np.full(n, np.inf)), g), (-eye, g)]
+    for (A, g), lam in itertools.product(systems, [0.0, *10.0 ** np.arange(-12.0, 13.0)]):
+        with np.errstate(all="ignore"):
+            want, got = _array_step(A, g, lam), fit._damped_step(A, g, lam)
+        if want is None:
+            assert got is None, (A, g, lam)
+        else:
+            assert got.tolist() == want.tolist(), (A, g, lam)
+
+
 def test_no_step_raises_the_damping_tenfold_and_evaluates_nothing(monkeypatch):
     lams, evaluations = [], []
     solve = fit._damped_step
@@ -544,7 +664,7 @@ def test_no_step_raises_the_damping_tenfold_and_evaluates_nothing(monkeypatch):
         model = np.exp(theta[0]) * ts ** theta[1]
         return model - 2.0 * ts**-0.5, np.column_stack([model, model * np.log(ts)])
 
-    theta, _, _, _, conv = fit._gauss_newton(rj, [0.0, 0.0])
+    theta, _, _, conv = fit._gauss_newton(rj, [0.0, 0.0])
     assert conv and theta == pytest.approx([math.log(2.0), -0.5], rel=1e-9)
     assert lams[:4] == pytest.approx([1e-3, 1e-2, 1e-1, 1.0], rel=1e-12)
     # the start, then the step of the fourth system
@@ -558,5 +678,23 @@ def test_no_step_raises_the_damping_tenfold_and_evaluates_nothing(monkeypatch):
         evaluations.append(1)
         return np.ones(3), np.full((3, 2), np.nan)
 
-    theta, _, _, _, conv = fit._gauss_newton(nan_jacobian, [1.0, 2.0])
+    theta, _, _, conv = fit._gauss_newton(nan_jacobian, [1.0, 2.0])
     assert not conv and theta.tolist() == [1.0, 2.0] and len(evaluations) == 1
+
+
+def test_a_long_fit_holds_the_accepted_shape_rows_and_no_more():
+    # a 10^5-point fit peaked at 14 words a point; carrying the accepted
+    # evaluation in Gauss-Newton holds its 3 shape rows too, and a memo of
+    # past evaluations took 23
+    n = 10**5
+    ts = np.linspace(1e-5, 1e-3, n)
+    vals = _stretched(ts, 1.0, 4e-4, 2.5) + np.random.default_rng(0).normal(0, 0.01, n)
+    for curve in ((ts, vals, np.full(n, 0.01)), (ts, vals)):
+        fit_decay(curve)
+        tracemalloc.start()
+        try:
+            fit_decay(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (14 + 3) * 8 * n + 2**16, peak

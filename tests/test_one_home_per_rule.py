@@ -1,10 +1,13 @@
 """Each rule on a run's inputs has one home: a stdlib ``ast`` check that
 ``evolve.py``, ``sense.py`` and ``config.py`` compare no ``np.diff`` of a grid
-(the grid rule is ``sequence.checked_times``), and that ``config.py`` holds no
-``--threads`` text (the flag's rule is in ``cli``, which reads it)."""
+(the grid rule is ``sequence.checked_times``), that ``config.py`` holds no
+``--threads`` text (the flag's rule is in ``cli``, which reads it), and that
+no message in ``src/spindd`` states the work budget's value (it is
+``evolve.WORK_BUDGET``, which a refusal reads)."""
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spindd"
 
@@ -66,3 +69,41 @@ def parse_times(spec):
              "sense": ast.parse("ok = t.size >= 4"),
              "config": ast.parse("def curve(self, n_workers=1):\n    return n_workers")}
     assert _check(trees) == {}
+
+
+# 2^30 float64 values, 8 GiB, as a message would state them
+_BUDGET_VALUE = re.compile(r"2 ?(\^|\*\*) ?30\b|\b8 ?GiB|\b1073741824\b|\b1\.07e\+?0?9")
+
+
+def _budget_text(tree):
+    """Line numbers of the string constants in ``tree`` outside docstrings,
+    f-strings' parts included, that state the budget's value."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and id(node) not in docs
+                  and _BUDGET_VALUE.search(node.value))
+
+
+def test_no_message_states_the_budget_value():
+    found = {path.name: _budget_text(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_check_sees_a_message_that_states_the_budget():
+    stated = """
+def _within_budget(total):
+    \"\"\"Refuses past 2^30 values (8 GiB).\"\"\"
+    if total > evolve.WORK_BUDGET:
+        raise ConfigError(f"{total:.3g} values, above the budget of 2^30 (8 GiB)")
+TOO_BIG = "above 1073741824 values"
+"""
+    assert _budget_text(ast.parse(stated)) == [5, 6]
+    read = """
+def _within_budget(total):
+    \"\"\"Refuses past 2^30 values (8 GiB).\"\"\"
+    if total > evolve.WORK_BUDGET:
+        raise ConfigError(f"above the budget of 2^{math.log2(evolve.WORK_BUDGET):.3g}")
+"""
+    assert _budget_text(ast.parse(read)) == []
