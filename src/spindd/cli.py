@@ -4,7 +4,9 @@ Subcommands: decay, suppression, spinlock, pulse-error, sense, fit, validate.
 The three that run a Monte Carlo curve (decay, spinlock, pulse-error) also
 take --seed, --shots and --threads (worker threads, which never change a byte).
 Every run writes its artifacts plus a manifest (config digest, seed,
-versions, artifact digests) sufficient to re-create the outputs bit-exactly.
+versions, artifact digests) sufficient to re-create the outputs bit-exactly
+with the same numpy build on the same SIMD dispatch targets; other dispatch
+targets agree to rounding.  A subcommand refuses another experiment's config.
 Exit codes: 0 success, 2 validation, 3 numerical failure, 4 I/O.
 
 Each artifact, the manifest last, is written once, to a new file, and hashed
@@ -233,17 +235,14 @@ _RUNNERS = dict(_SUBCOMMANDS.values())
 
 
 def run(config_path, out_dir=None, overrides=None, threads=1, expected_experiment=None):
-    """Load, validate and dispatch a config; returns (exit_code, artifacts)."""
+    """Load, validate and dispatch a config, refused unless its experiment is
+    ``expected_experiment`` when that is given; returns (exit_code, artifacts)."""
     try:
         raw = cfgmod.load_config(config_path)
         if overrides and isinstance(raw, dict):
             raw.update(overrides)
-        report = cfgmod.validate(raw)
-        kind = report["experiment"]
-        if expected_experiment and kind != expected_experiment:
-            raise ConfigError(
-                f"config is a {kind!r} experiment, expected {expected_experiment!r}"
-            )
+        report = cfgmod.validate(raw, [expected_experiment] if expected_experiment
+                                 else cfgmod._EXPERIMENTS)
         for w in report["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
         out = out_dir or report["spec"].out
@@ -251,7 +250,7 @@ def run(config_path, out_dir=None, overrides=None, threads=1, expected_experimen
             os.makedirs(out, exist_ok=True)
         if not os.access(out, os.W_OK):
             raise OSError(f"output directory {out!r} not writable")
-        digests, extra = _RUNNERS[kind](report["spec"], out, threads)
+        digests, extra = _RUNNERS[report["experiment"]](report["spec"], out, threads)
         artifacts = [*digests, _write_manifest(out, report["expanded"], digests, extra)]
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -295,7 +294,7 @@ def main(argv=None):
         except ConfigError as exc:
             print(f"validation error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        print(json.dumps({"valid": True, "warnings": report["warnings"]}, indent=2))
+        print(_json_text({"valid": True, "warnings": report["warnings"]}))
         return EXIT_OK
 
     overrides = {k: v for k in ("seed", "shots") if (v := getattr(args, k, None)) is not None}

@@ -528,14 +528,15 @@ def expand_preset(raw: dict) -> dict:
     return cfg
 
 
-def validate(raw):
+def validate(raw, kinds=tuple(_EXPERIMENTS)):
     """Full schema check plus physics sanity warnings; returns a report dict
     whose "spec" holds the parsed values for the experiment's runner.
 
-    Does not run anything.  Warnings flag regimes where the request is
+    Does not run anything, and refuses an experiment not in ``kinds`` before
+    it reads another key.  Warnings flag regimes where the request is
     self-defeating (motional narrowing vs decoupling, degenerate grids).
     """
-    kind = _kind(raw, "experiment", _EXPERIMENTS, "")
+    kind = _kind(raw, "experiment", kinds, "")
     cfg = expand_preset(raw)
     cls = _EXPERIMENTS[kind]
     keys = {f.name: f for f in dataclasses.fields(cls)}
@@ -550,7 +551,7 @@ def validate(raw):
                                 f"base tau {base_tau:.3g} s; decoupling will be ineffective")
     model = getattr(spec, "field", None)
     if model is not None:
-        ratio = model.quasi_static_ratio()
+        ratio = model.quasi_static_ratio(spec.nv.gamma_e)
         if math.isfinite(ratio) and ratio < 1e-3:
             warnings.append(f"slow-fluctuation diagnostic gamma*sigma*tau_c = {ratio:.3g}; "
                             "the bath is deep in the motional regime")

@@ -345,19 +345,18 @@ def _bloch_run(omega1, steps, nsub, phases):
 
     ``phases`` holds each trajectory's Omega_z dt over each of ``steps``,
     shape (n_traj, n_steps); ``nsub[k]`` steps make up sample interval k.
-    Returns m at the end of each sample interval, shape (n_samples, n_traj, 3),
-    from a spinor (up, dn), (1, 1) at the start, that each interval's
-    ``_su2_turn`` advances once: m = (Re up* dn, Im up* dn, (|up|^2 - |dn|^2) / 2).
+    Returns the locked component m_x at the end of each sample interval,
+    shape (n_samples, n_traj), from a spinor (up, dn), (1, 1) at the start,
+    that each interval's ``_su2_turn`` advances once: m_x = Re up* dn.
     """
     up = dn = np.ones(phases.shape[0], dtype=complex)
-    out = np.empty((nsub.size, up.size, 3))
+    out = np.empty((nsub.size, up.size))
     # one sample interval at a time, so the pairs take n_traj x nsub[k] x 4
     cuts = np.cumsum(nsub)[:-1]
     for k, (dt, vz) in enumerate(zip(np.split(steps, cuts), np.split(phases, cuts, axis=1))):
         a, b = _su2_turn(omega1 * dt, vz)
         up, dn = a * up + b * dn, a.conj() * dn - b.conj() * up
-        cross = up.conj() * dn
-        out[k] = np.column_stack([cross.real, cross.imag, 0.5 * (abs(up)**2 - abs(dn)**2)])
+        out[k] = (up.conj() * dn).real
     return out
 
 
@@ -400,7 +399,7 @@ def spin_lock_curve(
         # rotations run
         phases = segment_phases(model, tog, draw_normals(model, steps.size, rng, chunk, rows),
                                 rows, nv.gamma_e)
-        yield _bloch_run(omega1, steps, nsub, phases)[:, :, 0]
+        yield _bloch_run(omega1, steps, nsub, phases)
 
     return _monte_carlo(model, total_times, shots, rng, nv, apply_t1, observe,
                         spin_lock_words(model, total_times, shots), 0,
@@ -420,8 +419,8 @@ def spin_lock_words(model: FieldModel, total_times, shots: int):
     # row, and the chunk's OU run: its carried X and its kicks
     made = (rows * (sum(normal_counts(model, n_steps)) + 2 * n_steps)
             + 2 * min(n_steps, stream_run(rows)) * rows)
-    # the phases, m and a sample interval's SU(2) pairs
-    turned = rows * (n_steps + 3 * steps.size + _SU2 * float(np.max(steps)))
+    # the phases, m_x and a sample interval's SU(2) pairs
+    turned = rows * (n_steps + steps.size + _SU2 * float(np.max(steps)))
     return max(made, turned), 3 * n_steps + _SAMPLE * steps.size + _ANY_SIZE
 
 

@@ -119,7 +119,7 @@ def _ou_c2_sq(x):
 # normals per trajectory (none when n_normals_base is 0).  Its methods take a
 # and b with leading axes ..., segments [a, b] along the last axis, and equal
 # one call per set of segments bit for bit.  A deterministic component has
-# segment_integrals(a, b, None), the exact int_a^b B dt of shape (..., n_seg).
+# segment_integrals(a, b), the exact int_a^b B dt of shape (..., n_seg).
 # A component that draws has segment_stream(a, b, draws, scale, out), which
 # yields scale * int_a^b B dt of each segment in turn, shape (..., n_traj),
 # from (n_traj, count) draws, and phase_weights(a, b, signs), the weights w
@@ -137,7 +137,7 @@ class StaticOffset:
     n_normals_per_segment = 0
     n_normals_base = 0
 
-    def segment_integrals(self, a, b, draws):
+    def segment_integrals(self, a, b):
         return self.b * (b - a)
 
 
@@ -297,7 +297,7 @@ class Polynomial:
         if len(self.coefficients) - 1 > 12:
             raise ValueError("polynomial degree capped at 12")
 
-    def segment_integrals(self, a, b, draws):
+    def segment_integrals(self, a, b):
         # antiderivative sum_k a_k t^(k+1)/(k+1)
         anti = [0.0] + [c / (k + 1) for k, c in enumerate(self.coefficients)]
         poly = np.polynomial.polynomial.Polynomial(anti)
@@ -315,7 +315,7 @@ class SinusoidAC:
     n_normals_per_segment = 0
     n_normals_base = 0
 
-    def segment_integrals(self, a, b, draws):
+    def segment_integrals(self, a, b):
         w = 2 * np.pi * self.frequency
         if w == 0.0:
             return self.amplitude * np.sin(self.phi0) * (b - a)
@@ -349,14 +349,14 @@ class FieldModel:
     def is_stochastic(self) -> bool:
         return any(c.n_normals_base > 0 for c in self.components)
 
-    def quasi_static_ratio(self) -> float:
+    def quasi_static_ratio(self, gamma_e: float) -> float:
         """Diagnostic gamma_e * sigma_b * tau_c for the slowest OU component.
 
         Large values indicate the slow-fluctuation regime; the exact inequality
         the regime requires is left to the caller (see module docs).
         """
         ratios = [
-            GAMMA_E * c.sigma_b * c.tau_c
+            gamma_e * c.sigma_b * c.tau_c
             for c in self.components
             if isinstance(c, OrnsteinUhlenbeck)
         ]
@@ -419,7 +419,7 @@ def phase_stream(model: FieldModel, breakpoints, draws: list, rows: int,
     parts, lead = [], None
     for comp, comp_draws in zip(model.components, draws):
         if comp_draws is None:
-            ph = np.moveaxis(gamma_e * comp.segment_integrals(a, b, None), -1, 0)[..., None]
+            ph = np.moveaxis(gamma_e * comp.segment_integrals(a, b), -1, 0)[..., None]
             if parts:
                 parts.append(ph)
             else:
@@ -470,7 +470,7 @@ def phase_map(model: FieldModel, breakpoints, gamma_e: float = GAMMA_E):
         if comp.n_normals_base > 0:
             weights.append(gamma_e * comp.phase_weights(a, b, signs))
         else:
-            det += comp.segment_integrals(a, b, None)
+            det += comp.segment_integrals(a, b)
             weights.append(None)
     return np.sum(gamma_e * det * signs, axis=-1), weights
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from spindd import cli, config as cfgmod, evolve, taylor
 from spindd.config import ConfigError
-from spindd.field import DECAY_RNG_SCHEME, RNG_SCHEME
+from spindd.field import DECAY_RNG_SCHEME, GAMMA_E, RNG_SCHEME
 
 
 def _write(tmp_path, name, cfg):
@@ -409,6 +409,35 @@ def test_malformed_fit_input_exits_2(tmp_path, capsys, text):
     assert "input_csv" in capsys.readouterr().err
 
 
+def test_a_subcommand_refuses_another_experiment_before_building_its_spec(tmp_path, capsys):
+    # a valid 10^6-time Hahn decay: its grid and pattern were built (0.06 s,
+    # 50 MB traced) before the experiment was compared
+    cfg = _decay_cfg(times={"start": "50 us", "stop": "500 us", "count": 10**6}, shots=100)
+    cfg_path = _write(tmp_path, "decay.json", cfg)
+    argv = ["fit", "--config", cfg_path, "--out", str(tmp_path / "out")]
+    cli.main(argv)  # the parser's and numpy's first-call allocations
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = cli.main(argv)
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == 2 * ("validation error: experiment must be one of "
+                                           "['fit'], got 'decay'\n")
+    assert seconds < 0.01 and peak < 1e6, (seconds, peak)
+    assert not (tmp_path / "out").exists()
+    # a config that its own experiment refuses reports the mismatch, not its error
+    bad = _write(tmp_path, "bad.json", _decay_cfg(shots=1, colour="blue"))
+    assert cli.main(["spinlock", "--config", bad]) == cli.EXIT_VALIDATION
+    assert "experiment must be one of ['spinlock'], got 'decay'" in capsys.readouterr().err
+    assert cfgmod.validate(cfg)["experiment"] == "decay"
+
+
 def test_a_fit_input_past_the_budget_is_refused_before_it_is_read(tmp_path, capsys):
     # 64 GiB of holes, which take no disk: the read was bounded by nothing
     csv = tmp_path / "curve.csv"
@@ -425,6 +454,26 @@ def test_a_fit_input_past_the_budget_is_refused_before_it_is_read(tmp_path, caps
     assert (code, artifacts) == (cli.EXIT_VALIDATION, [])
     assert capsys.readouterr().err.startswith("validation error: input_csv: this run would hold")
     assert seconds < 0.1 and peak < 1e6, (seconds, peak)
+
+
+def test_a_fit_holds_no_more_than_its_input_is_charged(tmp_path):
+    # 10^5 rows of 4 bytes, the fewest a row can take: the read is charged 9
+    # words a byte, 36 a row, and the fit's per-point arrays (17 words a point)
+    # fit within it (measured 20.0 MB against 28.8 MB charged)
+    decay = [round(9 * math.exp(-t / 4)) for t in range(1, 10)]
+    text = "total_time_s,signal\n" + "".join(f"{1 + i % 9},{decay[i % 9]}\n"
+                                             for i in range(10**5))
+    csv = tmp_path / "curve.csv"
+    csv.write_text(text)
+    cfg_path = _write(tmp_path, "fit.json", dict(_FIT, input_csv=str(csv)))
+    tracemalloc.start()
+    try:
+        code, _ = cli.run(cfg_path, out_dir=str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak <= 8 * 9 * len(text), (peak, 8 * 9 * len(text))
 
 
 def test_a_column_the_fit_does_not_read_may_hold_text(tmp_path):
@@ -676,6 +725,17 @@ def test_motional_narrowing_warning():
         times={"start": "10 us", "stop": "200 us", "count": 4},
     ))
     assert any("motional-narrowing" in w for w in report["warnings"])
+
+
+@pytest.mark.parametrize("sigma_b, gamma_scale, warned", [
+    ("1 nT", 1.0, True), ("1 nT", 2.0, False), ("2 nT", 1.0, False), ("2 nT", 0.5, True)])
+def test_slow_fluctuation_warning_reads_the_configured_gamma(sigma_b, gamma_scale, warned):
+    # gamma sigma_b tau_c at tau_c = 5 us and the free-electron gamma: 8.8e-4
+    # at 1 nT and 1.76e-3 at 2 nT, either side of the warning's 1e-3
+    cfg = _decay_cfg(field=[{"type": "ornstein_uhlenbeck", "sigma_b": sigma_b, "tau_c": "5 us"}],
+                     nv={"gamma_e_rad_per_s_per_T": gamma_scale * GAMMA_E})
+    said = cfgmod.validate(cfg)["warnings"]
+    assert any("slow-fluctuation diagnostic" in w for w in said) is warned, said
 
 
 def test_bulk_preset_expands_clean():

@@ -427,13 +427,46 @@ def test_rotation_kernel_solves_bloch_equation():
 
 
 def test_bloch_norm_conservation():
+    # the run's one turn is in SU(2), |a|^2 + |b|^2 = 1, so it keeps |m| = 1
     model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=5e-7, tau_c=1e-6))
     n = int(evolve.bloch_steps(model, [1e-3])[0])
     tog = sq.TogglingFunction(tuple(np.linspace(0.0, 1e-3, n + 1)))
-    ms = evolve._bloch_run(2 * math.pi * 1e5, np.diff(tog.breakpoints), np.array([n]),
-                           _segment_phases(model, tog, RngSpec(9), 4))
-    norms = np.linalg.norm(ms[0], axis=1)
-    assert np.all(np.abs(norms - 1.0) < 1e-12)
+    steps, phases = np.diff(tog.breakpoints), _segment_phases(model, tog, RngSpec(9), 4)
+    a, b = evolve._su2_turn(2 * math.pi * 1e5 * steps, phases)
+    assert a.shape == (4,)
+    assert np.all(np.abs(abs(a)**2 + abs(b)**2 - 1.0) < 1e-12)
+    mx = evolve._bloch_run(2 * math.pi * 1e5, steps, np.array([n]), phases)
+    assert mx.shape == (1, 4) and np.all(np.abs(mx) <= 1.0 + 1e-12)
+
+
+def _bloch_run_xyz(omega1, steps, nsub, phases):
+    """The Bloch run as it returned all of m, (n_samples, n_traj, 3)."""
+    up = dn = np.ones(phases.shape[0], dtype=complex)
+    out = np.empty((nsub.size, up.size, 3))
+    cuts = np.cumsum(nsub)[:-1]
+    for k, (dt, vz) in enumerate(zip(np.split(steps, cuts), np.split(phases, cuts, axis=1))):
+        a, b = evolve._su2_turn(omega1 * dt, vz)
+        up, dn = a * up + b * dn, a.conj() * dn - b.conj() * up
+        cross = up.conj() * dn
+        out[k] = np.column_stack([cross.real, cross.imag, 0.5 * (abs(up)**2 - abs(dn)**2)])
+    return out
+
+
+def test_bloch_run_returns_the_locked_component_of_m():
+    # m_x alone, as one contiguous block, bit for bit the x column of all of m
+    model = FieldModel.of(OrnsteinUhlenbeck(sigma_b=5e-7, tau_c=1e-6),
+                          StaticOffset(b=2e-8))
+    times = np.array([5e-5, 1.2e-4, 2e-4, 3.5e-4, 5e-4])
+    nsub = evolve.bloch_steps(model, times).astype(int)
+    knots = np.concatenate([[0.0], times])
+    grid = np.concatenate([[0.0]] + [np.linspace(a, b, k + 1)[1:]
+                                     for a, b, k in zip(knots[:-1], knots[1:], nsub)])
+    steps = np.diff(grid)
+    phases = _segment_phases(model, sq.TogglingFunction(grid), RngSpec(3), 300)
+    mx = evolve._bloch_run(2 * math.pi * 6e4, steps, nsub, phases)
+    assert mx.shape == (times.size, 300) and mx.flags.c_contiguous
+    want = _bloch_run_xyz(2 * math.pi * 6e4, steps, nsub, phases)[:, :, 0]
+    assert np.all(np.isfinite(mx)) and mx.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_spin_lock_rejects_bad_omega1():

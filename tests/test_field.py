@@ -607,7 +607,7 @@ def test_a_zero_frequency_sinusoid_is_the_static_field_b_sin_phi0():
     b, phi0 = 3e-9, 0.7
     ac = SinusoidAC(b, 0.0, phi0)
     a, t = np.array([0.0, 0.3, 0.5]), np.array([0.3, 0.5, 1.0])
-    assert ac.segment_integrals(a, t, None).tolist() == (b * math.sin(phi0) * (t - a)).tolist()
+    assert ac.segment_integrals(a, t).tolist() == (b * math.sin(phi0) * (t - a)).tolist()
     # a decay under it runs, deterministic, as under the equal static offset
     times = np.linspace(1e-4, 1e-3, 5)
     got = evolve.coherence_curve(FieldModel.of(ac), sq.fid(1.0), times, 100, None,
@@ -688,5 +688,5 @@ def test_nan_parameters_are_refused(make):
 
 def test_quasi_static_ratio_diagnostic():
     m = FieldModel.of(OrnsteinUhlenbeck(1e-7, 1e-4))
-    assert m.quasi_static_ratio() == pytest.approx(GAMMA_E * 1e-7 * 1e-4)
-    assert math.isinf(FieldModel.of(StaticOffset(0.0)).quasi_static_ratio())
+    assert m.quasi_static_ratio(GAMMA_E) == pytest.approx(GAMMA_E * 1e-7 * 1e-4)
+    assert math.isinf(FieldModel.of(StaticOffset(0.0)).quasi_static_ratio(GAMMA_E))

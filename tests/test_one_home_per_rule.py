@@ -1,13 +1,17 @@
 """Each rule on a run's inputs has one home: a stdlib ``ast`` check that
 ``evolve.py``, ``sense.py`` and ``config.py`` compare no ``np.diff`` of a grid
 (the grid rule is ``sequence.checked_times``), that ``config.py`` holds no
-``--threads`` text (the flag's rule is in ``cli``, which reads it), and that
-no message in ``src/spindd`` states the work budget's value (it is
-``evolve.WORK_BUDGET``, which a refusal reads)."""
+``--threads`` text (the flag's rule is in ``cli``, which reads it), that
+``cli.py`` compares no experiment kind (a subcommand's experiment is refused
+by ``config.validate``, before a spec is built), and that no message in
+``src/spindd`` states the work budget's value (it is ``evolve.WORK_BUDGET``,
+which a refusal reads)."""
 
 import ast
 import pathlib
 import re
+
+from spindd.config import _EXPERIMENTS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spindd"
 
@@ -107,3 +111,44 @@ def _within_budget(total):
         raise ConfigError(f"above the budget of 2^{math.log2(evolve.WORK_BUDGET):.3g}")
 """
     assert _budget_text(ast.parse(read)) == []
+
+
+def _kind_compares(tree):
+    """Line numbers of the comparisons in ``tree`` with an operand that names
+    an experiment kind: a name or attribute ``kind`` or ``*experiment*``, or
+    an experiment's name or ``"experiment"`` as a string, at any depth."""
+    def names_a_kind(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(name, str):
+            return name == "kind" or "experiment" in name
+        return isinstance(node, ast.Constant) and node.value in {*_EXPERIMENTS, "experiment"}
+
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(names_a_kind(n) for operand in [node.left, *node.comparators]
+                          for n in ast.walk(operand)))
+
+
+def test_cli_compares_no_experiment_kind():
+    assert _kind_compares(ast.parse((SRC / "cli.py").read_text())) == []
+
+
+def test_the_check_sees_an_experiment_compared_in_cli():
+    compared = """
+def run(path, expected_experiment=None):
+    report = cfgmod.validate(cfgmod.load_config(path))
+    kind = report["experiment"]
+    if expected_experiment and kind != expected_experiment:
+        raise ConfigError(f"config is a {kind!r} experiment")
+    if report["experiment"] == "fit":
+        pass
+    if args.command == "validate" or threads < 1:
+        pass
+"""
+    assert _kind_compares(ast.parse(compared)) == [5, 7]
+    refused = """
+def run(path, expected_experiment=None):
+    report = cfgmod.validate(cfgmod.load_config(path), [expected_experiment])
+    if args.command == "validate" or threads < 1:
+        pass
+"""
+    assert _kind_compares(ast.parse(refused)) == []
