@@ -27,7 +27,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -235,17 +235,18 @@ _TIMES_KEYS = {
 }
 
 
-# a time grid as read: its point count and build(), once the estimate passes
-_Grid = NamedTuple("_Grid", [("count", int), ("build", Callable[[], np.ndarray])])
+# a list as read: its count, and build() of its values once the estimate
+# passes (a grid's times, a custom pattern's fractions)
+_Counted = NamedTuple("_Counted", [("count", int), ("build", Callable[[], Any])])
 
 
-def _grid(spec, where="times") -> _Grid:
+def _grid(spec, where="times") -> _Counted:
     t = _read(_TIMES_KEYS, spec, where)
     if not 0 < t["start"] < t["stop"]:
         raise ConfigError(f"{where} must satisfy 0 < start < stop")
     make = np.linspace if t["spacing"] == "linear" else np.geomspace
-    return _Grid(t["count"], lambda: _build(where, sq.checked_times,
-                                            make(t["start"], t["stop"], t["count"])))
+    return _Counted(t["count"], lambda: _build(where, sq.checked_times,
+                                               make(t["start"], t["stop"], t["count"])))
 
 
 def parse_times(spec, where="times") -> np.ndarray:
@@ -253,6 +254,12 @@ def parse_times(spec, where="times") -> np.ndarray:
 
 
 def _fractions(value, path):
+    """A custom pattern's pulse-time fractions, read as their count."""
+    _expect(isinstance(value, list), value, path, "a list of numbers")
+    return _Counted(len(value), partial(_increasing_fractions, value, path))
+
+
+def _increasing_fractions(value, path):
     fr = _numbers(value, path)
     # range and order in one array pass: 0 < fr[0] < ... < fr[-1] < 1
     if not fr or not sq._increasing((0.0, *fr, 1.0)):
@@ -269,7 +276,8 @@ _SEQ_KEYS = {
     "fid": (sq.fid, {}, lambda: 0),
     "hahn": (sq.hahn, {}, lambda: 1),
     "cpmg": (sq.cpmg, {"n_pulses": _key(_integer(1))}, lambda n: n),
-    "custom": (sq.custom, {"pulse_time_fractions": _key(_fractions)}, len),
+    "custom": (lambda fr, total_time: sq.custom(fr.build(), total_time),
+               {"pulse_time_fractions": _key(_fractions)}, lambda fr: fr.count),
 }
 
 
@@ -323,7 +331,7 @@ class _Spec:
 @dataclass(frozen=True, kw_only=True)
 class _GridSpec(_Spec):
     """An experiment on a field model over a grid of total times, read as a
-    _Grid, which __post_init__ builds once the spec's estimate passes."""
+    _Counted, which __post_init__ builds once the spec's estimate passes."""
 
     field: FieldModel = _key(parse_field)
     nv: NVParameters = _key(parse_nv, NVParameters())

@@ -429,7 +429,7 @@ def spin_lock_words(model: FieldModel, total_times, shots: int):
 # ---------------------------------------------------------------------------
 
 #: trajectory values per array of the pulse-error turn loop (``_turn_block``)
-TURN_WORDS = 2**12
+TURN_WORDS = 2**15
 
 
 def _turn_block(rows, n_times):

@@ -74,7 +74,7 @@ def _damped_step(A, g, lam):
     return np.array(x) if all(map(math.isfinite, x)) else None
 
 
-def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
+def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14, scale=0.0):
     """Damped Gauss-Newton; residual_jac(theta) -> (r, J, ...) with weights
     folded in.  Returns theta, what residual_jac returned there, its cost
     |r|^2 and whether the iteration converged.
@@ -83,7 +83,15 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
     the last one evaluated: past it, accepting or rejecting steps turns on
     rounding, not on the cost.  It is kept unless the cost rises.  Where
     the damped system is singular or its step not finite, the damping rises
-    tenfold and the step is tried again."""
+    tenfold and the step is tried again.
+
+    That point lies about 1e-9 relative short of the optimum, and where it
+    lies moves with the last bits of numpy's dispatched exp and power.  So a
+    converged iteration goes on with undamped steps while each is shorter
+    than the last and moves theta by more than ``tol`` relative: it stops at
+    the optimum's rounding floor.  Such a step is not taken where the cost
+    rises by more than its rounding, 8 eps |r| ``scale``, ``scale`` being
+    the norm of the terms each residual is a difference of."""
     theta = np.asarray(theta0, dtype=float)
     evaluation = residual_jac(theta)
     r, J = evaluation[:2]
@@ -121,6 +129,19 @@ def _gauss_newton(residual_jac, theta0, max_iter=200, tol=1e-14):
             lam *= 10
             if lam > 1e12:
                 break
+    last_size, trial = math.inf, None  # a rejected trial is not held beside the next
+    while converged:
+        r, J = evaluation[:2]
+        step = _damped_step(J.T @ J, J.T @ r, 0.0)
+        size = math.inf if step is None else max(map(abs, step.tolist()))
+        if not tol * max(1.0, *map(abs, theta.tolist())) < size < last_size:
+            break
+        new = theta + step
+        trial = residual_jac(new)
+        cost_new = float(trial[0] @ trial[0])
+        if not cost_new <= cost + 8 * math.ulp(1.0) * math.sqrt(cost) * scale:
+            break
+        theta, evaluation, cost, last_size = new, trial, cost_new, size
     return theta, evaluation, cost, converged
 
 
@@ -160,7 +181,8 @@ def _variable_projection(shape, y, sigmas, free, theta0, amplitude=None):
         return weights * (amp * e - y), J.T, p, E
 
     if len(theta0):
-        theta, (r, _, p, E), _, conv = _gauss_newton(project, theta0)
+        theta, (r, _, p, E), _, conv = _gauss_newton(project, theta0,
+                                                       scale=math.sqrt(float(w2y @ y)))
     else:  # nothing nonlinear free: A alone
         theta, conv = theta0, True
         r, _, p, E = project(theta)

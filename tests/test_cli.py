@@ -925,7 +925,7 @@ def test_manifest_records_rng_scheme(tmp_path, cfg, scheme):
     assert code == cli.EXIT_OK
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert man["metadata"]["rng_scheme"] == scheme
-    assert (RNG_SCHEME, DECAY_RNG_SCHEME) == ("philox-chunk4096-v2", "philox-chunk4096-v3")
+    assert (RNG_SCHEME, DECAY_RNG_SCHEME) == ("sfc64-chunk4096-v4", "sfc64-chunk4096-decay-v4")
 
 
 # one small valid config per experiment for the property test below; the fit

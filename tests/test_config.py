@@ -335,6 +335,16 @@ def test_a_long_list_is_read_in_one_pass():
     assert spec.sequence.n_pulses == len(_LONG)
 
 
+def test_a_custom_pattern_is_refused_before_its_fractions_are_read():
+    # the 3 10^6 fractions were converted and checked before the estimate
+    # refused them: 0.69 s
+    n = 3 * 10**6
+    fractions = [i / (n + 1) for i in range(1, n + 1)]
+    cfg = dict(_custom(fractions), times=dict(_SHORT, count=100))
+    seconds, peak = _refusal_cost(cfg, "sequence")
+    assert seconds < 0.1 and peak < 1e6, (seconds, peak)
+
+
 @pytest.mark.parametrize("fractions", [[], [0.0, 0.5], [0.5, 1.0], [0.3, 0.3], [0.5, 0.2],
                                        [*_LONG[:-1], _LONG[-2]]],
                          ids=["empty", "zero", "one", "repeated", "decreasing", "long_repeated"])
@@ -411,7 +421,7 @@ def test_decay_estimate_bounds_the_traced_peak(monkeypatch, cfg, upper):
         assert estimate <= upper * peak, (estimate, peak)
 
 
-@pytest.mark.parametrize("turn_words", [2**10, 2**12, 2**14])
+@pytest.mark.parametrize("turn_words", [2**10, 2**12, 2**14, 2**15])
 @pytest.mark.parametrize("stream_words", [2**11, 2**13, 2**15])
 @pytest.mark.parametrize("cfg", [_BULK_SPINLOCK, _PULSE_ERROR, _BLOCH_PULSE_ERROR],
                          ids=["spinlock", "pulse_error_4", "pulse_error_cp_50"])

@@ -633,6 +633,21 @@ def test_pulse_error_matches_reference_composition(convention):
         assert curve.metadata["shots"] == (1 if case == "static" else shots), case
 
 
+def test_a_two_chunk_train_has_the_same_bytes_at_either_turn_block(monkeypatch):
+    # a whole chunk turns its 5 times one a block at 2^12 words and all at
+    # once at 2^15, on one thread and on two
+    ts = np.linspace(1e-4, 1e-3, 5)
+    curves = []
+    for words in (2**12, 2**15):
+        monkeypatch.setattr(evolve, "TURN_WORDS", words)
+        assert evolve._turn_block(evolve.CHUNK, ts.size) == (1 if words == 2**12 else 5)
+        for workers in (1, 2):
+            curve = evolve.pulse_error_curve(FieldModel.of(_OU_BATH), 6, 0.05, "cp", ts,
+                                             evolve.CHUNK + 300, RngSpec(8), n_workers=workers)
+            curves.append((curve.signal.tobytes(), curve.std_error.tobytes()))
+    assert curves == [curves[0]] * 4
+
+
 def test_pulse_error_peak_memory_does_not_grow_with_the_grid():
     # the grid is composed in blocks, each freed before the next: stacking
     # the whole grid, or keeping the blocks, raises the peak with the grid

@@ -107,7 +107,7 @@ _TWO_SLOTS = FieldModel.of(OrnsteinUhlenbeck(2e-7, 2e-5), StaticOffset(1e-8),
 def test_trajectory_rows_do_not_depend_on_shot_count():
     """A chunk drawn with 300 rows is the first 300 rows of the same chunk
     drawn whole, in every stochastic slot, and row r of chunk c is row r of
-    the Philox stream (seed, c, slot)."""
+    the stream (seed, c, slot)."""
     few = draw_normals(_TWO_SLOTS, 2, RNG, 1, 300)
     whole = draw_normals(_TWO_SLOTS, 2, RNG, 1, CHUNK)
     assert [d is None for d in whole] == [False, True, False]
@@ -158,6 +158,18 @@ def test_whole_chunk_draw_matches_the_row_gather(first, n):
         if a is not None:
             assert a.flags.c_contiguous
             assert a.tobytes() == b[::-1].tobytes()
+
+
+def test_each_stream_is_sfc64_of_the_spawned_seed_sequence():
+    # the layout RNG_SCHEME and DECAY_RNG_SCHEME name: SFC64 seeded from
+    # SeedSequence(master_seed) spawned at key (chunk, slot)
+    firsts = set()
+    for s, c, k in itertools.product([0, 1, 2**64 - 1], [0, 1, 7], [0, 1]):
+        ref = np.random.Generator(np.random.SFC64(np.random.SeedSequence(s, spawn_key=(c, k))))
+        got = RngSpec(s).generator(c, k).standard_normal(64)
+        assert got.tobytes() == ref.standard_normal(64).tobytes(), (s, c, k)
+        firsts.add(got[0])
+    assert len(firsts) == 18
 
 
 # --- signed phase ----------------------------------------------------------
